@@ -15,8 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -223,15 +222,3 @@ def mcmaster_detect(
     """Alarm intervals from persistent congested classifications."""
     hits = [mcmaster_classify(s, params) == "congested" for s in stream]
     return _persistence_intervals([s.timestamp for s in stream], hits, persistence_min)
-
-
-def write_profile_json(profile: SndProfile, sink) -> None:
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(profile.to_json(), encoding="utf-8")
-    else:
-        sink.write(profile.to_json())
-
-
-def applications(stream: Iterable[TrafficSample]) -> int:
-    """Number of minutes a detector was applied to (usable speed readings)."""
-    return sum(1 for s in stream if s.speed is not None)

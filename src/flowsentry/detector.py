@@ -13,13 +13,20 @@ import csv
 from dataclasses import dataclass
 from datetime import datetime
 from math import ceil
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import TrafficSample, format_timestamp, parse_timestamp
-from .levelset import TypicalRegion, contains, contains_many, distance_to_boundary, distances_to_boundary, exit_sides, with_normalizer
+from .ingest import TrafficSample, format_timestamp, open_text, parse_timestamp
+from .levelset import (
+    TypicalRegion,
+    contains,
+    contains_many,
+    distance_to_boundary,
+    distances_and_sides,
+    distances_to_boundary,
+    with_normalizer,
+)
 
 FLAGS_HEADER = ["link_id", "start", "end", "duration_min", "max_severity", "exit_side", "flagged"]
 
@@ -160,9 +167,9 @@ def annotate(samples: Sequence[TrafficSample], region: TypicalRegion) -> Severit
         ext_idx = np.flatnonzero(usable)[outside]
         exterior[ext_idx] = True
         if ext_idx.size:
-            ext_pts = pts[outside]
-            sev[ext_idx] = distances_to_boundary(region, ext_pts) / region.max_training_distance
-            side[ext_idx] = exit_sides(region, ext_pts)
+            distances, sides = distances_and_sides(region, pts[outside])
+            sev[ext_idx] = distances / region.max_training_distance
+            side[ext_idx] = sides
     return SeveritySeries(link_id, tuple(ts), usable, exterior, side, sev)
 
 
@@ -306,9 +313,7 @@ def write_flags_csv(flags: Iterable[DftbFlag], sink) -> None:
 
 
 def _write_rows(rows: list[FlagRow], sink) -> None:
-    own = isinstance(sink, (str, Path))
-    handle = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
+    with open_text(sink, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(FLAGS_HEADER)
         for r in rows:
@@ -323,15 +328,10 @@ def _write_rows(rows: list[FlagRow], sink) -> None:
                     "true" if r.flagged else "false",
                 ]
             )
-    finally:
-        if own:
-            handle.close()
 
 
 def read_flags_csv(source) -> list[FlagRow]:
-    own = isinstance(source, (str, Path))
-    handle = open(source, "r", encoding="utf-8", newline="") if own else source
-    try:
+    with open_text(source) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != FLAGS_HEADER:
@@ -352,6 +352,3 @@ def read_flags_csv(source) -> list[FlagRow]:
                 )
             )
         return rows
-    finally:
-        if own:
-            handle.close()

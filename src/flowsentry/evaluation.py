@@ -20,7 +20,6 @@ import importlib.resources
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -30,7 +29,7 @@ from scipy.stats import binom, norm, rankdata
 from scipy.stats import t as student_t
 
 from .baselines import McMasterParams
-from .ingest import EventLabel
+from .ingest import EventLabel, open_text
 
 EPS_DR = 1.01
 EPS_FAR = 0.001
@@ -174,6 +173,8 @@ class PairedTestResult:
 
 
 def _differences(pairs: Sequence[tuple[float, float]]) -> np.ndarray:
+    if len(pairs) == 0:
+        raise InsufficientPairsError("no pairs to test")
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("pairs must be (first, second) tuples")
@@ -331,9 +332,7 @@ def fixture_report(rows: Sequence[FixtureRow]) -> dict:
 
 def write_report_csv(rows: Sequence[FixtureRow], sink) -> None:
     """Per-link metric table plus the four aggregate footer rows."""
-    own = isinstance(sink, (str, Path))
-    handle = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
+    with open_text(sink, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["location", "length_km", *FIXTURE_METRICS])
         for r in rows:
@@ -342,9 +341,6 @@ def write_report_csv(rows: Sequence[FixtureRow], sink) -> None:
         aggregates = {m: summarize(v) for m, v in columns.items()}
         for stat in ("mean", "median", "std", "iqr"):
             writer.writerow([stat, "", *(round(getattr(aggregates[m], stat), 3) for m in FIXTURE_METRICS)])
-    finally:
-        if own:
-            handle.close()
 
 
 # --- McMaster calibration grid -------------------------------------------------------

@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import io
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 SPEED_MAX_KMH = 250.0
 FLOW_MAX_VPH = 12000.0
@@ -137,15 +138,23 @@ def format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
-def _text_reader(source) -> IO[str]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, io.TextIOBase):
-        return source
-    # binary file-like
-    return io.TextIOWrapper(source, encoding="utf-8", newline="")
+@contextmanager
+def open_text(target, mode: str = "r") -> Iterator[IO[str]]:
+    """A UTF-8 text handle on ``target``, without newline translation.
+
+    A path is opened with ``mode`` and closed on exit. When reading, bytes and
+    binary file-like objects are decoded; any other handle is used as is and
+    left open.
+    """
+    if isinstance(target, (str, Path)):
+        with open(target, mode, encoding="utf-8", newline="") as handle:
+            yield handle
+    elif mode == "r" and isinstance(target, bytes):
+        yield io.StringIO(target.decode("utf-8"))
+    elif mode == "r" and not isinstance(target, io.TextIOBase):
+        yield io.TextIOWrapper(target, encoding="utf-8", newline="")
+    else:
+        yield target
 
 
 def _optional_float(text: str, what: str, row: int) -> float | None:
@@ -168,9 +177,8 @@ def parse_series(source) -> list[TrafficSample]:
     duplicates are rejected with the offending row number. Gaps are kept as
     gaps (no imputation).
     """
-    handle = _text_reader(source)
-    reader = csv.reader(handle)
-    try:
+    with open_text(source) as handle:
+        reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
             raise ParseError("empty input, expected a header row", 1)
@@ -210,16 +218,11 @@ def parse_series(source) -> list[TrafficSample]:
             except ValueError as exc:
                 raise ParseError(str(exc), row_no) from None
         return samples
-    finally:
-        if handle is not source and isinstance(source, (str, Path)):
-            handle.close()
 
 
 def write_series(samples: Iterable[TrafficSample], sink) -> None:
     """Write samples in the canonical series CSV schema (UTF-8, RFC 3339)."""
-    own = isinstance(sink, (str, Path))
-    handle = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
+    with open_text(sink, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SERIES_HEADER)
         for s in samples:
@@ -232,9 +235,6 @@ def write_series(samples: Iterable[TrafficSample], sink) -> None:
                     _format_value(s.travel_time),
                 ]
             )
-    finally:
-        if own:
-            handle.close()
 
 
 def _format_value(value: float | None) -> str:
@@ -245,9 +245,8 @@ def _format_value(value: float | None) -> str:
 
 def parse_events(source) -> list[EventLabel]:
     """Parse an event-label CSV; unknown categories map to ``other`` with a warning."""
-    handle = _text_reader(source)
-    reader = csv.reader(handle)
-    try:
+    with open_text(source) as handle:
+        reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
             raise ParseError("empty input, expected a header row", 1)
@@ -271,24 +270,16 @@ def parse_events(source) -> list[EventLabel]:
             except ValueError as exc:
                 raise ParseError(str(exc), row_no) from None
         return labels
-    finally:
-        if handle is not source and isinstance(source, (str, Path)):
-            handle.close()
 
 
 def write_events(labels: Iterable[EventLabel], sink) -> None:
-    own = isinstance(sink, (str, Path))
-    handle = open(sink, "w", encoding="utf-8", newline="") if own else sink
-    try:
+    with open_text(sink, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(EVENTS_HEADER)
         for label in labels:
             writer.writerow(
                 [label.link_id, label.category, format_timestamp(label.start), format_timestamp(label.end)]
             )
-    finally:
-        if own:
-            handle.close()
 
 
 def nonrecurrent_filter(labels: Sequence[EventLabel]) -> list[EventLabel]:

@@ -337,12 +337,12 @@ def evaluate_grid(
 
     tiles_x, tiles_y = _tile_counts(rho_max - rho_min, f_max - f_min, n_rho, n_f, a, b, c)
     if tiles_x is None:
-        values = _grid_direct(model, x_centers, y_centers)
+        cells = np.stack(np.meshgrid(x_centers, y_centers, indexing="ij"), axis=-1).reshape(-1, 2)
+        values = evaluate_many(model, cells).reshape(n_rho, n_f)
     else:
         values = _grid_tiled(model, x_centers, y_centers, a, b, c, tiles_x, tiles_y)
-    norm = 1.0 / (model.n * 2.0 * math.pi * math.sqrt(model.bandwidth.det))
-    values *= norm
-    np.maximum(values, 0.0, out=values)
+        values *= 1.0 / (model.n * 2.0 * math.pi * math.sqrt(model.bandwidth.det))
+        np.maximum(values, 0.0, out=values)
     return DensityGrid(rho_min, rho_max, f_min, f_max, values)
 
 
@@ -411,19 +411,4 @@ def _grid_tiled(model, x_centers, y_centers, a, b, c, tiles_x, tiles_y):
             g_uv = a * u[:, None] ** 2 + 2.0 * b * np.outer(u, v) + c * v[None, :] ** 2
             tile *= np.exp(-0.5 * g_uv)
             values[x_edges[xi] : x_edges[xi + 1], y_edges[yi] : y_edges[yi + 1]] = tile
-    return values
-
-
-def _grid_direct(model, x_centers, y_centers):
-    """Row-by-row direct summation fallback (unnormalised)."""
-    chol = model.bandwidth.cholesky
-    values = np.empty((x_centers.size, y_centers.size))
-    pts = np.empty((y_centers.size, 2))
-    for i, x in enumerate(x_centers):
-        pts[:, 0] = x
-        pts[:, 1] = y_centers
-        diff = pts[:, None, :] - model.samples[None, :, :]
-        w = _solve_lower(chol, diff)
-        quad = np.einsum("mnk,mnk->mn", w, w)
-        values[i] = np.exp(-0.5 * quad).sum(axis=1)
     return values

@@ -1,26 +1,30 @@
 """Level height search, contour extraction, and typical-region geometry.
 
 The typical region is the superlevel set of the fitted density surface at the
-height z* whose enclosed probability mass is 1 - alpha. Its boundary is
-extracted with marching squares on the evaluation grid, small components are
-dropped, and membership / distance / exit-side queries run against the
-retained polygons. Distances are measured in axis-scaled coordinates (each
-axis divided by its training interquartile range) so severities are unitless
-and comparable across links.
+height z*, the largest grid value whose superlevel set encloses at least
+1 - alpha of the probability mass. Its boundary is extracted with marching
+squares on the evaluation grid, small components are dropped, and
+membership / distance / exit-side queries run exactly against the edges of
+the retained polygons. Distances are measured in axis-scaled coordinates
+(each axis divided by its training interquartile range) so severities are
+unitless and comparable across links.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import kde
 from .kde import DensityGrid, DensityModel
 
-DENSIFY_DIAGONAL_FRACTION = 1.0 / 500.0
+# Region queries work on (points x edges) blocks of this many elements, small
+# enough for a block's temporaries to stay in a core's L2 cache. Blocks of 2**21
+# elements ran 1.9x (membership) to 2.5x (distance) slower against a
+# 1,073-vertex region on a Xeon with 2 MiB of L2 per core.
+_QUERY_BLOCK = 2**16
 
 
 class TruncatedGridError(ValueError):
@@ -52,34 +56,36 @@ def mass_above(grid: DensityGrid, z: float) -> float:
     return float(np.trapezoid(inner, grid.rho_centers))
 
 
-def find_level(grid: DensityGrid, alpha: float, *, tol: float = 1e-4, max_iter: int = 200) -> float:
-    """Bisection root of 1 - alpha - mass_above(z) on [0, max grid value].
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """Node weights w such that sum(w * y) is the trapezoid rule over nodes x."""
+    half = 0.5 * np.diff(x)
+    weights = np.zeros_like(x)
+    weights[:-1] += half
+    weights[1:] += half
+    return weights
 
-    mass_above is nonincreasing in z, so the bracket always holds a sign
-    change once the grid carries at least 1 - alpha of mass.
+
+def find_level(grid: DensityGrid, alpha: float) -> float:
+    """Largest grid value whose superlevel set holds at least 1 - alpha of mass.
+
+    The discrete highest-density-region construction (Hyndman 1996): rank the
+    cells by value, accumulate their trapezoid-weighted mass from the top, and
+    stop at the first cell that brings the total to 1 - alpha. Every higher
+    grid value encloses less than 1 - alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha {alpha} outside (0, 1)")
-    total = mass_above(grid, 0.0)
+    values = grid.values.ravel()
+    weights = np.outer(_trapezoid_weights(grid.rho_centers), _trapezoid_weights(grid.f_centers)).ravel()
+    order = np.argsort(values)[::-1]
+    ranked = values[order]
+    mass = np.cumsum(ranked * weights[order])
     target = 1.0 - alpha
-    if total < target:
+    if mass[-1] < target:
         raise TruncatedGridError(
-            f"grid mass {total:.4f} is below 1 - alpha = {target:.4f}; widen the grid bounds"
+            f"grid mass {mass[-1]:.4f} is below 1 - alpha = {target:.4f}; widen the grid bounds"
         )
-    lo, hi = 0.0, float(grid.values.max())
-    z = 0.0
-    for _ in range(max_iter):
-        z = 0.5 * (lo + hi)
-        gap = target - mass_above(grid, z)
-        if abs(gap) <= tol:
-            return z
-        if gap < 0.0:  # still too much mass above: raise the cut
-            lo = z
-        else:
-            hi = z
-        if hi - lo <= np.finfo(float).eps * max(hi, 1.0):
-            break
-    return z
+    return float(ranked[np.searchsorted(mass, target)])
 
 
 def extract_contour(grid: DensityGrid, z_star: float) -> list[np.ndarray]:
@@ -225,9 +231,6 @@ class TypicalRegion:
     scale_rho: float
     scale_f: float
     max_training_distance: float | None = None
-    boundary_points: np.ndarray = field(init=False, repr=False, compare=False)
-    _scaled_boundary: np.ndarray = field(init=False, repr=False, compare=False)
-    _tree: cKDTree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.polygons:
@@ -242,12 +245,9 @@ class TypicalRegion:
                 raise ValueError("polygons must be closed (N>=4, 2 columns)")
             if not np.array_equal(p[0], p[-1]):
                 raise ValueError("polygons must be explicitly closed (first row == last row)")
+            if not np.diff(p, axis=0).any():
+                raise ValueError("polygons need at least one edge of nonzero length")
         object.__setattr__(self, "polygons", polys)
-        raw = _densify(polys, self.scale_rho, self.scale_f)
-        scaled = raw / np.array([self.scale_rho, self.scale_f])
-        object.__setattr__(self, "boundary_points", raw)
-        object.__setattr__(self, "_scaled_boundary", scaled)
-        object.__setattr__(self, "_tree", cKDTree(scaled))
 
     def to_json(self) -> str:
         payload = {
@@ -273,29 +273,11 @@ class TypicalRegion:
         )
 
 
-def _densify(polygons, scale_rho, scale_f) -> np.ndarray:
-    """Boundary points at spacing <= 1/500 of the scaled bounding-box diagonal."""
-    scale = np.array([scale_rho, scale_f])
-    scaled_polys = [p / scale for p in polygons]
-    lo = np.min([p.min(axis=0) for p in scaled_polys], axis=0)
-    hi = np.max([p.max(axis=0) for p in scaled_polys], axis=0)
-    diagonal = float(np.hypot(*(hi - lo)))
-    spacing = max(diagonal * DENSIFY_DIAGONAL_FRACTION, 1e-12)
-    out = []
-    for poly, scaled in zip(polygons, scaled_polys):
-        for k in range(len(poly) - 1):
-            seg_len = float(np.hypot(*(scaled[k + 1] - scaled[k])))
-            pieces = max(1, int(np.ceil(seg_len / spacing)))
-            t = np.arange(pieces) / pieces
-            out.append(poly[k] + t[:, None] * (poly[k + 1] - poly[k]))
-    return np.vstack(out)
-
-
-def densification_spacing(region: TypicalRegion) -> float:
-    """The scaled-coordinate spacing bound used when the boundary was densified."""
-    pts = region._scaled_boundary
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    return float(np.hypot(*(hi - lo))) * DENSIFY_DIAGONAL_FRACTION
+def _point_array(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("points must have shape (M, 2)")
+    return pts
 
 
 def contains(region: TypicalRegion, point) -> bool:
@@ -305,11 +287,9 @@ def contains(region: TypicalRegion, point) -> bool:
 
 def contains_many(region: TypicalRegion, points) -> np.ndarray:
     """Vectorised membership for many points (inside any retained polygon)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("points must have shape (M, 2)")
+    pts = _point_array(points)
     result = np.zeros(pts.shape[0], dtype=bool)
-    step = max(1, 2**21 // max(sum(p.shape[0] for p in region.polygons), 1))
+    step = max(1, _QUERY_BLOCK // max(sum(p.shape[0] for p in region.polygons), 1))
     for lo in range(0, pts.shape[0], step):
         chunk = pts[lo : lo + step]
         px = chunk[:, 0][:, None]
@@ -339,44 +319,63 @@ def contains_many(region: TypicalRegion, points) -> np.ndarray:
     return result
 
 
+def distances_and_sides(region: TypicalRegion, points) -> tuple[np.ndarray, np.ndarray]:
+    """Exact distance to the nearest boundary point, and the side it lies on.
+
+    Both come from one projection of each point onto every boundary edge, in
+    axis-scaled coordinates. The side is "left" when the offset from the
+    nearest boundary point to the point has d_rho <= 0 and d_f >= 0 (density
+    at or below, flow at or above the boundary): atypically good conditions,
+    never flagged downstream. Otherwise it is "right". Ties between equally
+    near edges go to the first edge in polygon order.
+    """
+    scale = np.array([region.scale_rho, region.scale_f])
+    pts = _point_array(points) / scale
+    scaled = [p / scale for p in region.polygons]
+    starts = np.vstack([p[:-1] for p in scaled])
+    deltas = np.vstack([np.diff(p, axis=0) for p in scaled])
+    # contours at a grid value pass through lattice nodes and can repeat a vertex
+    keep = deltas.any(axis=1)
+    ax, ay = starts[keep, 0], starts[keep, 1]
+    dx, dy = deltas[keep, 0], deltas[keep, 1]
+    length2 = dx * dx + dy * dy
+    offsets = np.empty_like(pts)
+    step = max(1, _QUERY_BLOCK // ax.size)
+    for lo in range(0, pts.shape[0], step):
+        chunk = pts[lo : lo + step]
+        rx = chunk[:, 0][:, None] - ax
+        ry = chunk[:, 1][:, None] - ay
+        t = np.clip((rx * dx + ry * dy) / length2, 0.0, 1.0)
+        rx -= t * dx
+        ry -= t * dy
+        nearest = np.argmin(rx * rx + ry * ry, axis=1)
+        rows = np.arange(chunk.shape[0])
+        offsets[lo : lo + step, 0] = rx[rows, nearest]
+        offsets[lo : lo + step, 1] = ry[rows, nearest]
+    left = (offsets[:, 0] <= 0.0) & (offsets[:, 1] >= 0.0)
+    return np.hypot(offsets[:, 0], offsets[:, 1]), np.where(left, "left", "right")
+
+
 def distance_to_boundary(region: TypicalRegion, point) -> float:
-    """Scaled Euclidean distance to the nearest densified boundary point."""
-    p = np.asarray(point, dtype=float) / np.array([region.scale_rho, region.scale_f])
-    dist, _ = region._tree.query(p)
-    return float(dist)
+    """Scaled Euclidean distance to the nearest boundary point."""
+    return float(distances_to_boundary(region, np.asarray(point, dtype=float).reshape(1, 2))[0])
 
 
 def distances_to_boundary(region: TypicalRegion, points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float) / np.array([region.scale_rho, region.scale_f])
-    dist, _ = region._tree.query(pts)
-    return np.asarray(dist, dtype=float)
+    """Vectorised distance_to_boundary."""
+    return distances_and_sides(region, points)[0]
 
 
 def exit_side(region: TypicalRegion, point) -> str:
-    """Which side of the boundary an exterior point left through.
-
-    "left" (density at or below, flow at or above the nearest boundary point)
-    marks atypically good conditions and is never flagged downstream. The
-    comparisons carry a one-spacing tolerance because the densified boundary
-    only resolves positions to that accuracy.
-    """
-    p = np.asarray(point, dtype=float)
-    if contains(region, p):
+    """Which side of the boundary an exterior point left through (see distances_and_sides)."""
+    if contains(region, point):
         raise ValueError("exit_side is defined only for exterior points")
-    return str(exit_sides(region, p.reshape(1, 2))[0])
+    return str(exit_sides(region, np.asarray(point, dtype=float).reshape(1, 2))[0])
 
 
 def exit_sides(region: TypicalRegion, points) -> np.ndarray:
     """Vectorised exit_side; callers must pass exterior points only."""
-    pts = np.asarray(points, dtype=float)
-    scaled = pts / np.array([region.scale_rho, region.scale_f])
-    _, idx = region._tree.query(scaled)
-    near = region.boundary_points[np.asarray(idx, dtype=int)]
-    spacing = densification_spacing(region)
-    eps_rho = spacing * region.scale_rho
-    eps_f = spacing * region.scale_f
-    left = (pts[:, 0] <= near[:, 0] + eps_rho) & (pts[:, 1] >= near[:, 1] - eps_f)
-    return np.where(left, "left", "right")
+    return distances_and_sides(region, points)[1]
 
 
 def fit_typical_region(
@@ -411,24 +410,3 @@ def fit_typical_region(
 
 def with_normalizer(region: TypicalRegion, max_training_distance: float) -> TypicalRegion:
     return replace(region, max_training_distance=max_training_distance)
-
-
-def region_overlap(region_a: TypicalRegion, region_b: TypicalRegion, resolution: int = 256) -> tuple[float, float]:
-    """(symmetric-difference area, union area) via rasterised membership."""
-    los = []
-    his = []
-    for region in (region_a, region_b):
-        pts = np.vstack(region.polygons)
-        los.append(pts.min(axis=0))
-        his.append(pts.max(axis=0))
-    lo = np.minimum(*los)
-    hi = np.maximum(*his)
-    dx = (hi[0] - lo[0]) / resolution
-    dy = (hi[1] - lo[1]) / resolution
-    x = lo[0] + (np.arange(resolution) + 0.5) * dx
-    y = lo[1] + (np.arange(resolution) + 0.5) * dy
-    cells = np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1).reshape(-1, 2)
-    in_a = contains_many(region_a, cells)
-    in_b = contains_many(region_b, cells)
-    cell_area = dx * dy
-    return float((in_a ^ in_b).sum() * cell_area), float((in_a | in_b).sum() * cell_area)

@@ -209,6 +209,31 @@ def test_evaluate_single_link_reports_insufficient_n(workspace, tmp_path):
     assert "skipped" in wilcoxon  # one link cannot feed a paired test
 
 
+def test_evaluate_flags_b_without_mttd_skips_its_tests(workspace, tmp_path):
+    no_flags = tmp_path / "no_flags.csv"
+    no_flags.write_text("link_id,start,end,duration_min,max_severity,exit_side,flagged\n")
+    code = main(
+        [
+            "evaluate",
+            "--series",
+            str(workspace / "sim" / "series.csv"),
+            "--events",
+            str(workspace / "sim" / "events.csv"),
+            "--flags",
+            str(workspace / "det" / "flags.csv"),
+            "--flags-b",
+            str(no_flags),
+            "--out",
+            str(tmp_path / "ev"),
+        ]
+    )
+    assert code == 0
+    mttd = json.loads((tmp_path / "ev" / "evaluation.json").read_text())["tests"]["mttd"]
+    assert mttd["n_pairs"] == 0  # the second flag set detects nothing, so it has no MTTD
+    for name in ("wilcoxon_signed_rank", "sign", "paired_t"):
+        assert "skipped" in mttd[name]
+
+
 def test_plot_emits_expected_structure(workspace, tmp_path):
     assert (
         main(

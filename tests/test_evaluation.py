@@ -217,6 +217,12 @@ def test_wilcoxon_insufficient_pairs():
         ev.wilcoxon_signed_rank([(0.0, 1.0), (0.0, 2.0), (0.0, -1.0)])
 
 
+@pytest.mark.parametrize("test", [ev.paired_t_test, ev.wilcoxon_signed_rank, ev.sign_test])
+def test_paired_tests_reject_zero_pairs(test):
+    with pytest.raises(ev.InsufficientPairsError):
+        test([])
+
+
 def test_wilcoxon_large_n_uses_normal_approximation():
     rng = np.random.default_rng(13)
     pairs = [(0.0, v) for v in rng.normal(0.2, 1.0, size=40)]

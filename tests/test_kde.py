@@ -160,6 +160,26 @@ def test_grid_matches_scalar_evaluation():
         assert grid.values[i, j] == pytest.approx(direct, rel=1e-9, abs=1e-300)
 
 
+def test_grid_direct_path_matches_written_out_gaussian_sum():
+    # a bandwidth tiny relative to the bounds leaves no overflow-safe tiling
+    bandwidth = np.array([[1e-4, 4e-5], [4e-5, 2e-4]])
+    bounds = (-1.0, 11.0, -1.0, 11.0)
+    centres = -1.0 + (np.arange(128) + 0.5) * 12.0 / 128
+    samples = np.column_stack([centres[[10, 40, 41, 90, 127]] + 0.005, centres[[5, 60, 61, 100, 0]] - 0.007])
+    model = kde.fit(samples, bandwidth)
+    inv = np.linalg.inv(bandwidth)
+    assert kde._tile_counts(12.0, 12.0, 128, 128, inv[0, 0], inv[0, 1], inv[1, 1]) == (None, None)
+    grid = kde.evaluate_grid(model, bounds, resolution=(128, 128))
+
+    cells = np.stack(np.meshgrid(centres, centres, indexing="ij"), axis=-1).reshape(-1, 2)
+    diff = cells[:, None, :] - samples[None, :, :]
+    quad = np.einsum("mni,ij,mnj->mn", diff, inv, diff)
+    expected = np.exp(-0.5 * quad).mean(axis=1) / (2 * math.pi * math.sqrt(np.linalg.det(bandwidth)))
+    expected = expected.reshape(128, 128)
+    np.testing.assert_allclose(grid.values, expected, rtol=1e-9, atol=1e-12 * expected.max())
+    assert (expected > 1e-12 * expected.max()).sum() >= 5
+
+
 def test_grid_refinement_converges():
     pts = gaussian_cloud(2_000, seed=19)
     model = kde.fit(pts, kde.select_bandwidth(pts))

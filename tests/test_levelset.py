@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from flowsentry import kde, levelset
+from flowsentry import kde
 from flowsentry.kde import DensityGrid
 from flowsentry.levelset import (
     EmptyContourError,
@@ -12,9 +12,10 @@ from flowsentry.levelset import (
     TypicalRegion,
     contains,
     contains_many,
-    densification_spacing,
     distance_to_boundary,
+    distances_to_boundary,
     exit_side,
+    exit_sides,
     extract_contour,
     filter_components,
     find_level,
@@ -80,6 +81,22 @@ def test_find_level_alpha_half():
 def test_find_level_alpha_near_one_hits_peak():
     z = find_level(GRID, 0.999)
     assert z >= 0.9 * GRID.values.max()
+
+
+def tied_grid():
+    """Random integer-valued grid: many cells share each value."""
+    values = np.random.default_rng(3).integers(0, 50, (128, 128)).astype(float)
+    return DensityGrid(0.0, 1.0, 0.0, 1.0, values / 25.0)
+
+
+@pytest.mark.parametrize("grid", [GRID, tied_grid()], ids=["normal", "tied"])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9])
+def test_find_level_is_largest_grid_value_enclosing_target(grid, alpha):
+    z = find_level(grid, alpha)
+    assert z in grid.values
+    assert mass_above(grid, z) >= 1.0 - alpha
+    next_value = grid.values[grid.values > z].min()
+    assert mass_above(grid, next_value) < 1.0 - alpha
 
 
 def test_find_level_truncated_grid_errors():
@@ -236,8 +253,7 @@ def test_distance_zero_on_vertex():
 
 def test_distance_above_square():
     region = square_region()
-    spacing = densification_spacing(region)
-    assert distance_to_boundary(region, (0.5, 1.5)) == pytest.approx(0.5, abs=spacing)
+    assert distance_to_boundary(region, (0.5, 1.5)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_distance_zero_implies_contains():
@@ -254,28 +270,67 @@ def exact_segment_distance(point, polygon):
     for a, b in zip(polygon[:-1], polygon[1:]):
         a = np.asarray(a, dtype=float)
         d = np.asarray(b, dtype=float) - a
+        if not d.any():
+            continue  # a repeated vertex adds no edge
         t = np.clip(np.dot(p - a, d) / np.dot(d, d), 0.0, 1.0)
         best = min(best, float(np.hypot(*(p - a - t * d))))
     return best
+
+
+def exit_side_oracle(point, polygon):
+    """Oracle: side of the offset from the first nearest point over all edges."""
+    px, py = point
+    best, offset = math.inf, None
+    for (ax, ay), (bx, by) in zip(polygon[:-1], polygon[1:]):
+        dx, dy = bx - ax, by - ay
+        if dx == 0.0 and dy == 0.0:
+            continue
+        t = min(max(((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy), 0.0), 1.0)
+        ox, oy = px - ax - t * dx, py - ay - t * dy
+        if ox * ox + oy * oy < best:
+            best, offset = ox * ox + oy * oy, (ox, oy)
+    return "left" if offset[0] <= 0.0 and offset[1] >= 0.0 else "right"
 
 
 def test_distance_matches_projection_oracle():
     rng = np.random.default_rng(7)
     poly = random_simple_polygon(rng, n_vertices=17)
     region = TypicalRegion(z_star=1.0, alpha=0.05, polygons=(poly,), scale_rho=1.0, scale_f=1.0)
-    spacing = densification_spacing(region)
     points = rng.uniform(-3, 3, size=(100, 2))
     for p in points:
         ours = distance_to_boundary(region, p)
         oracle = exact_segment_distance(p, poly)
-        assert abs(ours - oracle) <= spacing
+        assert abs(ours - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("repeat_vertex", [False, True], ids=["simple", "repeated_vertex"])
+@pytest.mark.parametrize("scale", [(1.0, 1.0), (3.0, 0.25)], ids=["unit", "scaled"])
+def test_distances_and_sides_match_loop_oracles(repeat_vertex, scale):
+    rng = np.random.default_rng(17)
+    scale = np.array(scale)
+    for _ in range(5):
+        poly = random_simple_polygon(rng) * scale
+        if repeat_vertex:
+            poly = np.insert(poly, 5, poly[5], axis=0)  # a zero-length edge
+        region = TypicalRegion(z_star=1.0, alpha=0.05, polygons=(poly,), scale_rho=scale[0], scale_f=scale[1])
+        # points just off each vertex, where a side tolerance would show
+        nudges = 1e-4 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+        near = (poly[:-1, None, :] / scale + nudges).reshape(-1, 2)
+        points = np.vstack([rng.uniform(-3, 3, size=(300, 2)), near]) * scale
+        exterior = points[~contains_many(region, points)]
+        distances = distances_to_boundary(region, points)
+        sides = exit_sides(region, exterior)
+        for p, d in zip(points, distances):
+            assert abs(d - exact_segment_distance(p / scale, poly / scale)) <= 1e-12
+        oracle_sides = [exit_side_oracle(p / scale, poly / scale) for p in exterior]
+        assert list(sides) == oracle_sides
+        assert {"left", "right"} <= set(oracle_sides)
 
 
 def test_distance_uses_axis_scales():
     region = square_region(scale_rho=2.0, scale_f=1.0)
     # point 1.0 to the right of the right edge: scaled gap is 0.5
-    spacing = densification_spacing(region)
-    assert distance_to_boundary(region, (2.0, 0.5)) == pytest.approx(0.5, abs=2 * spacing)
+    assert distance_to_boundary(region, (2.0, 0.5)) == pytest.approx(0.5, abs=1e-12)
 
 
 # --- exit side ------------------------------------------------------------------
@@ -319,6 +374,12 @@ def test_fitted_region_json_round_trip_bit_identical(fitted_region_and_samples):
         assert distance_to_boundary(region, p) == distance_to_boundary(back, p)
 
 
+def test_region_rejects_polygon_without_extent():
+    point = np.zeros((4, 2))
+    with pytest.raises(ValueError, match="nonzero length"):
+        TypicalRegion(z_star=1.0, alpha=0.05, polygons=(point,), scale_rho=1.0, scale_f=1.0)
+
+
 def test_region_config_validation():
     with pytest.raises(ValueError):
         RegionConfig(alpha=1.5)
@@ -326,8 +387,21 @@ def test_region_config_validation():
         RegionConfig(min_component_area_fraction=1.0)
 
 
+def region_overlap(region_a: TypicalRegion, region_b: TypicalRegion, resolution: int = 256) -> tuple[float, float]:
+    """(symmetric-difference area, union area) via rasterised membership."""
+    pts = np.vstack([*region_a.polygons, *region_b.polygons])
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    dx, dy = (hi - lo) / resolution
+    x = lo[0] + (np.arange(resolution) + 0.5) * dx
+    y = lo[1] + (np.arange(resolution) + 0.5) * dy
+    cells = np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1).reshape(-1, 2)
+    in_a = contains_many(region_a, cells)
+    in_b = contains_many(region_b, cells)
+    return float((in_a ^ in_b).sum() * dx * dy), float((in_a | in_b).sum() * dx * dy)
+
+
 def test_region_overlap_identical_region(fitted_region_and_samples):
     region, _ = fitted_region_and_samples
-    sym, union = levelset.region_overlap(region, region)
+    sym, union = region_overlap(region, region)
     assert sym == 0.0
     assert union > 0.0
