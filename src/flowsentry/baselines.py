@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from typing import Sequence
 
 import numpy as np
 
-from .ingest import TrafficSample
+from .ingest import LinkSeries, TrafficSample
 
 BIN_MINUTES = 15
 BINS_PER_DAY = 24 * 60 // BIN_MINUTES
@@ -78,58 +78,58 @@ class SndProfile:
         return cls(tuple(bins), payload["cap_kmh"], payload["tz_offset_min"])
 
 
+# Epoch minute 0 (1970-01-01 00:00 UTC) was a Thursday, three days after a Monday 00:00.
+EPOCH_MINUTES_AFTER_MONDAY = 3 * 24 * 60
+MINUTES_PER_WEEK = 7 * 24 * 60
+
+
+def weekly_bins(minutes, tz_offset_min: int = 0):
+    """15-minute bin index 0..671 of epoch minutes in local time (Monday 00:00 is bin 0)."""
+    return (minutes + tz_offset_min + EPOCH_MINUTES_AFTER_MONDAY) % MINUTES_PER_WEEK // BIN_MINUTES
+
+
 def weekly_bin(ts: datetime, tz_offset_min: int = 0) -> int:
-    """15-minute bin index 0..671 in local time (Monday 00:00 is bin 0)."""
-    local = ts.astimezone(timezone.utc) + timedelta(minutes=tz_offset_min)
-    return local.weekday() * BINS_PER_DAY + (local.hour * 60 + local.minute) // BIN_MINUTES
+    """The weekly bin of one timestamp."""
+    return weekly_bins(int(ts.timestamp() // 60), tz_offset_min)
 
 
 def snd_fit(samples: Sequence[TrafficSample], tz_offset_min: int = 0) -> SndProfile:
     """Robust per-bin speed statistics over every training occurrence of each bin."""
-    if not samples:
-        raise ValueError("no training samples")
-    span = samples[-1].timestamp - samples[0].timestamp
+    stream = LinkSeries.from_samples(samples)
+    span = stream.timestamps[-1] - stream.timestamps[0]
     if span < timedelta(days=7) - timedelta(minutes=1):
         raise ValueError(f"SND needs at least one week of data, got {span}")
-    speeds: list[list[float]] = [[] for _ in range(BINS_PER_WEEK)]
-    for s in samples:
-        if s.speed is None:
-            continue
-        speeds[weekly_bin(s.timestamp, tz_offset_min)].append(s.speed)
-    bins = [_bin_stats(v) for v in speeds]
-    return SndProfile(tuple(bins), tz_offset_min=tz_offset_min)
+    has_speed = ~np.isnan(stream.speed)
+    bins = weekly_bins(stream.minutes[has_speed], tz_offset_min)
+    speeds = stream.speed[has_speed]
+    order = np.argsort(bins, kind="stable")
+    groups = np.split(speeds[order], np.cumsum(np.bincount(bins, minlength=BINS_PER_WEEK))[:-1])
+    return SndProfile(tuple(_bin_stats(v) for v in groups), tz_offset_min=tz_offset_min)
 
 
-def _bin_stats(values: list[float]) -> BinStats:
-    if not values:
+def _bin_stats(arr: np.ndarray) -> BinStats:
+    if not arr.size:
         return BinStats(0, float("nan"), float("nan"), float("nan"), float("nan"), float("nan"))
-    arr = np.asarray(values, dtype=float)
     q25, median, q75 = np.percentile(arr, [25, 50, 75])  # linear-interpolation quartiles
     sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     mad = float(np.median(np.abs(arr - median)))
     return BinStats(arr.size, float(arr.mean()), float(median), sd, float(q75 - q25), mad)
 
 
-def snd_threshold(profile: SndProfile, bin_index: int, c: float, variant: str = "median_iqr") -> float | None:
-    """min(cap, location - c * scale); None when the bin is unusable."""
+def snd_thresholds(profile: SndProfile, c: float, variant: str = "median_iqr") -> np.ndarray:
+    """min(cap, location - c * scale) per weekly bin, NaN where the bin is unusable; the
+    variant names the location and scale fields ("median_iqr": median and iqr)."""
     if c < 0:
         raise ValueError("c must be nonnegative")
     if variant not in SND_VARIANTS:
         raise ValueError(f"unknown SND variant {variant!r}")
-    stats = profile.bins[bin_index]
-    if not stats.usable:
-        return None
-    if variant == "mean_sd":
-        location, scale = stats.mean, stats.sd
-    elif variant == "median_iqr":
-        location, scale = stats.median, stats.iqr
-    else:
-        location, scale = stats.median, stats.mad
-    return min(profile.cap_kmh, location - c * scale)
+    location, scale = (np.array([getattr(b, name) for b in profile.bins]) for name in variant.split("_"))
+    usable = np.array([b.usable for b in profile.bins])
+    return np.where(usable, np.minimum(profile.cap_kmh, location - c * scale), np.nan)
 
 
 def snd_detect(
-    stream: Sequence[TrafficSample],
+    stream: LinkSeries,
     profile: SndProfile,
     c: float,
     variant: str = "median_iqr",
@@ -138,43 +138,21 @@ def snd_detect(
     """Alarm intervals: speed below the bin threshold for >= persistence minutes.
 
     The alarm is backdated to the first minute of the qualifying run and
-    persists until a minute at or above threshold (or with no usable
-    threshold) ends the run.
+    persists until a minute at or above threshold (or with no speed or no
+    usable threshold) ends the run.
     """
-    below = []
-    for s in stream:
-        if s.speed is None:
-            below.append(False)
-            continue
-        thr = snd_threshold(profile, weekly_bin(s.timestamp, profile.tz_offset_min), c, variant)
-        below.append(thr is not None and s.speed < thr)
-    return _persistence_intervals([s.timestamp for s in stream], below, persistence_min)
+    thresholds = snd_thresholds(profile, c, variant)[weekly_bins(stream.minutes, profile.tz_offset_min)]
+    return _persistence_intervals(stream.timestamps, stream.speed < thresholds, persistence_min)
 
 
 def _persistence_intervals(
-    timestamps: Sequence[datetime], hits: Sequence[bool], persistence_min: int
+    timestamps: Sequence[datetime], hits: np.ndarray, persistence_min: int
 ) -> list[tuple[datetime, datetime]]:
-    intervals = []
-    run_start = None
-    run_len = 0
-    prev = None
-    for ts, hit in zip(timestamps, hits):
-        if prev is not None and ts <= prev:
-            raise ValueError("stream not time-ordered")
-        prev = ts
-        if hit:
-            if run_start is None:
-                run_start = ts
-            run_len += 1
-            run_end = ts
-        else:
-            if run_start is not None and run_len >= persistence_min:
-                intervals.append((run_start, run_end))
-            run_start = None
-            run_len = 0
-    if run_start is not None and run_len >= persistence_min:
-        intervals.append((run_start, run_end))
-    return intervals
+    """(first, last) timestamp of every run of at least ``persistence_min`` hits."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], hits.astype(np.int8), [0]))))
+    starts, stops = edges[0::2], edges[1::2]
+    keep = stops - starts >= persistence_min
+    return [(timestamps[a], timestamps[b - 1]) for a, b in zip(starts[keep], stops[keep])]
 
 
 @dataclass(frozen=True)
@@ -202,23 +180,17 @@ class McMasterParams:
         return self.a + self.b * density + self.c * density * density
 
 
-def mcmaster_classify(sample: TrafficSample, params: McMasterParams) -> str:
-    """"congested" or "uncongested"; samples without density are uncongested."""
-    if not sample.has_density:
-        return "uncongested"
-    rho = sample.density
-    if rho > params.rho_crit:
-        return "congested"
-    if sample.flow < params.lud(rho) and sample.flow < params.f_crit:
-        return "congested"
-    return "uncongested"
-
-
 def mcmaster_detect(
-    stream: Sequence[TrafficSample],
+    stream: LinkSeries,
     params: McMasterParams,
     persistence_min: int = 3,
 ) -> list[tuple[datetime, datetime]]:
-    """Alarm intervals from persistent congested classifications."""
-    hits = [mcmaster_classify(s, params) == "congested" for s in stream]
-    return _persistence_intervals([s.timestamp for s in stream], hits, persistence_min)
+    """Alarm intervals from persistent congested minutes.
+
+    A minute is congested when its density exceeds the critical density, or
+    when its flow is below both the lower uncongested bound and the critical
+    flow; minutes without density are uncongested.
+    """
+    rho, flow = stream.density, stream.flow
+    hits = (rho > params.rho_crit) | ((flow < params.lud(rho)) & (flow < params.f_crit))
+    return _persistence_intervals(stream.timestamps, hits, persistence_min)

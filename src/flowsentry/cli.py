@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
@@ -137,13 +136,22 @@ def _load_series(path: str, link: str | None) -> list[ingest.TrafficSample]:
     grouped = ingest.by_link(samples)
     if not grouped:
         raise UsageError(f"no samples in {path}")
-    if link is not None:
-        if link not in grouped:
-            raise UsageError(f"link {link!r} not present in {path}")
-        return grouped[link]
-    if len(grouped) > 1:
-        raise UsageError(f"{path} holds links {sorted(grouped)}; pick one with --link")
-    return next(iter(grouped.values()))
+    if link is None:
+        if len(grouped) > 1:
+            raise UsageError(f"{path} holds links {sorted(grouped)}; pick one with --link")
+        link = next(iter(grouped))
+    elif link not in grouped:
+        raise UsageError(f"link {link!r} not present in {path}")
+    _require_minute_cadence(grouped[link])
+    return grouped[link]
+
+
+def _require_minute_cadence(samples: list[ingest.TrafficSample]) -> None:
+    """Durations, the gap rule and the false alarm rate count samples as minutes: reject other cadences."""
+    seconds = [s.timestamp.timestamp() for s in samples]
+    spacing = float(np.median(np.diff(seconds))) / 60.0 if len(seconds) > 1 else 1.0
+    if spacing != 1.0:
+        raise UsageError(f"link {samples[0].link_id}: median sample spacing is {spacing:g} minutes, not 1")
 
 
 def cmd_simulate(args) -> int:
@@ -161,9 +169,8 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"alpha {args.alpha} outside (0, 1)")
-    samples = _load_series(args.series, args.link)
+    pts = ingest.LinkSeries.from_samples(_load_series(args.series, args.link)).points
     out = _out_dir(args.out)
-    pts = np.array([(s.density, s.flow) for s in samples if s.has_density])
     config = levelset.RegionConfig(alpha=args.alpha)
     bandwidth = select_bandwidth(pts, args.bandwidth_method)
     model = kde_fit(pts, bandwidth, min_samples=50)
@@ -180,7 +187,7 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _detector_config(args, samples, region) -> detector.DetectorConfig:
+def _detector_config(args, annotated: detector.SeveritySeries) -> detector.DetectorConfig:
     if args.mode == "severity":
         if args.threshold is None:
             raise UsageError("severity mode needs --threshold")
@@ -190,18 +197,18 @@ def _detector_config(args, samples, region) -> detector.DetectorConfig:
     if args.percentile is None:
         raise UsageError("duration mode needs --threshold or --percentile")
     probe = detector.DetectorConfig("duration_threshold", duration_threshold_min=float("inf"))
-    excursions, _ = detector.track(samples, region, probe)
+    excursions, _ = detector.track_annotated(annotated, probe)
     minutes = detector.duration_threshold_from_percentile([e.duration_min for e in excursions], args.percentile)
     print(f"duration threshold from percentile {args.percentile}: {minutes} min")
     return detector.DetectorConfig("duration_threshold", duration_threshold_min=minutes)
 
 
 def cmd_detect(args) -> int:
-    samples = _load_series(args.series, args.link)
+    stream = ingest.LinkSeries.from_samples(_load_series(args.series, args.link))
     region = levelset.TypicalRegion.from_json(_require_file(args.region).read_text(encoding="utf-8"))
     out = _out_dir(args.out)
-    config = _detector_config(args, samples, region)
-    excursions, flags = detector.track(samples, region, config)
+    annotated = detector.annotate(stream, region)
+    excursions, flags = detector.track_annotated(annotated, _detector_config(args, annotated))
     detector.write_excursions_csv(excursions, flags, out / "excursions.csv")
     detector.write_flags_csv(flags, out / "flags.csv")
     print(f"excursions: {len(excursions)}")
@@ -252,17 +259,19 @@ def cmd_evaluate(args) -> int:
     flag_sets = {"a": detector.read_flags_csv(_require_file(args.flags))}
     if args.flags_b:
         flag_sets["b"] = detector.read_flags_csv(_require_file(args.flags_b))
-    grouped = ingest.by_link(samples)
+    streams = {}
+    for link_id, link_samples in ingest.by_link(samples).items():
+        _require_minute_cadence(link_samples)
+        streams[link_id] = ingest.LinkSeries.from_samples(link_samples)
     scores: dict[str, dict[str, evaluation.DetectorScore]] = {}
     for name, rows in flag_sets.items():
         per_link = {}
-        for link_id, link_samples in grouped.items():
+        for link_id, stream in streams.items():
             link_labels = [lab for lab in labels if lab.link_id == link_id]
             if not link_labels:
                 continue
             intervals = [(r.start, r.end) for r in rows if r.link_id == link_id and r.flagged]
-            n_applications = sum(1 for s in link_samples if s.has_density)
-            per_link[link_id] = evaluation.score_detector(intervals, link_labels, n_applications)
+            per_link[link_id] = evaluation.score_detector(intervals, link_labels, int(stream.usable.sum()))
         scores[name] = per_link
     payload: dict = {"links": {}}
     for name, per_link in scores.items():
@@ -343,13 +352,12 @@ def _evaluate_fixture(out: Path) -> int:
 
 
 def cmd_plot(args) -> int:
-    samples = _load_series(args.series, args.link)
+    stream = ingest.LinkSeries.from_samples(_load_series(args.series, args.link))
     region = levelset.TypicalRegion.from_json(_require_file(args.region).read_text(encoding="utf-8"))
     flags = detector.read_flags_csv(_require_file(args.flags)) if args.flags else []
     out = _out_dir(args.out)
 
-    usable = [s for s in samples if s.has_density]
-    points = np.array([(s.density, s.flow) for s in usable])
+    points = stream.points
     boundary = np.vstack(region.polygons)
     frame = svg.Frame(
         min(points[:, 0].min(), boundary[:, 0].min()),
@@ -363,25 +371,17 @@ def cmd_plot(args) -> int:
     body += [svg.closed_path(frame, poly) for poly in region.polygons]
     (out / "scatter.svg").write_text(svg.document(body, "density-flow with typical region"), encoding="utf-8")
 
-    with_tt = [s for s in samples if s.travel_time is not None]
-    flagged_minutes = set()
+    flagged = np.zeros(len(stream), dtype=bool)
     for row in flags:
-        if not row.flagged:
-            continue
-        t = row.start
-        while t <= row.end:
-            flagged_minutes.add(t)
-            t += timedelta(minutes=1)
-    t0 = samples[0].timestamp
-    xs = [(s.timestamp - t0).total_seconds() / 3600.0 for s in with_tt]
-    ys = [s.travel_time for s in with_tt]
+        if row.flagged:
+            flagged |= (stream.minutes >= row.start.timestamp() // 60) & (stream.minutes <= row.end.timestamp() // 60)
+    with_tt = ~np.isnan(stream.travel_time)
+    xs = (stream.minutes[with_tt] - stream.minutes[0]) * 60 / 3600.0
+    ys = stream.travel_time[with_tt]
     frame_tt = svg.Frame(min(xs, default=0.0), max(xs, default=1.0), min(ys, default=0.0), max(ys, default=1.0))
     body = svg.axes(frame_tt, "hours since start", "travel time (s)")
     body.append(svg.polyline(frame_tt, xs, ys))
-    marks = [(x, y) for x, y, s in zip(xs, ys, with_tt) if s.timestamp in flagged_minutes]
-    body += svg.scatter(
-        frame_tt, [m[0] for m in marks], [m[1] for m in marks], fill="crimson", radius=2.5, css="flag"
-    )
+    body += svg.scatter(frame_tt, xs[flagged[with_tt]], ys[flagged[with_tt]], fill="crimson", radius=2.5, css="flag")
     (out / "travel_time.svg").write_text(svg.document(body, "travel time with flags"), encoding="utf-8")
 
     durations = [row.duration_min for row in flags] if flags else []

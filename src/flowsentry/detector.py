@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import TrafficSample, format_timestamp, open_text, parse_timestamp
+from .ingest import LinkSeries, TrafficSample, format_timestamp, open_text, parse_timestamp
 from .levelset import (
     TypicalRegion,
     contains,
@@ -108,23 +108,15 @@ def severity(point, region: TypicalRegion) -> float:
     return distance_to_boundary(region, point) / region.max_training_distance
 
 
-def calibrate_normalizer(region: TypicalRegion, samples) -> TypicalRegion:
+def calibrate_normalizer(region: TypicalRegion, points: np.ndarray) -> TypicalRegion:
     """Set the severity normaliser to the worst training excursion distance."""
-    pts = _as_points(samples)
-    if pts.shape[0] == 0:
+    if points.shape[0] == 0:
         raise ValueError("no usable training samples")
-    outside = ~contains_many(region, pts)
+    outside = ~contains_many(region, points)
     if not outside.any():
         raise ValueError("no training sample falls outside the region; cannot calibrate severity")
-    worst = float(distances_to_boundary(region, pts[outside]).max())
+    worst = float(distances_to_boundary(region, points[outside]).max())
     return with_normalizer(region, worst)
-
-
-def _as_points(samples) -> np.ndarray:
-    if isinstance(samples, np.ndarray):
-        return samples.reshape(-1, 2)
-    pts = [(s.density, s.flow) for s in samples if s.has_density]
-    return np.array(pts, dtype=float).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -139,38 +131,23 @@ class SeveritySeries:
     severity: np.ndarray  # 0 inside, scaled distance outside
 
 
-def annotate(samples: Sequence[TrafficSample], region: TypicalRegion) -> SeveritySeries:
-    """Batch-compute membership, side, and severity for a time-ordered stream."""
+def annotate(stream: LinkSeries, region: TypicalRegion) -> SeveritySeries:
+    """Batch-compute membership, side, and severity for one link's stream."""
     if region.max_training_distance is None:
         raise UncalibratedRegionError("region has no max_training_distance; calibrate first")
-    if not samples:
-        raise ValueError("empty stream")
-    link_id = samples[0].link_id
-    ts = []
-    prev = None
-    for s in samples:
-        if s.link_id != link_id:
-            raise ValueError(f"stream mixes links {link_id!r} and {s.link_id!r}")
-        if prev is not None and s.timestamp <= prev:
-            raise ValueError(f"stream not time-ordered at {format_timestamp(s.timestamp)}")
-        prev = s.timestamp
-        ts.append(s.timestamp)
-
-    n = len(samples)
-    usable = np.array([s.has_density for s in samples], dtype=bool)
+    n = len(stream)
     exterior = np.zeros(n, dtype=bool)
     side = np.full(n, "", dtype=object)
     sev = np.zeros(n, dtype=float)
-    if usable.any():
-        pts = np.array([(s.density, s.flow) for s, u in zip(samples, usable) if u], dtype=float)
-        outside = ~contains_many(region, pts)
-        ext_idx = np.flatnonzero(usable)[outside]
-        exterior[ext_idx] = True
-        if ext_idx.size:
-            distances, sides = distances_and_sides(region, pts[outside])
-            sev[ext_idx] = distances / region.max_training_distance
-            side[ext_idx] = sides
-    return SeveritySeries(link_id, tuple(ts), usable, exterior, side, sev)
+    pts = stream.points
+    outside = ~contains_many(region, pts)
+    ext_idx = np.flatnonzero(stream.usable)[outside]
+    exterior[ext_idx] = True
+    if ext_idx.size:
+        distances, sides = distances_and_sides(region, pts[outside])
+        sev[ext_idx] = distances / region.max_training_distance
+        side[ext_idx] = sides
+    return SeveritySeries(stream.link_id, stream.timestamps, stream.usable, exterior, side, sev)
 
 
 def track(
@@ -188,8 +165,7 @@ def track(
     close; in duration mode the flag is retroactive and covers the whole
     excursion when it lasted long enough.
     """
-    series = annotate(samples, region)
-    return track_annotated(series, config)
+    return track_annotated(annotate(LinkSeries.from_samples(samples), region), config)
 
 
 def track_annotated(series: SeveritySeries, config: DetectorConfig) -> tuple[list[ExcursionRecord], list[DftbFlag]]:

@@ -3,8 +3,8 @@
 Metric conventions: an event counts as detected when any flag interval
 overlaps it (plus an optional grace window after its end); the false alarm
 rate counts flagged minutes outside every label, per detector application
-(one application per evaluated minute); detection lag is clamped at zero for
-flags that predate the event.
+(a minute with a speed for SND, a minute with density for DFTB and McMaster);
+detection lag is clamped at zero for flags that predate the event.
 
 Wilcoxon p-values follow the convention most reference implementations use:
 the exact signed-rank distribution when no zero differences were discarded
@@ -29,7 +29,7 @@ from scipy.stats import binom, norm, rankdata
 from scipy.stats import t as student_t
 
 from .baselines import McMasterParams
-from .ingest import EventLabel, open_text
+from .ingest import EventLabel, LinkSeries, open_text
 
 EPS_DR = 1.01
 EPS_FAR = 0.001
@@ -373,7 +373,7 @@ def dftb_score_fn(samples, region, labels: Sequence[EventLabel], gap_termination
     """Score function over severity thresholds; annotations computed once."""
     from .detector import DetectorConfig, annotate, track_annotated
 
-    series = annotate(samples, region)
+    series = annotate(LinkSeries.from_samples(samples), region)
     n_applications = int(series.usable.sum())
 
     def score(threshold: float) -> DetectorScore:
@@ -400,11 +400,11 @@ def calibrate_dftb(
 def snd_score_fn(samples, profile, labels: Sequence[EventLabel]):
     from .baselines import snd_detect
 
-    n_applications = sum(1 for s in samples if s.speed is not None)
+    stream = LinkSeries.from_samples(samples)
+    n_applications = int(np.count_nonzero(~np.isnan(stream.speed)))
 
     def score(c: float) -> DetectorScore:
-        alarms = snd_detect(samples, profile, c)
-        return score_detector(alarms, labels, n_applications)
+        return score_detector(snd_detect(stream, profile, c), labels, n_applications)
 
     return score
 
@@ -418,13 +418,13 @@ def calibrate_mcmaster(samples, labels: Sequence[EventLabel]) -> CalibrationResu
     """Coarse-to-fine PI minimisation over the 5 segmentation parameters."""
     from .baselines import mcmaster_detect
 
-    n_applications = sum(1 for s in samples if s.has_density)
+    stream = LinkSeries.from_samples(samples)
+    n_applications = int(stream.usable.sum())
 
     def score(params: McMasterParams) -> DetectorScore:
-        alarms = mcmaster_detect(samples, params)
-        return score_detector(alarms, labels, n_applications)
+        return score_detector(mcmaster_detect(stream, params), labels, n_applications)
 
-    coarse = calibrate(mcmaster_parameter_grid(samples, labels), score)
+    coarse = calibrate(_mcmaster_grid(stream, labels), score)
     seed: McMasterParams = coarse.parameter
     fine = [seed]
     for rho_scale in (0.9, 1.0, 1.1):
@@ -447,18 +447,22 @@ def mcmaster_parameter_grid(samples, labels: Sequence[EventLabel]) -> list[McMas
     the curve multiplicatively while sweeping the critical density and flow
     over empirical quantiles.
     """
-    labelled = interval_minutes([(lab.start, lab.end) for lab in labels])
-    usable = [s for s in samples if s.has_density]
-    free = [s for s in usable if _minute(s.timestamp) not in labelled]
-    if len(free) < 100:
+    return _mcmaster_grid(LinkSeries.from_samples(samples), labels)
+
+
+def _mcmaster_grid(stream: LinkSeries, labels: Sequence[EventLabel]) -> list[McMasterParams]:
+    labelled = np.fromiter(interval_minutes([(lab.start, lab.end) for lab in labels]), dtype=np.int64)
+    usable = stream.usable
+    free = usable & ~np.isin(stream.minutes, labelled)
+    if np.count_nonzero(free) < 100:
         raise ValueError("not enough uncongested training data for a seed fit")
-    rho = np.array([s.density for s in free])
-    flow = np.array([s.flow for s in free])
+    rho = stream.density[free]
+    flow = stream.flow[free]
     rho_hi = float(np.percentile(rho, 98))
     fit_mask = rho <= rho_hi
     a0, b0, c0 = quantile_regression_quadratic(rho[fit_mask], flow[fit_mask])
-    rho_all = np.array([s.density for s in usable])
-    flow_all = np.array([s.flow for s in usable])
+    rho_all = stream.density[usable]
+    flow_all = stream.flow[usable]
     grid = []
     for rho_q in (0.90, 0.95, 0.99):
         rho_crit = float(np.quantile(rho_all, rho_q))

@@ -16,6 +16,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
+import numpy as np
+
 SPEED_MAX_KMH = 250.0
 FLOW_MAX_VPH = 12000.0
 
@@ -79,6 +81,51 @@ class TrafficSample:
     @property
     def has_density(self) -> bool:
         return self.density is not None
+
+
+@dataclass(frozen=True)
+class LinkSeries:
+    """One link's stream as columns: whole epoch minutes (the floor of each UTC
+    timestamp), and float columns that hold NaN where the sample's value is missing."""
+
+    link_id: str
+    timestamps: tuple[datetime, ...]
+    minutes: np.ndarray
+    speed: np.ndarray
+    flow: np.ndarray
+    density: np.ndarray
+    travel_time: np.ndarray
+
+    @classmethod
+    def from_samples(cls, samples: Sequence[TrafficSample]) -> "LinkSeries":
+        """Columns of a non-empty, single-link, strictly time-ordered stream."""
+        if not samples:
+            raise ValueError("empty stream")
+        link_id = samples[0].link_id
+        timestamps = tuple(s.timestamp for s in samples)
+        for s, prev in zip(samples[1:], timestamps):
+            if s.link_id != link_id:
+                raise ValueError(f"stream mixes links {link_id!r} and {s.link_id!r}")
+            if s.timestamp <= prev:
+                raise ValueError(f"stream not time-ordered at {format_timestamp(s.timestamp)}")
+        minutes = (np.array([ts.timestamp() for ts in timestamps]) // 60).astype(np.int64)
+        names = ("speed", "flow", "density", "travel_time")
+        columns = [np.array([getattr(s, name) for s in samples], dtype=float) for name in names]
+        return cls(link_id, timestamps, minutes, *columns)
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    @property
+    def usable(self) -> np.ndarray:
+        """Minutes with a density proxy."""
+        return ~np.isnan(self.density)
+
+    @property
+    def points(self) -> np.ndarray:
+        """(density, flow) of the usable minutes, shape (n_usable, 2)."""
+        usable = self.usable
+        return np.column_stack([self.density[usable], self.flow[usable]])
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,11 @@ from flowsentry.baselines import (
     BinStats,
     McMasterParams,
     SndProfile,
-    mcmaster_classify,
     mcmaster_detect,
     snd_detect,
 )
 from flowsentry.detector import DetectorConfig, annotate, calibrate_normalizer, track_annotated
-from flowsentry.ingest import TrafficSample, nonrecurrent_filter
+from flowsentry.ingest import LinkSeries, TrafficSample, nonrecurrent_filter
 from flowsentry.levelset import (
     RegionConfig,
     TypicalRegion,
@@ -260,7 +259,7 @@ def _fit_and_calibrate(train, train_labels):
 
 
 def _dftb_test_score(test, test_labels, region, threshold):
-    series = annotate(test, region)
+    series = annotate(LinkSeries.from_samples(test), region)
     _, flags = track_annotated(series, DetectorConfig("severity_threshold", severity_threshold=threshold))
     return ev.score_detector([(f.timestamp, f.end) for f in flags], test_labels, int(series.usable.sum()))
 
@@ -270,7 +269,7 @@ def _snd_test_score(train, test, train_labels, test_labels):
 
     profile = snd_fit(train)
     calibration = ev.calibrate_snd(train, profile, train_labels)
-    alarms = snd_detect(test, profile, calibration.parameter)
+    alarms = snd_detect(LinkSeries.from_samples(test), profile, calibration.parameter)
     n_applications = sum(1 for s in test if s.speed is not None)
     return ev.score_detector(alarms, test_labels, n_applications)
 
@@ -327,6 +326,18 @@ def _snd_oracle(speeds, threshold, persistence=3):
     return flagged
 
 
+def mcmaster_classify(sample: TrafficSample, params: McMasterParams) -> str:
+    """Per-sample oracle: "congested" or "uncongested"; samples without density are uncongested."""
+    if not sample.has_density:
+        return "uncongested"
+    rho = sample.density
+    if rho > params.rho_crit:
+        return "congested"
+    if sample.flow < params.lud(rho) and sample.flow < params.f_crit:
+        return "congested"
+    return "uncongested"
+
+
 def test_criterion_10_baseline_replay_oracles():
     rng = np.random.default_rng(10)
     bins = tuple(BinStats(10, 60.0, 60.0, 5.0, 6.0, 3.0) for _ in range(BINS_PER_WEEK))
@@ -343,7 +354,7 @@ def test_criterion_10_baseline_replay_oracles():
             TrafficSample("L", MONDAY + timedelta(minutes=k), float(v), float(f))
             for k, (v, f) in enumerate(zip(speeds, flows))
         ]
-        alarms = snd_detect(stream, profile, 1.0)
+        alarms = snd_detect(LinkSeries.from_samples(stream), profile, 1.0)
         got = set()
         for start, end in alarms:
             k = int((start - MONDAY).total_seconds() // 60)
@@ -370,7 +381,7 @@ def test_criterion_10_baseline_replay_oracles():
         if len(run) >= 3:
             expected.update(run)
         got_mc = set()
-        for start, end in mcmaster_detect(mc_stream, params):
+        for start, end in mcmaster_detect(LinkSeries.from_samples(mc_stream), params):
             k = int((start - MONDAY).total_seconds() // 60)
             while MONDAY + timedelta(minutes=k) <= end:
                 got_mc.add(k)

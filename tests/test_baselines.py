@@ -2,6 +2,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowsentry.baselines import (
     BINS_PER_WEEK,
@@ -9,14 +11,13 @@ from flowsentry.baselines import (
     BinStats,
     McMasterParams,
     SndProfile,
-    mcmaster_classify,
     mcmaster_detect,
     snd_detect,
     snd_fit,
-    snd_threshold,
+    snd_thresholds,
     weekly_bin,
 )
-from flowsentry.ingest import TrafficSample
+from flowsentry.ingest import LinkSeries, TrafficSample
 
 MONDAY = datetime(2017, 4, 3, tzinfo=timezone.utc)  # a Monday
 
@@ -78,7 +79,8 @@ def test_snd_fit_needs_a_week():
 def test_empty_bin_unusable():
     samples = [speed_sample(MONDAY + timedelta(days=7 * w, hours=8, minutes=m), 100) for w in range(2) for m in range(8)]
     profile = snd_fit(samples)
-    assert snd_threshold(profile, weekly_bin(MONDAY + timedelta(hours=12)), 1.0) is None
+    noon = weekly_bin(MONDAY + timedelta(hours=12))
+    assert np.isnan(snd_thresholds(profile, 1.0)[noon])
 
 
 def test_constant_bin_zero_spread():
@@ -105,33 +107,33 @@ def test_profile_json_round_trip():
 
 def test_threshold_cap_binds():
     profile = profile_with_bin(0, BinStats(10, 110.0, 110.0, 8.0, 10.0, 5.0))
-    assert snd_threshold(profile, 0, 2.0) == SPEED_CAP_KMH
+    assert snd_thresholds(profile, 2.0)[0] == SPEED_CAP_KMH
 
 
 def test_threshold_below_cap():
     profile = profile_with_bin(0, BinStats(10, 60.0, 60.0, 8.0, 10.0, 5.0))
-    assert snd_threshold(profile, 0, 1.0) == pytest.approx(50.0)
+    assert snd_thresholds(profile, 1.0)[0] == pytest.approx(50.0)
 
 
 def test_threshold_c_zero_caps():
     profile = profile_with_bin(0, BinStats(10, 100.0, 100.0, 8.0, 10.0, 5.0))
-    assert snd_threshold(profile, 0, 0.0) == SPEED_CAP_KMH
+    assert snd_thresholds(profile, 0.0)[0] == SPEED_CAP_KMH
 
 
 def test_threshold_variants():
     profile = profile_with_bin(0, BinStats(10, 65.0, 60.0, 4.0, 10.0, 2.0))
-    assert snd_threshold(profile, 0, 1.0, "mean_sd") == pytest.approx(61.0)
-    assert snd_threshold(profile, 0, 1.0, "median_iqr") == pytest.approx(50.0)
-    assert snd_threshold(profile, 0, 1.0, "median_mad") == pytest.approx(58.0)
+    assert snd_thresholds(profile, 1.0, "mean_sd")[0] == pytest.approx(61.0)
+    assert snd_thresholds(profile, 1.0, "median_iqr")[0] == pytest.approx(50.0)
+    assert snd_thresholds(profile, 1.0, "median_mad")[0] == pytest.approx(58.0)
     with pytest.raises(ValueError, match="variant"):
-        snd_threshold(profile, 0, 1.0, "trimmed")
+        snd_thresholds(profile, 1.0, "trimmed")
     with pytest.raises(ValueError, match="nonnegative"):
-        snd_threshold(profile, 0, -1.0)
+        snd_thresholds(profile, -1.0)
 
 
 def test_threshold_nonincreasing_in_c():
     profile = profile_with_bin(0, BinStats(10, 60.0, 60.0, 8.0, 10.0, 5.0))
-    values = [snd_threshold(profile, 0, c) for c in np.linspace(0, 5, 20)]
+    values = [snd_thresholds(profile, c)[0] for c in np.linspace(0, 5, 20)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -146,7 +148,7 @@ def low_speed_profile():
 
 def run_snd(speeds, c=1.0):
     stream = [speed_sample(MONDAY + timedelta(minutes=k), v) for k, v in enumerate(speeds)]
-    return stream, snd_detect(stream, low_speed_profile(), c)
+    return stream, snd_detect(LinkSeries.from_samples(stream), low_speed_profile(), c)
 
 
 def test_snd_detect_three_minute_rule():
@@ -186,7 +188,7 @@ def test_snd_detect_matches_replay_oracle():
     for _ in range(200):
         speeds = rng.uniform(40, 80, size=60).round(1)
         stream = [speed_sample(MONDAY + timedelta(minutes=k), v) for k, v in enumerate(speeds)]
-        alarms = snd_detect(stream, profile, 1.0)
+        alarms = snd_detect(LinkSeries.from_samples(stream), profile, 1.0)
         got = set()
         for start, end in alarms:
             k = int((start - MONDAY).total_seconds() // 60)
@@ -202,7 +204,7 @@ def test_snd_alarm_minutes_shrink_with_larger_c():
     bins = tuple(BinStats(10, 60.0, 60.0, 5.0, 6.0, 3.0) for _ in range(BINS_PER_WEEK))
     profile = SndProfile(bins)
     speeds = rng.uniform(30, 75, size=300).round(1)
-    stream = [speed_sample(MONDAY + timedelta(minutes=k), v) for k, v in enumerate(speeds)]
+    stream = LinkSeries.from_samples([speed_sample(MONDAY + timedelta(minutes=k), v) for k, v in enumerate(speeds)])
 
     def minutes(c):
         out = set()
@@ -224,6 +226,18 @@ def test_snd_alarm_minutes_shrink_with_larger_c():
 
 
 PARAMS = McMasterParams(a=0.0, b=80.0, c=-0.5, rho_crit=40.0, f_crit=3000.0)
+
+
+def mcmaster_classify(sample: TrafficSample, params: McMasterParams) -> str:
+    """Per-sample oracle: "congested" or "uncongested"; samples without density are uncongested."""
+    if not sample.has_density:
+        return "uncongested"
+    rho = sample.density
+    if rho > params.rho_crit:
+        return "congested"
+    if sample.flow < params.lud(rho) and sample.flow < params.f_crit:
+        return "congested"
+    return "uncongested"
 
 
 def traffic(density, flow, minute=0):
@@ -275,9 +289,9 @@ def test_params_validation():
 
 def test_mcmaster_detect_cases():
     free = [traffic(10.0, 2200.0, k) for k in range(5)]
-    assert mcmaster_detect(free, PARAMS) == []
+    assert mcmaster_detect(LinkSeries.from_samples(free), PARAMS) == []
     jam = [traffic(60.0, 2000.0, k) for k in range(3)]
-    alarms = mcmaster_detect(jam, PARAMS)
+    alarms = mcmaster_detect(LinkSeries.from_samples(jam), PARAMS)
     assert alarms == [(jam[0].timestamp, jam[2].timestamp)]
 
 
@@ -289,7 +303,7 @@ def test_mcmaster_detect_matches_replay_oracle():
         stream = [traffic(r, f, k) for k, (r, f) in enumerate(zip(rhos, flows))]
         congested = [mcmaster_classify(s, PARAMS) == "congested" for s in stream]
         got = set()
-        for start, end in mcmaster_detect(stream, PARAMS):
+        for start, end in mcmaster_detect(LinkSeries.from_samples(stream), PARAMS):
             k = int((start - MONDAY).total_seconds() // 60)
             while MONDAY + timedelta(minutes=k) <= end:
                 got.add(k)
@@ -306,3 +320,153 @@ def test_mcmaster_detect_matches_replay_oracle():
         if len(run) >= 3:
             expected.update(run)
         assert got == expected
+
+
+# --- array baselines against per-sample oracles -------------------------------------
+
+
+def weekly_bin_oracle(ts, tz_offset_min):
+    """Calendar formula: weekday * 96 + quarter-hour of the local day."""
+    local = ts + timedelta(minutes=tz_offset_min)
+    return local.weekday() * 96 + (local.hour * 60 + local.minute) // 15
+
+
+VARIANT_FIELDS = {"mean_sd": ("mean", "sd"), "median_iqr": ("median", "iqr"), "median_mad": ("median", "mad")}
+
+
+def snd_threshold_oracle(profile, bin_index, c, variant):
+    """min(cap, location - c * scale) of one bin; None when the bin is unusable."""
+    stats = profile.bins[bin_index]
+    if not stats.usable:
+        return None
+    location, scale = (getattr(stats, name) for name in VARIANT_FIELDS[variant])
+    return min(profile.cap_kmh, location - c * scale)
+
+
+def persistence_oracle(timestamps, hits, persistence=3):
+    """Replay: (first, last) timestamp of every run of at least ``persistence`` hits."""
+    intervals, run = [], []
+    for ts, hit in zip(timestamps, hits):
+        if hit:
+            run.append(ts)
+            continue
+        if len(run) >= persistence:
+            intervals.append((run[0], run[-1]))
+        run = []
+    if len(run) >= persistence:
+        intervals.append((run[0], run[-1]))
+    return intervals
+
+
+def bin_stats_oracle(values):
+    if not values:
+        return BinStats(0, float("nan"), float("nan"), float("nan"), float("nan"), float("nan"))
+    arr = np.asarray(values, dtype=float)
+    q25, median, q75 = np.percentile(arr, [25, 50, 75])
+    sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    mad = float(np.median(np.abs(arr - median)))
+    return BinStats(arr.size, float(arr.mean()), float(median), sd, float(q75 - q25), mad)
+
+
+@st.composite
+def sample_streams(draw, max_size=80):
+    """One link's samples: missing or zero speed and flow, multi-minute gaps, a
+    start on either side of Monday 00:00 and a fixed seconds offset. Speed and
+    flow come from small pools, so that runs of alike minutes are common."""
+    start = MONDAY + timedelta(
+        minutes=draw(st.one_of(st.integers(-40, 40), st.integers(-20000, 20000))),
+        seconds=draw(st.sampled_from([0, 0, 30, 59])),
+    )
+    n = draw(st.integers(1, max_size))
+    gaps = draw(st.lists(st.one_of(st.just(1), st.integers(2, 30), st.integers(31, 3000)), min_size=n, max_size=n))
+    missing = st.lists(st.sampled_from([None, 0.0]), max_size=1)
+    speed_pool = draw(st.lists(st.floats(0.5, 130.0), min_size=1, max_size=3)) + draw(missing)
+    flow_pool = draw(st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=3)) + draw(missing)
+    speeds = draw(st.lists(st.sampled_from(speed_pool), min_size=n, max_size=n))
+    flows = draw(st.lists(st.sampled_from(flow_pool), min_size=n, max_size=n))
+    minute = 0
+    samples = []
+    for gap, speed, flow in zip(gaps, speeds, flows):
+        samples.append(TrafficSample("L1", start + timedelta(minutes=minute), speed, flow))
+        minute += gap
+    return samples
+
+
+@st.composite
+def snd_profiles(draw, speeds):
+    """Random per-bin statistics, some bins unusable, occasionally above the cap.
+    About half the bins take a location from ``speeds`` with zero spread, so that
+    some thresholds equal a speed of the stream."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = rng.integers(0, 16, BINS_PER_WEEK)
+    locations = rng.uniform(20.0, 120.0, (BINS_PER_WEEK, 2))
+    scales = rng.uniform(0.0, 30.0, (BINS_PER_WEEK, 3))
+    if speeds:
+        tied = rng.random(BINS_PER_WEEK) < 0.5
+        locations[tied] = rng.choice(speeds, (int(tied.sum()), 1))
+        scales[tied] = 0.0
+    bins = tuple(
+        BinStats(int(k), float(mean), float(median), float(sd), float(iqr), float(mad))
+        for k, (mean, median), (sd, iqr, mad) in zip(counts, locations, scales)
+    )
+    return SndProfile(bins, tz_offset_min=draw(st.integers(-720, 840)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    samples=sample_streams(),
+    c=st.floats(0.0, 5.0),
+    variant=st.sampled_from(sorted(VARIANT_FIELDS)),
+    data=st.data(),
+)
+def test_snd_detect_matches_per_minute_oracle(samples, c, variant, data):
+    profile = data.draw(snd_profiles([s.speed for s in samples if s.speed is not None]))
+    hits = []
+    for s in samples:
+        thr = snd_threshold_oracle(profile, weekly_bin_oracle(s.timestamp, profile.tz_offset_min), c, variant)
+        hits.append(s.speed is not None and thr is not None and s.speed < thr)
+    expected = persistence_oracle([s.timestamp for s in samples], hits)
+    assert snd_detect(LinkSeries.from_samples(samples), profile, c, variant) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    samples=sample_streams(),
+    a=st.floats(-500.0, 500.0),
+    b=st.floats(0.0, 150.0),
+    curvature=st.floats(-0.99, 2.0),
+    data=st.data(),
+)
+def test_mcmaster_detect_matches_per_minute_oracle(samples, a, b, curvature, data):
+    # the critical values are sometimes a density or flow of the stream itself
+    usable = [s for s in samples if s.has_density and s.density > 0 and s.flow > 0]
+    rho_crit = st.floats(5.0, 80.0)
+    f_crit = st.floats(500.0, 5000.0)
+    if usable:
+        rho_crit |= st.sampled_from([s.density for s in usable])
+        f_crit |= st.sampled_from([s.flow for s in usable])
+    rho_crit, f_crit = data.draw(rho_crit), data.draw(f_crit)
+    # c = curvature * b / (2 rho_crit) keeps the bound nondecreasing on [0, rho_crit]
+    params = McMasterParams(a, b, curvature * b / (2.0 * rho_crit), rho_crit, f_crit)
+    hits = [mcmaster_classify(s, params) == "congested" for s in samples]
+    expected = persistence_oracle([s.timestamp for s in samples], hits)
+    assert mcmaster_detect(LinkSeries.from_samples(samples), params) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(samples=sample_streams(max_size=200), tz_offset_min=st.integers(-720, 840))
+def test_snd_fit_matches_per_sample_oracle(samples, tz_offset_min):
+    last = samples[-1].timestamp
+    samples = samples + [speed_sample(max(last + timedelta(minutes=1), samples[0].timestamp + timedelta(days=7)), 80.0)]
+    speeds = [[] for _ in range(BINS_PER_WEEK)]
+    for s in samples:
+        if s.speed is not None:
+            speeds[weekly_bin_oracle(s.timestamp, tz_offset_min)].append(s.speed)
+    expected = SndProfile(tuple(bin_stats_oracle(v) for v in speeds), tz_offset_min=tz_offset_min)
+    assert snd_fit(samples, tz_offset_min).to_json() == expected.to_json()
+
+
+@given(ts=st.datetimes(datetime(1990, 1, 1), datetime(2040, 1, 1), timezones=st.just(timezone.utc)),
+       tz_offset_min=st.integers(-720, 840))
+def test_weekly_bin_matches_calendar_formula(ts, tz_offset_min):
+    assert weekly_bin(ts, tz_offset_min) == weekly_bin_oracle(ts, tz_offset_min)

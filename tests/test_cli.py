@@ -159,6 +159,87 @@ def test_duration_mode_with_percentile(workspace, tmp_path, capsys):
     assert "duration threshold from percentile 80" in out
 
 
+def test_duration_percentile_annotates_once(workspace, tmp_path, capsys, monkeypatch):
+    from flowsentry import detector, ingest, levelset
+
+    calls = []
+    annotate = detector.annotate
+    monkeypatch.setattr(detector, "annotate", lambda *args: calls.append(1) or annotate(*args))
+    series = workspace / "sim" / "series.csv"
+    region_path = workspace / "fit" / "region.json"
+    args = ["detect", "--series", str(series), "--region", str(region_path), "--mode", "duration"]
+    assert main(args + ["--percentile", "80", "--out", str(tmp_path / "dp")]) == 0
+    assert len(calls) == 1
+    printed = re.search(r"duration threshold from percentile [0-9.]+: ([0-9.]+) min", capsys.readouterr().out)
+
+    # replay of the two-pass flow: a full track for the durations, then one with the threshold
+    monkeypatch.setattr(detector, "annotate", annotate)
+    samples = ingest.parse_series(series)
+    region = levelset.TypicalRegion.from_json(region_path.read_text())
+    probe = detector.DetectorConfig("duration_threshold", duration_threshold_min=float("inf"))
+    durations = [e.duration_min for e in detector.track(samples, region, probe)[0]]
+    minutes = detector.duration_threshold_from_percentile(durations, 80)
+    assert float(printed.group(1)) == minutes
+    excursions, flags = detector.track(
+        samples, region, detector.DetectorConfig("duration_threshold", duration_threshold_min=minutes)
+    )
+    detector.write_excursions_csv(excursions, flags, tmp_path / "excursions.csv")
+    detector.write_flags_csv(flags, tmp_path / "flags.csv")
+    for name in ("excursions.csv", "flags.csv"):
+        assert (tmp_path / "dp" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_five_minute_cadence_exit_2(workspace, tmp_path, capsys):
+    lines = (workspace / "sim" / "series.csv").read_text().splitlines()
+    coarse = tmp_path / "coarse.csv"
+    coarse.write_text("\n".join([lines[0]] + lines[1::5]) + "\n")
+    code = main(
+        [
+            "detect",
+            "--series",
+            str(coarse),
+            "--region",
+            str(workspace / "fit" / "region.json"),
+            "--mode",
+            "duration",
+            "--threshold",
+            "15",
+            "--out",
+            str(tmp_path / "d5"),
+        ]
+    )
+    assert code == 2
+    assert "median sample spacing is 5 minutes" in capsys.readouterr().err
+    code = main(
+        [
+            "evaluate",
+            "--series",
+            str(coarse),
+            "--events",
+            str(workspace / "sim" / "events.csv"),
+            "--flags",
+            str(workspace / "det" / "flags.csv"),
+            "--out",
+            str(tmp_path / "e5"),
+        ]
+    )
+    assert code == 2
+    assert "median sample spacing is 5 minutes" in capsys.readouterr().err
+
+
+def test_cadence_check_passes_short_and_minute_links():
+    from datetime import datetime, timedelta, timezone
+
+    from flowsentry.cli import _require_minute_cadence
+    from flowsentry.ingest import TrafficSample
+
+    t0 = datetime(2017, 4, 3, tzinfo=timezone.utc)
+    _require_minute_cadence([TrafficSample("L1", t0, 90.0, 1000.0)])
+    # one 10-minute hole does not move the median off 1 minute
+    minutes = [0, 1, 2, 12, 13]
+    _require_minute_cadence([TrafficSample("L1", t0 + timedelta(minutes=m), 90.0, 1000.0) for m in minutes])
+
+
 def test_evaluate_fixture_reproduces_benchmark(tmp_path):
     assert main(["evaluate", "--fixture", "table1", "--out", str(tmp_path / "ev")]) == 0
     payload = json.loads((tmp_path / "ev" / "tests.json").read_text())

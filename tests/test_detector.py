@@ -16,7 +16,7 @@ from flowsentry.detector import (
     write_excursions_csv,
     write_flags_csv,
 )
-from flowsentry.ingest import TrafficSample
+from flowsentry.ingest import LinkSeries, TrafficSample
 from flowsentry.levelset import TypicalRegion, contains
 
 T0 = datetime(2017, 4, 3, 8, 0, tzinfo=timezone.utc)
@@ -210,7 +210,7 @@ def test_severity_mode_onset_matches_replay_oracle():
 def test_flag_severity_positive_and_interior_severity_zero():
     pts = [INTERIOR, RIGHT, RIGHT, INTERIOR]
     r = region()
-    ann = annotate(series(pts), r)
+    ann = annotate(LinkSeries.from_samples(series(pts)), r)
     assert ann.severity[0] == 0.0
     assert ann.severity[3] == 0.0
     assert np.all(ann.severity[1:3] > 0)

@@ -1,6 +1,7 @@
 import io
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from flowsentry.ingest import (
     EventLabel,
     LinkMeta,
+    LinkSeries,
     ParseError,
     TrafficSample,
     by_link,
@@ -107,6 +109,64 @@ def test_series_round_trip(speed, flow, travel, minutes):
     write_series([sample], buf)
     back = parse_series(io.StringIO(buf.getvalue()))[0]
     assert back == sample
+
+
+def test_link_series_rejects_empty_stream():
+    with pytest.raises(ValueError, match="empty stream"):
+        LinkSeries.from_samples([])
+
+
+def test_link_series_rejects_mixed_links():
+    samples = [TrafficSample("L1", T0, 90.0, 1000.0), TrafficSample("L2", T0 + timedelta(minutes=1), 90.0, 1000.0)]
+    with pytest.raises(ValueError, match="mixes links 'L1' and 'L2'"):
+        LinkSeries.from_samples(samples)
+
+
+@pytest.mark.parametrize("offset_min", [0, -1])
+def test_link_series_rejects_unordered_stream(offset_min):
+    samples = [
+        TrafficSample("L1", T0, 90.0, 1000.0),
+        TrafficSample("L1", T0 + timedelta(minutes=1), 90.0, 1000.0),
+        TrafficSample("L1", T0 + timedelta(minutes=1 + offset_min), 90.0, 1000.0),
+    ]
+    with pytest.raises(ValueError, match="not time-ordered at"):
+        LinkSeries.from_samples(samples)
+
+
+def _column(values):
+    return np.array([np.nan if v is None else v for v in values], dtype=float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(1, 90),
+            st.one_of(st.none(), st.floats(0, 250)),
+            st.one_of(st.none(), st.floats(0, 12000)),
+            st.one_of(st.none(), st.floats(0, 86400)),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    seconds=st.integers(0, 59),
+)
+def test_link_series_columns_match_samples(rows, seconds):
+    samples = []
+    t = T0 + timedelta(seconds=seconds)
+    for gap, speed, flow, travel in rows:
+        t += timedelta(minutes=gap)
+        samples.append(TrafficSample("L3", t, speed, flow, travel))
+    series = LinkSeries.from_samples(samples)
+    assert len(series) == len(samples)
+    assert series.link_id == "L3"
+    assert series.timestamps == tuple(s.timestamp for s in samples)
+    assert series.minutes.tolist() == [int(s.timestamp.timestamp() // 60) for s in samples]
+    for name in ("speed", "flow", "density", "travel_time"):
+        np.testing.assert_array_equal(getattr(series, name), _column([getattr(s, name) for s in samples]))
+    assert series.usable.tolist() == [s.has_density for s in samples]
+    expected_points = np.array([(s.density, s.flow) for s in samples if s.has_density]).reshape(-1, 2)
+    np.testing.assert_array_equal(series.points, expected_points)
 
 
 def test_events_round_trip_and_duration():
