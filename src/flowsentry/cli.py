@@ -131,6 +131,16 @@ def grid_resolution() -> tuple[int, int]:
         raise UsageError(f"bad FLOWSENTRY_GRID value {raw!r}") from None
 
 
+def _load_region(path: str) -> levelset.TypicalRegion:
+    """A fitted region file; a missing key, a wrong type or bad JSON is a usage error."""
+    text = _require_file(path).read_text(encoding="utf-8")
+    try:
+        return levelset.TypicalRegion.from_json(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise UsageError(f"bad region file {path}: {problem}") from None
+
+
 def _load_series(path: str, link: str | None) -> list[ingest.TrafficSample]:
     samples = ingest.parse_series(_require_file(path))
     grouped = ingest.by_link(samples)
@@ -205,7 +215,7 @@ def _detector_config(args, annotated: detector.SeveritySeries) -> detector.Detec
 
 def cmd_detect(args) -> int:
     stream = ingest.LinkSeries.from_samples(_load_series(args.series, args.link))
-    region = levelset.TypicalRegion.from_json(_require_file(args.region).read_text(encoding="utf-8"))
+    region = _load_region(args.region)
     out = _out_dir(args.out)
     annotated = detector.annotate(stream, region)
     excursions, flags = detector.track_annotated(annotated, _detector_config(args, annotated))
@@ -224,7 +234,7 @@ def cmd_calibrate(args) -> int:
     if args.detector == "dftb":
         if args.region is None:
             raise UsageError("dftb calibration needs --region")
-        region = levelset.TypicalRegion.from_json(_require_file(args.region).read_text(encoding="utf-8"))
+        region = _load_region(args.region)
         result = evaluation.calibrate_dftb(samples, region, labels)
         payload = {"detector": "dftb", "severity_threshold": result.parameter}
     elif args.detector == "snd":
@@ -302,7 +312,7 @@ def _paired_tests_payload(pairs) -> dict:
     result: dict = {"n_pairs": len(pairs)}
     for name, test in (
         ("wilcoxon_signed_rank", evaluation.wilcoxon_signed_rank),
-        ("sign", evaluation.sign_test),
+        ("sign", _sign_test),
         ("paired_t", evaluation.paired_t_test),
     ):
         try:
@@ -316,6 +326,13 @@ def _paired_tests_payload(pairs) -> dict:
         except (evaluation.InsufficientPairsError, evaluation.DegenerateTestError) as exc:
             result[name] = {"skipped": str(exc)}
     return result
+
+
+def _sign_test(pairs) -> evaluation.PairedTestResult:
+    """The sign test across links. One link's pair is not a test; no pairs at all fail in sign_test."""
+    if len(pairs) == 1:
+        raise evaluation.InsufficientPairsError("sign test needs at least 2 pairs, got 1")
+    return evaluation.sign_test(pairs)
 
 
 def _evaluate_fixture(out: Path) -> int:
@@ -353,7 +370,7 @@ def _evaluate_fixture(out: Path) -> int:
 
 def cmd_plot(args) -> int:
     stream = ingest.LinkSeries.from_samples(_load_series(args.series, args.link))
-    region = levelset.TypicalRegion.from_json(_require_file(args.region).read_text(encoding="utf-8"))
+    region = _load_region(args.region)
     flags = detector.read_flags_csv(_require_file(args.flags)) if args.flags else []
     out = _out_dir(args.out)
 

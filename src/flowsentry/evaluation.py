@@ -11,6 +11,9 @@ the exact signed-rank distribution when no zero differences were discarded
 and no ranks are tied (up to 25 effective pairs), otherwise a normal
 approximation with tie-corrected variance and continuity correction. The
 sign test is always exact binomial.
+
+scipy is imported inside the functions that use it, after their input
+checks, so that a command which never reaches it does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -23,10 +26,6 @@ from datetime import datetime, timedelta
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-from scipy.stats import binom, norm, rankdata
-from scipy.stats import t as student_t
 
 from .baselines import McMasterParams
 from .ingest import EventLabel, LinkSeries, open_text
@@ -67,12 +66,32 @@ def _overlaps(flag: Interval, label: EventLabel, grace_min: float) -> bool:
     return flag[0] <= label.end + timedelta(minutes=grace_min) and flag[1] >= label.start
 
 
+def _detection_lags(flags: Sequence[Interval], labels: Sequence[EventLabel], grace_min: float) -> list[float | None]:
+    """Minutes from each label's start to its first flagged minute (clamped at 0), or None when no flag overlaps it."""
+    lags = []
+    for lab in labels:
+        end = lab.end + timedelta(minutes=grace_min)
+        starts = [f[0] for f in flags if f[0] <= end and f[1] >= lab.start]
+        lags.append((max(min(starts), lab.start) - lab.start).total_seconds() / 60.0 if starts else None)
+    return lags
+
+
+def _detection_rate(lags: list[float | None]) -> float:
+    if not lags:
+        raise UndefinedMetricError("detection rate undefined with zero labels")
+    return 100.0 * sum(1 for lag in lags if lag is not None) / len(lags)
+
+
+def _mean_time_to_detect(lags: list[float | None]) -> float:
+    detected = [lag for lag in lags if lag is not None]
+    if not detected:
+        raise UndefinedMetricError("mean time to detect undefined with zero detected events")
+    return float(np.mean(detected))
+
+
 def detection_rate(flags: Sequence[Interval], labels: Sequence[EventLabel], grace_min: float = 0.0) -> float:
     """Percent of labelled events overlapped by at least one flag interval."""
-    if not labels:
-        raise UndefinedMetricError("detection rate undefined with zero labels")
-    detected = sum(1 for lab in labels if any(_overlaps(f, lab, grace_min) for f in flags))
-    return 100.0 * detected / len(labels)
+    return _detection_rate(_detection_lags(flags, labels, grace_min))
 
 
 def false_alarm_rate(flags: Sequence[Interval], labels: Sequence[EventLabel], n_applications: int) -> float:
@@ -86,16 +105,7 @@ def false_alarm_rate(flags: Sequence[Interval], labels: Sequence[EventLabel], n_
 
 def mean_time_to_detect(flags: Sequence[Interval], labels: Sequence[EventLabel], grace_min: float = 0.0) -> float:
     """Mean minutes from event start to its first flagged minute (clamped at 0)."""
-    lags = []
-    for lab in labels:
-        hits = [f for f in flags if _overlaps(f, lab, grace_min)]
-        if not hits:
-            continue
-        first = min(max(f[0], lab.start) for f in hits)
-        lags.append((first - lab.start).total_seconds() / 60.0)
-    if not lags:
-        raise UndefinedMetricError("mean time to detect undefined with zero detected events")
-    return float(np.mean(lags))
+    return _mean_time_to_detect(_detection_lags(flags, labels, grace_min))
 
 
 def performance_index(dr: float, far: float, mttd: float) -> float:
@@ -122,10 +132,11 @@ def score_detector(
     n_applications: int,
     grace_min: float = 0.0,
 ) -> DetectorScore:
-    dr = detection_rate(flags, labels, grace_min)
+    lags = _detection_lags(flags, labels, grace_min)
+    dr = _detection_rate(lags)
     far = false_alarm_rate(flags, labels, n_applications)
     try:
-        mttd = mean_time_to_detect(flags, labels, grace_min)
+        mttd = _mean_time_to_detect(lags)
     except UndefinedMetricError:
         mttd = None
     return DetectorScore(dr, far, mttd)
@@ -190,6 +201,8 @@ def paired_t_test(pairs: Sequence[tuple[float, float]], mu0: float = 0.0) -> Pai
     sd = float(d.std(ddof=1))
     if sd == 0.0:
         raise DegenerateTestError("differences have zero variance")
+    from scipy.stats import t as student_t
+
     t = (float(d.mean()) - mu0) / (sd / math.sqrt(n))
     p = 2.0 * float(student_t.sf(abs(t), n - 1))
     return PairedTestResult("paired_t", t, min(p, 1.0), n)
@@ -210,6 +223,8 @@ def wilcoxon_signed_rank(pairs: Sequence[tuple[float, float]]) -> PairedTestResu
         raise DegenerateTestError("all differences are zero")
     if n < 6:
         raise InsufficientPairsError(f"need at least 6 nonzero pairs, got {n}")
+    from scipy.stats import norm, rankdata
+
     ranks = rankdata(np.abs(nonzero))
     w_plus = float(ranks[nonzero > 0].sum())
     w = float(np.sum(np.sign(nonzero) * ranks))
@@ -251,6 +266,8 @@ def sign_test(pairs: Sequence[tuple[float, float]]) -> PairedTestResult:
     n = nonzero.size
     if n == 0:
         raise DegenerateTestError("all pairs are tied")
+    from scipy.stats import binom
+
     s = int((nonzero > 0).sum())
     p_low = float(binom.cdf(s, n, 0.5))
     p_high = float(binom.sf(s - 1, n, 0.5))
@@ -348,6 +365,9 @@ def write_report_csv(rows: Sequence[FixtureRow], sink) -> None:
 
 def quantile_regression_quadratic(density: np.ndarray, flow: np.ndarray, tau: float = 0.05) -> tuple[float, float, float]:
     """Quantile regression of flow on (1, rho, rho^2) via the standard LP form."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     n = density.size
     if n > 3000:  # deterministic stride subsample keeps the LP small
         step = n // 3000 + 1

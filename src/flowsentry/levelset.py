@@ -243,6 +243,8 @@ class TypicalRegion:
         for p in polys:
             if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 4:
                 raise ValueError("polygons must be closed (N>=4, 2 columns)")
+            if not np.isfinite(p).all():
+                raise ValueError("polygon coordinates must be finite")
             if not np.array_equal(p[0], p[-1]):
                 raise ValueError("polygons must be explicitly closed (first row == last row)")
             if not np.diff(p, axis=0).any():
@@ -286,37 +288,73 @@ def contains(region: TypicalRegion, point) -> bool:
 
 
 def contains_many(region: TypicalRegion, points) -> np.ndarray:
-    """Vectorised membership for many points (inside any retained polygon)."""
+    """Vectorised membership for many points (inside any retained polygon).
+
+    Crossing-number parity, with points on an edge counted as inside. Only the
+    (point, edge) pairs of the point's y-slab are tested (Hormann & Agathos,
+    *The point in polygon problem for arbitrary polygons*, 2001): an edge can
+    hold a point or cross its rightward ray only if the point's y lies in the
+    edge's closed y-range, and every such edge is filed under that y's slab.
+    """
     pts = _point_array(points)
     result = np.zeros(pts.shape[0], dtype=bool)
-    step = max(1, _QUERY_BLOCK // max(sum(p.shape[0] for p in region.polygons), 1))
-    for lo in range(0, pts.shape[0], step):
-        chunk = pts[lo : lo + step]
-        px = chunk[:, 0][:, None]
-        py = chunk[:, 1][:, None]
-        inside = np.zeros(chunk.shape[0], dtype=bool)
-        on_edge = np.zeros(chunk.shape[0], dtype=bool)
-        for poly in region.polygons:
-            ax, ay = poly[:-1, 0][None, :], poly[:-1, 1][None, :]
-            bx, by = poly[1:, 0][None, :], poly[1:, 1][None, :]
-            dx = bx - ax
-            dy = by - ay
-            cross = dx * (py - ay) - (px - ax) * dy
-            on_seg = (
-                (cross == 0.0)
-                & (px >= np.minimum(ax, bx))
-                & (px <= np.maximum(ax, bx))
-                & (py >= np.minimum(ay, by))
-                & (py <= np.maximum(ay, by))
-            )
-            on_edge |= on_seg.any(axis=1)
-            straddles = (ay > py) != (by > py)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x_at_y = ax + (py - ay) * dx / dy
-            hits = straddles & (px < x_at_y)
-            inside |= (hits.sum(axis=1) % 2).astype(bool)
-        result[lo : lo + step] = inside | on_edge
+    for poly in region.polygons:
+        result |= _polygon_contains(poly, pts)
     return result
+
+
+def _polygon_contains(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Membership in one closed polygon, testing each point against its y-slab's edges."""
+    ax, ay = poly[:-1, 0], poly[:-1, 1]
+    bx, by = poly[1:, 0], poly[1:, 1]
+    dx, dy = bx - ax, by - ay
+    ylo, yhi = np.minimum(ay, by), np.maximum(ay, by)
+    y0, y1, rise = ylo.min(), yhi.max(), np.abs(dy).sum()
+    # slabs about as tall as the mean edge rise keep the index at O(edges) entries; when
+    # every edge spans the full height this is one slab, i.e. brute force. A flat polygon
+    # has no rise, and coordinates near the float limit can overflow it.
+    n_slabs = int(np.clip(ay.size * (y1 - y0) / rise, 1, ay.size)) if 0.0 < rise < np.inf else 1
+    floors = y0 + (y1 - y0) / n_slabs * np.arange(1, n_slabs)  # ascending: the slab of y is monotone in y
+    lo_slab = np.searchsorted(floors, ylo, side="right")
+    spans = np.searchsorted(floors, yhi, side="right") - lo_slab + 1
+    entry_slab = _concat_ranges(lo_slab, spans)
+    slab_edges = np.repeat(np.arange(ay.size), spans)[np.argsort(entry_slab, kind="stable")]
+    slab_start = np.concatenate([[0], np.cumsum(np.bincount(entry_slab, minlength=n_slabs))])
+
+    inside = np.zeros(pts.shape[0], dtype=bool)
+    candidates = np.flatnonzero((pts[:, 1] >= y0) & (pts[:, 1] <= y1))
+    if candidates.size == 0:
+        return inside
+    slab = np.searchsorted(floors, pts[candidates, 1], side="right")
+    counts = slab_start[slab + 1] - slab_start[slab]
+    ends = np.cumsum(counts)
+    cuts = np.unique(np.searchsorted(ends, np.arange(_QUERY_BLOCK, ends[-1], _QUERY_BLOCK), side="right"))
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, candidates.size]):
+        point = np.repeat(np.arange(hi - lo), counts[lo:hi])
+        edge = slab_edges[_concat_ranges(slab_start[slab[lo:hi]], counts[lo:hi])]
+        px, py = pts[candidates[lo:hi]][point].T
+        ex, ey, edx, edy = ax[edge], ay[edge], dx[edge], dy[edge]
+        cross = edx * (py - ey) - (px - ex) * edy
+        on_seg = (
+            (cross == 0.0)
+            & (px >= np.minimum(ex, bx[edge]))
+            & (px <= np.maximum(ex, bx[edge]))
+            & (py >= ylo[edge])
+            & (py <= yhi[edge])
+        )
+        straddles = (ey > py) != (by[edge] > py)
+        # an overflow to +-inf still compares right with px
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x_at_y = ex + (py - ey) * edx / edy
+        hits = straddles & (px < x_at_y)
+        parity = np.bincount(point[hits], minlength=hi - lo) % 2 == 1
+        inside[candidates[lo:hi]] = parity | (np.bincount(point[on_seg], minlength=hi - lo) > 0)
+    return inside
+
+
+def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[i], ..., starts[i] + lengths[i] - 1, concatenated."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
 def distances_and_sides(region: TypicalRegion, points) -> tuple[np.ndarray, np.ndarray]:

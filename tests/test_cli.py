@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -227,6 +230,38 @@ def test_five_minute_cadence_exit_2(workspace, tmp_path, capsys):
     assert "median sample spacing is 5 minutes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mangle, problem",
+    [
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "z_star"}), "missing key 'z_star'"),
+        (lambda text: "not json", "Expecting value"),
+    ],
+    ids=["no_z_star", "not_json"],
+)
+def test_detect_bad_region_file_exit_2(workspace, tmp_path, capsys, mangle, problem):
+    bad = tmp_path / "region.json"
+    bad.write_text(mangle((workspace / "fit" / "region.json").read_text()))
+    code = main(
+        [
+            "detect",
+            "--series",
+            str(workspace / "sim" / "series.csv"),
+            "--region",
+            str(bad),
+            "--mode",
+            "severity",
+            "--threshold",
+            "0.2",
+            "--out",
+            str(tmp_path / "d"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"bad region file {bad}" in err
+    assert problem in err
+
+
 def test_cadence_check_passes_short_and_minute_links():
     from datetime import datetime, timedelta, timezone
 
@@ -286,8 +321,13 @@ def test_evaluate_single_link_reports_insufficient_n(workspace, tmp_path):
     )
     assert code == 0
     payload = json.loads((tmp_path / "ev" / "evaluation.json").read_text())
-    wilcoxon = payload["tests"]["dr"]["wilcoxon_signed_rank"]
-    assert "skipped" in wilcoxon  # one link cannot feed a paired test
+    for metric in ("dr", "far", "mttd"):
+        tests = payload["tests"][metric]
+        assert tests["n_pairs"] == 1
+        # one link cannot feed a paired test
+        assert set(tests) == {"n_pairs", "wilcoxon_signed_rank", "sign", "paired_t"}
+        assert all("skipped" in tests[name] for name in ("wilcoxon_signed_rank", "sign", "paired_t"))
+    assert payload["tests"]["dr"]["sign"] == {"skipped": "sign test needs at least 2 pairs, got 1"}
 
 
 def test_evaluate_flags_b_without_mttd_skips_its_tests(workspace, tmp_path):
@@ -378,3 +418,32 @@ def test_plot_deterministic(workspace, tmp_path):
     assert main(args + ["--out", str(tmp_path / "p2")]) == 0
     for name in ("scatter.svg", "travel_time.svg", "durations.svg"):
         assert (tmp_path / "p1" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()
+
+
+IMPORT_GUARD = """
+import sys
+from flowsentry import cli
+
+def run(*argv):
+    assert cli.main(list(argv)) == 0, argv
+
+run("simulate", "--out", "sim", "--seed", "3", "--weeks", "1", "--incidents", "3")
+run("fit", "--series", "sim/series.csv", "--out", "fit")
+run("detect", "--series", "sim/series.csv", "--region", "fit/region.json", "--threshold", "0.2", "--out", "det")
+run("plot", "--series", "sim/series.csv", "--region", "fit/region.json", "--flags", "det/flags.csv", "--out", "plots")
+for name in ("dftb", "snd"):
+    run("calibrate", "--series", "sim/series.csv", "--events", "sim/events.csv", "--detector", name,
+        "--region", "fit/region.json", "--out", "cal_" + name)
+run("evaluate", "--series", "sim/series.csv", "--events", "sim/events.csv", "--flags", "det/flags.csv",
+    "--flags-b", "det/flags.csv", "--out", "eval")  # one link: too few pairs to test
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_scipy_loaded_only_by_the_commands_that_call_it(tmp_path):
+    # simulate, fit, detect, plot, the dftb and snd calibrations and a one-link evaluate must
+    # not import scipy; the child process imports the same flowsentry as this one
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "FLOWSENTRY_GRID": "128"}
+    run = subprocess.run([sys.executable, "-c", IMPORT_GUARD], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

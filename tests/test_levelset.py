@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from flowsentry import kde
+from flowsentry import kde, levelset
 from flowsentry.kde import DensityGrid
 from flowsentry.levelset import (
     EmptyContourError,
@@ -241,6 +244,122 @@ def test_membership_matches_winding_oracle():
     ours = contains_many(region, points)
     oracle = np.array([winding_number_inside(p, poly) for p in points])
     np.testing.assert_array_equal(ours, oracle)
+
+
+def brute_force_contains_many(region, points):
+    """Oracle: crossing-number parity plus on-edge test of every point against every edge."""
+    pts = np.asarray(points, dtype=float)
+    px = pts[:, 0][:, None]
+    py = pts[:, 1][:, None]
+    inside = np.zeros(pts.shape[0], dtype=bool)
+    on_edge = np.zeros(pts.shape[0], dtype=bool)
+    for poly in region.polygons:
+        ax, ay = poly[:-1, 0][None, :], poly[:-1, 1][None, :]
+        bx, by = poly[1:, 0][None, :], poly[1:, 1][None, :]
+        dx = bx - ax
+        dy = by - ay
+        cross = dx * (py - ay) - (px - ax) * dy
+        on_seg = (
+            (cross == 0.0)
+            & (px >= np.minimum(ax, bx))
+            & (px <= np.maximum(ax, bx))
+            & (py >= np.minimum(ay, by))
+            & (py <= np.maximum(ay, by))
+        )
+        on_edge |= on_seg.any(axis=1)
+        straddles = (ay > py) != (by > py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_at_y = ax + (py - ay) * dx / dy
+        hits = straddles & (px < x_at_y)
+        inside |= (hits.sum(axis=1) % 2).astype(bool)
+    return inside | on_edge
+
+
+def region_of(*polygons):
+    return TypicalRegion(z_star=1.0, alpha=0.05, polygons=polygons, scale_rho=1.0, scale_f=1.0)
+
+
+@st.composite
+def star_polygons(draw, center=(0.0, 0.0)):
+    """Star-shaped polygons, some with y snapped to a lattice (horizontal edges, shared
+    vertex y-levels) and some with repeated vertices (zero-length edges)."""
+    n = draw(st.integers(3, 40))
+    angles = np.sort(draw(st.lists(st.floats(0.0, 2 * math.pi, exclude_max=True), min_size=n, max_size=n)))
+    radii = np.array(draw(st.lists(st.floats(0.1, 2.0), min_size=n, max_size=n)))
+    pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)]) + np.asarray(center)
+    if draw(st.booleans()):
+        pts[:, 1] = np.round(pts[:, 1] * 4) / 4
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    pts = np.insert(pts, repeats, pts[repeats], axis=0) if repeats else pts
+    scale = np.array([draw(st.sampled_from([1.0, 30.0])), draw(st.sampled_from([1.0, 0.01]))])
+    poly = np.vstack([pts, pts[:1]]) * scale
+    assume(np.diff(poly, axis=0).any())
+    return poly
+
+
+def probe_points(polygons, seed):
+    """Vertices, edge midpoints, points on vertex y-levels, points above and below the
+    y-range, random points around the region, and non-finite points."""
+    rng = np.random.default_rng(seed)
+    vertices = np.vstack([p[:-1] for p in polygons])
+    midpoints = np.vstack([(p[:-1] + p[1:]) / 2 for p in polygons])
+    lo, hi = vertices.min(axis=0), vertices.max(axis=0)
+    span = hi - lo
+    level_xs = np.concatenate(
+        [rng.uniform(lo[0] - span[0], hi[0] + span[0], len(vertices)), rng.permutation(vertices[:, 0])]
+    )
+    on_levels = np.column_stack([level_xs, np.tile(vertices[:, 1], 2)])
+    beyond_ys = [lo[1] - span[1], lo[1] - 1e-9, hi[1] + 1e-9, hi[1] + span[1]]
+    beyond = np.column_stack([rng.uniform(lo[0], hi[0], 4), beyond_ys])
+    around = rng.uniform(lo - span / 2, hi + span / 2, size=(200, 2))
+    odd = np.array(
+        [[np.nan, lo[1]], [lo[0], np.nan], [np.nan, np.nan], [-np.inf, hi[1]], [np.inf, lo[1]], [lo[0], np.inf]]
+    )
+    return np.vstack([vertices, midpoints, on_levels, beyond, around, odd])
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly=star_polygons(), seed=st.integers(0, 2**32 - 1))
+def test_contains_many_equals_brute_force_on_star_polygons(poly, seed):
+    region = region_of(poly)
+    points = probe_points(region.polygons, seed)
+    np.testing.assert_array_equal(contains_many(region, points), brute_force_contains_many(region, points))
+
+
+@settings(max_examples=80, deadline=None)
+@given(first=star_polygons(), second=star_polygons(center=(1.5, 0.5)), seed=st.integers(0, 2**32 - 1))
+def test_contains_many_equals_brute_force_on_two_polygons(first, second, seed):
+    region = region_of(first, second)
+    points = probe_points(region.polygons, seed)
+    np.testing.assert_array_equal(contains_many(region, points), brute_force_contains_many(region, points))
+
+
+@settings(max_examples=40, deadline=None)
+@given(teeth=st.integers(1, 30), height=st.floats(0.5, 100.0), seed=st.integers(0, 2**32 - 1))
+def test_contains_many_equals_brute_force_on_comb(teeth, height, seed):
+    # every edge but the closing one spans the full height, so the index is one slab
+    xs = np.arange(2 * teeth + 1) * 0.5
+    ys = np.where(np.arange(2 * teeth + 1) % 2 == 1, height, 0.0)
+    comb = np.vstack([np.column_stack([xs, ys]), [[0.0, 0.0]]])
+    region = region_of(comb)
+    points = probe_points(region.polygons, seed)
+    np.testing.assert_array_equal(contains_many(region, points), brute_force_contains_many(region, points))
+
+
+@pytest.mark.parametrize("block, n_points", [(1, 300), (7, 3_000), (levelset._QUERY_BLOCK, 20_000)])
+def test_contains_many_blocks_agree_with_brute_force(block, n_points):
+    rng = np.random.default_rng(31)
+    region = region_of(random_simple_polygon(rng, 200), random_simple_polygon(rng, 50) + 2.0)
+    points = np.vstack([rng.uniform(-3, 5, size=(n_points, 2)), *(p[:-1] for p in region.polygons)])
+    with mock.patch.object(levelset, "_QUERY_BLOCK", block):
+        ours = contains_many(region, points)
+    np.testing.assert_array_equal(ours, brute_force_contains_many(region, points))
+
+
+def test_region_rejects_non_finite_polygon():
+    poly = np.array([[0.0, 0.0], [1.0, np.nan], [1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        region_of(poly)
 
 
 # --- distance -------------------------------------------------------------------
