@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ingest import LinkSeries, TrafficSample
+from .ingest import LinkSeries
 
 BIN_MINUTES = 15
 BINS_PER_DAY = 24 * 60 // BIN_MINUTES
@@ -88,14 +88,8 @@ def weekly_bins(minutes, tz_offset_min: int = 0):
     return (minutes + tz_offset_min + EPOCH_MINUTES_AFTER_MONDAY) % MINUTES_PER_WEEK // BIN_MINUTES
 
 
-def weekly_bin(ts: datetime, tz_offset_min: int = 0) -> int:
-    """The weekly bin of one timestamp."""
-    return weekly_bins(int(ts.timestamp() // 60), tz_offset_min)
-
-
-def snd_fit(samples: Sequence[TrafficSample], tz_offset_min: int = 0) -> SndProfile:
+def snd_fit(stream: LinkSeries, tz_offset_min: int = 0) -> SndProfile:
     """Robust per-bin speed statistics over every training occurrence of each bin."""
-    stream = LinkSeries.from_samples(samples)
     span = stream.timestamps[-1] - stream.timestamps[0]
     if span < timedelta(days=7) - timedelta(minutes=1):
         raise ValueError(f"SND needs at least one week of data, got {span}")

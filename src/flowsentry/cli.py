@@ -206,9 +206,8 @@ def _detector_config(args, annotated: detector.SeveritySeries) -> detector.Detec
         return detector.DetectorConfig("duration_threshold", duration_threshold_min=args.threshold)
     if args.percentile is None:
         raise UsageError("duration mode needs --threshold or --percentile")
-    probe = detector.DetectorConfig("duration_threshold", duration_threshold_min=float("inf"))
-    excursions, _ = detector.track_annotated(annotated, probe)
-    minutes = detector.duration_threshold_from_percentile([e.duration_min for e in excursions], args.percentile)
+    durations = detector.segment(annotated, detector.GAP_TERMINATION_MIN).duration
+    minutes = detector.duration_threshold_from_percentile(durations, args.percentile)
     print(f"duration threshold from percentile {args.percentile}: {minutes} min")
     return detector.DetectorConfig("duration_threshold", duration_threshold_min=minutes)
 
@@ -227,23 +226,23 @@ def cmd_detect(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    samples = _load_series(args.series, args.link)
+    stream = ingest.LinkSeries.from_samples(_load_series(args.series, args.link))
     labels = ingest.nonrecurrent_filter(ingest.parse_events(_require_file(args.events)))
-    labels = [lab for lab in labels if lab.link_id == samples[0].link_id]
+    labels = [lab for lab in labels if lab.link_id == stream.link_id]
     out = _out_dir(args.out)
     if args.detector == "dftb":
         if args.region is None:
             raise UsageError("dftb calibration needs --region")
         region = _load_region(args.region)
-        result = evaluation.calibrate_dftb(samples, region, labels)
+        result = evaluation.calibrate_dftb(stream, region, labels)
         payload = {"detector": "dftb", "severity_threshold": result.parameter}
     elif args.detector == "snd":
-        profile = baselines.snd_fit(samples, tz_offset_min=args.tz_offset)
-        result = evaluation.calibrate_snd(samples, profile, labels)
+        profile = baselines.snd_fit(stream, tz_offset_min=args.tz_offset)
+        result = evaluation.calibrate_snd(stream, profile, labels)
         payload = {"detector": "snd", "c": result.parameter}
         (out / "snd_profile.json").write_text(profile.to_json(), encoding="utf-8")
     else:
-        result = evaluation.calibrate_mcmaster(samples, labels)
+        result = evaluation.calibrate_mcmaster(stream, labels)
         payload = {"detector": "mcmaster", "params": asdict(result.parameter)}
     payload["training_score"] = {
         "dr": result.score.dr,

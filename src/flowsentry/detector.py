@@ -1,10 +1,13 @@
-"""Streaming excursion tracking, severity scoring, and DFTB flag emission.
+"""Excursion segmentation, severity scoring, and DFTB flag emission.
 
-One detector instance covers one link; samples must arrive in strictly
-increasing time order. A sample is usable when its density proxy exists;
-unusable samples never change state on their own, but once the run of
-missing minutes between usable samples reaches the gap-termination length,
-any open excursion is closed at its last observed minute.
+One stream covers one link, in strictly increasing time order. A sample is
+usable when its density proxy exists. ``annotate`` gives every usable minute
+its membership, exit side and severity; ``segment`` splits the usable
+exterior minutes into excursions once, as arrays, and flags of either mode
+are reductions over those excursions. Unusable minutes never start or end an
+excursion on their own, but once the run of missing minutes between two
+usable minutes reaches the gap-termination length, an excursion ends at its
+last observed minute.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ from .levelset import (
     with_normalizer,
 )
 
+GAP_TERMINATION_MIN = 2
+
 FLAGS_HEADER = ["link_id", "start", "end", "duration_min", "max_severity", "exit_side", "flagged"]
 
 
@@ -42,7 +47,7 @@ class DetectorConfig:
     mode: str  # "duration_threshold" or "severity_threshold"
     duration_threshold_min: float | None = None
     severity_threshold: float | None = None
-    gap_termination_min: int = 2
+    gap_termination_min: int = GAP_TERMINATION_MIN
 
     def __post_init__(self):
         if self.mode == "duration_threshold":
@@ -155,93 +160,94 @@ def track(
     region: TypicalRegion,
     config: DetectorConfig,
 ) -> tuple[list[ExcursionRecord], list[DftbFlag]]:
-    """Run the excursion state machine over a stream.
-
-    An excursion opens at the first exterior minute, extends while the side
-    stays the same, and closes at the first interior minute, at a side flip,
-    at a long-enough data gap, or at the end of the stream. Left-side
-    excursions are recorded but never flagged. In severity mode a flag opens
-    at the first minute at or above the threshold and persists to excursion
-    close; in duration mode the flag is retroactive and covers the whole
-    excursion when it lasted long enough.
-    """
+    """Excursions and flags of a stream; see ``segment`` and ``track_annotated``."""
     return track_annotated(annotate(LinkSeries.from_samples(samples), region), config)
 
 
+@dataclass(frozen=True)
+class Excursions:
+    """One stream's excursions as parallel arrays, in time order.
+
+    ``rows`` are the usable exterior rows of the stream and ``severity`` their
+    severities; excursion k covers ``rows[first[k]:first[k] + duration[k]]``.
+    """
+
+    rows: np.ndarray
+    severity: np.ndarray
+    first: np.ndarray
+    duration: np.ndarray
+    max_severity: np.ndarray
+    right: np.ndarray  # exit side is "right"
+
+    @property
+    def start(self) -> np.ndarray:
+        return self.rows[self.first]
+
+    @property
+    def end(self) -> np.ndarray:
+        return self.rows[self.first + self.duration - 1]
+
+    def onsets(self, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+        """Right-side excursions that reach ``threshold`` and the position in ``rows``
+        of each one's first minute at or above it."""
+        hit = np.where(self.severity >= threshold, np.arange(self.rows.size), self.rows.size)
+        onset = np.minimum.reduceat(hit, self.first) if self.first.size else self.first
+        flagged = np.flatnonzero(self.right & (onset < self.first + self.duration))
+        return flagged, onset[flagged]
+
+
+def segment(series: SeveritySeries, gap_termination_min: int) -> Excursions:
+    """Split the usable exterior minutes into excursions.
+
+    A usable exterior minute starts a new excursion when the previous usable
+    minute was interior (or there is none), when its exit side differs from
+    that minute's, or when the missing run between the two, measured on the
+    exact timestamps, is at least ``gap_termination_min`` minutes. Unusable
+    minutes count only through that gap, so durations count usable exterior
+    minutes, not the wall-clock span.
+    """
+    usable = np.flatnonzero(series.usable)
+    position = np.flatnonzero(series.exterior[usable])  # among the usable minutes
+    rows = usable[position]
+    right = series.side[rows] == "right"
+    joined = np.flatnonzero((np.diff(position) == 1) & (right[1:] == right[:-1])) + 1
+    stamps = np.array(series.timestamps, dtype=object)
+    waited_us = (stamps[rows[joined]] - stamps[rows[joined - 1]]).astype("timedelta64[us]").astype(np.int64)
+    continues = np.zeros(rows.size, dtype=bool)
+    continues[joined] = waited_us / 1e6 / 60.0 - 1.0 < gap_termination_min
+    first = np.flatnonzero(~continues)
+    severity = series.severity[rows]
+    duration = np.diff(np.append(first, rows.size))
+    max_severity = np.maximum.reduceat(severity, first) if first.size else severity
+    return Excursions(rows, severity, first, duration, max_severity, right[first])
+
+
 def track_annotated(series: SeveritySeries, config: DetectorConfig) -> tuple[list[ExcursionRecord], list[DftbFlag]]:
-    excursions: list[ExcursionRecord] = []
-    flags: list[DftbFlag] = []
+    """Excursion records of an annotated stream and the flags ``config`` raises.
 
-    open_side: str | None = None
-    start_idx = end_idx = -1
-    minute_count = 0
-    max_sev = 0.0
-    flag_idx: int | None = None
-    flag_sev = 0.0
-    flag_minutes = 0
-    last_usable: datetime | None = None
-    ts = series.timestamps
-
-    def close():
-        nonlocal open_side, start_idx, end_idx, minute_count, max_sev, flag_idx, flag_sev, flag_minutes
-        record = ExcursionRecord(
-            link_id=series.link_id,
-            start=ts[start_idx],
-            end=ts[end_idx],
-            duration_min=minute_count,
-            max_severity=max_sev,
-            exit_side=open_side,
-        )
-        excursions.append(record)
-        if open_side == "right":
-            if config.mode == "severity_threshold" and flag_idx is not None:
-                flags.append(
-                    DftbFlag(series.link_id, ts[flag_idx], ts[end_idx], flag_sev, flag_minutes, record)
-                )
-            elif config.mode == "duration_threshold" and minute_count >= config.duration_threshold_min:
-                flags.append(
-                    DftbFlag(series.link_id, ts[start_idx], ts[end_idx], max_sev, minute_count, record)
-                )
-        open_side = None
-        flag_idx = None
-        flag_sev = 0.0
-        flag_minutes = 0
-
-    for i in range(len(ts)):
-        if not series.usable[i]:
-            continue
-        if open_side is not None and last_usable is not None:
-            missing_run = (ts[i] - last_usable).total_seconds() / 60.0 - 1.0
-            if missing_run >= config.gap_termination_min:
-                close()
-        last_usable = ts[i]
-        if series.exterior[i]:
-            this_side = series.side[i]
-            if open_side is not None and this_side != open_side:
-                close()
-            if open_side is None:
-                open_side = this_side
-                start_idx = i
-                minute_count = 0
-                max_sev = 0.0
-            end_idx = i
-            minute_count += 1
-            max_sev = max(max_sev, float(series.severity[i]))
-            if (
-                open_side == "right"
-                and config.mode == "severity_threshold"
-                and flag_idx is None
-                and series.severity[i] >= config.severity_threshold
-            ):
-                flag_idx = i
-                flag_sev = float(series.severity[i])
-            if flag_idx is not None:
-                flag_minutes += 1
-        else:
-            if open_side is not None:
-                close()
-    if open_side is not None:
-        close()
+    Left-side excursions are recorded but never flagged. In severity mode a
+    flag opens at the first minute at or above the threshold and persists to
+    the excursion's end; in duration mode the flag is retroactive and covers
+    the whole excursion when it lasted long enough.
+    """
+    found = segment(series, config.gap_termination_min)
+    ts, link = series.timestamps, series.link_id
+    columns = (found.start, found.end, found.duration, found.max_severity, found.right)
+    excursions = [
+        ExcursionRecord(link, ts[a], ts[b], d, m, "right" if r else "left")
+        for a, b, d, m, r in zip(*(c.tolist() for c in columns))
+    ]
+    if config.mode == "duration_threshold":
+        chosen = np.flatnonzero(found.right & (found.duration >= config.duration_threshold_min))
+        return excursions, [
+            DftbFlag(link, e.start, e.end, e.max_severity, e.duration_min, e) for e in (excursions[k] for k in chosen)
+        ]
+    flagged, onset = found.onsets(config.severity_threshold)
+    columns = (flagged, found.rows[onset], found.severity[onset], found.first[flagged] + found.duration[flagged] - onset)
+    flags = [
+        DftbFlag(link, ts[row], excursions[k].end, sev, minutes, excursions[k])
+        for k, row, sev, minutes in zip(*(c.tolist() for c in columns))
+    ]
     return excursions, flags
 
 

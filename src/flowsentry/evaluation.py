@@ -62,10 +62,6 @@ def interval_minutes(intervals: Iterable[Interval]) -> set[int]:
     return out
 
 
-def _overlaps(flag: Interval, label: EventLabel, grace_min: float) -> bool:
-    return flag[0] <= label.end + timedelta(minutes=grace_min) and flag[1] >= label.start
-
-
 def _detection_lags(flags: Sequence[Interval], labels: Sequence[EventLabel], grace_min: float) -> list[float | None]:
     """Minutes from each label's start to its first flagged minute (clamped at 0), or None when no flag overlaps it."""
     lags = []
@@ -89,11 +85,6 @@ def _mean_time_to_detect(lags: list[float | None]) -> float:
     return float(np.mean(detected))
 
 
-def detection_rate(flags: Sequence[Interval], labels: Sequence[EventLabel], grace_min: float = 0.0) -> float:
-    """Percent of labelled events overlapped by at least one flag interval."""
-    return _detection_rate(_detection_lags(flags, labels, grace_min))
-
-
 def false_alarm_rate(flags: Sequence[Interval], labels: Sequence[EventLabel], n_applications: int) -> float:
     """Percent of applications whose flagged minute overlaps no label."""
     if n_applications <= 0:
@@ -101,11 +92,6 @@ def false_alarm_rate(flags: Sequence[Interval], labels: Sequence[EventLabel], n_
     flagged = interval_minutes(flags)
     labelled = interval_minutes([(lab.start, lab.end) for lab in labels])
     return 100.0 * len(flagged - labelled) / n_applications
-
-
-def mean_time_to_detect(flags: Sequence[Interval], labels: Sequence[EventLabel], grace_min: float = 0.0) -> float:
-    """Mean minutes from event start to its first flagged minute (clamped at 0)."""
-    return _mean_time_to_detect(_detection_lags(flags, labels, grace_min))
 
 
 def performance_index(dr: float, far: float, mttd: float) -> float:
@@ -389,38 +375,37 @@ def quantile_regression_quadratic(density: np.ndarray, flow: np.ndarray, tau: fl
 # --- detector-family calibration -----------------------------------------------------
 
 
-def dftb_score_fn(samples, region, labels: Sequence[EventLabel], gap_termination_min: int = 2):
-    """Score function over severity thresholds; annotations computed once."""
-    from .detector import DetectorConfig, annotate, track_annotated
+def dftb_score_fn(stream: LinkSeries, region, labels: Sequence[EventLabel], gap_termination_min: int = 2):
+    """Score function over severity thresholds; the stream is annotated and segmented once."""
+    from .detector import annotate, segment
 
-    series = annotate(LinkSeries.from_samples(samples), region)
+    series = annotate(stream, region)
+    found = segment(series, gap_termination_min)
+    stamps = np.array(series.timestamps, dtype=object)
+    end = stamps[found.end]
     n_applications = int(series.usable.sum())
 
     def score(threshold: float) -> DetectorScore:
-        config = DetectorConfig(
-            "severity_threshold", severity_threshold=threshold, gap_termination_min=gap_termination_min
-        )
-        _, flags = track_annotated(series, config)
-        return score_detector([(f.timestamp, f.end) for f in flags], labels, n_applications)
+        flagged, onset = found.onsets(threshold)
+        return score_detector(list(zip(stamps[found.rows[onset]], end[flagged])), labels, n_applications)
 
     return score
 
 
 def calibrate_dftb(
-    samples,
+    stream: LinkSeries,
     region,
     labels: Sequence[EventLabel],
     grid: Sequence[float] = DFTB_THRESHOLD_GRID,
     gap_termination_min: int = 2,
 ) -> CalibrationResult:
     """Severity-threshold sweep minimising PI against the training labels."""
-    return calibrate(list(grid), dftb_score_fn(samples, region, labels, gap_termination_min))
+    return calibrate(list(grid), dftb_score_fn(stream, region, labels, gap_termination_min))
 
 
-def snd_score_fn(samples, profile, labels: Sequence[EventLabel]):
+def snd_score_fn(stream: LinkSeries, profile, labels: Sequence[EventLabel]):
     from .baselines import snd_detect
 
-    stream = LinkSeries.from_samples(samples)
     n_applications = int(np.count_nonzero(~np.isnan(stream.speed)))
 
     def score(c: float) -> DetectorScore:
@@ -429,16 +414,17 @@ def snd_score_fn(samples, profile, labels: Sequence[EventLabel]):
     return score
 
 
-def calibrate_snd(samples, profile, labels: Sequence[EventLabel], grid: Sequence[float] = SND_C_GRID) -> CalibrationResult:
+def calibrate_snd(
+    stream: LinkSeries, profile, labels: Sequence[EventLabel], grid: Sequence[float] = SND_C_GRID
+) -> CalibrationResult:
     """Sweep of the robust threshold multiplier c minimising PI."""
-    return calibrate(list(grid), snd_score_fn(samples, profile, labels))
+    return calibrate(list(grid), snd_score_fn(stream, profile, labels))
 
 
-def calibrate_mcmaster(samples, labels: Sequence[EventLabel]) -> CalibrationResult:
+def calibrate_mcmaster(stream: LinkSeries, labels: Sequence[EventLabel]) -> CalibrationResult:
     """Coarse-to-fine PI minimisation over the 5 segmentation parameters."""
     from .baselines import mcmaster_detect
 
-    stream = LinkSeries.from_samples(samples)
     n_applications = int(stream.usable.sum())
 
     def score(params: McMasterParams) -> DetectorScore:

@@ -254,7 +254,7 @@ def _fit_and_calibrate(train, train_labels):
     pts = np.array([(s.density, s.flow) for s in train if s.has_density])
     region = fit_typical_region(pts, RegionConfig(alpha=0.05), resolution=(256, 256))
     region = calibrate_normalizer(region, pts)
-    calibration = ev.calibrate_dftb(train, region, train_labels)
+    calibration = ev.calibrate_dftb(LinkSeries.from_samples(train), region, train_labels)
     return region, calibration
 
 
@@ -267,8 +267,9 @@ def _dftb_test_score(test, test_labels, region, threshold):
 def _snd_test_score(train, test, train_labels, test_labels):
     from flowsentry.baselines import snd_fit
 
-    profile = snd_fit(train)
-    calibration = ev.calibrate_snd(train, profile, train_labels)
+    stream = LinkSeries.from_samples(train)
+    profile = snd_fit(stream)
+    calibration = ev.calibrate_snd(stream, profile, train_labels)
     alarms = snd_detect(LinkSeries.from_samples(test), profile, calibration.parameter)
     n_applications = sum(1 for s in test if s.speed is not None)
     return ev.score_detector(alarms, test_labels, n_applications)

@@ -15,7 +15,7 @@ from flowsentry.baselines import (
     snd_detect,
     snd_fit,
     snd_thresholds,
-    weekly_bin,
+    weekly_bins,
 )
 from flowsentry.ingest import LinkSeries, TrafficSample
 
@@ -24,6 +24,16 @@ MONDAY = datetime(2017, 4, 3, tzinfo=timezone.utc)  # a Monday
 
 def speed_sample(ts, speed, link="L1"):
     return TrafficSample(link, ts, speed, 1000.0)
+
+
+def weekly_bin(ts, tz_offset_min=0):
+    """Calendar formula (the oracle of ``weekly_bins``): weekday * 96 + quarter-hour of the local day."""
+    local = ts + timedelta(minutes=tz_offset_min)
+    return local.weekday() * 96 + (local.hour * 60 + local.minute) // 15
+
+
+def epoch_minute(ts):
+    return int(ts.timestamp() // 60)
 
 
 def profile_with_bin(bin_index, stats):
@@ -41,28 +51,28 @@ def test_cap_speed_is_exact():
 
 
 def test_weekly_bin_layout():
-    assert weekly_bin(MONDAY) == 0
-    assert weekly_bin(MONDAY + timedelta(minutes=14)) == 0
-    assert weekly_bin(MONDAY + timedelta(minutes=15)) == 1
-    assert weekly_bin(MONDAY + timedelta(days=6, hours=23, minutes=45)) == BINS_PER_WEEK - 1
+    assert weekly_bins(epoch_minute(MONDAY)) == 0
+    assert weekly_bins(epoch_minute(MONDAY + timedelta(minutes=14))) == 0
+    assert weekly_bins(epoch_minute(MONDAY + timedelta(minutes=15))) == 1
+    assert weekly_bins(epoch_minute(MONDAY + timedelta(days=6, hours=23, minutes=45))) == BINS_PER_WEEK - 1
 
 
 def test_weekly_bin_tz_offset():
     # 23:50 UTC with +60 offset is 00:50 local on the next day
     ts = MONDAY + timedelta(hours=23, minutes=50)
-    assert weekly_bin(ts, tz_offset_min=60) == 1 * 96 + 3
+    assert weekly_bins(epoch_minute(ts), tz_offset_min=60) == 1 * 96 + 3
 
 
 def test_snd_fit_bin_statistics():
     speeds = [100, 102, 98, 101, 99, 100, 100, 100]
     samples = [speed_sample(MONDAY + timedelta(hours=8, minutes=k), v) for k, v in enumerate(speeds)]
     samples.append(speed_sample(MONDAY + timedelta(days=7, hours=8), 90))
-    profile = snd_fit(samples)
+    profile = snd_fit(LinkSeries.from_samples(samples))
     stats = profile.bins[weekly_bin(MONDAY + timedelta(hours=8))]
     assert stats.count == 9  # the week-later sample falls in the same weekly bin
     # use only the main window for the arithmetic check
     samples8 = samples[:8] + [speed_sample(MONDAY + timedelta(days=7, hours=9), 90)]
-    stats8 = snd_fit(samples8).bins[weekly_bin(MONDAY + timedelta(hours=8))]
+    stats8 = snd_fit(LinkSeries.from_samples(samples8)).bins[weekly_bin(MONDAY + timedelta(hours=8))]
     assert stats8.count == 8
     assert stats8.median == pytest.approx(100.0)
     # type-7 quartiles: Q1 = 99.75, Q3 = 100.25 on the sorted speeds
@@ -73,12 +83,12 @@ def test_snd_fit_bin_statistics():
 def test_snd_fit_needs_a_week():
     samples = [speed_sample(MONDAY + timedelta(minutes=k), 100) for k in range(100)]
     with pytest.raises(ValueError, match="week"):
-        snd_fit(samples)
+        snd_fit(LinkSeries.from_samples(samples))
 
 
 def test_empty_bin_unusable():
     samples = [speed_sample(MONDAY + timedelta(days=7 * w, hours=8, minutes=m), 100) for w in range(2) for m in range(8)]
-    profile = snd_fit(samples)
+    profile = snd_fit(LinkSeries.from_samples(samples))
     noon = weekly_bin(MONDAY + timedelta(hours=12))
     assert np.isnan(snd_thresholds(profile, 1.0)[noon])
 
@@ -86,7 +96,7 @@ def test_empty_bin_unusable():
 def test_constant_bin_zero_spread():
     samples = [speed_sample(MONDAY + timedelta(hours=8, minutes=m), 100) for m in range(8)]
     samples.append(speed_sample(MONDAY + timedelta(days=7, hours=8, minutes=14), 100))
-    stats = snd_fit(samples).bins[weekly_bin(MONDAY + timedelta(hours=8))]
+    stats = snd_fit(LinkSeries.from_samples(samples)).bins[weekly_bin(MONDAY + timedelta(hours=8))]
     assert stats.iqr == 0.0
     assert stats.mad == 0.0
 
@@ -95,7 +105,7 @@ def test_profile_json_round_trip():
     speeds = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 100.0, 100.0]
     samples = [speed_sample(MONDAY + timedelta(hours=8, minutes=k), v) for k, v in enumerate(speeds)]
     samples.append(speed_sample(MONDAY + timedelta(days=7, hours=8), 90.0))
-    profile = snd_fit(samples)
+    profile = snd_fit(LinkSeries.from_samples(samples))
     back = SndProfile.from_json(profile.to_json())
     idx = weekly_bin(MONDAY + timedelta(hours=8))
     assert back.bins[idx] == profile.bins[idx]
@@ -325,12 +335,6 @@ def test_mcmaster_detect_matches_replay_oracle():
 # --- array baselines against per-sample oracles -------------------------------------
 
 
-def weekly_bin_oracle(ts, tz_offset_min):
-    """Calendar formula: weekday * 96 + quarter-hour of the local day."""
-    local = ts + timedelta(minutes=tz_offset_min)
-    return local.weekday() * 96 + (local.hour * 60 + local.minute) // 15
-
-
 VARIANT_FIELDS = {"mean_sd": ("mean", "sd"), "median_iqr": ("median", "iqr"), "median_mad": ("median", "mad")}
 
 
@@ -423,7 +427,7 @@ def test_snd_detect_matches_per_minute_oracle(samples, c, variant, data):
     profile = data.draw(snd_profiles([s.speed for s in samples if s.speed is not None]))
     hits = []
     for s in samples:
-        thr = snd_threshold_oracle(profile, weekly_bin_oracle(s.timestamp, profile.tz_offset_min), c, variant)
+        thr = snd_threshold_oracle(profile, weekly_bin(s.timestamp, profile.tz_offset_min), c, variant)
         hits.append(s.speed is not None and thr is not None and s.speed < thr)
     expected = persistence_oracle([s.timestamp for s in samples], hits)
     assert snd_detect(LinkSeries.from_samples(samples), profile, c, variant) == expected
@@ -461,12 +465,12 @@ def test_snd_fit_matches_per_sample_oracle(samples, tz_offset_min):
     speeds = [[] for _ in range(BINS_PER_WEEK)]
     for s in samples:
         if s.speed is not None:
-            speeds[weekly_bin_oracle(s.timestamp, tz_offset_min)].append(s.speed)
+            speeds[weekly_bin(s.timestamp, tz_offset_min)].append(s.speed)
     expected = SndProfile(tuple(bin_stats_oracle(v) for v in speeds), tz_offset_min=tz_offset_min)
-    assert snd_fit(samples, tz_offset_min).to_json() == expected.to_json()
+    assert snd_fit(LinkSeries.from_samples(samples), tz_offset_min).to_json() == expected.to_json()
 
 
 @given(ts=st.datetimes(datetime(1990, 1, 1), datetime(2040, 1, 1), timezones=st.just(timezone.utc)),
        tz_offset_min=st.integers(-720, 840))
 def test_weekly_bin_matches_calendar_formula(ts, tz_offset_min):
-    assert weekly_bin(ts, tz_offset_min) == weekly_bin_oracle(ts, tz_offset_min)
+    assert weekly_bins(epoch_minute(ts), tz_offset_min) == weekly_bin(ts, tz_offset_min)

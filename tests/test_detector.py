@@ -3,9 +3,15 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from flowsentry import evaluation as ev
 from flowsentry.detector import (
     DetectorConfig,
+    DftbFlag,
+    ExcursionRecord,
+    SeveritySeries,
     UncalibratedRegionError,
     annotate,
     calibrate_normalizer,
@@ -13,10 +19,11 @@ from flowsentry.detector import (
     read_flags_csv,
     severity,
     track,
+    track_annotated,
     write_excursions_csv,
     write_flags_csv,
 )
-from flowsentry.ingest import LinkSeries, TrafficSample
+from flowsentry.ingest import EventLabel, LinkSeries, TrafficSample
 from flowsentry.levelset import TypicalRegion, contains
 
 T0 = datetime(2017, 4, 3, 8, 0, tzinfo=timezone.utc)
@@ -307,3 +314,179 @@ def test_flags_csv_round_trip():
     frows = read_flags_csv(io.StringIO(buf2.getvalue()))
     assert frows[0].start == flags[0].timestamp
     assert frows[0].end == flags[0].end
+
+
+# --- segmentation against the per-minute replay -------------------------------------
+
+
+def track_annotated_oracle(series, config):
+    """Per-minute replay of the excursion state machine, one usable minute at a time."""
+    excursions = []
+    flags = []
+
+    open_side = None
+    start_idx = end_idx = -1
+    minute_count = 0
+    max_sev = 0.0
+    flag_idx = None
+    flag_sev = 0.0
+    flag_minutes = 0
+    last_usable = None
+    ts = series.timestamps
+
+    def close():
+        nonlocal open_side, flag_idx, flag_sev, flag_minutes
+        record = ExcursionRecord(series.link_id, ts[start_idx], ts[end_idx], minute_count, max_sev, open_side)
+        excursions.append(record)
+        if open_side == "right":
+            if config.mode == "severity_threshold" and flag_idx is not None:
+                flags.append(DftbFlag(series.link_id, ts[flag_idx], ts[end_idx], flag_sev, flag_minutes, record))
+            elif config.mode == "duration_threshold" and minute_count >= config.duration_threshold_min:
+                flags.append(DftbFlag(series.link_id, ts[start_idx], ts[end_idx], max_sev, minute_count, record))
+        open_side = None
+        flag_idx = None
+        flag_sev = 0.0
+        flag_minutes = 0
+
+    for i in range(len(ts)):
+        if not series.usable[i]:
+            continue
+        if open_side is not None and last_usable is not None:
+            missing_run = (ts[i] - last_usable).total_seconds() / 60.0 - 1.0
+            if missing_run >= config.gap_termination_min:
+                close()
+        last_usable = ts[i]
+        if series.exterior[i]:
+            this_side = series.side[i]
+            if open_side is not None and this_side != open_side:
+                close()
+            if open_side is None:
+                open_side = this_side
+                start_idx = i
+                minute_count = 0
+                max_sev = 0.0
+            end_idx = i
+            minute_count += 1
+            max_sev = max(max_sev, float(series.severity[i]))
+            if (
+                open_side == "right"
+                and config.mode == "severity_threshold"
+                and flag_idx is None
+                and series.severity[i] >= config.severity_threshold
+            ):
+                flag_idx = i
+                flag_sev = float(series.severity[i])
+            if flag_idx is not None:
+                flag_minutes += 1
+        elif open_side is not None:
+            close()
+    if open_side is not None:
+        close()
+    return excursions, flags
+
+
+R, L, I, M = "right", "left", "interior", "missing"
+
+# A row is (seconds since the previous row, extra microseconds, state, severity); the
+# first row's step is the stream's offset from T0, so streams start off the minute too.
+STEPS = st.sampled_from([1, 30, 59, 60, 60, 60, 60, 61, 90, 119, 120, 121, 179, 180, 181, 240, 241, 600])
+SEVERITIES = st.sampled_from([0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 1.0, 2.0]) | st.floats(1e-3, 3.0)
+THRESHOLDS = st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.25, 0.3, 0.5, 1.0, 2.0, 5.0]) | st.floats(0.0, 3.0)
+ROWS = st.lists(
+    st.tuples(STEPS, st.sampled_from([0, 0, 1, 999_999]), st.sampled_from([M, I, L, R]), SEVERITIES),
+    min_size=1,
+    max_size=60,
+)
+
+
+def severity_series(rows):
+    timestamps, t = [], T0
+    for seconds, micros, _, _ in rows:
+        t += timedelta(seconds=seconds, microseconds=micros)
+        timestamps.append(t)
+    states = np.array([state for _, _, state, _ in rows])
+    exterior = (states == L) | (states == R)
+    return SeveritySeries(
+        "L1",
+        tuple(timestamps),
+        states != M,
+        exterior,
+        np.where(exterior, states, "").astype(object),
+        np.where(exterior, [sev for _, _, _, sev in rows], 0.0),
+    )
+
+
+def rows_of(*states, step=60, sev=0.25):
+    return [(step, 0, state, sev) for state in states]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=ROWS, gap=st.integers(1, 3), threshold=THRESHOLDS, duration=st.integers(0, 6))
+# a missing run of exactly the gap ends the excursion, one minute less does not
+@example(rows=rows_of(R) + [(180, 0, R, 0.3), (120, 0, R, 0.3)], gap=2, threshold=0.25, duration=2)
+@example(rows=rows_of(R, M, M, R, M, R), gap=2, threshold=0.25, duration=2)
+# 00:00:59 -> 00:02:00 is a missing run of 1/60 min, though the floored minutes differ by 2
+@example(rows=[(59, 0, R, 0.3), (61, 0, R, 0.3)], gap=1, threshold=0.25, duration=2)
+@example(rows=[(59, 0, R, 0.3), (120, 1, R, 0.3), (119, 999_999, R, 0.3)], gap=1, threshold=0.25, duration=2)
+# side flips with no interior minute between them
+@example(rows=rows_of(R, L, R, R, L, L), gap=2, threshold=0.25, duration=1)
+# severities equal to the threshold, in both the onset and a later minute
+@example(rows=[(60, 0, R, 0.1), (60, 0, R, 0.25), (60, 0, R, 0.25), (60, 0, I, 0.0)], gap=2, threshold=0.25,
+         duration=3)
+# streams that start and end inside an excursion
+@example(rows=rows_of(R, R, I, L, L), gap=2, threshold=0.25, duration=2)
+@example(rows=rows_of(I, R, R), gap=2, threshold=0.25, duration=2)
+# no usable minutes, no exterior minutes
+@example(rows=rows_of(M, M, M), gap=2, threshold=0.25, duration=0)
+@example(rows=rows_of(I, M, I), gap=1, threshold=0.0, duration=0)
+def test_track_annotated_matches_replay_oracle(rows, gap, threshold, duration):
+    series = severity_series(rows)
+    for config in (
+        DetectorConfig("severity_threshold", severity_threshold=threshold, gap_termination_min=gap),
+        DetectorConfig("duration_threshold", duration_threshold_min=duration, gap_termination_min=gap),
+    ):
+        assert track_annotated(series, config) == track_annotated_oracle(series, config)
+
+
+def scaled_sample(seconds, state, sev):
+    """A missing minute, or a point inside the unit square, above-left of it, or ``sev`` to its right.
+
+    Right points have speed 0.25, so their density 4 * flow is exactly 1 + sev."""
+    ts = T0 + timedelta(seconds=seconds)
+    speed, flow = {M: (0.0, 0.0), I: (1.0, 0.5), L: (6.0, 1.5), R: (0.25, (1.0 + sev) / 4.0)}[state]
+    return TrafficSample("L1", ts, speed, flow)
+
+
+# Severities on a dyadic grid are exact distances, so some equal a calibration threshold.
+SWEEP_ROWS = st.lists(
+    st.tuples(STEPS, st.sampled_from([M, I, L, R, R]), st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 0.125])),
+    min_size=1,
+    max_size=80,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=SWEEP_ROWS, gap=st.integers(1, 3), label_rows=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 10)),
+                                                                      min_size=1, max_size=4))
+@example(rows=[(60, R, 0.25), (180, R, 0.5), (60, I, 0.0), (60, R, 1.5)], gap=2, label_rows=[(0, 3)])
+def test_dftb_sweep_matches_replay_oracle(rows, gap, label_rows):
+    samples, seconds = [], 0
+    for step, state, sev in rows:
+        seconds += step
+        samples.append(scaled_sample(seconds, state, sev))
+    stream = LinkSeries.from_samples(samples)
+    if not stream.usable.any():
+        return
+    span = [s.timestamp for s in samples]
+    labels = [
+        EventLabel("L1", "accident", span[min(a, len(span) - 1)], span[min(a + b, len(span) - 1)])
+        for a, b in label_rows
+    ]
+    r = region()
+    series = annotate(stream, r)
+    score = ev.dftb_score_fn(stream, r, labels, gap)
+    for threshold in ev.DFTB_THRESHOLD_GRID:
+        config = DetectorConfig("severity_threshold", severity_threshold=threshold, gap_termination_min=gap)
+        _, flags = track_annotated_oracle(series, config)
+        expected = ev.score_detector([(f.timestamp, f.end) for f in flags], labels, int(series.usable.sum()))
+        assert score(threshold) == expected

@@ -20,38 +20,47 @@ def label(start_min, end_min, category="accident"):
     return EventLabel("L1", category, T0 + timedelta(minutes=start_min), T0 + timedelta(minutes=end_min))
 
 
+def score(flags, labels, grace_min=0.0):
+    return ev.score_detector(flags, labels, 10_000, grace_min)
+
+
+def overlaps(flag, lab, grace_min):
+    """Oracle: a flag interval meets a label extended by the grace window."""
+    return flag[0] <= lab.end + timedelta(minutes=grace_min) and flag[1] >= lab.start
+
+
 # --- detection rate ---------------------------------------------------------------
 
 
 def test_detection_rate_all_detected():
     labels = [label(0, 10), label(100, 120)]
     flags = [interval(5, 7), interval(110, 111)]
-    assert ev.detection_rate(flags, labels) == 100.0
+    assert score(flags, labels).dr == 100.0
 
 
 def test_detection_rate_half_detected():
     labels = [label(0, 10), label(100, 120)]
-    assert ev.detection_rate([interval(5, 7)], labels) == 50.0
+    assert score([interval(5, 7)], labels).dr == 50.0
 
 
 def test_detection_rate_flag_after_event_misses():
     labels = [label(0, 10)]
-    assert ev.detection_rate([interval(11, 15)], labels) == 0.0
+    assert score([interval(11, 15)], labels).dr == 0.0
     # a grace window extends the match region past the event end
-    assert ev.detection_rate([interval(11, 15)], labels, grace_min=1) == 100.0
+    assert score([interval(11, 15)], labels, grace_min=1).dr == 100.0
 
 
 def test_detection_rate_zero_labels_undefined():
     with pytest.raises(ev.UndefinedMetricError):
-        ev.detection_rate([interval(0, 5)], [])
+        score([interval(0, 5)], [])
 
 
 def test_detection_plus_undetected_is_total():
     rng = np.random.default_rng(0)
     labels = [label(int(s), int(s) + 10) for s in rng.choice(5000, size=20, replace=False)]
     flags = [interval(int(s), int(s) + 3) for s in rng.choice(5000, size=30, replace=False)]
-    dr = ev.detection_rate(flags, labels)
-    undetected = 100.0 * sum(1 for lab in labels if not any(ev._overlaps(f, lab, 0) for f in flags)) / len(labels)
+    dr = score(flags, labels).dr
+    undetected = 100.0 * sum(1 for lab in labels if not any(overlaps(f, lab, 0) for f in flags)) / len(labels)
     assert dr + undetected == pytest.approx(100.0)
 
 
@@ -80,27 +89,26 @@ def test_far_zero_applications_error():
 
 
 def test_mttd_simple_lag():
-    assert ev.mean_time_to_detect([interval(5, 9)], [label(0, 30)]) == 5.0
+    assert score([interval(5, 9)], [label(0, 30)]).mttd == 5.0
 
 
 def test_mttd_detection_at_start():
-    assert ev.mean_time_to_detect([interval(0, 3)], [label(0, 30)]) == 0.0
+    assert score([interval(0, 3)], [label(0, 30)]).mttd == 0.0
 
 
 def test_mttd_mean_of_lags():
     labels = [label(0, 30), label(100, 130)]
     flags = [interval(4, 6), interval(106, 110)]
-    assert ev.mean_time_to_detect(flags, labels) == 5.0
+    assert score(flags, labels).mttd == 5.0
 
 
 def test_mttd_clamps_early_flags():
     # flag opens before the event but overlaps it
-    assert ev.mean_time_to_detect([interval(-10, 5)], [label(0, 30)]) == 0.0
+    assert score([interval(-10, 5)], [label(0, 30)]).mttd == 0.0
 
 
 def test_mttd_zero_detected_undefined():
-    with pytest.raises(ev.UndefinedMetricError):
-        ev.mean_time_to_detect([], [label(0, 10)])
+    assert score([], [label(0, 10)]).mttd is None
 
 
 # --- performance index ------------------------------------------------------------
@@ -322,3 +330,49 @@ def test_quantile_regression_sits_near_requested_quantile():
     a, b, c = ev.quantile_regression_quadratic(rho, flow, tau=0.05)
     below = np.mean(flow < a + b * rho + c * rho**2)
     assert 0.02 <= below <= 0.09
+
+
+# --- applications per detector ------------------------------------------------------
+
+
+def test_application_counts_per_detector(monkeypatch):
+    from flowsentry.baselines import BINS_PER_WEEK, BinStats, SndProfile, mcmaster_detect
+    from flowsentry.ingest import LinkSeries, TrafficSample
+    from flowsentry.levelset import TypicalRegion
+
+    normal = [(100.0 - k % 10, 1000.0 + 10.0 * (k % 7)) for k in range(20)]  # inside the region
+    blocks = [
+        normal * 6,  # rows 0-119: speed and density
+        [(50.0, None)] * 10,  # 120-129: a speed but no flow
+        [(0.0, 500.0)] * 5,  # 130-134: zero speed, so no density
+        [(None, 800.0)] * 5,  # 135-139: neither
+        [(100.0, 3000.0)] * 5,  # 140-144: right of the region, labelled
+        normal,  # 145-164
+        [(100.0, 3000.0)] * 3,  # 165-167: right of the region, unlabelled
+        normal,  # 168-187
+    ]
+    rows = [row for block in blocks for row in block]
+    samples = [TrafficSample("L1", T0 + timedelta(minutes=k), v, f) for k, (v, f) in enumerate(rows)]
+    stream = LinkSeries.from_samples(samples)
+    labels = [label(140, 144)]
+    with_speed, with_density = 120 + 10 + 5 + 5 + 20 + 3 + 20, 120 + 5 + 20 + 3 + 20
+    assert (with_speed, with_density) == (183, 168)
+
+    # SND alarms on rows 120-134 (15 unlabelled minutes below the 72.4 km/h cap)
+    profile = SndProfile((BinStats(10, 100.0, 100.0, 0.0, 0.0, 0.0),) * BINS_PER_WEEK)
+    assert ev.snd_score_fn(stream, profile, labels)(1.0).far == 100.0 * 15 / with_speed
+
+    # DFTB flags rows 140-144 and 165-167; only the last 3 minutes are unlabelled
+    box = np.array([[0.0, 0.0], [20.0, 0.0], [20.0, 2000.0], [0.0, 2000.0], [0.0, 0.0]])
+    region = TypicalRegion(
+        z_star=0.5, alpha=0.05, polygons=(box,), scale_rho=1.0, scale_f=100.0, max_training_distance=1.0
+    )
+    assert ev.dftb_score_fn(stream, region, labels)(0.5).far == 100.0 * 3 / with_density
+
+    applications = []
+    score_detector = ev.score_detector
+    monkeypatch.setattr(ev, "score_detector", lambda f, lab, n: applications.append(n) or score_detector(f, lab, n))
+    result = ev.calibrate_mcmaster(stream, labels)
+    assert set(applications) == {with_density}
+    flagged = ev.interval_minutes(mcmaster_detect(stream, result.parameter)) - ev.interval_minutes([interval(140, 144)])
+    assert result.score.far == 100.0 * len(flagged) / with_density

@@ -12,11 +12,14 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flowsentry.cli import main
+from flowsentry.detector import DetectorConfig, annotate, track_annotated
 from flowsentry.evaluation import McMasterParams
 from flowsentry.ingest import LinkSeries, parse_series
+from flowsentry.levelset import TypicalRegion
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -90,3 +93,18 @@ def test_scan_hook_reads_the_stream_length(tracer, workdir, name):
     recorder = tracer.Recorder()
     tracer.HOOKS[f"baselines.{name}"](recorder, (stream,), {}, [])
     assert recorder.counts["baselines.minutes_scanned"] == len(stream) == 7 * 24 * 60
+
+
+def test_track_hook_counts_excursions_and_flags(tracer, workdir):
+    stream = LinkSeries.from_samples(parse_series(workdir / "link" / "series.csv"))
+    (r0, r1), (f0, f1) = (np.percentile(column, [10, 90]) for column in stream.points.T)
+    box = np.array([[r0, f0], [r1, f0], [r1, f1], [r0, f1], [r0, f0]])
+    region = TypicalRegion(
+        z_star=1.0, alpha=0.05, polygons=(box,), scale_rho=1.0, scale_f=1.0, max_training_distance=1.0
+    )
+    result = track_annotated(annotate(stream, region), DetectorConfig("severity_threshold", severity_threshold=0.2))
+    excursions, flags = result
+    assert excursions and flags
+    recorder = tracer.Recorder()
+    tracer.HOOKS["detector.track_annotated"](recorder, (), {}, result)
+    assert recorder.counts == {"detector.excursions": len(excursions), "detector.flags": len(flags)}

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from flowsentry import simgen
-from flowsentry.baselines import weekly_bin
-from flowsentry.ingest import write_series
+from flowsentry.baselines import weekly_bins
+from flowsentry.ingest import LinkSeries, write_series
 from flowsentry.levelset import RegionConfig, contains_many, fit_typical_region
 from flowsentry.simgen import (
     SERIES_START,
@@ -89,8 +89,8 @@ def test_bottleneck_creates_bimodal_weekly_bin():
     cfg = ScenarioConfig(seed=23, weeks=6, bottleneck=BottleneckSpec())
     samples, _ = generate(cfg)
     by_bin: dict[int, list[float]] = {}
-    for s in samples:
-        by_bin.setdefault(weekly_bin(s.timestamp), []).append(s.speed)
+    for s, b in zip(samples, weekly_bins(LinkSeries.from_samples(samples).minutes).tolist()):
+        by_bin.setdefault(b, []).append(s.speed)
     best = 0.0
     for speeds in by_bin.values():
         hist, edges = np.histogram(np.asarray(speeds), bins=24)
