@@ -1,18 +1,28 @@
 """Typical-region learning and anomaly flagging for link-level traffic data.
 
-The pipeline: parse minute-resolution speed/flow series (``ingest``), fit a
-bivariate kernel density estimate of the density-flow cloud (``kde``),
-extract the level curve enclosing 1 - alpha probability mass (``levelset``),
-stream new data against that region to raise severity-ranked deviation flags
-(``detector``), and benchmark against robust-SND and McMaster-style
-baselines (``baselines``, ``evaluation``). ``simgen`` generates labelled
-synthetic links for desk-scale validation; ``cli`` wires everything.
+The pipeline: read minute-resolution speed/flow series into per-link columns
+(``ingest``), fit a bivariate kernel density estimate of the density-flow
+cloud (``kde``), extract the level curve enclosing 1 - alpha probability
+mass (``levelset``), stream new data against that region to raise
+severity-ranked deviation flags (``detector``), and benchmark against
+robust-SND and McMaster-style baselines (``baselines``, ``evaluation``).
+``simgen`` generates labelled synthetic links for desk-scale validation;
+``cli`` wires everything.
 """
 
 __version__ = "0.1.0"
 
 from .detector import DetectorConfig, DftbFlag, ExcursionRecord, calibrate_normalizer, severity, track
-from .ingest import EventLabel, LinkMeta, TrafficSample, nonrecurrent_filter, parse_events, parse_series
+from .ingest import (
+    EventLabel,
+    LinkMeta,
+    LinkSeries,
+    TrafficSample,
+    nonrecurrent_filter,
+    parse_events,
+    parse_series,
+    read_series,
+)
 from .kde import BandwidthMatrix, DensityGrid, DensityModel, evaluate, evaluate_grid, fit, select_bandwidth
 from .levelset import (
     RegionConfig,
@@ -34,6 +44,7 @@ __all__ = [
     "EventLabel",
     "ExcursionRecord",
     "LinkMeta",
+    "LinkSeries",
     "RegionConfig",
     "TrafficSample",
     "TypicalRegion",
@@ -50,6 +61,7 @@ __all__ = [
     "nonrecurrent_filter",
     "parse_events",
     "parse_series",
+    "read_series",
     "select_bandwidth",
     "severity",
     "track",

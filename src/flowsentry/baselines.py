@@ -15,11 +15,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Sequence
 
 import numpy as np
 
-from .ingest import LinkSeries
+from .ingest import LinkSeries, datetimes
 
 BIN_MINUTES = 15
 BINS_PER_DAY = 24 * 60 // BIN_MINUTES
@@ -90,7 +89,8 @@ def weekly_bins(minutes, tz_offset_min: int = 0):
 
 def snd_fit(stream: LinkSeries, tz_offset_min: int = 0) -> SndProfile:
     """Robust per-bin speed statistics over every training occurrence of each bin."""
-    span = stream.timestamps[-1] - stream.timestamps[0]
+    stream.require_minute_cadence()
+    span = timedelta(microseconds=int(stream.epoch_us[-1] - stream.epoch_us[0]))
     if span < timedelta(days=7) - timedelta(minutes=1):
         raise ValueError(f"SND needs at least one week of data, got {span}")
     has_speed = ~np.isnan(stream.speed)
@@ -135,18 +135,19 @@ def snd_detect(
     persists until a minute at or above threshold (or with no speed or no
     usable threshold) ends the run.
     """
+    stream.require_minute_cadence()
     thresholds = snd_thresholds(profile, c, variant)[weekly_bins(stream.minutes, profile.tz_offset_min)]
-    return _persistence_intervals(stream.timestamps, stream.speed < thresholds, persistence_min)
+    return _persistence_intervals(stream.epoch_us, stream.speed < thresholds, persistence_min)
 
 
 def _persistence_intervals(
-    timestamps: Sequence[datetime], hits: np.ndarray, persistence_min: int
+    epoch_us: np.ndarray, hits: np.ndarray, persistence_min: int
 ) -> list[tuple[datetime, datetime]]:
     """(first, last) timestamp of every run of at least ``persistence_min`` hits."""
     edges = np.flatnonzero(np.diff(np.concatenate(([0], hits.astype(np.int8), [0]))))
     starts, stops = edges[0::2], edges[1::2]
     keep = stops - starts >= persistence_min
-    return [(timestamps[a], timestamps[b - 1]) for a, b in zip(starts[keep], stops[keep])]
+    return list(zip(datetimes(epoch_us[starts[keep]]), datetimes(epoch_us[stops[keep] - 1])))
 
 
 @dataclass(frozen=True)
@@ -185,6 +186,7 @@ def mcmaster_detect(
     when its flow is below both the lower uncongested bound and the critical
     flow; minutes without density are uncongested.
     """
+    stream.require_minute_cadence()
     rho, flow = stream.density, stream.flow
     hits = (rho > params.rho_crit) | ((flow < params.lud(rho)) & (flow < params.f_crit))
-    return _persistence_intervals(stream.timestamps, hits, persistence_min)
+    return _persistence_intervals(stream.epoch_us, hits, persistence_min)

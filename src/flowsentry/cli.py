@@ -33,7 +33,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ingest.CadenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
@@ -141,27 +141,19 @@ def _load_region(path: str) -> levelset.TypicalRegion:
         raise UsageError(f"bad region file {path}: {problem}") from None
 
 
-def _load_series(path: str, link: str | None) -> list[ingest.TrafficSample]:
-    samples = ingest.parse_series(_require_file(path))
-    grouped = ingest.by_link(samples)
-    if not grouped:
+def _load_series(path: str, link: str | None) -> ingest.LinkSeries:
+    """One link's minute stream; a cadence other than one minute exits 2 (see ``main``)."""
+    streams = ingest.read_series(_require_file(path))
+    if not streams:
         raise UsageError(f"no samples in {path}")
     if link is None:
-        if len(grouped) > 1:
-            raise UsageError(f"{path} holds links {sorted(grouped)}; pick one with --link")
-        link = next(iter(grouped))
-    elif link not in grouped:
+        if len(streams) > 1:
+            raise UsageError(f"{path} holds links {sorted(streams)}; pick one with --link")
+        link = next(iter(streams))
+    elif link not in streams:
         raise UsageError(f"link {link!r} not present in {path}")
-    _require_minute_cadence(grouped[link])
-    return grouped[link]
-
-
-def _require_minute_cadence(samples: list[ingest.TrafficSample]) -> None:
-    """Durations, the gap rule and the false alarm rate count samples as minutes: reject other cadences."""
-    seconds = [s.timestamp.timestamp() for s in samples]
-    spacing = float(np.median(np.diff(seconds))) / 60.0 if len(seconds) > 1 else 1.0
-    if spacing != 1.0:
-        raise UsageError(f"link {samples[0].link_id}: median sample spacing is {spacing:g} minutes, not 1")
+    streams[link].require_minute_cadence()
+    return streams[link]
 
 
 def cmd_simulate(args) -> int:
@@ -169,17 +161,17 @@ def cmd_simulate(args) -> int:
     bottleneck = simgen.BottleneckSpec() if args.bimodal else None
     plan = simgen.plan_incidents(args.incidents, args.weeks, args.seed, avoid=bottleneck)
     config = simgen.ScenarioConfig(seed=args.seed, weeks=args.weeks, incidents=plan, bottleneck=bottleneck)
-    samples, labels = simgen.generate(config)
-    ingest.write_series(samples, out / "series.csv")
+    stream, labels = simgen.generate(config)
+    ingest.write_series(stream, out / "series.csv")
     ingest.write_events(labels, out / "events.csv")
-    print(f"wrote {len(samples)} samples and {len(labels)} labels to {out}")
+    print(f"wrote {len(stream)} samples and {len(labels)} labels to {out}")
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"alpha {args.alpha} outside (0, 1)")
-    pts = ingest.LinkSeries.from_samples(_load_series(args.series, args.link)).points
+    pts = _load_series(args.series, args.link).points
     out = _out_dir(args.out)
     config = levelset.RegionConfig(alpha=args.alpha)
     bandwidth = select_bandwidth(pts, args.bandwidth_method)
@@ -213,7 +205,7 @@ def _detector_config(args, annotated: detector.SeveritySeries) -> detector.Detec
 
 
 def cmd_detect(args) -> int:
-    stream = ingest.LinkSeries.from_samples(_load_series(args.series, args.link))
+    stream = _load_series(args.series, args.link)
     region = _load_region(args.region)
     out = _out_dir(args.out)
     annotated = detector.annotate(stream, region)
@@ -226,7 +218,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    stream = ingest.LinkSeries.from_samples(_load_series(args.series, args.link))
+    stream = _load_series(args.series, args.link)
     labels = ingest.nonrecurrent_filter(ingest.parse_events(_require_file(args.events)))
     labels = [lab for lab in labels if lab.link_id == stream.link_id]
     out = _out_dir(args.out)
@@ -261,17 +253,15 @@ def cmd_evaluate(args) -> int:
         return _evaluate_fixture(out)
     if not (args.series and args.events and args.flags):
         raise UsageError("evaluate needs --fixture table1 or --series/--events/--flags")
-    samples = ingest.parse_series(_require_file(args.series))
+    streams = ingest.read_series(_require_file(args.series))
     labels = ingest.nonrecurrent_filter(ingest.parse_events(_require_file(args.events)))
     if not labels:
         raise evaluation.UndefinedMetricError("no non-recurrent labels; detection rate undefined")
     flag_sets = {"a": detector.read_flags_csv(_require_file(args.flags))}
     if args.flags_b:
         flag_sets["b"] = detector.read_flags_csv(_require_file(args.flags_b))
-    streams = {}
-    for link_id, link_samples in ingest.by_link(samples).items():
-        _require_minute_cadence(link_samples)
-        streams[link_id] = ingest.LinkSeries.from_samples(link_samples)
+    for stream in streams.values():
+        stream.require_minute_cadence()
     scores: dict[str, dict[str, evaluation.DetectorScore]] = {}
     for name, rows in flag_sets.items():
         per_link = {}
@@ -368,7 +358,7 @@ def _evaluate_fixture(out: Path) -> int:
 
 
 def cmd_plot(args) -> int:
-    stream = ingest.LinkSeries.from_samples(_load_series(args.series, args.link))
+    stream = _load_series(args.series, args.link)
     region = _load_region(args.region)
     flags = detector.read_flags_csv(_require_file(args.flags)) if args.flags else []
     out = _out_dir(args.out)

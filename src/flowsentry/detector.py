@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import LinkSeries, TrafficSample, format_timestamp, open_text, parse_timestamp
+from .ingest import LinkSeries, TrafficSample, datetimes, format_timestamp, open_text, parse_timestamp
 from .levelset import (
     TypicalRegion,
     contains,
@@ -129,7 +129,7 @@ class SeveritySeries:
     """Per-sample annotations for one link, aligned with the input order."""
 
     link_id: str
-    timestamps: tuple[datetime, ...]
+    epoch_us: np.ndarray  # the stream's exact timestamps, as in LinkSeries
     usable: np.ndarray  # density present
     exterior: np.ndarray  # outside the region (False wherever unusable)
     side: np.ndarray  # "left"/"right" for exterior minutes, "" otherwise
@@ -137,7 +137,8 @@ class SeveritySeries:
 
 
 def annotate(stream: LinkSeries, region: TypicalRegion) -> SeveritySeries:
-    """Batch-compute membership, side, and severity for one link's stream."""
+    """Batch-compute membership, side, and severity for one link's minute stream."""
+    stream.require_minute_cadence()
     if region.max_training_distance is None:
         raise UncalibratedRegionError("region has no max_training_distance; calibrate first")
     n = len(stream)
@@ -152,7 +153,7 @@ def annotate(stream: LinkSeries, region: TypicalRegion) -> SeveritySeries:
         distances, sides = distances_and_sides(region, pts[outside])
         sev[ext_idx] = distances / region.max_training_distance
         side[ext_idx] = sides
-    return SeveritySeries(stream.link_id, stream.timestamps, stream.usable, exterior, side, sev)
+    return SeveritySeries(stream.link_id, stream.epoch_us, stream.usable, exterior, side, sev)
 
 
 def track(
@@ -211,8 +212,7 @@ def segment(series: SeveritySeries, gap_termination_min: int) -> Excursions:
     rows = usable[position]
     right = series.side[rows] == "right"
     joined = np.flatnonzero((np.diff(position) == 1) & (right[1:] == right[:-1])) + 1
-    stamps = np.array(series.timestamps, dtype=object)
-    waited_us = (stamps[rows[joined]] - stamps[rows[joined - 1]]).astype("timedelta64[us]").astype(np.int64)
+    waited_us = series.epoch_us[rows[joined]] - series.epoch_us[rows[joined - 1]]
     continues = np.zeros(rows.size, dtype=bool)
     continues[joined] = waited_us / 1e6 / 60.0 - 1.0 < gap_termination_min
     first = np.flatnonzero(~continues)
@@ -231,11 +231,11 @@ def track_annotated(series: SeveritySeries, config: DetectorConfig) -> tuple[lis
     the whole excursion when it lasted long enough.
     """
     found = segment(series, config.gap_termination_min)
-    ts, link = series.timestamps, series.link_id
-    columns = (found.start, found.end, found.duration, found.max_severity, found.right)
+    link, at = series.link_id, series.epoch_us
+    columns = (found.duration, found.max_severity, found.right)
     excursions = [
-        ExcursionRecord(link, ts[a], ts[b], d, m, "right" if r else "left")
-        for a, b, d, m, r in zip(*(c.tolist() for c in columns))
+        ExcursionRecord(link, a, b, d, m, "right" if r else "left")
+        for a, b, d, m, r in zip(datetimes(at[found.start]), datetimes(at[found.end]), *(c.tolist() for c in columns))
     ]
     if config.mode == "duration_threshold":
         chosen = np.flatnonzero(found.right & (found.duration >= config.duration_threshold_min))
@@ -243,10 +243,10 @@ def track_annotated(series: SeveritySeries, config: DetectorConfig) -> tuple[lis
             DftbFlag(link, e.start, e.end, e.max_severity, e.duration_min, e) for e in (excursions[k] for k in chosen)
         ]
     flagged, onset = found.onsets(config.severity_threshold)
-    columns = (flagged, found.rows[onset], found.severity[onset], found.first[flagged] + found.duration[flagged] - onset)
+    columns = (flagged, found.severity[onset], found.first[flagged] + found.duration[flagged] - onset)
     flags = [
-        DftbFlag(link, ts[row], excursions[k].end, sev, minutes, excursions[k])
-        for k, row, sev, minutes in zip(*(c.tolist() for c in columns))
+        DftbFlag(link, ts, excursions[k].end, sev, minutes, excursions[k])
+        for ts, k, sev, minutes in zip(datetimes(at[found.rows[onset]]), *(c.tolist() for c in columns))
     ]
     return excursions, flags
 

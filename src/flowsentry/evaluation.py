@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .baselines import McMasterParams
-from .ingest import EventLabel, LinkSeries, open_text
+from .ingest import EventLabel, LinkSeries, datetimes, open_text
 
 EPS_DR = 1.01
 EPS_FAR = 0.001
@@ -381,13 +381,13 @@ def dftb_score_fn(stream: LinkSeries, region, labels: Sequence[EventLabel], gap_
 
     series = annotate(stream, region)
     found = segment(series, gap_termination_min)
-    stamps = np.array(series.timestamps, dtype=object)
-    end = stamps[found.end]
+    exterior_at = np.array(datetimes(series.epoch_us[found.rows]), dtype=object)
+    end = np.array(datetimes(series.epoch_us[found.end]), dtype=object)
     n_applications = int(series.usable.sum())
 
     def score(threshold: float) -> DetectorScore:
         flagged, onset = found.onsets(threshold)
-        return score_detector(list(zip(stamps[found.rows[onset]], end[flagged])), labels, n_applications)
+        return score_detector(list(zip(exterior_at[onset], end[flagged])), labels, n_applications)
 
     return score
 
@@ -406,6 +406,7 @@ def calibrate_dftb(
 def snd_score_fn(stream: LinkSeries, profile, labels: Sequence[EventLabel]):
     from .baselines import snd_detect
 
+    stream.require_minute_cadence()
     n_applications = int(np.count_nonzero(~np.isnan(stream.speed)))
 
     def score(c: float) -> DetectorScore:
@@ -457,6 +458,7 @@ def mcmaster_parameter_grid(samples, labels: Sequence[EventLabel]) -> list[McMas
 
 
 def _mcmaster_grid(stream: LinkSeries, labels: Sequence[EventLabel]) -> list[McMasterParams]:
+    stream.require_minute_cadence()
     labelled = np.fromiter(interval_minutes([(lab.start, lab.end) for lab in labels]), dtype=np.int64)
     usable = stream.usable
     free = usable & ~np.isin(stream.minutes, labelled)

@@ -3,6 +3,10 @@
 All timestamps are stored timezone-aware in UTC. Density is a derived proxy
 (flow divided by speed) and is marked missing whenever speed is zero or an
 input is missing, so downstream consumers never see an infinite density.
+
+``read_series`` is the one series reader. It converts the CSV into per-link
+``LinkSeries`` columns a block of rows at a time and applies every input check
+as an array operation over each block; ``parse_series`` is a row view over it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ import io
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from itertools import compress, islice, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -39,6 +44,14 @@ RECURRENT_CATEGORIES = frozenset({"roadworks", "weather"})
 SERIES_HEADER = ["link_id", "timestamp", "speed_kmh", "flow_vph", "travel_time_s"]
 EVENTS_HEADER = ["link_id", "category", "start", "end"]
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+US_PER_MINUTE = 60_000_000
+_MICROSECOND = timedelta(microseconds=1)
+
+# Rows the reader turns into columns at a time: the csv rows of one block are all the
+# per-row Python objects alive at once, so a long file is never held as rows.
+_ROW_BLOCK = 8192
+
 
 class ParseError(ValueError):
     """Malformed input; carries the 1-based row number when applicable."""
@@ -48,6 +61,21 @@ class ParseError(ValueError):
         if row is not None:
             message = f"row {row}: {message}"
         super().__init__(message)
+
+
+class CadenceError(ValueError):
+    """A stream whose median sample spacing is not one minute."""
+
+
+def _range_error(speed: float | None, flow: float | None, travel_time: float | None) -> str | None:
+    """Why a reading is out of range, checking speed, flow and travel time in that order; None if all hold."""
+    if speed is not None and not 0.0 <= speed <= SPEED_MAX_KMH:
+        return f"speed {speed} outside [0, {SPEED_MAX_KMH}] km/h"
+    if flow is not None and not 0.0 <= flow <= FLOW_MAX_VPH:
+        return f"flow {flow} outside [0, {FLOW_MAX_VPH}] veh/h"
+    if travel_time is not None and travel_time < 0:
+        return f"travel_time {travel_time} negative"
+    return None
 
 
 @dataclass(frozen=True)
@@ -69,12 +97,9 @@ class TrafficSample:
         if self.timestamp.tzinfo is None:
             raise ValueError("timestamp must be timezone-aware")
         object.__setattr__(self, "timestamp", self.timestamp.astimezone(timezone.utc))
-        if self.speed is not None and not 0.0 <= self.speed <= SPEED_MAX_KMH:
-            raise ValueError(f"speed {self.speed} outside [0, {SPEED_MAX_KMH}] km/h")
-        if self.flow is not None and not 0.0 <= self.flow <= FLOW_MAX_VPH:
-            raise ValueError(f"flow {self.flow} outside [0, {FLOW_MAX_VPH}] veh/h")
-        if self.travel_time is not None and self.travel_time < 0:
-            raise ValueError(f"travel_time {self.travel_time} negative")
+        problem = _range_error(self.speed, self.flow, self.travel_time)
+        if problem is not None:
+            raise ValueError(problem)
         if self.speed is not None and self.flow is not None and self.speed > 0:
             object.__setattr__(self, "density", self.flow / self.speed)
 
@@ -83,18 +108,48 @@ class TrafficSample:
         return self.density is not None
 
 
+def to_epoch_us(ts: datetime) -> int:
+    """Exact microseconds since the Unix epoch of an aware datetime."""
+    return (ts - _EPOCH) // _MICROSECOND
+
+
+def datetimes(epoch_us) -> list[datetime]:
+    """Aware UTC datetimes of integer epoch microseconds (the inverse of ``to_epoch_us``)."""
+    return [_EPOCH + timedelta(microseconds=us) for us in np.asarray(epoch_us).tolist()]
+
+
 @dataclass(frozen=True)
 class LinkSeries:
-    """One link's stream as columns: whole epoch minutes (the floor of each UTC
-    timestamp), and float columns that hold NaN where the sample's value is missing."""
+    """One link's stream as columns, strictly increasing in time.
+
+    ``epoch_us`` holds the exact UTC timestamps as integer microseconds since
+    the Unix epoch. The float columns hold NaN where a reading is missing, and
+    ``density`` follows from them by the density rule. ``spacing_min`` is the
+    median spacing between consecutive samples in minutes (1 for a single
+    sample), computed once so that ``require_minute_cadence`` costs nothing.
+    """
 
     link_id: str
-    timestamps: tuple[datetime, ...]
-    minutes: np.ndarray
+    epoch_us: np.ndarray
     speed: np.ndarray
     flow: np.ndarray
-    density: np.ndarray
     travel_time: np.ndarray
+    density: np.ndarray = field(init=False)
+    spacing_min: float = field(init=False)
+
+    def __post_init__(self):
+        if not len(self.epoch_us):
+            raise ValueError("empty stream")
+        steps = np.diff(self.epoch_us)
+        backwards = np.flatnonzero(steps <= 0)
+        if backwards.size:
+            at = datetimes(self.epoch_us[[backwards[0] + 1]])[0]
+            raise ValueError(f"stream not time-ordered at {format_timestamp(at)}")
+        density = np.full(len(self.epoch_us), np.nan)
+        with np.errstate(over="ignore"):  # as Python's float division, a subnormal speed gives inf
+            np.divide(self.flow, self.speed, out=density, where=self.speed > 0)
+        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "spacing_min", float(np.median(steps)) / US_PER_MINUTE if steps.size else 1.0)
 
     @classmethod
     def from_samples(cls, samples: Sequence[TrafficSample]) -> "LinkSeries":
@@ -102,19 +157,20 @@ class LinkSeries:
         if not samples:
             raise ValueError("empty stream")
         link_id = samples[0].link_id
-        timestamps = tuple(s.timestamp for s in samples)
-        for s, prev in zip(samples[1:], timestamps):
+        for s in samples:
             if s.link_id != link_id:
                 raise ValueError(f"stream mixes links {link_id!r} and {s.link_id!r}")
-            if s.timestamp <= prev:
-                raise ValueError(f"stream not time-ordered at {format_timestamp(s.timestamp)}")
-        minutes = (np.array([ts.timestamp() for ts in timestamps]) // 60).astype(np.int64)
-        names = ("speed", "flow", "density", "travel_time")
-        columns = [np.array([getattr(s, name) for s in samples], dtype=float) for name in names]
-        return cls(link_id, timestamps, minutes, *columns)
+        epoch_us = np.array([to_epoch_us(s.timestamp) for s in samples], dtype=np.int64)
+        names = ("speed", "flow", "travel_time")
+        return cls(link_id, epoch_us, *(np.array([getattr(s, name) for s in samples], dtype=float) for name in names))
 
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return len(self.epoch_us)
+
+    @property
+    def minutes(self) -> np.ndarray:
+        """Whole epoch minutes: the floor of each timestamp."""
+        return self.epoch_us // US_PER_MINUTE
 
     @property
     def usable(self) -> np.ndarray:
@@ -126,6 +182,11 @@ class LinkSeries:
         """(density, flow) of the usable minutes, shape (n_usable, 2)."""
         usable = self.usable
         return np.column_stack([self.density[usable], self.flow[usable]])
+
+    def require_minute_cadence(self) -> None:
+        """Durations, the gap rule and the false alarm rate count samples as minutes: reject other cadences."""
+        if self.spacing_min != 1.0:
+            raise CadenceError(f"link {self.link_id}: median sample spacing is {self.spacing_min:g} minutes, not 1")
 
 
 @dataclass(frozen=True)
@@ -204,26 +265,158 @@ def open_text(target, mode: str = "r") -> Iterator[IO[str]]:
         yield target
 
 
-def _optional_float(text: str, what: str, row: int) -> float | None:
-    text = text.strip()
-    if text == "":
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"{what} {text!r} is not numeric", row) from None
-    return value
+# Character positions of the digits and separators of YYYY-MM-DDTHH:MM:SSZ.
+_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
 
 
-def parse_series(source) -> list[TrafficSample]:
-    """Parse a link time-series CSV into samples.
+def _parse_stamps(texts: Sequence[str]) -> tuple[np.ndarray, dict[int, str]]:
+    """Epoch microseconds of timestamp fields, and ``parse_timestamp``'s error for each one it rejects.
 
-    The header must be ``link_id,timestamp,speed_kmh,flow_vph`` with an
-    optional trailing ``travel_time_s`` column. Empty speed/flow cells mark
-    missing readings. Timestamps must be strictly increasing per link;
-    duplicates are rejected with the offending row number. Gaps are kept as
-    gaps (no imputation).
+    A field of the form YYYY-MM-DDTHH:MM:SSZ (or z) that names a valid date and time
+    is converted as arrays; any other field goes through ``parse_timestamp``.
     """
+    n = len(texts)
+    stripped = list(map(str.strip, texts))
+    fast = np.fromiter(map(len, stripped), np.intp, n) == 20
+    epoch_us = np.zeros(n, dtype=np.int64)
+    candidates = np.flatnonzero(fast)
+    if candidates.size:
+        chars = np.array(list(compress(stripped, fast))).view(np.uint32).reshape(-1, 20).astype(np.int64)
+        digits = chars[:, _DIGITS] - ord("0")
+        ok = ((digits >= 0) & (digits <= 9)).all(axis=1)
+        for at, separator in _SEPARATORS.items():
+            ok &= chars[:, at] == ord(separator)
+        ok &= (chars[:, 19] == ord("Z")) | (chars[:, 19] == ord("z"))
+        digits[~ok] = 0  # keeps the date arithmetic below in range
+        pairs = digits[:, 0::2] * 10 + digits[:, 1::2]  # century, year, month, day, hour, minute, second
+        year = pairs[:, 0] * 100 + pairs[:, 1]
+        month, day, hour, minute, second = pairs[:, 2:].T
+        first_of_month = ((year - 1970) * 12 + month - 1).astype("datetime64[M]").astype("datetime64[D]")
+        month_days = ((first_of_month.astype("datetime64[M]") + 1).astype("datetime64[D]") - first_of_month).astype(int)
+        ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+        ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
+        days = first_of_month.astype(np.int64) + day - 1
+        epoch_us[candidates[ok]] = ((((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000)[ok]
+        fast[candidates] = ok
+    problems = {}
+    for i in np.flatnonzero(~fast).tolist():
+        try:
+            epoch_us[i] = to_epoch_us(parse_timestamp(texts[i]))
+        except ValueError as exc:
+            problems[i] = str(exc)
+    return epoch_us, problems
+
+
+def _parse_floats(texts: Sequence[str], what: str) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """Values of one numeric field (NaN where the cell is blank), which cells are not blank,
+    and the error of each cell that is not a number."""
+    n = len(texts)
+    stripped = list(map(str.strip, texts))
+    present = np.fromiter(map(len, stripped), np.intp, n) > 0
+    values = np.full(n, np.nan)
+    problems = {}
+    try:
+        values[present] = np.fromiter(map(float, compress(stripped, present)), float, int(present.sum()))
+    except ValueError:
+        for i in np.flatnonzero(present).tolist():
+            try:
+                values[i] = float(stripped[i])
+            except ValueError:
+                problems[i] = f"{what} {stripped[i]!r} is not numeric"
+    return values, present, problems
+
+
+def _mask(rows: Iterable[int], n: int) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[list(rows)] = True
+    return mask
+
+
+class _SeriesReader:
+    """Converts a series CSV one block of rows at a time, carrying each link's last
+    timestamp from block to block for the duplicate and monotonicity checks."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.links: dict[str, int] = {}  # link id -> code, in order of first appearance
+        self.last_us = np.zeros(0, dtype=np.int64)
+        self.seen = np.zeros(0, dtype=bool)
+
+    def block(self, rows: list[list[str]], first_row: int) -> list[np.ndarray]:
+        """(link code, epoch_us, speed, flow, travel_time) of the block's rows, or a
+        ParseError at its earliest bad row, naming that row's first failed check."""
+        lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+        nonblank = np.flatnonzero(lengths)  # blank rows are skipped but keep their row numbers
+        wrong_width = np.flatnonzero(lengths[nonblank] != self.width)
+        at = nonblank[: wrong_width[0]] if wrong_width.size else nonblank  # rows before it are checked first
+        n = at.size
+        fields = list(zip(*map(rows.__getitem__, at.tolist()))) or [()] * self.width
+        ids = list(map(str.strip, fields[0]))
+        epoch_us, stamp_problems = _parse_stamps(fields[1])
+        numbers = [_parse_floats(texts, what) for texts, what in zip(fields[2:], ("speed", "flow", "travel_time"))]
+        if self.width == 4:
+            numbers.append((np.full(n, np.nan), np.zeros(n, dtype=bool), {}))
+        (speed, has_speed, _), (flow, has_flow, _), (travel_time, has_tt, _) = numbers
+
+        for link in dict.fromkeys(ids):
+            self.links.setdefault(link, len(self.links))
+        code = np.fromiter(map(self.links.__getitem__, ids), np.intp, n)
+        grow = len(self.links) - self.last_us.size
+        self.last_us = np.append(self.last_us, np.zeros(grow, dtype=np.int64))
+        self.seen = np.append(self.seen, np.zeros(grow, dtype=bool))
+        order = np.argsort(code, kind="stable")
+        c, t = code[order], epoch_us[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = c[1:] != c[:-1]
+        prev = np.empty_like(t)
+        prev[1:] = t[:-1]
+        prev[first] = self.last_us[c[first]]
+        has_prev = ~first
+        has_prev[first] = self.seen[c[first]]
+        step = np.empty_like(t)
+        step[order] = t - prev
+        follows = np.empty(n, dtype=bool)
+        follows[order] = has_prev
+
+        out_of_range = (
+            (has_speed & ~((speed >= 0.0) & (speed <= SPEED_MAX_KMH)))
+            | (has_flow & ~((flow >= 0.0) & (flow <= FLOW_MAX_VPH)))
+            | (has_tt & (travel_time < 0.0))
+        )
+
+        def stamp(i: int) -> str:
+            return format_timestamp(datetimes(epoch_us[i : i + 1])[0])
+
+        def range_error(i: int) -> str | None:
+            return _range_error(*(values[i].item() if present[i] else None for values, present, _ in numbers))
+
+        checks = [  # in the order a row's checks apply
+            (np.fromiter(map(len, ids), np.intp, n) == 0, lambda i: "empty link_id"),
+            (_mask(stamp_problems, n), stamp_problems.get),
+            *((_mask(problems, n), problems.get) for _, _, problems in numbers),
+            (follows & (step == 0), lambda i: f"duplicate timestamp {stamp(i)} for link {ids[i]}"),
+            (follows & (step < 0), lambda i: f"non-monotone timestamp {stamp(i)} for link {ids[i]}"),
+            (out_of_range, range_error),
+        ]
+        failing = np.logical_or.reduce([mask for mask, _ in checks])
+        if failing.any():
+            i = int(np.argmax(failing))
+            raise ParseError(next(describe(i) for mask, describe in checks if mask[i]), first_row + int(at[i]))
+        if wrong_width.size:
+            row = int(nonblank[wrong_width[0]])
+            raise ParseError(f"expected {self.width} fields, got {lengths[row]}", first_row + row)
+
+        last = np.ones(n, dtype=bool)
+        last[:-1] = first[1:]
+        self.last_us[c[last]] = t[last]
+        self.seen[c[last]] = True
+        return [code, epoch_us, speed, flow, travel_time]
+
+
+def _read_columns(source) -> tuple[list[str], list[np.ndarray]]:
+    """Link ids in order of first appearance, and the (link code, epoch_us, speed, flow,
+    travel_time) columns of the data rows in file order."""
     with open_text(source) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -232,62 +425,73 @@ def parse_series(source) -> list[TrafficSample]:
         header = [h.strip() for h in header]
         if header not in (SERIES_HEADER, SERIES_HEADER[:4]):
             raise ParseError(f"unexpected header {header!r}", 1)
-        has_tt = len(header) == 5
-
-        samples: list[TrafficSample] = []
-        last_seen: dict[str, datetime] = {}
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", row_no)
-            link_id = row[0].strip()
-            if not link_id:
-                raise ParseError("empty link_id", row_no)
-            try:
-                ts = parse_timestamp(row[1])
-            except ValueError as exc:
-                raise ParseError(str(exc), row_no) from None
-            speed = _optional_float(row[2], "speed", row_no)
-            flow = _optional_float(row[3], "flow", row_no)
-            travel_time = _optional_float(row[4], "travel_time", row_no) if has_tt else None
-            prev = last_seen.get(link_id)
-            if prev is not None:
-                if ts == prev:
-                    raise ParseError(f"duplicate timestamp {format_timestamp(ts)} for link {link_id}", row_no)
-                if ts < prev:
-                    raise ParseError(
-                        f"non-monotone timestamp {format_timestamp(ts)} for link {link_id}", row_no
-                    )
-            last_seen[link_id] = ts
-            try:
-                samples.append(TrafficSample(link_id, ts, speed, flow, travel_time))
-            except ValueError as exc:
-                raise ParseError(str(exc), row_no) from None
-        return samples
+        state = _SeriesReader(len(header))
+        blocks = []
+        first_row = 2
+        while rows := list(islice(reader, _ROW_BLOCK)):
+            blocks.append(state.block(rows, first_row))
+            first_row += len(rows)
+    if not blocks:
+        blocks.append(state.block([], first_row))
+    return list(state.links), [np.concatenate(parts) for parts in zip(*blocks)]
 
 
-def write_series(samples: Iterable[TrafficSample], sink) -> None:
-    """Write samples in the canonical series CSV schema (UTF-8, RFC 3339)."""
+def read_series(source) -> dict[str, LinkSeries]:
+    """Parse a link time-series CSV into one ``LinkSeries`` per link, in order of first appearance.
+
+    The header must be ``link_id,timestamp,speed_kmh,flow_vph`` with an
+    optional trailing ``travel_time_s`` column. Empty cells mark missing
+    readings. Timestamps are RFC 3339 with a UTC offset and must be strictly
+    increasing per link. Gaps are kept as gaps (no imputation). A malformed
+    input raises ``ParseError`` naming its earliest bad row (the header is row
+    1 and blank rows count) and that row's first failed check, in the order:
+    field count, link id, timestamp, speed, flow and travel time numeric,
+    duplicate and non-monotone timestamp, then value ranges.
+    """
+    links, (code, *columns) = _read_columns(source)
+    order = np.argsort(code, kind="stable")
+    counts = np.bincount(code, minlength=len(links))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    return {
+        link: LinkSeries(link, *(column[order[a:b]] for column in columns))
+        for link, a, b in zip(links, starts.tolist(), ends.tolist())
+    }
+
+
+def parse_series(source) -> list[TrafficSample]:
+    """The rows of a link time-series CSV as samples, in file order.
+
+    ``read_series`` reads and checks the file; blank cells become None.
+    """
+    links, (code, epoch_us, *values) = _read_columns(source)
+    cells = [[None if v != v else v for v in column.tolist()] for column in values]
+    return [
+        TrafficSample(links[c], ts, speed, flow, travel_time)
+        for c, ts, speed, flow, travel_time in zip(code.tolist(), datetimes(epoch_us), *cells)
+    ]
+
+
+def _format_stamps(epoch_us: np.ndarray) -> np.ndarray:
+    """``format_timestamp`` of each epoch microsecond value."""
+    at = epoch_us.astype("datetime64[us]")
+    whole = epoch_us % 1_000_000 == 0  # isoformat leaves out a zero fraction
+    return np.char.add(np.where(whole, np.datetime_as_string(at, unit="s"), np.datetime_as_string(at, unit="us")), "Z")
+
+
+def write_series(stream: LinkSeries, sink) -> None:
+    """Write one link's stream in the canonical series CSV schema (UTF-8, RFC 3339);
+    NaN readings are written as empty cells."""
+    cells = []
+    for column in (stream.speed, stream.flow, stream.travel_time):
+        text = list(map(repr, column.tolist()))
+        for i in np.flatnonzero(np.isnan(column)).tolist():
+            text[i] = ""
+        cells.append(text)
     with open_text(sink, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SERIES_HEADER)
-        for s in samples:
-            writer.writerow(
-                [
-                    s.link_id,
-                    format_timestamp(s.timestamp),
-                    _format_value(s.speed),
-                    _format_value(s.flow),
-                    _format_value(s.travel_time),
-                ]
-            )
-
-
-def _format_value(value: float | None) -> str:
-    if value is None:
-        return ""
-    return repr(value)
+        writer.writerows(zip(repeat(stream.link_id), _format_stamps(stream.epoch_us).tolist(), *cells))
 
 
 def parse_events(source) -> list[EventLabel]:

@@ -17,7 +17,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .ingest import EventLabel, TrafficSample
+from .ingest import US_PER_MINUTE, EventLabel, LinkSeries, to_epoch_us
 
 SERIES_START = datetime(2017, 4, 3, tzinfo=timezone.utc)  # a Monday
 FLOW_JITTER = 0.02
@@ -147,8 +147,8 @@ def congested_density_at(config: ScenarioConfig, flow: float) -> float:
     return config.jam_density - span * flow / config.apex_flow
 
 
-def generate(config: ScenarioConfig) -> tuple[list[TrafficSample], list[EventLabel]]:
-    """Simulate the scenario minute by minute; returns (samples, labels).
+def generate(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel]]:
+    """Simulate the scenario minute by minute; returns (stream, labels).
 
     Congestion is queue-driven: whenever demand exceeds the available
     capacity (cut by an incident, or the diagram apex during oversaturated
@@ -173,12 +173,12 @@ def generate(config: ScenarioConfig) -> tuple[list[TrafficSample], list[EventLab
     flow_noise = rng.normal(0.0, 1.0, size=n)
     bn_factors = rng.uniform(0.8, 1.2, size=n // 1440 + 2)  # per-occurrence severity jitter
 
-    samples: list[TrafficSample] = []
+    speeds = np.empty(n)
+    flows = np.empty(n)
     queue = 0.0  # extra vehicles per km stored on the link
     rho_prev = config.demand_profile[0] * apex / v_f
     flow_cap = config.capacity_flow * (1.0 + 3.0 * config.noise_scale)
     for minute in range(n):
-        ts = SERIES_START + timedelta(minutes=minute)
         day = minute // 1440
         weekday = day % 7
         demand = config.demand_profile[minute % 1440] * apex
@@ -215,10 +215,10 @@ def generate(config: ScenarioConfig) -> tuple[list[TrafficSample], list[EventLab
         if config.noise_scale > 0.0:
             speed *= math.exp(config.noise_scale * speed_noise[minute])
             flow *= math.exp(FLOW_JITTER * flow_noise[minute])
-        speed = float(min(max(speed, 1.0), 249.0))
-        flow = float(min(max(flow, 0.0), flow_cap, 11999.0))
-        travel_time = config.link_length_m / 1000.0 / speed * 3600.0
-        samples.append(TrafficSample(config.link_id, ts, speed, flow, travel_time))
+        speeds[minute] = min(max(speed, 1.0), 249.0)
+        flows[minute] = min(max(flow, 0.0), flow_cap, 11999.0)
+    epoch_us = to_epoch_us(SERIES_START) + np.arange(n, dtype=np.int64) * US_PER_MINUTE
+    stream = LinkSeries(config.link_id, epoch_us, speeds, flows, config.link_length_m / 1000.0 / speeds * 3600.0)
 
     labels = []
     categories = ("accident", "obstruction", "breakdown")
@@ -231,7 +231,7 @@ def generate(config: ScenarioConfig) -> tuple[list[TrafficSample], list[EventLab
                 SERIES_START + timedelta(minutes=spec.end_min - 1),
             )
         )
-    return samples, labels
+    return stream, labels
 
 
 def plan_incidents(

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 WIDTH = 800
 HEIGHT = 600
 MARGIN = 60
@@ -19,7 +21,7 @@ def _fmt(x: float) -> str:
 
 @dataclass
 class Frame:
-    """Linear data-to-pixel mapping with a fixed margin."""
+    """Linear data-to-pixel mapping with a fixed margin; ``x`` and ``y`` map a value or an array."""
 
     x_min: float
     x_max: float
@@ -67,11 +69,13 @@ def axes(frame: Frame, x_label: str, y_label: str) -> list[str]:
     return out
 
 
+def _pixels(frame: Frame, xs, ys) -> tuple[list[float], list[float]]:
+    return frame.x(np.asarray(xs, dtype=float)).tolist(), frame.y(np.asarray(ys, dtype=float)).tolist()
+
+
 def scatter(frame: Frame, xs, ys, *, fill: str = "steelblue", radius: float = 1.2, css: str = "sample") -> list[str]:
-    return [
-        f'<circle class="{css}" cx="{_fmt(frame.x(x))}" cy="{_fmt(frame.y(y))}" r="{radius}" fill="{fill}"/>'
-        for x, y in zip(xs, ys)
-    ]
+    circle = f'<circle class="{css}" cx="{{:.2f}}" cy="{{:.2f}}" r="{radius}" fill="{fill}"/>'
+    return list(map(circle.format, *_pixels(frame, xs, ys)))
 
 
 def closed_path(frame: Frame, polygon, *, stroke: str = "crimson", css: str = "region") -> str:
@@ -83,7 +87,7 @@ def closed_path(frame: Frame, polygon, *, stroke: str = "crimson", css: str = "r
 
 
 def polyline(frame: Frame, xs, ys, *, stroke: str = "steelblue", css: str = "series") -> str:
-    pts = " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}" for x, y in zip(xs, ys))
+    pts = " ".join(map("{:.2f},{:.2f}".format, *_pixels(frame, xs, ys)))
     return f'<polyline class="{css}" points="{pts}" fill="none" stroke="{stroke}" stroke-width="1"/>'
 
 

@@ -22,7 +22,7 @@ from flowsentry.baselines import (
     snd_detect,
 )
 from flowsentry.detector import DetectorConfig, annotate, calibrate_normalizer, track_annotated
-from flowsentry.ingest import LinkSeries, TrafficSample, nonrecurrent_filter
+from flowsentry.ingest import LinkSeries, TrafficSample, nonrecurrent_filter, to_epoch_us
 from flowsentry.levelset import (
     RegionConfig,
     TypicalRegion,
@@ -33,6 +33,13 @@ from flowsentry.levelset import (
 from flowsentry.simgen import SERIES_START, BottleneckSpec, ScenarioConfig, generate, plan_incidents
 
 MONDAY = SERIES_START
+
+
+def window(stream: LinkSeries, lo, hi) -> LinkSeries:
+    """The rows of ``stream`` in [lo, hi)."""
+    rows = (stream.epoch_us >= to_epoch_us(lo)) & (stream.epoch_us < to_epoch_us(hi))
+    columns = (stream.epoch_us, stream.speed, stream.flow, stream.travel_time)
+    return LinkSeries(stream.link_id, *(column[rows] for column in columns))
 
 
 def verdict(number: int, ok: bool, detail: str) -> None:
@@ -223,12 +230,12 @@ def region_overlap(region_a: TypicalRegion, region_b: TypicalRegion, resolution:
 
 def test_criterion_07_stability_over_disjoint_windows():
     config = ScenarioConfig(seed=77, weeks=9)
-    samples, _ = generate(config)
+    stream, _ = generate(config)
     regions = []
     for w in range(3):
         lo = MONDAY + timedelta(days=21 * w)
         hi = MONDAY + timedelta(days=21 * (w + 1))
-        pts = np.array([(s.density, s.flow) for s in samples if lo <= s.timestamp < hi and s.has_density])
+        pts = window(stream, lo, hi).points
         regions.append(fit_typical_region(pts, RegionConfig(alpha=0.05), resolution=(256, 256)))
     ratios = []
     for i in range(3):
@@ -241,25 +248,25 @@ def test_criterion_07_stability_over_disjoint_windows():
 
 def _split_scenario(seed: int, incidents, bottleneck=None):
     config = ScenarioConfig(seed=seed, weeks=6, incidents=incidents, bottleneck=bottleneck)
-    samples, labels = generate(config)
+    stream, labels = generate(config)
     split = MONDAY + timedelta(days=21)
-    train = [s for s in samples if s.timestamp < split]
-    test = [s for s in samples if s.timestamp >= split]
+    train = window(stream, MONDAY, split)
+    test = window(stream, split, MONDAY + timedelta(weeks=6))
     train_labels = nonrecurrent_filter([lab for lab in labels if lab.start < split])
     test_labels = nonrecurrent_filter([lab for lab in labels if lab.start >= split])
     return train, test, train_labels, test_labels
 
 
 def _fit_and_calibrate(train, train_labels):
-    pts = np.array([(s.density, s.flow) for s in train if s.has_density])
+    pts = train.points
     region = fit_typical_region(pts, RegionConfig(alpha=0.05), resolution=(256, 256))
     region = calibrate_normalizer(region, pts)
-    calibration = ev.calibrate_dftb(LinkSeries.from_samples(train), region, train_labels)
+    calibration = ev.calibrate_dftb(train, region, train_labels)
     return region, calibration
 
 
 def _dftb_test_score(test, test_labels, region, threshold):
-    series = annotate(LinkSeries.from_samples(test), region)
+    series = annotate(test, region)
     _, flags = track_annotated(series, DetectorConfig("severity_threshold", severity_threshold=threshold))
     return ev.score_detector([(f.timestamp, f.end) for f in flags], test_labels, int(series.usable.sum()))
 
@@ -267,11 +274,10 @@ def _dftb_test_score(test, test_labels, region, threshold):
 def _snd_test_score(train, test, train_labels, test_labels):
     from flowsentry.baselines import snd_fit
 
-    stream = LinkSeries.from_samples(train)
-    profile = snd_fit(stream)
-    calibration = ev.calibrate_snd(stream, profile, train_labels)
-    alarms = snd_detect(LinkSeries.from_samples(test), profile, calibration.parameter)
-    n_applications = sum(1 for s in test if s.speed is not None)
+    profile = snd_fit(train)
+    calibration = ev.calibrate_snd(train, profile, train_labels)
+    alarms = snd_detect(test, profile, calibration.parameter)
+    n_applications = int(np.count_nonzero(~np.isnan(test.speed)))
     return ev.score_detector(alarms, test_labels, n_applications)
 
 

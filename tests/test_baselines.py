@@ -374,7 +374,7 @@ def bin_stats_oracle(values):
 
 @st.composite
 def sample_streams(draw, max_size=80):
-    """One link's samples: missing or zero speed and flow, multi-minute gaps, a
+    """One link's minute stream: missing or zero speed and flow, multi-minute gaps, a
     start on either side of Monday 00:00 and a fixed seconds offset. Speed and
     flow come from small pools, so that runs of alike minutes are common."""
     start = MONDAY + timedelta(
@@ -386,6 +386,11 @@ def sample_streams(draw, max_size=80):
     missing = st.lists(st.sampled_from([None, 0.0]), max_size=1)
     speed_pool = draw(st.lists(st.floats(0.5, 130.0), min_size=1, max_size=3)) + draw(missing)
     flow_pool = draw(st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=3)) + draw(missing)
+    # the detectors take minute streams only: continue at one-minute steps until they are
+    # more than half of the steps, with one to spare for the sample test_snd_fit appends
+    pad = max(0, n + 1 - 2 * gaps[:-1].count(1))
+    gaps = gaps[:-1] + [1] * (pad + 1)
+    n += pad
     speeds = draw(st.lists(st.sampled_from(speed_pool), min_size=n, max_size=n))
     flows = draw(st.lists(st.sampled_from(flow_pool), min_size=n, max_size=n))
     minute = 0

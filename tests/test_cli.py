@@ -265,14 +265,14 @@ def test_detect_bad_region_file_exit_2(workspace, tmp_path, capsys, mangle, prob
 def test_cadence_check_passes_short_and_minute_links():
     from datetime import datetime, timedelta, timezone
 
-    from flowsentry.cli import _require_minute_cadence
-    from flowsentry.ingest import TrafficSample
+    from flowsentry.ingest import LinkSeries, TrafficSample
 
     t0 = datetime(2017, 4, 3, tzinfo=timezone.utc)
-    _require_minute_cadence([TrafficSample("L1", t0, 90.0, 1000.0)])
+    LinkSeries.from_samples([TrafficSample("L1", t0, 90.0, 1000.0)]).require_minute_cadence()
     # one 10-minute hole does not move the median off 1 minute
     minutes = [0, 1, 2, 12, 13]
-    _require_minute_cadence([TrafficSample("L1", t0 + timedelta(minutes=m), 90.0, 1000.0) for m in minutes])
+    stream = LinkSeries.from_samples([TrafficSample("L1", t0 + timedelta(minutes=m), 90.0, 1000.0) for m in minutes])
+    stream.require_minute_cadence()
 
 
 def test_evaluate_fixture_reproduces_benchmark(tmp_path):

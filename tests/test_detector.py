@@ -23,7 +23,7 @@ from flowsentry.detector import (
     write_excursions_csv,
     write_flags_csv,
 )
-from flowsentry.ingest import EventLabel, LinkSeries, TrafficSample
+from flowsentry.ingest import EventLabel, LinkSeries, TrafficSample, datetimes, to_epoch_us
 from flowsentry.levelset import TypicalRegion, contains
 
 T0 = datetime(2017, 4, 3, 8, 0, tzinfo=timezone.utc)
@@ -332,7 +332,7 @@ def track_annotated_oracle(series, config):
     flag_sev = 0.0
     flag_minutes = 0
     last_usable = None
-    ts = series.timestamps
+    ts = datetimes(series.epoch_us)
 
     def close():
         nonlocal open_side, flag_idx, flag_sev, flag_minutes
@@ -408,7 +408,7 @@ def severity_series(rows):
     exterior = (states == L) | (states == R)
     return SeveritySeries(
         "L1",
-        tuple(timestamps),
+        np.array([to_epoch_us(t) for t in timestamps]),
         states != M,
         exterior,
         np.where(exterior, states, "").astype(object),
@@ -474,10 +474,15 @@ def test_dftb_sweep_matches_replay_oracle(rows, gap, label_rows):
     for step, state, sev in rows:
         seconds += step
         samples.append(scaled_sample(seconds, state, sev))
+    span = [s.timestamp for s in samples]
+    # annotate takes minute streams only: trailing missing minutes make most steps one
+    # minute long and change no excursion
+    for _ in rows:
+        seconds += 60
+        samples.append(scaled_sample(seconds, M, 0.0))
     stream = LinkSeries.from_samples(samples)
     if not stream.usable.any():
         return
-    span = [s.timestamp for s in samples]
     labels = [
         EventLabel("L1", "accident", span[min(a, len(span) - 1)], span[min(a + b, len(span) - 1)])
         for a, b in label_rows

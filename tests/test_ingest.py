@@ -1,21 +1,29 @@
+import csv
 import io
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowsentry import ingest
 from flowsentry.ingest import (
+    SERIES_HEADER,
     EventLabel,
     LinkMeta,
     LinkSeries,
     ParseError,
     TrafficSample,
     by_link,
+    datetimes,
+    format_timestamp,
     nonrecurrent_filter,
     parse_events,
     parse_series,
+    parse_timestamp,
+    read_series,
     write_events,
     write_series,
 )
@@ -106,9 +114,44 @@ def test_density_speed_flow_identity():
 def test_series_round_trip(speed, flow, travel, minutes):
     sample = TrafficSample("L9", T0 + timedelta(minutes=minutes), speed, flow, travel)
     buf = io.StringIO()
-    write_series([sample], buf)
+    write_series(LinkSeries.from_samples([sample]), buf)
     back = parse_series(io.StringIO(buf.getvalue()))[0]
     assert back == sample
+
+
+def write_series_oracle(samples, sink):
+    """The per-sample writer ``write_series`` replaced."""
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(SERIES_HEADER)
+    for s in samples:
+        cells = ["" if v is None else repr(v) for v in (s.speed, s.flow, s.travel_time)]
+        writer.writerow([s.link_id, format_timestamp(s.timestamp), *cells])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.integers(1, 10**7),
+            st.sampled_from([0, 0, 1, 500_000, 999_999]),
+            st.one_of(st.none(), st.floats(0, 250)),
+            st.one_of(st.none(), st.floats(0, 12000)),
+            st.one_of(st.none(), st.floats(0, 86400)),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    start=st.integers(-2 * 10**9, 10**9),  # from 1953 on, so some epochs are negative
+)
+def test_write_series_matches_row_writer(rows, start):
+    samples, t = [], T0 + timedelta(seconds=start)
+    for step_s, micros, speed, flow, travel in rows:
+        t += timedelta(seconds=step_s, microseconds=micros)
+        samples.append(TrafficSample("L,7", t, speed, flow, travel))
+    ours, theirs = io.StringIO(), io.StringIO()
+    write_series(LinkSeries.from_samples(samples), ours)
+    write_series_oracle(samples, theirs)
+    assert ours.getvalue() == theirs.getvalue()
 
 
 def test_link_series_rejects_empty_stream():
@@ -160,7 +203,7 @@ def test_link_series_columns_match_samples(rows, seconds):
     series = LinkSeries.from_samples(samples)
     assert len(series) == len(samples)
     assert series.link_id == "L3"
-    assert series.timestamps == tuple(s.timestamp for s in samples)
+    assert datetimes(series.epoch_us) == [s.timestamp for s in samples]
     assert series.minutes.tolist() == [int(s.timestamp.timestamp() // 60) for s in samples]
     for name in ("speed", "flow", "density", "travel_time"):
         np.testing.assert_array_equal(getattr(series, name), _column([getattr(s, name) for s in samples]))
@@ -210,3 +253,253 @@ def test_link_meta_length_warning():
     LinkMeta("L2", 700.0)  # no warning
     with pytest.raises(ValueError):
         LinkMeta("L3", -5.0)
+
+
+# --- read_series against the row-by-row parser it replaced -----------------------------
+
+
+def _optional_float_oracle(text, what, row):
+    text = text.strip()
+    if text == "":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"{what} {text!r} is not numeric", row) from None
+
+
+def parse_series_oracle(source):
+    """The row-by-row parser ``read_series`` replaced: one sample per row, checked in turn."""
+    reader = csv.reader(source)
+    header = next(reader, None)
+    if header is None:
+        raise ParseError("empty input, expected a header row", 1)
+    header = [h.strip() for h in header]
+    if header not in (SERIES_HEADER, SERIES_HEADER[:4]):
+        raise ParseError(f"unexpected header {header!r}", 1)
+    has_tt = len(header) == 5
+    samples = []
+    last_seen = {}
+    for row_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", row_no)
+        link_id = row[0].strip()
+        if not link_id:
+            raise ParseError("empty link_id", row_no)
+        try:
+            ts = parse_timestamp(row[1])
+        except ValueError as exc:
+            raise ParseError(str(exc), row_no) from None
+        speed = _optional_float_oracle(row[2], "speed", row_no)
+        flow = _optional_float_oracle(row[3], "flow", row_no)
+        travel_time = _optional_float_oracle(row[4], "travel_time", row_no) if has_tt else None
+        prev = last_seen.get(link_id)
+        if prev is not None:
+            if ts == prev:
+                raise ParseError(f"duplicate timestamp {format_timestamp(ts)} for link {link_id}", row_no)
+            if ts < prev:
+                raise ParseError(f"non-monotone timestamp {format_timestamp(ts)} for link {link_id}", row_no)
+        last_seen[link_id] = ts
+        try:
+            samples.append(TrafficSample(link_id, ts, speed, flow, travel_time))
+        except ValueError as exc:
+            raise ParseError(str(exc), row_no) from None
+    return samples
+
+
+def column_bytes(streams):
+    """Each link's columns as bytes, so that NaNs compare bit for bit."""
+    names = ("epoch_us", "speed", "flow", "travel_time", "density")
+    return [(link, *(getattr(s, name).tobytes() for name in names)) for link, s in streams.items()]
+
+
+def read_outcome(text):
+    """read_series's per-link columns, or its error and row."""
+    try:
+        return column_bytes(read_series(io.StringIO(text)))
+    except ParseError as exc:
+        return str(exc), exc.row
+
+
+def oracle_outcome(text):
+    """The row parser's samples grouped into per-link columns, or its error and row."""
+    try:
+        samples = parse_series_oracle(io.StringIO(text))
+    except ParseError as exc:
+        return str(exc), exc.row
+    return column_bytes({link: LinkSeries.from_samples(rows) for link, rows in by_link(samples).items()})
+
+
+def rows_view(samples):
+    """Samples as tuples, NaN readings as None (the row view reads NaN cells as missing)."""
+    def cell(v):
+        return None if v is None or v != v else v
+    return [(s.link_id, s.timestamp, cell(s.speed), cell(s.flow), cell(s.travel_time)) for s in samples]
+
+
+OFFSETS = {"Z": timezone.utc, "z": timezone.utc, "+00:00": timezone.utc,
+           "+05:30": timezone(timedelta(hours=5, minutes=30)), "-08:00": timezone(timedelta(hours=-8))}
+BAD_STAMPS = [
+    "2017-02-29T00:00:00Z", "1900-02-29T00:00:00Z", "2017-04-31T00:00:00Z", "2017-13-01T00:00:00Z",
+    "2017-00-10T00:00:00Z", "0000-01-01T00:00:00Z", "2017-04-07T24:00:00Z", "2017-04-07T00:60:00Z",
+    "2017-04-07T00:00:60Z", "2017-04-07T00:00:00", "2017-04-07", "2017-04-07T00:00:00ZZ", "",
+    "x", "2017-04-07T00:00:00Ż", "２017-04-07T00:00:00Z", "2017/04/07T00:00:00Z", "2017-04-07T00:00:0aZ",
+]
+GOOD_ODD_STAMPS = ["2000-02-29T23:59:59Z", "2016-02-29T12:00:00z", "1969-12-31T23:59:59Z", "9999-12-31T23:59:59Z",
+                   "2017-04-07 00:00:00Z", " 2017-04-07T00:00:00Z "]
+BAD_NUMBERS = ["abc", "nan", "NaN", "inf", "-inf", "300", "12001", "-1", "-1e-300", "1,5", "--1", "0x10", "1e3"]
+ODD_NUMBERS = ["", " ", "-0.0", "0", "1e2", "1_0", " 2.5 ", "+7", "1E1"]
+FAULTS = ["blank_link", "stamp", "odd_stamp", "speed", "flow", "travel_time", "width", "duplicate", "backwards"]
+
+
+@st.composite
+def series_texts(draw, max_rows=40):
+    """A series CSV of valid rows, with now and then one that a check rejects:
+    interleaved links, blank lines, quoted and padded fields, Z/z and +hh:mm offsets,
+    fractional seconds, empty cells and nan/inf/-0.0 strings, either header."""
+    width = draw(st.sampled_from([4, 5]))
+    header = SERIES_HEADER[:width]
+    if draw(st.booleans()):
+        header = [f" {h} " for h in header]
+    clocks = {}
+    lines = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        fault = draw(st.integers(0, 199))
+        fault = FAULTS[fault] if fault < len(FAULTS) else None
+        if draw(st.integers(0, 11)) == 0:
+            lines.append([])
+            continue
+        link = draw(st.sampled_from(["L1", "L1", "L2", " L2 ", "L,3"]))
+        if fault == "blank_link":
+            link = draw(st.sampled_from(["", "  "]))
+        clock = clocks.get(link.strip(), datetime(2017, 4, 3, tzinfo=timezone.utc))
+        step = {"duplicate": 0, "backwards": -1}.get(fault, draw(st.sampled_from([1, 1, 1, 2, 90])))
+        clock += timedelta(minutes=step, microseconds=0 if step < 1 else draw(st.sampled_from([0, 0, 1, 500_000])))
+        clocks[link.strip()] = clock
+        offset = draw(st.sampled_from(sorted(OFFSETS)))
+        local = clock.astimezone(OFFSETS[offset])
+        stamp = local.strftime("%Y-%m-%dT%H:%M:%S")
+        if local.microsecond:
+            stamp += f".{local.microsecond:06d}" if local.microsecond % 1000 else f".{local.microsecond // 1000:03d}"
+        stamp += offset
+        if fault in ("stamp", "odd_stamp"):
+            stamp = draw(st.sampled_from(BAD_STAMPS if fault == "stamp" else GOOD_ODD_STAMPS))
+        if draw(st.integers(0, 9)) == 0:
+            stamp = f" {stamp} "
+        values = []
+        for what, top in (("speed", 250.0), ("flow", 12000.0), ("travel_time", 86400.0))[: width - 2]:
+            text = draw(st.floats(0.0, top).map(repr) | st.sampled_from(ODD_NUMBERS))
+            values.append(draw(st.sampled_from(BAD_NUMBERS)) if fault == what else text)
+        row = [link, stamp, *values]
+        if fault == "width":
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        lines.append(row)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n", quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow(header)
+    writer.writerows(lines)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("block", [1, 7, ingest._ROW_BLOCK])
+@settings(max_examples=150, deadline=None)
+@given(text=series_texts())
+@example(text="link_id,timestamp,speed_kmh,flow_vph\n\nL1,2017-04-03T00:00:00Z,-0.0,nan\n")
+@example(text='link_id,timestamp,speed_kmh,flow_vph\n"L1","2017-04-03T00:00:00Z","1","2"\n\nL1,x,y,z\n')
+@example(text="link_id,timestamp,speed_kmh,flow_vph,travel_time_s\nL1,2017-04-03T00:00:00Z,1,2,nan\n")
+@example(text="link_id,timestamp,speed_kmh,flow_vph,travel_time_s\nL1,2017-04-03T00:00:00Z,1,2,-inf\n")
+@example(text="link_id,timestamp,speed_kmh,flow_vph\n")
+@example(text="")
+@example(text="\nlink_id,timestamp,speed_kmh,flow_vph\n")
+def test_read_series_matches_row_parser(block, text):
+    with mock.patch.object(ingest, "_ROW_BLOCK", block):
+        assert read_outcome(text) == oracle_outcome(text)
+        try:
+            rows = rows_view(parse_series_oracle(io.StringIO(text)))
+        except ParseError as exc:
+            with pytest.raises(ParseError) as raised:
+                parse_series(io.StringIO(text))
+            assert (str(raised.value), raised.value.row) == (str(exc), exc.row)
+        else:
+            assert rows_view(parse_series(io.StringIO(text))) == rows
+
+
+def two_link_rows(n):
+    """n valid rows of two interleaved links, a blank line after every 97th."""
+    t0 = datetime(2017, 4, 3, tzinfo=timezone.utc)
+    lines = []
+    for k in range(n):
+        link = "L1" if k % 3 else "L2"
+        lines.append(f"{link},{format_timestamp(t0 + timedelta(minutes=k))},{k % 120}.5,{k % 4000}")
+        if k % 97 == 96:
+            lines.append("")
+    return lines
+
+
+BAD_ROWS = {
+    "duplicate": lambda lines, k: next(line for line in reversed(lines[:k]) if line),
+    "backwards": lambda lines, k: "L2,2017-04-02T23:59:00Z,1,1",
+    "speed": lambda lines, k: "L1,2099-01-01T00:00:00Z,251,1",
+    "numeric": lambda lines, k: "L1,2099-01-01T00:00:00Z,1,x",
+    "width": lambda lines, k: "L1,2099-01-01T00:00:00Z,1",
+    "link": lambda lines, k: " ,2099-01-01T00:00:00Z,1,1",
+    "stamp": lambda lines, k: "L1,2099-02-29T00:00:00Z,1,1",
+}
+
+
+@pytest.mark.parametrize("block", [1, 7, ingest._ROW_BLOCK])
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(sorted(BAD_ROWS)), offset=st.integers(0, 40), later=st.sampled_from(sorted(BAD_ROWS)))
+@example(kind="duplicate", offset=0, later="width")
+@example(kind="backwards", offset=0, later="duplicate")
+def test_read_series_reports_a_bad_row_in_the_second_block(block, kind, offset, later):
+    lines = two_link_rows(block + 60)
+    k = min(block + offset, len(lines) - 2)  # data line k is file row k + 2, in the second block
+    lines[k] = BAD_ROWS[kind](lines, k)
+    lines[k + 1] = BAD_ROWS[later](lines, k + 1)
+    text = "\n".join(["link_id,timestamp,speed_kmh,flow_vph", *lines]) + "\n"
+    expected = oracle_outcome(text)
+    assert expected[1] == k + 2
+    with mock.patch.object(ingest, "_ROW_BLOCK", block):
+        assert read_outcome(text) == expected
+
+
+def test_read_series_groups_links_across_blocks():
+    text = "\n".join(["link_id,timestamp,speed_kmh,flow_vph", *two_link_rows(3 * 7 + 5)]) + "\n"
+    with mock.patch.object(ingest, "_ROW_BLOCK", 7):
+        streams = read_series(io.StringIO(text))
+    assert list(streams) == ["L2", "L1"]
+    assert read_outcome(text) == oracle_outcome(text)
+    assert [len(s) for s in streams.values()] == [9, 17]
+
+
+@pytest.mark.parametrize("stamp", BAD_STAMPS + GOOD_ODD_STAMPS + ["2017-04-07T00:00:00Z", "2017-04-07T00:00:00z"])
+def test_read_series_parses_each_timestamp_as_the_row_parser(stamp):
+    text = f"link_id,timestamp,speed_kmh,flow_vph\nL1,{stamp},1,1\n"
+    assert read_outcome(text) == oracle_outcome(text)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "L1,2017-04-03T00:00:00Z,300,1,1",  # duplicate and speed range
+        "L1,2017-04-02T00:00:00Z,1,13000,1",  # non-monotone and flow range
+        "L1,2017-04-02T00:00:00Z,1,1,-1",  # non-monotone and travel time range
+        "L1,2017-04-03T00:00:00Z,x,1,1",  # duplicate and speed numeric
+        "L1,2017-04-03T00:00:00Z,1,1,x",  # duplicate and travel time numeric
+        "L1,garbage,x,1,1",  # timestamp and speed numeric
+        " ,garbage,1,1,1",  # link and timestamp
+        ",garbage,x",  # field count and everything else
+        "L1,2017-04-03T00:01:00Z,300,13000,-1",  # speed, flow and travel time ranges
+        "L1,2017-04-03T00:01:00Z,1,13000,-1",  # flow and travel time ranges
+        "L1,2017-04-03T00:01:00Z,x,y,z",  # speed, flow and travel time numeric
+        "L1,2017-04-03T00:01:00Z,1,y,z",  # flow and travel time numeric
+        "L1,2017-04-03T00:01:00Z,nan,1,x",  # travel time numeric and speed range
+    ],
+)
+def test_read_series_reports_a_rows_first_failed_check(row):
+    text = "\n".join([",".join(SERIES_HEADER), "L1,2017-04-03T00:00:00Z,1,1,1", row]) + "\n"
+    assert read_outcome(text) == oracle_outcome(text)
+    assert read_outcome(text)[1] == 3

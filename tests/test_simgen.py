@@ -6,7 +6,7 @@ import pytest
 
 from flowsentry import simgen
 from flowsentry.baselines import weekly_bins
-from flowsentry.ingest import LinkSeries, write_series
+from flowsentry.ingest import write_series
 from flowsentry.levelset import RegionConfig, contains_many, fit_typical_region
 from flowsentry.simgen import (
     SERIES_START,
@@ -19,8 +19,8 @@ from flowsentry.simgen import (
 )
 
 
-def densities(samples):
-    return np.array([s.density for s in samples if s.has_density])
+def densities(stream):
+    return stream.density[stream.usable]
 
 
 def test_same_seed_byte_identical():
@@ -37,20 +37,20 @@ def test_same_seed_byte_identical():
 def test_different_seed_differs():
     a, _ = generate(ScenarioConfig(seed=1, weeks=1))
     b, _ = generate(ScenarioConfig(seed=2, weeks=1))
-    assert any(x.speed != y.speed for x, y in zip(a, b))
+    assert np.any(a.speed != b.speed)
 
 
 def test_zero_noise_rides_the_backbone():
     cfg = ScenarioConfig(seed=3, weeks=2, noise_scale=0.0)
-    samples, _ = generate(cfg)
-    for s in samples[::37]:
-        assert s.flow == pytest.approx(backbone_flow(cfg, s.density), abs=1e-8)
+    stream, _ = generate(cfg)
+    for flow, density in zip(stream.flow[::37].tolist(), stream.density[::37].tolist()):
+        assert flow == pytest.approx(backbone_flow(cfg, density), abs=1e-8)
 
 
 def test_zero_noise_region_encloses_samples():
     cfg = ScenarioConfig(seed=3, weeks=3, noise_scale=0.0)
-    samples, _ = generate(cfg)
-    pts = np.array([(s.density, s.flow) for s in samples if s.has_density])
+    stream, _ = generate(cfg)
+    pts = stream.points
     region = fit_typical_region(pts, RegionConfig(0.05), resolution=(256, 256))
     assert contains_many(region, pts).mean() >= 0.95
 
@@ -59,8 +59,8 @@ def test_incident_density_exceeds_baseline_p99():
     base, _ = generate(ScenarioConfig(seed=7, weeks=3))
     p99 = np.percentile(densities(base), 99)
     spec = IncidentSpec(9 * 1440 + 17 * 60, 30, 0.6)
-    samples, labels = generate(ScenarioConfig(seed=7, weeks=3, incidents=(spec,)))
-    during = [samples[m].density for m in range(spec.start_min, spec.end_min)]
+    stream, labels = generate(ScenarioConfig(seed=7, weeks=3, incidents=(spec,)))
+    during = stream.density[spec.start_min : spec.end_min]
     assert max(during) > p99
     assert len(labels) == 1
     assert labels[0].start == SERIES_START + timedelta(minutes=spec.start_min)
@@ -68,11 +68,11 @@ def test_incident_density_exceeds_baseline_p99():
 
 def test_every_incident_produces_congestion():
     plan = plan_incidents(8, 4, seed=17)
-    samples, labels = generate(ScenarioConfig(seed=17, weeks=4, incidents=plan))
+    stream, labels = generate(ScenarioConfig(seed=17, weeks=4, incidents=plan))
     base, _ = generate(ScenarioConfig(seed=17, weeks=4))
     p95 = np.percentile(densities(base), 95)
     for spec, label in zip(plan, labels):
-        during = [samples[m].density for m in range(spec.start_min, spec.end_min)]
+        during = stream.density[spec.start_min : spec.end_min]
         assert max(during) > p95  # congestion overlaps its label
         assert label.duration_minutes == spec.duration_min - 1
 
@@ -80,17 +80,17 @@ def test_every_incident_produces_congestion():
 def test_flow_cap_invariant():
     for noise in (0.0, 0.05, 0.15):
         cfg = ScenarioConfig(seed=9, weeks=1, noise_scale=noise)
-        samples, _ = generate(cfg)
+        stream, _ = generate(cfg)
         cap = cfg.capacity_flow * (1.0 + 3.0 * noise)
-        assert max(s.flow for s in samples) <= cap + 1e-9
+        assert stream.flow.max() <= cap + 1e-9
 
 
 def test_bottleneck_creates_bimodal_weekly_bin():
     cfg = ScenarioConfig(seed=23, weeks=6, bottleneck=BottleneckSpec())
-    samples, _ = generate(cfg)
+    stream, _ = generate(cfg)
     by_bin: dict[int, list[float]] = {}
-    for s, b in zip(samples, weekly_bins(LinkSeries.from_samples(samples).minutes).tolist()):
-        by_bin.setdefault(b, []).append(s.speed)
+    for speed, b in zip(stream.speed.tolist(), weekly_bins(stream.minutes).tolist()):
+        by_bin.setdefault(b, []).append(speed)
     best = 0.0
     for speeds in by_bin.values():
         hist, edges = np.histogram(np.asarray(speeds), bins=24)
@@ -143,17 +143,18 @@ def test_plan_incidents_avoids_bottleneck():
 
 
 def test_samples_have_travel_time():
-    samples, _ = generate(ScenarioConfig(seed=1, weeks=1))
-    assert all(s.travel_time is not None and s.travel_time > 0 for s in samples)
-    assert len(samples) == 7 * 1440
+    stream, _ = generate(ScenarioConfig(seed=1, weeks=1))
+    assert np.all(stream.travel_time > 0)  # NaN, a missing travel time, fails too
+    assert len(stream) == 7 * 1440
+    assert np.all(np.diff(stream.minutes) == 1)
 
 
 def test_exit_sides_on_fitted_synthetic_region():
     from flowsentry.levelset import contains, exit_side
 
     cfg = ScenarioConfig(seed=13, weeks=3)
-    samples, _ = generate(cfg)
-    pts = np.array([(s.density, s.flow) for s in samples if s.has_density])
+    stream, _ = generate(cfg)
+    pts = stream.points
     region = fit_typical_region(pts, RegionConfig(0.05), resolution=(256, 256))
     # a low-density high-flow surge is atypically good: the left side
     surge = (12.0, 2.0 * cfg.free_flow_speed * 12.0)
