@@ -12,7 +12,7 @@ robust-SND and McMaster-style baselines (``baselines``, ``evaluation``).
 
 __version__ = "0.1.0"
 
-from .detector import DetectorConfig, DftbFlag, ExcursionRecord, calibrate_normalizer, severity, track
+from .detector import DetectorConfig, FlagRow, calibrate_normalizer, severity, track
 from .ingest import (
     EventLabel,
     LinkMeta,
@@ -40,9 +40,8 @@ __all__ = [
     "DensityGrid",
     "DensityModel",
     "DetectorConfig",
-    "DftbFlag",
     "EventLabel",
-    "ExcursionRecord",
+    "FlagRow",
     "LinkMeta",
     "LinkSeries",
     "RegionConfig",

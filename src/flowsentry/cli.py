@@ -33,10 +33,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ingest.CadenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (UsageError, ingest.CadenceError, ingest.ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # computation failures from the library
@@ -210,7 +207,7 @@ def cmd_detect(args) -> int:
     out = _out_dir(args.out)
     annotated = detector.annotate(stream, region)
     excursions, flags = detector.track_annotated(annotated, _detector_config(args, annotated))
-    detector.write_excursions_csv(excursions, flags, out / "excursions.csv")
+    detector.write_excursions_csv(excursions, out / "excursions.csv")
     detector.write_flags_csv(flags, out / "flags.csv")
     print(f"excursions: {len(excursions)}")
     print(f"flags: {len(flags)}")

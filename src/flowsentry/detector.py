@@ -13,14 +13,14 @@ last observed minute.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from datetime import datetime
-from math import ceil
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import LinkSeries, TrafficSample, datetimes, format_timestamp, open_text, parse_timestamp
+from .ingest import LinkSeries, ParseError, TrafficSample, datetimes, format_timestamp, open_text, parse_timestamp
 from .levelset import (
     TypicalRegion,
     contains,
@@ -67,8 +67,13 @@ class DetectorConfig:
 
 
 @dataclass(frozen=True)
-class ExcursionRecord:
-    """One contiguous atypical episode on a single side of the boundary."""
+class FlagRow:
+    """One row of the excursion/flag CSV schema.
+
+    An excursion row is one atypical episode on a single side of the boundary,
+    ``flagged`` if it raised a flag. A flag row is its excursion's row with the
+    flag onset as ``start`` and the flagged minutes as ``duration_min``.
+    """
 
     link_id: str
     start: datetime
@@ -76,32 +81,19 @@ class ExcursionRecord:
     duration_min: int
     max_severity: float
     exit_side: str
+    flagged: bool
 
     def __post_init__(self):
         if self.duration_min < 1:
-            raise ValueError("excursion duration must be at least one minute")
-        if self.max_severity <= 0:
-            raise ValueError("excursion max severity must be positive")
+            raise ValueError(f"duration {self.duration_min} must be at least one minute")
+        if not 0.0 < self.max_severity < math.inf:
+            raise ValueError(f"max severity {self.max_severity} must be positive and finite")
         if self.exit_side not in ("left", "right"):
             raise ValueError(f"bad exit side {self.exit_side!r}")
-
-
-@dataclass(frozen=True)
-class DftbFlag:
-    """A raised deviation-from-typical-behaviour flag (right-side only)."""
-
-    link_id: str
-    timestamp: datetime  # first flagged minute
-    end: datetime  # flag persists to excursion close
-    severity: float  # severity at emission
-    flagged_min: int
-    excursion: ExcursionRecord
-
-    def __post_init__(self):
-        if self.severity <= 0:
-            raise ValueError("flag severity must be positive")
-        if self.excursion.exit_side != "right":
-            raise ValueError("flags are only emitted for right-side excursions")
+        if self.flagged and self.exit_side != "right":
+            raise ValueError("flags are only raised for right-side excursions")
+        if self.end < self.start:
+            raise ValueError(f"end {format_timestamp(self.end)} precedes start {format_timestamp(self.start)}")
 
 
 def severity(point, region: TypicalRegion) -> float:
@@ -160,8 +152,8 @@ def track(
     samples: Sequence[TrafficSample],
     region: TypicalRegion,
     config: DetectorConfig,
-) -> tuple[list[ExcursionRecord], list[DftbFlag]]:
-    """Excursions and flags of a stream; see ``segment`` and ``track_annotated``."""
+) -> tuple[list[FlagRow], list[FlagRow]]:
+    """Excursion and flag rows of a stream; see ``segment`` and ``track_annotated``."""
     return track_annotated(annotate(LinkSeries.from_samples(samples), region), config)
 
 
@@ -222,8 +214,8 @@ def segment(series: SeveritySeries, gap_termination_min: int) -> Excursions:
     return Excursions(rows, severity, first, duration, max_severity, right[first])
 
 
-def track_annotated(series: SeveritySeries, config: DetectorConfig) -> tuple[list[ExcursionRecord], list[DftbFlag]]:
-    """Excursion records of an annotated stream and the flags ``config`` raises.
+def track_annotated(series: SeveritySeries, config: DetectorConfig) -> tuple[list[FlagRow], list[FlagRow]]:
+    """Excursion rows of an annotated stream and the flag rows ``config`` raises.
 
     Left-side excursions are recorded but never flagged. In severity mode a
     flag opens at the first minute at or above the threshold and persists to
@@ -231,22 +223,23 @@ def track_annotated(series: SeveritySeries, config: DetectorConfig) -> tuple[lis
     the whole excursion when it lasted long enough.
     """
     found = segment(series, config.gap_termination_min)
-    link, at = series.link_id, series.epoch_us
-    columns = (found.duration, found.max_severity, found.right)
-    excursions = [
-        ExcursionRecord(link, a, b, d, m, "right" if r else "left")
-        for a, b, d, m, r in zip(datetimes(at[found.start]), datetimes(at[found.end]), *(c.tolist() for c in columns))
-    ]
     if config.mode == "duration_threshold":
         chosen = np.flatnonzero(found.right & (found.duration >= config.duration_threshold_min))
-        return excursions, [
-            DftbFlag(link, e.start, e.end, e.max_severity, e.duration_min, e) for e in (excursions[k] for k in chosen)
-        ]
-    flagged, onset = found.onsets(config.severity_threshold)
-    columns = (flagged, found.severity[onset], found.first[flagged] + found.duration[flagged] - onset)
+        onset = found.first[chosen]
+    else:
+        chosen, onset = found.onsets(config.severity_threshold)
+    raised = np.zeros(found.first.size, dtype=bool)
+    raised[chosen] = True
+    at = series.epoch_us
+    columns = (c.tolist() for c in (found.duration, found.max_severity, found.right, raised))
+    excursions = [
+        FlagRow(series.link_id, a, b, d, m, "right" if r else "left", f)
+        for a, b, d, m, r, f in zip(datetimes(at[found.start]), datetimes(at[found.end]), *columns)
+    ]
+    flagged_min = found.first[chosen] + found.duration[chosen] - onset
     flags = [
-        DftbFlag(link, ts, excursions[k].end, sev, minutes, excursions[k])
-        for ts, k, sev, minutes in zip(datetimes(at[found.rows[onset]]), *(c.tolist() for c in columns))
+        replace(excursions[k], start=a, duration_min=m)
+        for k, a, m in zip(chosen.tolist(), datetimes(at[found.rows[onset]]), flagged_min.tolist())
     ]
     return excursions, flags
 
@@ -258,79 +251,53 @@ def duration_threshold_from_percentile(durations: Sequence[float], percentile: f
     if not 0.0 <= percentile <= 100.0:
         raise ValueError(f"percentile {percentile} outside [0, 100]")
     ordered = sorted(durations)
-    rank = max(1, ceil(percentile / 100.0 * len(ordered)))
+    rank = max(1, math.ceil(percentile / 100.0 * len(ordered)))
     return float(ordered[rank - 1])
 
 
-@dataclass(frozen=True)
-class FlagRow:
-    """One row of the shared excursion/flag CSV schema."""
-
-    link_id: str
-    start: datetime
-    end: datetime
-    duration_min: int
-    max_severity: float
-    exit_side: str
-    flagged: bool
-
-
-def write_excursions_csv(excursions: Iterable[ExcursionRecord], flags: Iterable[DftbFlag], sink) -> None:
-    """Per-excursion rows; ``flagged`` marks excursions that raised a flag."""
-    flagged = {id(f.excursion) for f in flags}
-    rows = [
-        FlagRow(e.link_id, e.start, e.end, e.duration_min, e.max_severity, e.exit_side, id(e) in flagged)
-        for e in excursions
-    ]
-    _write_rows(rows, sink)
-
-
-def write_flags_csv(flags: Iterable[DftbFlag], sink) -> None:
-    """Per-flag rows; ``start`` is the flag onset, not the excursion start."""
-    rows = [
-        FlagRow(f.link_id, f.timestamp, f.end, f.flagged_min, f.excursion.max_severity, "right", True)
-        for f in flags
-    ]
-    _write_rows(rows, sink)
-
-
-def _write_rows(rows: list[FlagRow], sink) -> None:
+def write_excursions_csv(rows: Iterable[FlagRow], sink) -> None:
+    """Write excursion or flag rows in the shared CSV schema."""
     with open_text(sink, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(FLAGS_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.link_id,
-                    format_timestamp(r.start),
-                    format_timestamp(r.end),
-                    r.duration_min,
-                    repr(r.max_severity),
-                    r.exit_side,
-                    "true" if r.flagged else "false",
-                ]
-            )
+        writer.writerows(
+            (r.link_id, format_timestamp(r.start), format_timestamp(r.end), r.duration_min, repr(r.max_severity),
+             r.exit_side, "true" if r.flagged else "false")
+            for r in rows
+        )
+
+
+def write_flags_csv(rows: Iterable[FlagRow], sink) -> None:
+    """The flag file ``detect`` writes: ``write_excursions_csv`` of the flag rows."""
+    write_excursions_csv(rows, sink)
 
 
 def read_flags_csv(source) -> list[FlagRow]:
+    """The rows of an excursion or flag CSV. A malformed row, or one that breaks a ``FlagRow``
+    invariant, raises ``ParseError`` naming it (the header is row 1 and blank rows count)."""
     with open_text(source) as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != FLAGS_HEADER:
-            raise ValueError(f"unexpected flags header {header!r}")
+            raise ParseError(f"unexpected flags header {header!r}", 1)
         rows = []
-        for row in reader:
-            if not row:
-                continue
-            rows.append(
-                FlagRow(
-                    link_id=row[0],
-                    start=parse_timestamp(row[1]),
-                    end=parse_timestamp(row[2]),
-                    duration_min=int(row[3]),
-                    max_severity=float(row[4]),
-                    exit_side=row[5],
-                    flagged=row[6] == "true",
-                )
-            )
+        for row_no, cells in enumerate(reader, start=2):
+            if cells:
+                try:
+                    rows.append(_flag_row(cells))
+                except ValueError as exc:
+                    raise ParseError(str(exc), row_no) from None
         return rows
+
+
+def _flag_row(cells: list[str]) -> FlagRow:
+    if len(cells) != len(FLAGS_HEADER):
+        raise ValueError(f"expected {len(FLAGS_HEADER)} fields, got {len(cells)}")
+    link_id, start, end, minutes, peak, exit_side, flag = cells
+    if flag not in ("true", "false"):
+        raise ValueError(f"flagged {flag!r} is neither 'true' nor 'false'")
+    try:
+        numbers = int(minutes), float(peak)
+    except ValueError:
+        raise ValueError(f"duration_min {minutes!r} must be an integer, max_severity {peak!r} a number") from None
+    return FlagRow(link_id, parse_timestamp(start), parse_timestamp(end), *numbers, exit_side, flag == "true")

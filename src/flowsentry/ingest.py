@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -68,13 +69,16 @@ class CadenceError(ValueError):
 
 
 def _range_error(speed: float | None, flow: float | None, travel_time: float | None) -> str | None:
-    """Why a reading is out of range, checking speed, flow and travel time in that order; None if all hold."""
+    """Why a reading is out of range, checking speed, flow, travel time and the density
+    flow/speed in that order; None if all hold."""
     if speed is not None and not 0.0 <= speed <= SPEED_MAX_KMH:
         return f"speed {speed} outside [0, {SPEED_MAX_KMH}] km/h"
     if flow is not None and not 0.0 <= flow <= FLOW_MAX_VPH:
         return f"flow {flow} outside [0, {FLOW_MAX_VPH}] veh/h"
-    if travel_time is not None and travel_time < 0:
-        return f"travel_time {travel_time} negative"
+    if travel_time is not None and not 0.0 <= travel_time < math.inf:
+        return f"travel_time {travel_time} not finite and nonnegative"
+    if speed is not None and flow is not None and speed > 0 and flow / speed == math.inf:
+        return f"density {flow}/{speed} is not finite"
     return None
 
 
@@ -146,8 +150,10 @@ class LinkSeries:
             at = datetimes(self.epoch_us[[backwards[0] + 1]])[0]
             raise ValueError(f"stream not time-ordered at {format_timestamp(at)}")
         density = np.full(len(self.epoch_us), np.nan)
-        with np.errstate(over="ignore"):  # as Python's float division, a subnormal speed gives inf
+        with np.errstate(over="ignore"):  # a tiny positive speed overflows; rejected below
             np.divide(self.flow, self.speed, out=density, where=self.speed > 0)
+        if np.isinf(density).any():
+            raise ValueError(f"link {self.link_id}: flow/speed overflows to an infinite density")
         object.__setattr__(self, "density", density)
         object.__setattr__(self, "spacing_min", float(np.median(steps)) / US_PER_MINUTE if steps.size else 1.0)
 
@@ -239,7 +245,10 @@ def parse_timestamp(text: str) -> datetime:
     ts = datetime.fromisoformat(raw)
     if ts.tzinfo is None:
         raise ValueError(f"timestamp {text!r} lacks a UTC offset")
-    return ts.astimezone(timezone.utc)
+    try:
+        return ts.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp {text!r} is outside years 1-9999 in UTC") from None
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -379,10 +388,13 @@ class _SeriesReader:
         follows = np.empty(n, dtype=bool)
         follows[order] = has_prev
 
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            infinite_density = (speed > 0.0) & (flow / speed == np.inf)
         out_of_range = (
             (has_speed & ~((speed >= 0.0) & (speed <= SPEED_MAX_KMH)))
             | (has_flow & ~((flow >= 0.0) & (flow <= FLOW_MAX_VPH)))
-            | (has_tt & (travel_time < 0.0))
+            | (has_tt & ~((travel_time >= 0.0) & (travel_time < np.inf)))
+            | infinite_density
         )
 
         def stamp(i: int) -> str:

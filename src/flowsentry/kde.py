@@ -223,7 +223,7 @@ def _univariate_two_stage_scale(x: np.ndarray) -> float:
     Stage one estimates the sixth-derivative functional with a normal-reference
     pilot; stage two feeds it into a pilot for the curvature functional R(p''),
     which is substituted into the AMISE minimiser. Pairwise sums use a strided
-    subsample above 4000 points; the estimate stays deterministic.
+    subsample of about 2000 points above 2000; the estimate stays deterministic.
     """
     n_full = x.size
     if n_full > 2000:
@@ -245,7 +245,7 @@ def _univariate_two_stage_scale(x: np.ndarray) -> float:
 
 
 def fit(samples, bandwidth: BandwidthMatrix | np.ndarray, *, min_samples: int = 1) -> DensityModel:
-    """Build a density model; the only precomputation is the Cholesky factor."""
+    """Build a density model from the samples and a bandwidth (``BandwidthMatrix`` holds its Cholesky factor)."""
     pts = np.asarray(samples, dtype=float)
     if pts.size == 0:
         raise InsufficientDataError("no samples")

@@ -140,13 +140,6 @@ def backbone_flow(config: ScenarioConfig, density: float) -> float:
     return config.apex_flow * (config.jam_density - density) / span
 
 
-def congested_density_at(config: ScenarioConfig, flow: float) -> float:
-    """Density on the congested branch carrying the given flow."""
-    flow = min(max(flow, 0.0), config.apex_flow)
-    span = config.jam_density - config.critical_density
-    return config.jam_density - span * flow / config.apex_flow
-
-
 def generate(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel]]:
     """Simulate the scenario minute by minute; returns (stream, labels).
 

@@ -268,7 +268,7 @@ def _fit_and_calibrate(train, train_labels):
 def _dftb_test_score(test, test_labels, region, threshold):
     series = annotate(test, region)
     _, flags = track_annotated(series, DetectorConfig("severity_threshold", severity_threshold=threshold))
-    return ev.score_detector([(f.timestamp, f.end) for f in flags], test_labels, int(series.usable.sum()))
+    return ev.score_detector([(f.start, f.end) for f in flags], test_labels, int(series.usable.sum()))
 
 
 def _snd_test_score(train, test, train_labels, test_labels):

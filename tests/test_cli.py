@@ -186,7 +186,7 @@ def test_duration_percentile_annotates_once(workspace, tmp_path, capsys, monkeyp
     excursions, flags = detector.track(
         samples, region, detector.DetectorConfig("duration_threshold", duration_threshold_min=minutes)
     )
-    detector.write_excursions_csv(excursions, flags, tmp_path / "excursions.csv")
+    detector.write_excursions_csv(excursions, tmp_path / "excursions.csv")
     detector.write_flags_csv(flags, tmp_path / "flags.csv")
     for name in ("excursions.csv", "flags.csv"):
         assert (tmp_path / "dp" / name).read_bytes() == (tmp_path / name).read_bytes()
@@ -260,6 +260,73 @@ def test_detect_bad_region_file_exit_2(workspace, tmp_path, capsys, mangle, prob
     err = capsys.readouterr().err
     assert f"bad region file {bad}" in err
     assert problem in err
+
+
+def mangle_row(path, row, column, value):
+    """A copy of a CSV file with one cell replaced; ``row`` is 1-based, the header is row 1."""
+    lines = path.read_text().splitlines()
+    cells = lines[row - 1].split(",")
+    cells[column] = value
+    lines[row - 1] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def test_malformed_series_exit_2(workspace, tmp_path, capsys):
+    bad = tmp_path / "series.csv"
+    bad.write_text(mangle_row(workspace / "sim" / "series.csv", 5, 2, "abc"))
+    assert main(["fit", "--series", str(bad), "--out", str(tmp_path / "fit")]) == 2
+    assert "row 5: speed 'abc' is not numeric" in capsys.readouterr().err
+
+
+def test_malformed_events_exit_2(workspace, tmp_path, capsys):
+    bad = tmp_path / "events.csv"
+    bad.write_text(mangle_row(workspace / "sim" / "events.csv", 3, 2, "yesterday"))
+    series = str(workspace / "sim" / "series.csv")
+    code = main(["calibrate", "--series", series, "--events", str(bad), "--detector", "snd", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: row 3: ") and "'yesterday'" in err
+
+
+FLAG_ROW = ["SIM1", "2017-04-03T14:32:00Z", "2017-04-03T14:50:00Z", "19", "0.83", "right", "true"]
+BAD_FLAG_CELLS = {  # column -> replacement, each breaking the row
+    "short_row": (6, None),
+    "duration_not_integer": (3, "2.5"),
+    "severity_nan": (4, "nan"),
+    "severity_zero": (4, "0"),
+    "severity_negative": (4, "-0.5"),
+    "unknown_side": (5, "up"),
+    "flagged_left": (5, "left"),
+    "flagged_capitalised": (6, "True"),
+    "end_before_start": (2, "2017-04-03T14:31:00Z"),
+    "bad_timestamp": (1, "2017-04-03T14:32:00"),
+}
+
+
+@pytest.mark.parametrize("case", ["bad_header", *BAD_FLAG_CELLS])
+def test_malformed_flags_exit_2(workspace, tmp_path, capsys, case):
+    from flowsentry.detector import FLAGS_HEADER, read_flags_csv
+    from flowsentry.ingest import ParseError
+
+    rows = [FLAGS_HEADER, FLAG_ROW, [], list(FLAG_ROW)]  # the blank line is row 3
+    if case == "bad_header":
+        rows[0], row = FLAGS_HEADER[:-1], 1
+    else:
+        column, value = BAD_FLAG_CELLS[case]
+        rows[3][column:column + 1] = [] if value is None else [value]
+        row = 4
+    bad = tmp_path / "flags.csv"
+    bad.write_text("\n".join(",".join(cells) for cells in rows) + "\n")
+    with pytest.raises(ParseError, match=f"^row {row}: ") as raised:
+        read_flags_csv(bad)
+    assert raised.value.row == row
+    series = str(workspace / "sim" / "series.csv")
+    for argv in (
+        ["evaluate", "--series", series, "--events", str(workspace / "sim" / "events.csv"), "--flags", str(bad)],
+        ["plot", "--series", series, "--region", str(workspace / "fit" / "region.json"), "--flags", str(bad)],
+    ):
+        assert main(argv + ["--out", str(tmp_path / argv[0])]) == 2
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
 
 
 def test_cadence_check_passes_short_and_minute_links():

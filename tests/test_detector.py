@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from flowsentry import evaluation as ev
 from flowsentry.detector import (
     DetectorConfig,
-    DftbFlag,
-    ExcursionRecord,
+    FlagRow,
     SeveritySeries,
     UncalibratedRegionError,
     annotate,
@@ -138,7 +137,8 @@ def test_left_excursions_recorded_never_flagged():
     excursions, flags = track(series(pts), region(), DetectorConfig("severity_threshold", severity_threshold=0.0))
     assert [e.exit_side for e in excursions] == ["left", "right"]
     assert len(flags) == 1
-    assert flags[0].excursion.exit_side == "right"
+    assert flags[0].exit_side == "right"
+    assert [e.flagged for e in excursions] == [False, True]
 
 
 def test_single_missing_minute_bridges_excursion():
@@ -191,8 +191,8 @@ def test_duration_mode_flags_retroactively():
     excursions, flags = track(series(pts), region(), DUR_CFG)
     assert [e.duration_min for e in excursions] == [4, 2]
     assert len(flags) == 1
-    assert flags[0].timestamp == excursions[0].start
-    assert flags[0].end == excursions[0].end
+    assert flags[0] == excursions[0]
+    assert [e.flagged for e in excursions] == [True, False]
 
 
 def test_severity_mode_onset_matches_replay_oracle():
@@ -210,8 +210,10 @@ def test_severity_mode_onset_matches_replay_oracle():
         if not contains(r, p) and severity(p, r) >= threshold:
             onset = T0 + timedelta(minutes=k)
             break
-    assert flags[0].timestamp == onset
+    assert flags[0].start == onset
     assert flags[0].end == excursions[0].end
+    assert flags[0].duration_min == 7 - (onset - T0) // timedelta(minutes=1) + 1
+    assert flags[0].max_severity == excursions[0].max_severity
 
 
 def test_flag_severity_positive_and_interior_severity_zero():
@@ -302,18 +304,34 @@ def test_flags_csv_round_trip():
     pts = [INTERIOR] + [RIGHT] * 4 + [INTERIOR]
     excursions, flags = track(series(pts), region(), DUR_CFG)
     buf = io.StringIO()
-    write_excursions_csv(excursions, flags, buf)
+    write_excursions_csv(excursions, buf)
     rows = read_flags_csv(io.StringIO(buf.getvalue()))
-    assert len(rows) == 1
+    assert rows == excursions
     assert rows[0].flagged
-    assert rows[0].start == excursions[0].start
     assert rows[0].duration_min == 4
 
     buf2 = io.StringIO()
     write_flags_csv(flags, buf2)
-    frows = read_flags_csv(io.StringIO(buf2.getvalue()))
-    assert frows[0].start == flags[0].timestamp
-    assert frows[0].end == flags[0].end
+    assert read_flags_csv(io.StringIO(buf2.getvalue())) == flags
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        ({"duration_min": 0}, "at least one minute"),
+        ({"max_severity": 0.0}, "positive and finite"),
+        ({"max_severity": float("nan")}, "positive and finite"),
+        ({"max_severity": float("inf")}, "positive and finite"),
+        ({"exit_side": "up"}, "bad exit side 'up'"),
+        ({"exit_side": "left"}, "only raised for right-side"),
+        ({"end": T0 - timedelta(minutes=1)}, "precedes start"),
+    ],
+)
+def test_flag_row_invariants(change, problem):
+    good = dict(link_id="L1", start=T0, end=T0, duration_min=1, max_severity=0.5, exit_side="right", flagged=True)
+    FlagRow(**good)
+    with pytest.raises(ValueError, match=problem):
+        FlagRow(**{**good, **change})
 
 
 # --- segmentation against the per-minute replay -------------------------------------
@@ -329,23 +347,24 @@ def track_annotated_oracle(series, config):
     minute_count = 0
     max_sev = 0.0
     flag_idx = None
-    flag_sev = 0.0
     flag_minutes = 0
     last_usable = None
     ts = datetimes(series.epoch_us)
 
     def close():
-        nonlocal open_side, flag_idx, flag_sev, flag_minutes
-        record = ExcursionRecord(series.link_id, ts[start_idx], ts[end_idx], minute_count, max_sev, open_side)
-        excursions.append(record)
+        nonlocal open_side, flag_idx, flag_minutes
+        flag = None
         if open_side == "right":
             if config.mode == "severity_threshold" and flag_idx is not None:
-                flags.append(DftbFlag(series.link_id, ts[flag_idx], ts[end_idx], flag_sev, flag_minutes, record))
+                flag = FlagRow(series.link_id, ts[flag_idx], ts[end_idx], flag_minutes, max_sev, "right", True)
             elif config.mode == "duration_threshold" and minute_count >= config.duration_threshold_min:
-                flags.append(DftbFlag(series.link_id, ts[start_idx], ts[end_idx], max_sev, minute_count, record))
+                flag = FlagRow(series.link_id, ts[start_idx], ts[end_idx], minute_count, max_sev, "right", True)
+        raised = flag is not None
+        excursions.append(FlagRow(series.link_id, ts[start_idx], ts[end_idx], minute_count, max_sev, open_side, raised))
+        if raised:
+            flags.append(flag)
         open_side = None
         flag_idx = None
-        flag_sev = 0.0
         flag_minutes = 0
 
     for i in range(len(ts)):
@@ -375,7 +394,6 @@ def track_annotated_oracle(series, config):
                 and series.severity[i] >= config.severity_threshold
             ):
                 flag_idx = i
-                flag_sev = float(series.severity[i])
             if flag_idx is not None:
                 flag_minutes += 1
         elif open_side is not None:
@@ -493,5 +511,5 @@ def test_dftb_sweep_matches_replay_oracle(rows, gap, label_rows):
     for threshold in ev.DFTB_THRESHOLD_GRID:
         config = DetectorConfig("severity_threshold", severity_threshold=threshold, gap_termination_min=gap)
         _, flags = track_annotated_oracle(series, config)
-        expected = ev.score_detector([(f.timestamp, f.end) for f in flags], labels, int(series.usable.sum()))
+        expected = ev.score_detector([(f.start, f.end) for f in flags], labels, int(series.usable.sum()))
         assert score(threshold) == expected

@@ -1,11 +1,12 @@
 import csv
 import io
+import math
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flowsentry import ingest
@@ -33,6 +34,12 @@ T0 = datetime(2017, 4, 7, tzinfo=timezone.utc)
 
 def make_series_csv(rows, header="link_id,timestamp,speed_kmh,flow_vph"):
     return io.StringIO(header + "\n" + "\n".join(rows) + "\n")
+
+
+def finite_density(speed, flow):
+    """Whether flow/speed stays finite; a tiny positive speed makes it overflow, and such a
+    reading is out of range (see test_overflowing_density_is_out_of_range)."""
+    return not (speed and flow and flow / speed == math.inf)
 
 
 def test_parse_row_derives_density():
@@ -112,6 +119,7 @@ def test_density_speed_flow_identity():
     minutes=st.integers(0, 500000),
 )
 def test_series_round_trip(speed, flow, travel, minutes):
+    assume(finite_density(speed, flow))
     sample = TrafficSample("L9", T0 + timedelta(minutes=minutes), speed, flow, travel)
     buf = io.StringIO()
     write_series(LinkSeries.from_samples([sample]), buf)
@@ -144,6 +152,7 @@ def write_series_oracle(samples, sink):
     start=st.integers(-2 * 10**9, 10**9),  # from 1953 on, so some epochs are negative
 )
 def test_write_series_matches_row_writer(rows, start):
+    assume(all(finite_density(speed, flow) for _, _, speed, flow, _ in rows))
     samples, t = [], T0 + timedelta(seconds=start)
     for step_s, micros, speed, flow, travel in rows:
         t += timedelta(seconds=step_s, microseconds=micros)
@@ -195,6 +204,7 @@ def _column(values):
     seconds=st.integers(0, 59),
 )
 def test_link_series_columns_match_samples(rows, seconds):
+    assume(all(finite_density(speed, flow) for _, speed, flow, _ in rows))
     samples = []
     t = T0 + timedelta(seconds=seconds)
     for gap, speed, flow, travel in rows:
@@ -346,11 +356,12 @@ BAD_STAMPS = [
     "2017-00-10T00:00:00Z", "0000-01-01T00:00:00Z", "2017-04-07T24:00:00Z", "2017-04-07T00:60:00Z",
     "2017-04-07T00:00:60Z", "2017-04-07T00:00:00", "2017-04-07", "2017-04-07T00:00:00ZZ", "",
     "x", "2017-04-07T00:00:00Ż", "２017-04-07T00:00:00Z", "2017/04/07T00:00:00Z", "2017-04-07T00:00:0aZ",
+    "0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00",
 ]
 GOOD_ODD_STAMPS = ["2000-02-29T23:59:59Z", "2016-02-29T12:00:00z", "1969-12-31T23:59:59Z", "9999-12-31T23:59:59Z",
                    "2017-04-07 00:00:00Z", " 2017-04-07T00:00:00Z "]
 BAD_NUMBERS = ["abc", "nan", "NaN", "inf", "-inf", "300", "12001", "-1", "-1e-300", "1,5", "--1", "0x10", "1e3"]
-ODD_NUMBERS = ["", " ", "-0.0", "0", "1e2", "1_0", " 2.5 ", "+7", "1E1"]
+ODD_NUMBERS = ["", " ", "-0.0", "0", "1e2", "1_0", " 2.5 ", "+7", "1E1", "5e-324"]
 FAULTS = ["blank_link", "stamp", "odd_stamp", "speed", "flow", "travel_time", "width", "duplicate", "backwards"]
 
 
@@ -497,9 +508,32 @@ def test_read_series_parses_each_timestamp_as_the_row_parser(stamp):
         "L1,2017-04-03T00:01:00Z,x,y,z",  # speed, flow and travel time numeric
         "L1,2017-04-03T00:01:00Z,1,y,z",  # flow and travel time numeric
         "L1,2017-04-03T00:01:00Z,nan,1,x",  # travel time numeric and speed range
+        "L1,2017-04-03T00:01:00Z,1,1,nan",  # travel time range: it must be finite
+        "L1,2017-04-03T00:01:00Z,1,1,inf",
+        "L1,2017-04-03T00:01:00Z,1,1,-inf",
     ],
 )
 def test_read_series_reports_a_rows_first_failed_check(row):
     text = "\n".join([",".join(SERIES_HEADER), "L1,2017-04-03T00:00:00Z,1,1,1", row]) + "\n"
     assert read_outcome(text) == oracle_outcome(text)
     assert read_outcome(text)[1] == 3
+
+
+@pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00"])
+def test_timestamp_outside_utc_years_names_the_series_row(stamp):
+    text = f"link_id,timestamp,speed_kmh,flow_vph\n\nL1,{stamp},1,1\n"
+    expected = (f"row 3: timestamp {stamp!r} is outside years 1-9999 in UTC", 3)
+    assert read_outcome(text) == oracle_outcome(text) == expected
+
+
+def test_timestamp_outside_utc_years_names_the_events_row():
+    text = "link_id,category,start,end\nL1,accident,0001-01-01T00:00:00+01:00,2017-04-07T08:00:00Z\n"
+    with pytest.raises(ParseError, match="^row 2: timestamp '0001-01-01T00:00:00\\+01:00' is outside years"):
+        parse_events(io.StringIO(text))
+
+
+def test_overflowing_density_is_out_of_range():
+    text = "link_id,timestamp,speed_kmh,flow_vph\nL1,2017-04-03T00:00:00Z,1,2\nL1,2017-04-03T00:01:00Z,5e-324,1\n"
+    assert read_outcome(text) == oracle_outcome(text) == ("row 3: density 1.0/5e-324 is not finite", 3)
+    with pytest.raises(ValueError, match="infinite density"):
+        LinkSeries("L1", np.array([0], dtype=np.int64), np.array([5e-324]), np.array([1.0]), np.array([np.nan]))
