@@ -2,8 +2,8 @@
 segmentation of the density-flow plane.
 
 SND builds per-window speed statistics over a week of 15-minute bins (672
-bins) and alarms when speed stays below min(cap, location - c * scale) for at
-least 3 consecutive minutes. The McMaster variant classifies each minute as
+bins) and alarms when speed stays below min(cap, median - c * IQR) for at
+least 3 consecutive minutes. The McMaster detector classifies each minute as
 congested from a quadratic lower bound of uncongested data plus critical
 density and flow, with the same 3-minute persistence; occupancy is proxied by
 density because the feed is link-level (no loop occupancy), which is a
@@ -25,8 +25,7 @@ BINS_PER_DAY = 24 * 60 // BIN_MINUTES
 BINS_PER_WEEK = 7 * BINS_PER_DAY  # 672
 MIN_BIN_OBSERVATIONS = 8
 SPEED_CAP_KMH = 45 * 1.609344  # exactly 72.42048
-
-SND_VARIANTS = ("mean_sd", "median_iqr", "median_mad")
+PERSISTENCE_MIN = 3  # consecutive alarming minutes both baselines need to raise an alarm
 
 
 @dataclass(frozen=True)
@@ -110,43 +109,33 @@ def _bin_stats(arr: np.ndarray) -> BinStats:
     return BinStats(arr.size, float(arr.mean()), float(median), sd, float(q75 - q25), mad)
 
 
-def snd_thresholds(profile: SndProfile, c: float, variant: str = "median_iqr") -> np.ndarray:
-    """min(cap, location - c * scale) per weekly bin, NaN where the bin is unusable; the
-    variant names the location and scale fields ("median_iqr": median and iqr)."""
+def snd_thresholds(profile: SndProfile, c: float) -> np.ndarray:
+    """min(cap, median - c * IQR) per weekly bin, NaN where the bin is unusable."""
     if c < 0:
         raise ValueError("c must be nonnegative")
-    if variant not in SND_VARIANTS:
-        raise ValueError(f"unknown SND variant {variant!r}")
-    location, scale = (np.array([getattr(b, name) for b in profile.bins]) for name in variant.split("_"))
+    median = np.array([b.median for b in profile.bins])
+    iqr = np.array([b.iqr for b in profile.bins])
     usable = np.array([b.usable for b in profile.bins])
-    return np.where(usable, np.minimum(profile.cap_kmh, location - c * scale), np.nan)
+    return np.where(usable, np.minimum(profile.cap_kmh, median - c * iqr), np.nan)
 
 
-def snd_detect(
-    stream: LinkSeries,
-    profile: SndProfile,
-    c: float,
-    variant: str = "median_iqr",
-    persistence_min: int = 3,
-) -> list[tuple[datetime, datetime]]:
-    """Alarm intervals: speed below the bin threshold for >= persistence minutes.
+def snd_detect(stream: LinkSeries, profile: SndProfile, c: float) -> list[tuple[datetime, datetime]]:
+    """Alarm intervals: speed below the bin threshold for at least ``PERSISTENCE_MIN`` minutes.
 
     The alarm is backdated to the first minute of the qualifying run and
     persists until a minute at or above threshold (or with no speed or no
     usable threshold) ends the run.
     """
     stream.require_minute_cadence()
-    thresholds = snd_thresholds(profile, c, variant)[weekly_bins(stream.minutes, profile.tz_offset_min)]
-    return _persistence_intervals(stream.epoch_us, stream.speed < thresholds, persistence_min)
+    thresholds = snd_thresholds(profile, c)[weekly_bins(stream.minutes, profile.tz_offset_min)]
+    return _persistence_intervals(stream.epoch_us, stream.speed < thresholds)
 
 
-def _persistence_intervals(
-    epoch_us: np.ndarray, hits: np.ndarray, persistence_min: int
-) -> list[tuple[datetime, datetime]]:
-    """(first, last) timestamp of every run of at least ``persistence_min`` hits."""
+def _persistence_intervals(epoch_us: np.ndarray, hits: np.ndarray) -> list[tuple[datetime, datetime]]:
+    """(first, last) timestamp of every run of at least ``PERSISTENCE_MIN`` hits."""
     edges = np.flatnonzero(np.diff(np.concatenate(([0], hits.astype(np.int8), [0]))))
     starts, stops = edges[0::2], edges[1::2]
-    keep = stops - starts >= persistence_min
+    keep = stops - starts >= PERSISTENCE_MIN
     return list(zip(datetimes(epoch_us[starts[keep]]), datetimes(epoch_us[stops[keep] - 1])))
 
 
@@ -175,11 +164,7 @@ class McMasterParams:
         return self.a + self.b * density + self.c * density * density
 
 
-def mcmaster_detect(
-    stream: LinkSeries,
-    params: McMasterParams,
-    persistence_min: int = 3,
-) -> list[tuple[datetime, datetime]]:
+def mcmaster_detect(stream: LinkSeries, params: McMasterParams) -> list[tuple[datetime, datetime]]:
     """Alarm intervals from persistent congested minutes.
 
     A minute is congested when its density exceeds the critical density, or
@@ -189,4 +174,4 @@ def mcmaster_detect(
     stream.require_minute_cadence()
     rho, flow = stream.density, stream.flow
     hits = (rho > params.rho_crit) | ((flow < params.lud(rho)) & (flow < params.f_crit))
-    return _persistence_intervals(stream.epoch_us, hits, persistence_min)
+    return _persistence_intervals(stream.epoch_us, hits)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, detector, evaluation, ingest, levelset, simgen, svg
-from .kde import evaluate_grid, fit as kde_fit, select_bandwidth
+from .kde import GRID_RESOLUTION, evaluate_grid, fit as kde_fit, select_bandwidth
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -114,18 +113,8 @@ def _out_dir(path: str) -> Path:
 
 
 def grid_resolution() -> tuple[int, int]:
-    """Default 512x512; the FLOWSENTRY_GRID env var overrides ("256" or "256x384")."""
-    raw = os.environ.get("FLOWSENTRY_GRID", "").strip()
-    if not raw:
-        return (512, 512)
-    try:
-        if "x" in raw:
-            a, b = raw.lower().split("x")
-            return (int(a), int(b))
-        n = int(raw)
-        return (n, n)
-    except ValueError:
-        raise UsageError(f"bad FLOWSENTRY_GRID value {raw!r}") from None
+    """The resolution of the grid ``fit`` evaluates the KDE on."""
+    return GRID_RESOLUTION
 
 
 def _load_region(path: str) -> levelset.TypicalRegion:
@@ -172,7 +161,7 @@ def cmd_fit(args) -> int:
     out = _out_dir(args.out)
     config = levelset.RegionConfig(alpha=args.alpha)
     bandwidth = select_bandwidth(pts, args.bandwidth_method)
-    model = kde_fit(pts, bandwidth, min_samples=50)
+    model = kde_fit(pts, bandwidth)
     grid = evaluate_grid(model, resolution=grid_resolution())
     region = levelset.fit_typical_region(pts, config, model=model, grid=grid)
     region = detector.calibrate_normalizer(region, pts)
@@ -195,7 +184,7 @@ def _detector_config(args, annotated: detector.SeveritySeries) -> detector.Detec
         return detector.DetectorConfig("duration_threshold", duration_threshold_min=args.threshold)
     if args.percentile is None:
         raise UsageError("duration mode needs --threshold or --percentile")
-    durations = detector.segment(annotated, detector.GAP_TERMINATION_MIN).duration
+    durations = detector.segment(annotated).duration
     minutes = detector.duration_threshold_from_percentile(durations, args.percentile)
     print(f"duration threshold from percentile {args.percentile}: {minutes} min")
     return detector.DetectorConfig("duration_threshold", duration_threshold_min=minutes)
@@ -233,12 +222,7 @@ def cmd_calibrate(args) -> int:
     else:
         result = evaluation.calibrate_mcmaster(stream, labels)
         payload = {"detector": "mcmaster", "params": asdict(result.parameter)}
-    payload["training_score"] = {
-        "dr": result.score.dr,
-        "far": result.score.far,
-        "mttd": result.score.mttd,
-        "pi": result.score.pi,
-    }
+    payload["training_score"] = _score_payload(result.score)
     (out / "calibration.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
     print(json.dumps(payload, indent=2))
     return EXIT_OK
@@ -254,9 +238,14 @@ def cmd_evaluate(args) -> int:
     labels = ingest.nonrecurrent_filter(ingest.parse_events(_require_file(args.events)))
     if not labels:
         raise evaluation.UndefinedMetricError("no non-recurrent labels; detection rate undefined")
-    flag_sets = {"a": detector.read_flags_csv(_require_file(args.flags))}
-    if args.flags_b:
-        flag_sets["b"] = detector.read_flags_csv(_require_file(args.flags_b))
+    flag_sets = {}
+    for name, path in (("a", args.flags), ("b", args.flags_b)):
+        if path:
+            rows = detector.read_flags_csv(_require_file(path))
+            unknown = sorted({r.link_id for r in rows}.difference(streams))
+            if unknown:
+                raise UsageError(f"{path} has flags for link {', '.join(map(repr, unknown))}, not in {args.series}")
+            flag_sets[name] = rows
     for stream in streams.values():
         stream.require_minute_cadence()
     scores: dict[str, dict[str, evaluation.DetectorScore]] = {}
@@ -267,17 +256,14 @@ def cmd_evaluate(args) -> int:
             if not link_labels:
                 continue
             intervals = [(r.start, r.end) for r in rows if r.link_id == link_id and r.flagged]
-            per_link[link_id] = evaluation.score_detector(intervals, link_labels, int(stream.usable.sum()))
+            per_link[link_id] = evaluation.score_detector(
+                intervals, link_labels, evaluation.applications(stream, "dftb")
+            )
         scores[name] = per_link
     payload: dict = {"links": {}}
     for name, per_link in scores.items():
         for link_id, s in per_link.items():
-            payload["links"].setdefault(link_id, {})[name] = {
-                "dr": s.dr,
-                "far": s.far,
-                "mttd": s.mttd,
-                "pi": s.pi,
-            }
+            payload["links"].setdefault(link_id, {})[name] = _score_payload(s)
     if "b" in scores:
         common = sorted(set(scores["a"]) & set(scores["b"]))
         payload["tests"] = {}
@@ -294,6 +280,19 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _score_payload(score: evaluation.DetectorScore) -> dict:
+    return {"dr": score.dr, "far": score.far, "mttd": score.mttd, "pi": score.pi}
+
+
+def _test_payload(result: evaluation.PairedTestResult) -> dict:
+    return {
+        "statistic": result.statistic,
+        "p_value": result.p_value,
+        "n_effective": result.n_effective,
+        "method": result.method,
+    }
+
+
 def _paired_tests_payload(pairs) -> dict:
     result: dict = {"n_pairs": len(pairs)}
     for name, test in (
@@ -302,13 +301,7 @@ def _paired_tests_payload(pairs) -> dict:
         ("paired_t", evaluation.paired_t_test),
     ):
         try:
-            r = test(pairs)
-            result[name] = {
-                "statistic": r.statistic,
-                "p_value": r.p_value,
-                "n_effective": r.n_effective,
-                "method": r.method,
-            }
+            result[name] = _test_payload(test(pairs))
         except (evaluation.InsufficientPairsError, evaluation.DegenerateTestError) as exc:
             result[name] = {"skipped": str(exc)}
     return result
@@ -329,15 +322,7 @@ def _evaluate_fixture(out: Path) -> int:
         "aggregates": {m: asdict(a) for m, a in report["aggregates"].items()},
         "differences": report["differences"],
         "tests": {
-            metric: {
-                name: {
-                    "statistic": r.statistic,
-                    "p_value": r.p_value,
-                    "n_effective": r.n_effective,
-                    "method": r.method,
-                }
-                for name, r in tests.items()
-            }
+            metric: {name: _test_payload(r) for name, r in tests.items()}
             for metric, tests in report["tests"].items()
         },
     }

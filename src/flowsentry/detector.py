@@ -31,6 +31,7 @@ from .levelset import (
     with_normalizer,
 )
 
+# A missing run of at least this many minutes ends an excursion.
 GAP_TERMINATION_MIN = 2
 
 FLAGS_HEADER = ["link_id", "start", "end", "duration_min", "max_severity", "exit_side", "flagged"]
@@ -47,7 +48,6 @@ class DetectorConfig:
     mode: str  # "duration_threshold" or "severity_threshold"
     duration_threshold_min: float | None = None
     severity_threshold: float | None = None
-    gap_termination_min: int = GAP_TERMINATION_MIN
 
     def __post_init__(self):
         if self.mode == "duration_threshold":
@@ -62,8 +62,6 @@ class DetectorConfig:
                 raise ValueError("severity threshold must be nonnegative")
         else:
             raise ValueError(f"unknown detector mode {self.mode!r}")
-        if self.gap_termination_min < 1:
-            raise ValueError("gap termination must be at least one minute")
 
 
 @dataclass(frozen=True)
@@ -84,6 +82,8 @@ class FlagRow:
     flagged: bool
 
     def __post_init__(self):
+        if not self.link_id:
+            raise ValueError("link_id is empty")
         if self.duration_min < 1:
             raise ValueError(f"duration {self.duration_min} must be at least one minute")
         if not 0.0 < self.max_severity < math.inf:
@@ -189,13 +189,13 @@ class Excursions:
         return flagged, onset[flagged]
 
 
-def segment(series: SeveritySeries, gap_termination_min: int) -> Excursions:
+def segment(series: SeveritySeries) -> Excursions:
     """Split the usable exterior minutes into excursions.
 
     A usable exterior minute starts a new excursion when the previous usable
     minute was interior (or there is none), when its exit side differs from
     that minute's, or when the missing run between the two, measured on the
-    exact timestamps, is at least ``gap_termination_min`` minutes. Unusable
+    exact timestamps, is at least ``GAP_TERMINATION_MIN`` minutes. Unusable
     minutes count only through that gap, so durations count usable exterior
     minutes, not the wall-clock span.
     """
@@ -206,7 +206,7 @@ def segment(series: SeveritySeries, gap_termination_min: int) -> Excursions:
     joined = np.flatnonzero((np.diff(position) == 1) & (right[1:] == right[:-1])) + 1
     waited_us = series.epoch_us[rows[joined]] - series.epoch_us[rows[joined - 1]]
     continues = np.zeros(rows.size, dtype=bool)
-    continues[joined] = waited_us / 1e6 / 60.0 - 1.0 < gap_termination_min
+    continues[joined] = waited_us / 1e6 / 60.0 - 1.0 < GAP_TERMINATION_MIN
     first = np.flatnonzero(~continues)
     severity = series.severity[rows]
     duration = np.diff(np.append(first, rows.size))
@@ -222,7 +222,7 @@ def track_annotated(series: SeveritySeries, config: DetectorConfig) -> tuple[lis
     the excursion's end; in duration mode the flag is retroactive and covers
     the whole excursion when it lasted long enough.
     """
-    found = segment(series, config.gap_termination_min)
+    found = segment(series)
     if config.mode == "duration_threshold":
         chosen = np.flatnonzero(found.right & (found.duration >= config.duration_threshold_min))
         onset = found.first[chosen]

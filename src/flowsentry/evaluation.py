@@ -1,10 +1,9 @@
 """Detector scoring (DR / FAR / MTTD / PI), calibration, and paired tests.
 
 Metric conventions: an event counts as detected when any flag interval
-overlaps it (plus an optional grace window after its end); the false alarm
-rate counts flagged minutes outside every label, per detector application
-(a minute with a speed for SND, a minute with density for DFTB and McMaster);
-detection lag is clamped at zero for flags that predate the event.
+overlaps it; the false alarm rate counts flagged minutes outside every label,
+per detector application (see ``applications``); detection lag is clamped at
+zero for flags that predate the event.
 
 Wilcoxon p-values follow the convention most reference implementations use:
 the exact signed-rank distribution when no zero differences were discarded
@@ -22,7 +21,7 @@ import csv
 import importlib.resources
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -35,6 +34,7 @@ EPS_FAR = 0.001
 
 DFTB_THRESHOLD_GRID = tuple(round(0.05 * k, 2) for k in range(1, 41))  # 0.05 .. 2.00
 SND_C_GRID = tuple(round(0.1 * k, 1) for k in range(0, 51))  # 0.0 .. 5.0
+MCMASTER_SEED_QUANTILE = 0.05  # the flow quantile the McMaster lower bound is seeded at
 
 Interval = tuple[datetime, datetime]
 
@@ -62,12 +62,11 @@ def interval_minutes(intervals: Iterable[Interval]) -> set[int]:
     return out
 
 
-def _detection_lags(flags: Sequence[Interval], labels: Sequence[EventLabel], grace_min: float) -> list[float | None]:
+def _detection_lags(flags: Sequence[Interval], labels: Sequence[EventLabel]) -> list[float | None]:
     """Minutes from each label's start to its first flagged minute (clamped at 0), or None when no flag overlaps it."""
     lags = []
     for lab in labels:
-        end = lab.end + timedelta(minutes=grace_min)
-        starts = [f[0] for f in flags if f[0] <= end and f[1] >= lab.start]
+        starts = [f[0] for f in flags if f[0] <= lab.end and f[1] >= lab.start]
         lags.append((max(min(starts), lab.start) - lab.start).total_seconds() / 60.0 if starts else None)
     return lags
 
@@ -83,6 +82,16 @@ def _mean_time_to_detect(lags: list[float | None]) -> float:
     if not detected:
         raise UndefinedMetricError("mean time to detect undefined with zero detected events")
     return float(np.mean(detected))
+
+
+def applications(stream: LinkSeries, detector: str) -> int:
+    """Minutes a detector is applied to: those with a speed for SND, those with a
+    density for DFTB and McMaster."""
+    if detector == "snd":
+        return int(np.count_nonzero(~np.isnan(stream.speed)))
+    if detector in ("dftb", "mcmaster"):
+        return int(stream.usable.sum())
+    raise ValueError(f"unknown detector {detector!r}")
 
 
 def false_alarm_rate(flags: Sequence[Interval], labels: Sequence[EventLabel], n_applications: int) -> float:
@@ -112,13 +121,8 @@ class DetectorScore:
         return performance_index(self.dr, self.far, self.mttd)
 
 
-def score_detector(
-    flags: Sequence[Interval],
-    labels: Sequence[EventLabel],
-    n_applications: int,
-    grace_min: float = 0.0,
-) -> DetectorScore:
-    lags = _detection_lags(flags, labels, grace_min)
+def score_detector(flags: Sequence[Interval], labels: Sequence[EventLabel], n_applications: int) -> DetectorScore:
+    lags = _detection_lags(flags, labels)
     dr = _detection_rate(lags)
     far = false_alarm_rate(flags, labels, n_applications)
     try:
@@ -178,7 +182,7 @@ def _differences(pairs: Sequence[tuple[float, float]]) -> np.ndarray:
     return arr[:, 1] - arr[:, 0]
 
 
-def paired_t_test(pairs: Sequence[tuple[float, float]], mu0: float = 0.0) -> PairedTestResult:
+def paired_t_test(pairs: Sequence[tuple[float, float]]) -> PairedTestResult:
     """Two-sided paired t test on second - first differences."""
     d = _differences(pairs)
     n = d.size
@@ -189,7 +193,7 @@ def paired_t_test(pairs: Sequence[tuple[float, float]], mu0: float = 0.0) -> Pai
         raise DegenerateTestError("differences have zero variance")
     from scipy.stats import t as student_t
 
-    t = (float(d.mean()) - mu0) / (sd / math.sqrt(n))
+    t = float(d.mean()) / (sd / math.sqrt(n))
     p = 2.0 * float(student_t.sf(abs(t), n - 1))
     return PairedTestResult("paired_t", t, min(p, 1.0), n)
 
@@ -349,8 +353,8 @@ def write_report_csv(rows: Sequence[FixtureRow], sink) -> None:
 # --- McMaster calibration grid -------------------------------------------------------
 
 
-def quantile_regression_quadratic(density: np.ndarray, flow: np.ndarray, tau: float = 0.05) -> tuple[float, float, float]:
-    """Quantile regression of flow on (1, rho, rho^2) via the standard LP form."""
+def quantile_regression_quadratic(density: np.ndarray, flow: np.ndarray) -> tuple[float, float, float]:
+    """``MCMASTER_SEED_QUANTILE`` quantile regression of flow on (1, rho, rho^2) via the standard LP form."""
     from scipy import sparse
     from scipy.optimize import linprog
 
@@ -362,6 +366,7 @@ def quantile_regression_quadratic(density: np.ndarray, flow: np.ndarray, tau: fl
         n = density.size
     design = np.column_stack([np.ones(n), density, density**2])
     # minimise tau*u + (1-tau)*v  s.t.  X beta + u - v = y
+    tau = MCMASTER_SEED_QUANTILE
     c = np.concatenate([np.zeros(6), tau * np.ones(n), (1 - tau) * np.ones(n)])
     # beta is split into positive and negative parts to keep variables >= 0
     a_eq = sparse.hstack([design, -design, sparse.eye(n), -sparse.eye(n)], format="csc")
@@ -375,15 +380,15 @@ def quantile_regression_quadratic(density: np.ndarray, flow: np.ndarray, tau: fl
 # --- detector-family calibration -----------------------------------------------------
 
 
-def dftb_score_fn(stream: LinkSeries, region, labels: Sequence[EventLabel], gap_termination_min: int = 2):
+def dftb_score_fn(stream: LinkSeries, region, labels: Sequence[EventLabel]):
     """Score function over severity thresholds; the stream is annotated and segmented once."""
     from .detector import annotate, segment
 
     series = annotate(stream, region)
-    found = segment(series, gap_termination_min)
+    found = segment(series)
     exterior_at = np.array(datetimes(series.epoch_us[found.rows]), dtype=object)
     end = np.array(datetimes(series.epoch_us[found.end]), dtype=object)
-    n_applications = int(series.usable.sum())
+    n_applications = applications(stream, "dftb")
 
     def score(threshold: float) -> DetectorScore:
         flagged, onset = found.onsets(threshold)
@@ -392,22 +397,16 @@ def dftb_score_fn(stream: LinkSeries, region, labels: Sequence[EventLabel], gap_
     return score
 
 
-def calibrate_dftb(
-    stream: LinkSeries,
-    region,
-    labels: Sequence[EventLabel],
-    grid: Sequence[float] = DFTB_THRESHOLD_GRID,
-    gap_termination_min: int = 2,
-) -> CalibrationResult:
-    """Severity-threshold sweep minimising PI against the training labels."""
-    return calibrate(list(grid), dftb_score_fn(stream, region, labels, gap_termination_min))
+def calibrate_dftb(stream: LinkSeries, region, labels: Sequence[EventLabel]) -> CalibrationResult:
+    """Sweep of ``DFTB_THRESHOLD_GRID`` severity thresholds minimising PI against the training labels."""
+    return calibrate(list(DFTB_THRESHOLD_GRID), dftb_score_fn(stream, region, labels))
 
 
 def snd_score_fn(stream: LinkSeries, profile, labels: Sequence[EventLabel]):
     from .baselines import snd_detect
 
     stream.require_minute_cadence()
-    n_applications = int(np.count_nonzero(~np.isnan(stream.speed)))
+    n_applications = applications(stream, "snd")
 
     def score(c: float) -> DetectorScore:
         return score_detector(snd_detect(stream, profile, c), labels, n_applications)
@@ -415,18 +414,16 @@ def snd_score_fn(stream: LinkSeries, profile, labels: Sequence[EventLabel]):
     return score
 
 
-def calibrate_snd(
-    stream: LinkSeries, profile, labels: Sequence[EventLabel], grid: Sequence[float] = SND_C_GRID
-) -> CalibrationResult:
-    """Sweep of the robust threshold multiplier c minimising PI."""
-    return calibrate(list(grid), snd_score_fn(stream, profile, labels))
+def calibrate_snd(stream: LinkSeries, profile, labels: Sequence[EventLabel]) -> CalibrationResult:
+    """Sweep of the robust threshold multiplier c over ``SND_C_GRID`` minimising PI."""
+    return calibrate(list(SND_C_GRID), snd_score_fn(stream, profile, labels))
 
 
 def calibrate_mcmaster(stream: LinkSeries, labels: Sequence[EventLabel]) -> CalibrationResult:
     """Coarse-to-fine PI minimisation over the 5 segmentation parameters."""
     from .baselines import mcmaster_detect
 
-    n_applications = int(stream.usable.sum())
+    n_applications = applications(stream, "mcmaster")
 
     def score(params: McMasterParams) -> DetectorScore:
         return score_detector(mcmaster_detect(stream, params), labels, n_applications)

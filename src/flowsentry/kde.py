@@ -24,6 +24,11 @@ GAUSS_KERNEL_SECOND_MOMENT = 1.0
 # so tile half-diagonals are chosen to keep every factor finite in float64.
 _MAX_TILE_LOG = 600.0
 
+MIN_BANDWIDTH_SAMPLES = 50  # fewest samples a bandwidth is selected from
+BOUNDS_MARGIN_SD = 3.0  # default grid bounds pad the sample hull by this many marginal bandwidth sds
+GRID_RESOLUTION = (512, 512)
+MIN_GRID_RESOLUTION = 128  # per axis
+
 
 class InsufficientDataError(ValueError):
     """Too few samples for the requested operation."""
@@ -158,7 +163,7 @@ def amise_optimal_scale(n: int, curvature_roughness: float) -> float:
     return (GAUSS_KERNEL_ROUGHNESS / (GAUSS_KERNEL_SECOND_MOMENT**2 * curvature_roughness)) ** 0.2 * n**-0.2
 
 
-def select_bandwidth(samples, method: str = "normal_reference", *, min_samples: int = 50) -> BandwidthMatrix:
+def select_bandwidth(samples, method: str = "normal_reference") -> BandwidthMatrix:
     """Pick a bandwidth matrix from the data.
 
     ``normal_reference`` is the bivariate Gaussian-reference AMISE minimiser,
@@ -171,8 +176,8 @@ def select_bandwidth(samples, method: str = "normal_reference", *, min_samples: 
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"samples must have shape (N, 2), got {pts.shape}")
     n = pts.shape[0]
-    if n < min_samples:
-        raise InsufficientDataError(f"need at least {min_samples} samples, got {n}")
+    if n < MIN_BANDWIDTH_SAMPLES:
+        raise InsufficientDataError(f"need at least {MIN_BANDWIDTH_SAMPLES} samples, got {n}")
     cov = np.cov(pts, rowvar=False)
     if not np.all(np.isfinite(cov)) or np.linalg.det(cov) <= 0:
         raise DegenerateDataError("sample covariance is singular")
@@ -244,15 +249,13 @@ def _univariate_two_stage_scale(x: np.ndarray) -> float:
     return amise_optimal_scale(n_full, psi4)
 
 
-def fit(samples, bandwidth: BandwidthMatrix | np.ndarray, *, min_samples: int = 1) -> DensityModel:
+def fit(samples, bandwidth: BandwidthMatrix | np.ndarray) -> DensityModel:
     """Build a density model from the samples and a bandwidth (``BandwidthMatrix`` holds its Cholesky factor)."""
     pts = np.asarray(samples, dtype=float)
     if pts.size == 0:
         raise InsufficientDataError("no samples")
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"samples must have shape (N, 2), got {pts.shape}")
-    if pts.shape[0] < min_samples:
-        raise InsufficientDataError(f"need at least {min_samples} samples, got {pts.shape[0]}")
     if not isinstance(bandwidth, BandwidthMatrix):
         bandwidth = BandwidthMatrix(bandwidth)
     return DensityModel(pts, bandwidth)
@@ -290,20 +293,18 @@ def _solve_lower(chol: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return np.stack([y0, y1], axis=-1)
 
 
-def default_bounds(model: DensityModel, margin_sd: float = 3.0) -> tuple[float, float, float, float]:
-    """Sample hull padded by ``margin_sd`` marginal bandwidth standard deviations."""
+def default_bounds(model: DensityModel) -> tuple[float, float, float, float]:
+    """Sample hull padded by ``BOUNDS_MARGIN_SD`` marginal bandwidth standard deviations."""
     sd = model.bandwidth.marginal_sd
-    lo = model.samples.min(axis=0) - margin_sd * sd
-    hi = model.samples.max(axis=0) + margin_sd * sd
+    lo = model.samples.min(axis=0) - BOUNDS_MARGIN_SD * sd
+    hi = model.samples.max(axis=0) + BOUNDS_MARGIN_SD * sd
     return float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1])
 
 
 def evaluate_grid(
     model: DensityModel,
     bounds: tuple[float, float, float, float] | None = None,
-    resolution: tuple[int, int] = (512, 512),
-    *,
-    min_resolution: int = 128,
+    resolution: tuple[int, int] = GRID_RESOLUTION,
 ) -> DensityGrid:
     """Evaluate the KDE at the cell centres of a regular grid.
 
@@ -315,8 +316,8 @@ def evaluate_grid(
     kernel peak and round to zero either way.
     """
     n_rho, n_f = resolution
-    if n_rho < min_resolution or n_f < min_resolution:
-        raise ValueError(f"resolution {resolution} below the {min_resolution}x{min_resolution} floor")
+    if n_rho < MIN_GRID_RESOLUTION or n_f < MIN_GRID_RESOLUTION:
+        raise ValueError(f"resolution {resolution} below the {MIN_GRID_RESOLUTION}x{MIN_GRID_RESOLUTION} floor")
     if bounds is None:
         bounds = default_bounds(model)
     rho_min, rho_max, f_min, f_max = (float(b) for b in bounds)

@@ -26,6 +26,9 @@ from .kde import DensityGrid, DensityModel
 # 1,073-vertex region on a Xeon with 2 MiB of L2 per core.
 _QUERY_BLOCK = 2**16
 
+# Contour components enclosing less than this share of the total area are dropped.
+MIN_COMPONENT_AREA_FRACTION = 0.05
+
 
 class TruncatedGridError(ValueError):
     """The grid does not hold enough mass to enclose 1 - alpha."""
@@ -38,13 +41,10 @@ class EmptyContourError(ValueError):
 @dataclass(frozen=True)
 class RegionConfig:
     alpha: float = 0.05
-    min_component_area_fraction: float = 0.05
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha {self.alpha} outside (0, 1)")
-        if not 0.0 <= self.min_component_area_fraction < 1.0:
-            raise ValueError(f"min_component_area_fraction {self.min_component_area_fraction} outside [0, 1)")
 
 
 def mass_above(grid: DensityGrid, z: float) -> float:
@@ -334,7 +334,10 @@ def _polygon_contains(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
         edge = slab_edges[_concat_ranges(slab_start[slab[lo:hi]], counts[lo:hi])]
         px, py = pts[candidates[lo:hi]][point].T
         ex, ey, edx, edy = ax[edge], ay[edge], dx[edge], dy[edge]
-        cross = edx * (py - ey) - (px - ex) * edy
+        # An infinite point gives a NaN cross (inf * 0, inf - inf), which compares unequal
+        # to 0: no finite segment holds it. An overflow to +-inf is not 0 either.
+        with np.errstate(invalid="ignore", over="ignore"):
+            cross = edx * (py - ey) - (px - ex) * edy
         on_seg = (
             (cross == 0.0)
             & (px >= np.minimum(ex, bx[edge]))
@@ -421,18 +424,18 @@ def fit_typical_region(
     config: RegionConfig = RegionConfig(),
     *,
     bandwidth_method: str = "normal_reference",
-    resolution: tuple[int, int] = (512, 512),
+    resolution: tuple[int, int] = kde.GRID_RESOLUTION,
     model: DensityModel | None = None,
     grid: DensityGrid | None = None,
 ) -> TypicalRegion:
     """Full pipeline: KDE fit, grid, level search, contour, component filter."""
     pts = np.asarray(samples, dtype=float)
     if model is None:
-        model = kde.fit(pts, kde.select_bandwidth(pts, bandwidth_method), min_samples=50)
+        model = kde.fit(pts, kde.select_bandwidth(pts, bandwidth_method))
     if grid is None:
         grid = kde.evaluate_grid(model, resolution=resolution)
     z_star = find_level(grid, config.alpha)
-    polygons = filter_components(extract_contour(grid, z_star), config.min_component_area_fraction)
+    polygons = filter_components(extract_contour(grid, z_star), MIN_COMPONENT_AREA_FRACTION)
     q25, q75 = np.percentile(pts, [25, 75], axis=0)
     iqr = q75 - q25
     if np.any(iqr <= 0):

@@ -130,13 +130,9 @@ def test_threshold_c_zero_caps():
     assert snd_thresholds(profile, 0.0)[0] == SPEED_CAP_KMH
 
 
-def test_threshold_variants():
+def test_threshold_is_median_minus_c_iqr():
     profile = profile_with_bin(0, BinStats(10, 65.0, 60.0, 4.0, 10.0, 2.0))
-    assert snd_thresholds(profile, 1.0, "mean_sd")[0] == pytest.approx(61.0)
-    assert snd_thresholds(profile, 1.0, "median_iqr")[0] == pytest.approx(50.0)
-    assert snd_thresholds(profile, 1.0, "median_mad")[0] == pytest.approx(58.0)
-    with pytest.raises(ValueError, match="variant"):
-        snd_thresholds(profile, 1.0, "trimmed")
+    assert snd_thresholds(profile, 1.0)[0] == pytest.approx(50.0)
     with pytest.raises(ValueError, match="nonnegative"):
         snd_thresholds(profile, -1.0)
 
@@ -335,16 +331,12 @@ def test_mcmaster_detect_matches_replay_oracle():
 # --- array baselines against per-sample oracles -------------------------------------
 
 
-VARIANT_FIELDS = {"mean_sd": ("mean", "sd"), "median_iqr": ("median", "iqr"), "median_mad": ("median", "mad")}
-
-
-def snd_threshold_oracle(profile, bin_index, c, variant):
-    """min(cap, location - c * scale) of one bin; None when the bin is unusable."""
+def snd_threshold_oracle(profile, bin_index, c):
+    """min(cap, median - c * IQR) of one bin; None when the bin is unusable."""
     stats = profile.bins[bin_index]
     if not stats.usable:
         return None
-    location, scale = (getattr(stats, name) for name in VARIANT_FIELDS[variant])
-    return min(profile.cap_kmh, location - c * scale)
+    return min(profile.cap_kmh, stats.median - c * stats.iqr)
 
 
 def persistence_oracle(timestamps, hits, persistence=3):
@@ -422,20 +414,15 @@ def snd_profiles(draw, speeds):
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    samples=sample_streams(),
-    c=st.floats(0.0, 5.0),
-    variant=st.sampled_from(sorted(VARIANT_FIELDS)),
-    data=st.data(),
-)
-def test_snd_detect_matches_per_minute_oracle(samples, c, variant, data):
+@given(samples=sample_streams(), c=st.floats(0.0, 5.0), data=st.data())
+def test_snd_detect_matches_per_minute_oracle(samples, c, data):
     profile = data.draw(snd_profiles([s.speed for s in samples if s.speed is not None]))
     hits = []
     for s in samples:
-        thr = snd_threshold_oracle(profile, weekly_bin(s.timestamp, profile.tz_offset_min), c, variant)
+        thr = snd_threshold_oracle(profile, weekly_bin(s.timestamp, profile.tz_offset_min), c)
         hits.append(s.speed is not None and thr is not None and s.speed < thr)
     expected = persistence_oracle([s.timestamp for s in samples], hits)
-    assert snd_detect(LinkSeries.from_samples(samples), profile, c, variant) == expected
+    assert snd_detect(LinkSeries.from_samples(samples), profile, c) == expected
 
 
 @settings(max_examples=100, deadline=None)

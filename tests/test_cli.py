@@ -300,6 +300,7 @@ BAD_FLAG_CELLS = {  # column -> replacement, each breaking the row
     "flagged_capitalised": (6, "True"),
     "end_before_start": (2, "2017-04-03T14:31:00Z"),
     "bad_timestamp": (1, "2017-04-03T14:32:00"),
+    "empty_link_id": (0, ""),
 }
 
 
@@ -327,6 +328,22 @@ def test_malformed_flags_exit_2(workspace, tmp_path, capsys, case):
     ):
         assert main(argv + ["--out", str(tmp_path / argv[0])]) == 2
         assert capsys.readouterr().err == f"error: {raised.value}\n"
+
+
+@pytest.mark.parametrize("option", ["--flags", "--flags-b"])
+def test_evaluate_flags_for_unknown_link_exit_2(workspace, tmp_path, capsys, option):
+    flags = workspace / "det" / "flags.csv"
+    rows = len(flags.read_text().splitlines())
+    assert rows > 2  # the header and at least two flags
+    other = tmp_path / "other.csv"
+    other.write_text(mangle_row(flags, rows, 0, "OTHER"))
+    series = workspace / "sim" / "series.csv"
+    argv = ["evaluate", "--series", str(series), "--events", str(workspace / "sim" / "events.csv"),
+            "--flags", str(flags), "--flags-b", str(flags), "--out", str(tmp_path / "ev")]
+    argv[argv.index(option) + 1] = str(other)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {other} has flags for link 'OTHER', not in {series}\n"
+    assert not (tmp_path / "ev" / "evaluation.json").exists()
 
 
 def test_cadence_check_passes_short_and_minute_links():
@@ -510,7 +527,7 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 def test_scipy_loaded_only_by_the_commands_that_call_it(tmp_path):
     # simulate, fit, detect, plot, the dftb and snd calibrations and a one-link evaluate must
     # not import scipy; the child process imports the same flowsentry as this one
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "FLOWSENTRY_GRID": "128"}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     run = subprocess.run([sys.executable, "-c", IMPORT_GUARD], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]"

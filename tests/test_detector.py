@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from flowsentry import evaluation as ev
 from flowsentry.detector import (
+    GAP_TERMINATION_MIN,
     DetectorConfig,
     FlagRow,
     SeveritySeries,
@@ -325,6 +326,7 @@ def test_flags_csv_round_trip():
         ({"exit_side": "up"}, "bad exit side 'up'"),
         ({"exit_side": "left"}, "only raised for right-side"),
         ({"end": T0 - timedelta(minutes=1)}, "precedes start"),
+        ({"link_id": ""}, "link_id is empty"),
     ],
 )
 def test_flag_row_invariants(change, problem):
@@ -372,7 +374,7 @@ def track_annotated_oracle(series, config):
             continue
         if open_side is not None and last_usable is not None:
             missing_run = (ts[i] - last_usable).total_seconds() / 60.0 - 1.0
-            if missing_run >= config.gap_termination_min:
+            if missing_run >= GAP_TERMINATION_MIN:
                 close()
         last_usable = ts[i]
         if series.exterior[i]:
@@ -439,29 +441,28 @@ def rows_of(*states, step=60, sev=0.25):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rows=ROWS, gap=st.integers(1, 3), threshold=THRESHOLDS, duration=st.integers(0, 6))
-# a missing run of exactly the gap ends the excursion, one minute less does not
-@example(rows=rows_of(R) + [(180, 0, R, 0.3), (120, 0, R, 0.3)], gap=2, threshold=0.25, duration=2)
-@example(rows=rows_of(R, M, M, R, M, R), gap=2, threshold=0.25, duration=2)
-# 00:00:59 -> 00:02:00 is a missing run of 1/60 min, though the floored minutes differ by 2
-@example(rows=[(59, 0, R, 0.3), (61, 0, R, 0.3)], gap=1, threshold=0.25, duration=2)
-@example(rows=[(59, 0, R, 0.3), (120, 1, R, 0.3), (119, 999_999, R, 0.3)], gap=1, threshold=0.25, duration=2)
+@given(rows=ROWS, threshold=THRESHOLDS, duration=st.integers(0, 6))
+# a missing run of exactly the gap (2 min) ends the excursion, one minute less does not
+@example(rows=rows_of(R) + [(180, 0, R, 0.3), (120, 0, R, 0.3)], threshold=0.25, duration=2)
+@example(rows=rows_of(R, M, M, R, M, R), threshold=0.25, duration=2)
+# 00:00:59 -> 00:03:00 is a missing run of 1 1/60 min, though the floored minutes differ by 3
+@example(rows=[(59, 0, R, 0.3), (121, 0, R, 0.3)], threshold=0.25, duration=2)
+@example(rows=[(59, 0, R, 0.3), (180, 1, R, 0.3), (179, 999_999, R, 0.3)], threshold=0.25, duration=2)
 # side flips with no interior minute between them
-@example(rows=rows_of(R, L, R, R, L, L), gap=2, threshold=0.25, duration=1)
+@example(rows=rows_of(R, L, R, R, L, L), threshold=0.25, duration=1)
 # severities equal to the threshold, in both the onset and a later minute
-@example(rows=[(60, 0, R, 0.1), (60, 0, R, 0.25), (60, 0, R, 0.25), (60, 0, I, 0.0)], gap=2, threshold=0.25,
-         duration=3)
+@example(rows=[(60, 0, R, 0.1), (60, 0, R, 0.25), (60, 0, R, 0.25), (60, 0, I, 0.0)], threshold=0.25, duration=3)
 # streams that start and end inside an excursion
-@example(rows=rows_of(R, R, I, L, L), gap=2, threshold=0.25, duration=2)
-@example(rows=rows_of(I, R, R), gap=2, threshold=0.25, duration=2)
+@example(rows=rows_of(R, R, I, L, L), threshold=0.25, duration=2)
+@example(rows=rows_of(I, R, R), threshold=0.25, duration=2)
 # no usable minutes, no exterior minutes
-@example(rows=rows_of(M, M, M), gap=2, threshold=0.25, duration=0)
-@example(rows=rows_of(I, M, I), gap=1, threshold=0.0, duration=0)
-def test_track_annotated_matches_replay_oracle(rows, gap, threshold, duration):
+@example(rows=rows_of(M, M, M), threshold=0.25, duration=0)
+@example(rows=rows_of(I, M, I), threshold=0.0, duration=0)
+def test_track_annotated_matches_replay_oracle(rows, threshold, duration):
     series = severity_series(rows)
     for config in (
-        DetectorConfig("severity_threshold", severity_threshold=threshold, gap_termination_min=gap),
-        DetectorConfig("duration_threshold", duration_threshold_min=duration, gap_termination_min=gap),
+        DetectorConfig("severity_threshold", severity_threshold=threshold),
+        DetectorConfig("duration_threshold", duration_threshold_min=duration),
     ):
         assert track_annotated(series, config) == track_annotated_oracle(series, config)
 
@@ -484,10 +485,9 @@ SWEEP_ROWS = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=SWEEP_ROWS, gap=st.integers(1, 3), label_rows=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 10)),
-                                                                      min_size=1, max_size=4))
-@example(rows=[(60, R, 0.25), (180, R, 0.5), (60, I, 0.0), (60, R, 1.5)], gap=2, label_rows=[(0, 3)])
-def test_dftb_sweep_matches_replay_oracle(rows, gap, label_rows):
+@given(rows=SWEEP_ROWS, label_rows=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 10)), min_size=1, max_size=4))
+@example(rows=[(60, R, 0.25), (180, R, 0.5), (60, I, 0.0), (60, R, 1.5)], label_rows=[(0, 3)])
+def test_dftb_sweep_matches_replay_oracle(rows, label_rows):
     samples, seconds = [], 0
     for step, state, sev in rows:
         seconds += step
@@ -507,9 +507,9 @@ def test_dftb_sweep_matches_replay_oracle(rows, gap, label_rows):
     ]
     r = region()
     series = annotate(stream, r)
-    score = ev.dftb_score_fn(stream, r, labels, gap)
+    score = ev.dftb_score_fn(stream, r, labels)
     for threshold in ev.DFTB_THRESHOLD_GRID:
-        config = DetectorConfig("severity_threshold", severity_threshold=threshold, gap_termination_min=gap)
+        config = DetectorConfig("severity_threshold", severity_threshold=threshold)
         _, flags = track_annotated_oracle(series, config)
         expected = ev.score_detector([(f.start, f.end) for f in flags], labels, int(series.usable.sum()))
         assert score(threshold) == expected

@@ -20,13 +20,13 @@ def label(start_min, end_min, category="accident"):
     return EventLabel("L1", category, T0 + timedelta(minutes=start_min), T0 + timedelta(minutes=end_min))
 
 
-def score(flags, labels, grace_min=0.0):
-    return ev.score_detector(flags, labels, 10_000, grace_min)
+def score(flags, labels):
+    return ev.score_detector(flags, labels, 10_000)
 
 
-def overlaps(flag, lab, grace_min):
-    """Oracle: a flag interval meets a label extended by the grace window."""
-    return flag[0] <= lab.end + timedelta(minutes=grace_min) and flag[1] >= lab.start
+def overlaps(flag, lab):
+    """Oracle: a flag interval meets a label."""
+    return flag[0] <= lab.end and flag[1] >= lab.start
 
 
 # --- detection rate ---------------------------------------------------------------
@@ -46,8 +46,6 @@ def test_detection_rate_half_detected():
 def test_detection_rate_flag_after_event_misses():
     labels = [label(0, 10)]
     assert score([interval(11, 15)], labels).dr == 0.0
-    # a grace window extends the match region past the event end
-    assert score([interval(11, 15)], labels, grace_min=1).dr == 100.0
 
 
 def test_detection_rate_zero_labels_undefined():
@@ -60,7 +58,7 @@ def test_detection_plus_undetected_is_total():
     labels = [label(int(s), int(s) + 10) for s in rng.choice(5000, size=20, replace=False)]
     flags = [interval(int(s), int(s) + 3) for s in rng.choice(5000, size=30, replace=False)]
     dr = score(flags, labels).dr
-    undetected = 100.0 * sum(1 for lab in labels if not any(overlaps(f, lab, 0) for f in flags)) / len(labels)
+    undetected = 100.0 * sum(1 for lab in labels if not any(overlaps(f, lab) for f in flags)) / len(labels)
     assert dr + undetected == pytest.approx(100.0)
 
 
@@ -327,12 +325,21 @@ def test_quantile_regression_sits_near_requested_quantile():
     rng = np.random.default_rng(21)
     rho = rng.uniform(1, 40, 3000)
     flow = 90 * rho - 0.6 * rho**2 + rng.normal(0, 150, 3000)
-    a, b, c = ev.quantile_regression_quadratic(rho, flow, tau=0.05)
+    a, b, c = ev.quantile_regression_quadratic(rho, flow)
     below = np.mean(flow < a + b * rho + c * rho**2)
     assert 0.02 <= below <= 0.09
 
 
 # --- applications per detector ------------------------------------------------------
+
+
+def test_applications_reject_an_unknown_detector():
+    from flowsentry.ingest import LinkSeries, TrafficSample
+
+    stream = LinkSeries.from_samples([TrafficSample("L1", T0, 50.0, 1000.0)])
+    assert [ev.applications(stream, name) for name in ("snd", "dftb", "mcmaster")] == [1, 1, 1]
+    with pytest.raises(ValueError, match="unknown detector 'loop'"):
+        ev.applications(stream, "loop")
 
 
 def test_application_counts_per_detector(monkeypatch):

@@ -43,7 +43,7 @@ def test_univariate_amise_matches_numerical_minimum():
 
 def test_normal_reference_is_scaled_covariance():
     pts = gaussian_cloud(400, seed=3)
-    bw = kde.select_bandwidth(pts, min_samples=50)
+    bw = kde.select_bandwidth(pts)
     np.testing.assert_allclose(bw.matrix, 400 ** (-1 / 3) * np.cov(pts, rowvar=False), rtol=1e-12)
 
 
@@ -55,7 +55,7 @@ def test_identical_samples_degenerate():
 
 def test_sample_floor_enforced():
     with pytest.raises(InsufficientDataError):
-        kde.select_bandwidth(gaussian_cloud(10), min_samples=50)
+        kde.select_bandwidth(gaussian_cloud(10))
 
 
 def test_plug_in_positive_definite_and_sane():

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -258,7 +259,9 @@ def brute_force_contains_many(region, points):
         bx, by = poly[1:, 0][None, :], poly[1:, 1][None, :]
         dx = bx - ax
         dy = by - ay
-        cross = dx * (py - ay) - (px - ax) * dy
+        # a NaN cross (an infinite point) or an infinite one (an overflow) is not 0: off the segment
+        with np.errstate(invalid="ignore", over="ignore"):
+            cross = dx * (py - ay) - (px - ax) * dy
         on_seg = (
             (cross == 0.0)
             & (px >= np.minimum(ax, bx))
@@ -268,7 +271,7 @@ def brute_force_contains_many(region, points):
         )
         on_edge |= on_seg.any(axis=1)
         straddles = (ay > py) != (by > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             x_at_y = ax + (py - ay) * dx / dy
         hits = straddles & (px < x_at_y)
         inside |= (hits.sum(axis=1) % 2).astype(bool)
@@ -354,6 +357,23 @@ def test_contains_many_blocks_agree_with_brute_force(block, n_points):
     with mock.patch.object(levelset, "_QUERY_BLOCK", block):
         ours = contains_many(region, points)
     np.testing.assert_array_equal(ours, brute_force_contains_many(region, points))
+
+
+@pytest.mark.parametrize(
+    "scale, points, expected",
+    [
+        # an infinite point on the line of a horizontal edge: inf * 0 in the cross product
+        (1.0, [[np.inf, 0.0], [-np.inf, 1.0], [0.5, 0.5]], [False, False, True]),
+        # huge coordinates: the cross product overflows
+        (1e200, [[0.5e200, 0.5e200], [2e200, 0.5e200], [1e200, 1e200]], [True, False, True]),
+    ],
+)
+def test_contains_many_raises_no_floating_point_warning(scale, points, expected):
+    region = region_of(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]) * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside = contains_many(region, np.array(points))
+    np.testing.assert_array_equal(inside, expected)
 
 
 def test_region_rejects_non_finite_polygon():
@@ -502,8 +522,6 @@ def test_region_rejects_polygon_without_extent():
 def test_region_config_validation():
     with pytest.raises(ValueError):
         RegionConfig(alpha=1.5)
-    with pytest.raises(ValueError):
-        RegionConfig(min_component_area_fraction=1.0)
 
 
 def region_overlap(region_a: TypicalRegion, region_b: TypicalRegion, resolution: int = 256) -> tuple[float, float]:
