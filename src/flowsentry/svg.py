@@ -28,13 +28,17 @@ class Frame:
     y_min: float
     y_max: float
 
+    # A value far outside a frame whose span is tiny maps past the float range: the
+    # pixel is +-inf, as Python floats give it, rather than a warning from numpy.
     def x(self, v: float) -> float:
         span = self.x_max - self.x_min or 1.0
-        return MARGIN + (v - self.x_min) / span * (WIDTH - 2 * MARGIN)
+        with np.errstate(over="ignore"):
+            return MARGIN + (v - self.x_min) / span * (WIDTH - 2 * MARGIN)
 
     def y(self, v: float) -> float:
         span = self.y_max - self.y_min or 1.0
-        return HEIGHT - MARGIN - (v - self.y_min) / span * (HEIGHT - 2 * MARGIN)
+        with np.errstate(over="ignore"):
+            return HEIGHT - MARGIN - (v - self.y_min) / span * (HEIGHT - 2 * MARGIN)
 
 
 def document(body: list[str], title: str) -> str:
