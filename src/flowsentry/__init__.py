@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .detector import DetectorConfig, FlagRow, calibrate_normalizer, severity, track
 from .ingest import (
     EventLabel,
-    LinkMeta,
     LinkSeries,
     TrafficSample,
     nonrecurrent_filter,
@@ -42,7 +41,6 @@ __all__ = [
     "DetectorConfig",
     "EventLabel",
     "FlagRow",
-    "LinkMeta",
     "LinkSeries",
     "RegionConfig",
     "TrafficSample",

@@ -8,17 +8,21 @@ congested from a quadratic lower bound of uncongested data plus critical
 density and flow, with the same 3-minute persistence; occupancy is proxied by
 density because the feed is link-level (no loop occupancy), which is a
 documented deviation from the loop-level original.
+
+Both detectors return their alarm intervals as a pair of int64 arrays
+``(start_us, end_us)``, the timestamps of each interval's first and last
+alarming minute in epoch microseconds: the type ``evaluation.score_detector``
+takes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from datetime import datetime, timedelta
 
 import numpy as np
 
-from .ingest import LinkSeries, datetimes
+from .ingest import US_PER_MINUTE, LinkSeries
 
 BIN_MINUTES = 15
 BINS_PER_DAY = 24 * 60 // BIN_MINUTES
@@ -66,15 +70,6 @@ class SndProfile:
         }
         return json.dumps(payload)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SndProfile":
-        payload = json.loads(text)
-        empty = BinStats(0, float("nan"), float("nan"), float("nan"), float("nan"), float("nan"))
-        bins = [empty] * BINS_PER_WEEK
-        for key, row in payload["bins"].items():
-            bins[int(key)] = BinStats(int(row[0]), *row[1:])
-        return cls(tuple(bins), payload["cap_kmh"], payload["tz_offset_min"])
-
 
 # Epoch minute 0 (1970-01-01 00:00 UTC) was a Thursday, three days after a Monday 00:00.
 EPOCH_MINUTES_AFTER_MONDAY = 3 * 24 * 60
@@ -89,9 +84,9 @@ def weekly_bins(minutes, tz_offset_min: int = 0):
 def snd_fit(stream: LinkSeries, tz_offset_min: int = 0) -> SndProfile:
     """Robust per-bin speed statistics over every training occurrence of each bin."""
     stream.require_minute_cadence()
-    span = timedelta(microseconds=int(stream.epoch_us[-1] - stream.epoch_us[0]))
-    if span < timedelta(days=7) - timedelta(minutes=1):
-        raise ValueError(f"SND needs at least one week of data, got {span}")
+    span_us = int(stream.epoch_us[-1] - stream.epoch_us[0])
+    if span_us < (MINUTES_PER_WEEK - 1) * US_PER_MINUTE:
+        raise ValueError(f"SND needs at least one week of data, got {span_us / US_PER_MINUTE:g} minutes")
     has_speed = ~np.isnan(stream.speed)
     bins = weekly_bins(stream.minutes[has_speed], tz_offset_min)
     speeds = stream.speed[has_speed]
@@ -119,8 +114,9 @@ def snd_thresholds(profile: SndProfile, c: float) -> np.ndarray:
     return np.where(usable, np.minimum(profile.cap_kmh, median - c * iqr), np.nan)
 
 
-def snd_detect(stream: LinkSeries, profile: SndProfile, c: float) -> list[tuple[datetime, datetime]]:
-    """Alarm intervals: speed below the bin threshold for at least ``PERSISTENCE_MIN`` minutes.
+def snd_detect(stream: LinkSeries, profile: SndProfile, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Alarm intervals ``(start_us, end_us)``: speed below the bin threshold for at least
+    ``PERSISTENCE_MIN`` minutes.
 
     The alarm is backdated to the first minute of the qualifying run and
     persists until a minute at or above threshold (or with no speed or no
@@ -131,12 +127,13 @@ def snd_detect(stream: LinkSeries, profile: SndProfile, c: float) -> list[tuple[
     return _persistence_intervals(stream.epoch_us, stream.speed < thresholds)
 
 
-def _persistence_intervals(epoch_us: np.ndarray, hits: np.ndarray) -> list[tuple[datetime, datetime]]:
-    """(first, last) timestamp of every run of at least ``PERSISTENCE_MIN`` hits."""
+def _persistence_intervals(epoch_us: np.ndarray, hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the last timestamp, as int64 epoch microseconds, of every run of at
+    least ``PERSISTENCE_MIN`` hits."""
     edges = np.flatnonzero(np.diff(np.concatenate(([0], hits.astype(np.int8), [0]))))
     starts, stops = edges[0::2], edges[1::2]
     keep = stops - starts >= PERSISTENCE_MIN
-    return list(zip(datetimes(epoch_us[starts[keep]]), datetimes(epoch_us[stops[keep] - 1])))
+    return epoch_us[starts[keep]], epoch_us[stops[keep] - 1]
 
 
 @dataclass(frozen=True)
@@ -164,8 +161,8 @@ class McMasterParams:
         return self.a + self.b * density + self.c * density * density
 
 
-def mcmaster_detect(stream: LinkSeries, params: McMasterParams) -> list[tuple[datetime, datetime]]:
-    """Alarm intervals from persistent congested minutes.
+def mcmaster_detect(stream: LinkSeries, params: McMasterParams) -> tuple[np.ndarray, np.ndarray]:
+    """Alarm intervals ``(start_us, end_us)`` from persistent congested minutes.
 
     A minute is congested when its density exceeds the critical density, or
     when its flow is below both the lower uncongested bound and the critical

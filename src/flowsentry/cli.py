@@ -65,8 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--region", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["duration", "severity"], default="severity")
-    p.add_argument("--threshold", type=float, default=None, help="severity score or duration minutes")
-    p.add_argument("--percentile", type=float, default=None, help="duration percentile of this stream's excursions")
+    threshold = p.add_mutually_exclusive_group()
+    threshold.add_argument("--threshold", type=float, default=None, help="severity score or duration minutes")
+    threshold.add_argument(
+        "--percentile", type=float, default=None, help="duration percentile of this stream's excursions"
+    )
     p.add_argument("--link", default=None)
     p.set_defaults(func=cmd_detect)
 
@@ -127,11 +130,22 @@ def _load_region(path: str) -> levelset.TypicalRegion:
         raise UsageError(f"bad region file {path}: {problem}") from None
 
 
-def _load_series(path: str, link: str | None) -> ingest.LinkSeries:
-    """One link's minute stream; a cadence other than one minute exits 2 (see ``main``)."""
+def _read_series(path: str) -> dict[str, ingest.LinkSeries]:
+    """Every link's stream in a series file, which must hold samples."""
     streams = ingest.read_series(_require_file(path))
     if not streams:
         raise UsageError(f"no samples in {path}")
+    return streams
+
+
+def _load_series(path: str, link: str | None) -> ingest.LinkSeries:
+    """One link's minute stream from a series file."""
+    return _pick_link(_read_series(path), path, link)
+
+
+def _pick_link(streams: dict[str, ingest.LinkSeries], path: str, link: str | None) -> ingest.LinkSeries:
+    """The stream of ``link``, or the only one when it is None; a cadence other than
+    one minute exits 2 (see ``main``)."""
     if link is None:
         if len(streams) > 1:
             raise UsageError(f"{path} holds links {sorted(streams)}; pick one with --link")
@@ -140,6 +154,15 @@ def _load_series(path: str, link: str | None) -> ingest.LinkSeries:
         raise UsageError(f"link {link!r} not present in {path}")
     streams[link].require_minute_cadence()
     return streams[link]
+
+
+def _read_flags(path: str, streams: dict[str, ingest.LinkSeries], series_path: str) -> list[detector.FlagRow]:
+    """The rows of a flags file; a row for a link the series file does not hold is a usage error."""
+    rows = detector.read_flags_csv(_require_file(path))
+    unknown = sorted({r.link_id for r in rows}.difference(streams))
+    if unknown:
+        raise UsageError(f"{path} has flags for link {', '.join(map(repr, unknown))}, not in {series_path}")
+    return rows
 
 
 def cmd_simulate(args) -> int:
@@ -177,6 +200,8 @@ def cmd_fit(args) -> int:
 
 def _detector_config(args, annotated: detector.SeveritySeries) -> detector.DetectorConfig:
     if args.mode == "severity":
+        if args.percentile is not None:
+            raise UsageError("severity mode takes --threshold, not --percentile")
         if args.threshold is None:
             raise UsageError("severity mode needs --threshold")
         return detector.DetectorConfig("severity_threshold", severity_threshold=args.threshold)
@@ -241,11 +266,7 @@ def cmd_evaluate(args) -> int:
     flag_sets = {}
     for name, path in (("a", args.flags), ("b", args.flags_b)):
         if path:
-            rows = detector.read_flags_csv(_require_file(path))
-            unknown = sorted({r.link_id for r in rows}.difference(streams))
-            if unknown:
-                raise UsageError(f"{path} has flags for link {', '.join(map(repr, unknown))}, not in {args.series}")
-            flag_sets[name] = rows
+            flag_sets[name] = _read_flags(path, streams, args.series)
     for stream in streams.values():
         stream.require_minute_cadence()
     scores: dict[str, dict[str, evaluation.DetectorScore]] = {}
@@ -255,9 +276,9 @@ def cmd_evaluate(args) -> int:
             link_labels = [lab for lab in labels if lab.link_id == link_id]
             if not link_labels:
                 continue
-            intervals = [(r.start, r.end) for r in rows if r.link_id == link_id and r.flagged]
+            flags = evaluation.intervals_us(r for r in rows if r.link_id == link_id and r.flagged)
             per_link[link_id] = evaluation.score_detector(
-                intervals, link_labels, evaluation.applications(stream, "dftb")
+                flags, evaluation.intervals_us(link_labels), evaluation.applications(stream, "dftb")
             )
         scores[name] = per_link
     payload: dict = {"links": {}}
@@ -340,9 +361,11 @@ def _evaluate_fixture(out: Path) -> int:
 
 
 def cmd_plot(args) -> int:
-    stream = _load_series(args.series, args.link)
+    streams = _read_series(args.series)
+    stream = _pick_link(streams, args.series, args.link)
     region = _load_region(args.region)
-    flags = detector.read_flags_csv(_require_file(args.flags)) if args.flags else []
+    flags = _read_flags(args.flags, streams, args.series) if args.flags else []
+    flags = [row for row in flags if row.link_id == stream.link_id]
     out = _out_dir(args.out)
 
     points = stream.points
@@ -359,10 +382,8 @@ def cmd_plot(args) -> int:
     body += [svg.closed_path(frame, poly) for poly in region.polygons]
     (out / "scatter.svg").write_text(svg.document(body, "density-flow with typical region"), encoding="utf-8")
 
-    flagged = np.zeros(len(stream), dtype=bool)
-    for row in flags:
-        if row.flagged:
-            flagged |= (stream.minutes >= row.start.timestamp() // 60) & (stream.minutes <= row.end.timestamp() // 60)
+    raised = evaluation.intervals_us(row for row in flags if row.flagged)
+    flagged = np.isin(stream.minutes, evaluation.covered_minutes(*raised))
     with_tt = ~np.isnan(stream.travel_time)
     xs = (stream.minutes[with_tt] - stream.minutes[0]) * 60 / 3600.0
     ys = stream.travel_time[with_tt]
@@ -372,7 +393,7 @@ def cmd_plot(args) -> int:
     body += svg.scatter(frame_tt, xs[flagged[with_tt]], ys[flagged[with_tt]], fill="crimson", radius=2.5, css="flag")
     (out / "travel_time.svg").write_text(svg.document(body, "travel time with flags"), encoding="utf-8")
 
-    durations = [row.duration_min for row in flags] if flags else []
+    durations = [row.duration_min for row in flags]
     if durations:
         hi = max(durations) + 1
         counts, edges = np.histogram(durations, bins=min(20, max(3, hi)), range=(0, hi))

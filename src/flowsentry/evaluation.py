@@ -1,8 +1,14 @@
 """Detector scoring (DR / FAR / MTTD / PI), calibration, and paired tests.
 
+Alarms, flags and labels reach a score as one interval type, ``Intervals``: a
+pair of int64 arrays ``(start_us, end_us)`` of epoch microseconds, one entry
+per interval (``intervals_us`` builds it from labels or flag rows).
+
 Metric conventions: an event counts as detected when any flag interval
-overlaps it; the false alarm rate counts flagged minutes outside every label,
-per detector application (see ``applications``); detection lag is clamped at
+overlaps it, ends included; the false alarm rate counts flagged minutes
+outside every label, per detector application (see ``applications``), where
+an interval covers the minutes from the floor minute of its start to the
+floor minute of its end (``covered_minutes``); detection lag is clamped at
 zero for flags that predate the event.
 
 Wilcoxon p-values follow the convention most reference implementations use:
@@ -21,13 +27,12 @@ import csv
 import importlib.resources
 import math
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .baselines import McMasterParams
-from .ingest import EventLabel, LinkSeries, datetimes, open_text
+from .ingest import US_PER_MINUTE, EventLabel, LinkSeries, open_text, to_epoch_us
 
 EPS_DR = 1.01
 EPS_FAR = 0.001
@@ -36,7 +41,8 @@ DFTB_THRESHOLD_GRID = tuple(round(0.05 * k, 2) for k in range(1, 41))  # 0.05 ..
 SND_C_GRID = tuple(round(0.1 * k, 1) for k in range(0, 51))  # 0.0 .. 5.0
 MCMASTER_SEED_QUANTILE = 0.05  # the flow quantile the McMaster lower bound is seeded at
 
-Interval = tuple[datetime, datetime]
+Intervals = tuple[np.ndarray, np.ndarray]  # (start_us, end_us): int64 epoch microseconds
+_NO_FLAG = np.iinfo(np.int64).max
 
 
 class UndefinedMetricError(ValueError):
@@ -51,37 +57,20 @@ class InsufficientPairsError(ValueError):
     """Too few effective pairs for the requested test."""
 
 
-def _minute(ts: datetime) -> int:
-    return int(ts.timestamp() // 60)
+def intervals_us(rows: Iterable) -> Intervals:
+    """The ``(start_us, end_us)`` pair of rows with aware ``start`` and ``end`` datetimes,
+    such as event labels or flag rows."""
+    us = np.array([(to_epoch_us(r.start), to_epoch_us(r.end)) for r in rows], dtype=np.int64).reshape(-1, 2)
+    return us[:, 0], us[:, 1]
 
 
-def interval_minutes(intervals: Iterable[Interval]) -> set[int]:
-    out: set[int] = set()
-    for start, end in intervals:
-        out.update(range(_minute(start), _minute(end) + 1))
-    return out
-
-
-def _detection_lags(flags: Sequence[Interval], labels: Sequence[EventLabel]) -> list[float | None]:
-    """Minutes from each label's start to its first flagged minute (clamped at 0), or None when no flag overlaps it."""
-    lags = []
-    for lab in labels:
-        starts = [f[0] for f in flags if f[0] <= lab.end and f[1] >= lab.start]
-        lags.append((max(min(starts), lab.start) - lab.start).total_seconds() / 60.0 if starts else None)
-    return lags
-
-
-def _detection_rate(lags: list[float | None]) -> float:
-    if not lags:
-        raise UndefinedMetricError("detection rate undefined with zero labels")
-    return 100.0 * sum(1 for lag in lags if lag is not None) / len(lags)
-
-
-def _mean_time_to_detect(lags: list[float | None]) -> float:
-    detected = [lag for lag in lags if lag is not None]
-    if not detected:
-        raise UndefinedMetricError("mean time to detect undefined with zero detected events")
-    return float(np.mean(detected))
+def covered_minutes(start_us: np.ndarray, end_us: np.ndarray) -> np.ndarray:
+    """The sorted distinct epoch minutes that intervals cover: each covers every minute
+    from the floor minute of its start to the floor minute of its end."""
+    first = start_us // US_PER_MINUTE
+    count = end_us // US_PER_MINUTE - first + 1
+    within = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    return np.unique(np.repeat(first, count) + within)
 
 
 def applications(stream: LinkSeries, detector: str) -> int:
@@ -94,13 +83,12 @@ def applications(stream: LinkSeries, detector: str) -> int:
     raise ValueError(f"unknown detector {detector!r}")
 
 
-def false_alarm_rate(flags: Sequence[Interval], labels: Sequence[EventLabel], n_applications: int) -> float:
-    """Percent of applications whose flagged minute overlaps no label."""
+def false_alarm_rate(flags: Intervals, labels: Intervals, n_applications: int) -> float:
+    """Percent of applications whose minute a flag covers and no label does."""
     if n_applications <= 0:
         raise UndefinedMetricError("false alarm rate undefined with zero applications")
-    flagged = interval_minutes(flags)
-    labelled = interval_minutes([(lab.start, lab.end) for lab in labels])
-    return 100.0 * len(flagged - labelled) / n_applications
+    unlabelled = ~np.isin(covered_minutes(*flags), covered_minutes(*labels), assume_unique=True)
+    return 100.0 * np.count_nonzero(unlabelled) / n_applications
 
 
 def performance_index(dr: float, far: float, mttd: float) -> float:
@@ -121,15 +109,24 @@ class DetectorScore:
         return performance_index(self.dr, self.far, self.mttd)
 
 
-def score_detector(flags: Sequence[Interval], labels: Sequence[EventLabel], n_applications: int) -> DetectorScore:
-    lags = _detection_lags(flags, labels)
-    dr = _detection_rate(lags)
+def score_detector(flags: Intervals, labels: Intervals, n_applications: int) -> DetectorScore:
+    """DR, FAR and MTTD of flag intervals against label intervals.
+
+    A label's lag is the minutes from its start to the start of the earliest flag
+    that overlaps it, clamped at 0; MTTD, their mean, is None when no label is detected.
+    """
+    label_start, label_end = labels
+    if not label_start.size:
+        raise UndefinedMetricError("detection rate undefined with zero labels")
+    start_us, end_us = flags
+    meets = (start_us <= label_end[:, None]) & (end_us >= label_start[:, None])  # labels x flags
+    detected = meets.any(axis=1)
+    first_us = np.where(meets, start_us, _NO_FLAG).min(axis=1, initial=_NO_FLAG)[detected]
+    # to seconds, then minutes: both divisions round as timedelta.total_seconds() / 60.0 does
+    lags = np.maximum(first_us - label_start[detected], 0) / 1e6 / 60.0
+    dr = 100.0 * np.count_nonzero(detected) / label_start.size
     far = false_alarm_rate(flags, labels, n_applications)
-    try:
-        mttd = _mean_time_to_detect(lags)
-    except UndefinedMetricError:
-        mttd = None
-    return DetectorScore(dr, far, mttd)
+    return DetectorScore(dr, far, float(np.mean(lags)) if lags.size else None)
 
 
 @dataclass(frozen=True)
@@ -386,13 +383,14 @@ def dftb_score_fn(stream: LinkSeries, region, labels: Sequence[EventLabel]):
 
     series = annotate(stream, region)
     found = segment(series)
-    exterior_at = np.array(datetimes(series.epoch_us[found.rows]), dtype=object)
-    end = np.array(datetimes(series.epoch_us[found.end]), dtype=object)
+    exterior_us = series.epoch_us[found.rows]
+    end_us = series.epoch_us[found.end]
+    label_us = intervals_us(labels)
     n_applications = applications(stream, "dftb")
 
     def score(threshold: float) -> DetectorScore:
         flagged, onset = found.onsets(threshold)
-        return score_detector(list(zip(exterior_at[onset], end[flagged])), labels, n_applications)
+        return score_detector((exterior_us[onset], end_us[flagged]), label_us, n_applications)
 
     return score
 
@@ -406,10 +404,11 @@ def snd_score_fn(stream: LinkSeries, profile, labels: Sequence[EventLabel]):
     from .baselines import snd_detect
 
     stream.require_minute_cadence()
+    label_us = intervals_us(labels)
     n_applications = applications(stream, "snd")
 
     def score(c: float) -> DetectorScore:
-        return score_detector(snd_detect(stream, profile, c), labels, n_applications)
+        return score_detector(snd_detect(stream, profile, c), label_us, n_applications)
 
     return score
 
@@ -423,12 +422,13 @@ def calibrate_mcmaster(stream: LinkSeries, labels: Sequence[EventLabel]) -> Cali
     """Coarse-to-fine PI minimisation over the 5 segmentation parameters."""
     from .baselines import mcmaster_detect
 
+    label_us = intervals_us(labels)
     n_applications = applications(stream, "mcmaster")
 
     def score(params: McMasterParams) -> DetectorScore:
-        return score_detector(mcmaster_detect(stream, params), labels, n_applications)
+        return score_detector(mcmaster_detect(stream, params), label_us, n_applications)
 
-    coarse = calibrate(_mcmaster_grid(stream, labels), score)
+    coarse = calibrate(_mcmaster_grid(stream, label_us), score)
     seed: McMasterParams = coarse.parameter
     fine = [seed]
     for rho_scale in (0.9, 1.0, 1.1):
@@ -451,14 +451,13 @@ def mcmaster_parameter_grid(samples, labels: Sequence[EventLabel]) -> list[McMas
     the curve multiplicatively while sweeping the critical density and flow
     over empirical quantiles.
     """
-    return _mcmaster_grid(LinkSeries.from_samples(samples), labels)
+    return _mcmaster_grid(LinkSeries.from_samples(samples), intervals_us(labels))
 
 
-def _mcmaster_grid(stream: LinkSeries, labels: Sequence[EventLabel]) -> list[McMasterParams]:
+def _mcmaster_grid(stream: LinkSeries, label_us: Intervals) -> list[McMasterParams]:
     stream.require_minute_cadence()
-    labelled = np.fromiter(interval_minutes([(lab.start, lab.end) for lab in labels]), dtype=np.int64)
     usable = stream.usable
-    free = usable & ~np.isin(stream.minutes, labelled)
+    free = usable & ~np.isin(stream.minutes, covered_minutes(*label_us))
     if np.count_nonzero(free) < 100:
         raise ValueError("not enough uncongested training data for a seed fit")
     rho = stream.density[free]

@@ -196,24 +196,6 @@ class LinkSeries:
 
 
 @dataclass(frozen=True)
-class LinkMeta:
-    """Static link attributes; lengths outside the expected range warn."""
-
-    link_id: str
-    length_m: float
-    location_label: str = ""
-
-    def __post_init__(self):
-        if self.length_m <= 0:
-            raise ValueError(f"link length {self.length_m} must be positive")
-        if not 200.0 <= self.length_m <= 10000.0:
-            warnings.warn(
-                f"link {self.link_id}: length {self.length_m} m outside the expected 200-10000 m range",
-                stacklevel=2,
-            )
-
-
-@dataclass(frozen=True)
 class EventLabel:
     """A labelled event interval on a link."""
 
@@ -231,10 +213,6 @@ class EventLabel:
         object.__setattr__(self, "end", self.end.astimezone(timezone.utc))
         if self.end < self.start:
             raise ValueError(f"event end {self.end.isoformat()} precedes start {self.start.isoformat()}")
-
-    @property
-    def duration_minutes(self) -> float:
-        return (self.end - self.start).total_seconds() / 60.0
 
 
 def parse_timestamp(text: str) -> datetime:

@@ -10,7 +10,6 @@ sample x 512^2 grid fit to a few seconds.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -133,27 +132,6 @@ class DensityGrid:
         """Trapezoidal integral of the grid over its bounds."""
         inner = np.trapezoid(self.values, self.f_centers, axis=1)
         return float(np.trapezoid(inner, self.rho_centers))
-
-    def to_json(self) -> str:
-        payload = {
-            "bounds": [self.rho_min, self.rho_max, self.f_min, self.f_max],
-            "resolution": list(self.values.shape),
-            "values": self.values.ravel().tolist(),
-        }
-        return json.dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityGrid":
-        payload = json.loads(text)
-        n_rho, n_f = payload["resolution"]
-        values = np.array(payload["values"], dtype=float).reshape(n_rho, n_f)
-        rho_min, rho_max, f_min, f_max = payload["bounds"]
-        return cls(rho_min, rho_max, f_min, f_max, values)
-
-
-def normal_reference_scale(std: float, n: int) -> float:
-    """Univariate Gaussian-reference bandwidth (4/3)^(1/5) * s * n^(-1/5)."""
-    return (4.0 / 3.0) ** 0.2 * std * n ** -0.2
 
 
 def amise_optimal_scale(n: int, curvature_roughness: float) -> float:

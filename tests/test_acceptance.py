@@ -22,7 +22,7 @@ from flowsentry.baselines import (
     snd_detect,
 )
 from flowsentry.detector import DetectorConfig, annotate, calibrate_normalizer, track_annotated
-from flowsentry.ingest import LinkSeries, TrafficSample, nonrecurrent_filter, to_epoch_us
+from flowsentry.ingest import LinkSeries, TrafficSample, datetimes, nonrecurrent_filter, to_epoch_us
 from flowsentry.levelset import (
     RegionConfig,
     TypicalRegion,
@@ -268,7 +268,7 @@ def _fit_and_calibrate(train, train_labels):
 def _dftb_test_score(test, test_labels, region, threshold):
     series = annotate(test, region)
     _, flags = track_annotated(series, DetectorConfig("severity_threshold", severity_threshold=threshold))
-    return ev.score_detector([(f.start, f.end) for f in flags], test_labels, int(series.usable.sum()))
+    return ev.score_detector(ev.intervals_us(flags), ev.intervals_us(test_labels), int(series.usable.sum()))
 
 
 def _snd_test_score(train, test, train_labels, test_labels):
@@ -278,7 +278,7 @@ def _snd_test_score(train, test, train_labels, test_labels):
     calibration = ev.calibrate_snd(train, profile, train_labels)
     alarms = snd_detect(test, profile, calibration.parameter)
     n_applications = int(np.count_nonzero(~np.isnan(test.speed)))
-    return ev.score_detector(alarms, test_labels, n_applications)
+    return ev.score_detector(alarms, ev.intervals_us(test_labels), n_applications)
 
 
 def test_criterion_08_end_to_end_detection():
@@ -363,7 +363,7 @@ def test_criterion_10_baseline_replay_oracles():
         ]
         alarms = snd_detect(LinkSeries.from_samples(stream), profile, 1.0)
         got = set()
-        for start, end in alarms:
+        for start, end in zip(*map(datetimes, alarms)):
             k = int((start - MONDAY).total_seconds() // 60)
             while MONDAY + timedelta(minutes=k) <= end:
                 got.add(k)
@@ -388,7 +388,7 @@ def test_criterion_10_baseline_replay_oracles():
         if len(run) >= 3:
             expected.update(run)
         got_mc = set()
-        for start, end in mcmaster_detect(LinkSeries.from_samples(mc_stream), params):
+        for start, end in zip(*map(datetimes, mcmaster_detect(LinkSeries.from_samples(mc_stream), params))):
             k = int((start - MONDAY).total_seconds() // 60)
             while MONDAY + timedelta(minutes=k) <= end:
                 got_mc.add(k)

@@ -17,7 +17,7 @@ from flowsentry.baselines import (
     snd_thresholds,
     weekly_bins,
 )
-from flowsentry.ingest import LinkSeries, TrafficSample
+from flowsentry.ingest import LinkSeries, TrafficSample, datetimes
 
 MONDAY = datetime(2017, 4, 3, tzinfo=timezone.utc)  # a Monday
 
@@ -101,17 +101,6 @@ def test_constant_bin_zero_spread():
     assert stats.mad == 0.0
 
 
-def test_profile_json_round_trip():
-    speeds = [100.0, 102.0, 98.0, 101.0, 99.0, 100.0, 100.0, 100.0]
-    samples = [speed_sample(MONDAY + timedelta(hours=8, minutes=k), v) for k, v in enumerate(speeds)]
-    samples.append(speed_sample(MONDAY + timedelta(days=7, hours=8), 90.0))
-    profile = snd_fit(LinkSeries.from_samples(samples))
-    back = SndProfile.from_json(profile.to_json())
-    idx = weekly_bin(MONDAY + timedelta(hours=8))
-    assert back.bins[idx] == profile.bins[idx]
-    assert back.cap_kmh == profile.cap_kmh
-
-
 # --- thresholds -------------------------------------------------------------------
 
 
@@ -152,9 +141,16 @@ def low_speed_profile():
     return SndProfile(bins)
 
 
+def alarm_list(alarms):
+    """(start, end) datetime tuples of a detector's ``(start_us, end_us)`` int64 pair."""
+    start_us, end_us = alarms
+    assert start_us.dtype == end_us.dtype == np.int64
+    return list(zip(datetimes(start_us), datetimes(end_us)))
+
+
 def run_snd(speeds, c=1.0):
     stream = [speed_sample(MONDAY + timedelta(minutes=k), v) for k, v in enumerate(speeds)]
-    return stream, snd_detect(LinkSeries.from_samples(stream), low_speed_profile(), c)
+    return stream, alarm_list(snd_detect(LinkSeries.from_samples(stream), low_speed_profile(), c))
 
 
 def test_snd_detect_three_minute_rule():
@@ -194,7 +190,7 @@ def test_snd_detect_matches_replay_oracle():
     for _ in range(200):
         speeds = rng.uniform(40, 80, size=60).round(1)
         stream = [speed_sample(MONDAY + timedelta(minutes=k), v) for k, v in enumerate(speeds)]
-        alarms = snd_detect(LinkSeries.from_samples(stream), profile, 1.0)
+        alarms = alarm_list(snd_detect(LinkSeries.from_samples(stream), profile, 1.0))
         got = set()
         for start, end in alarms:
             k = int((start - MONDAY).total_seconds() // 60)
@@ -214,7 +210,7 @@ def test_snd_alarm_minutes_shrink_with_larger_c():
 
     def minutes(c):
         out = set()
-        for start, end in snd_detect(stream, profile, c):
+        for start, end in alarm_list(snd_detect(stream, profile, c)):
             t = start
             while t <= end:
                 out.add(t)
@@ -295,9 +291,9 @@ def test_params_validation():
 
 def test_mcmaster_detect_cases():
     free = [traffic(10.0, 2200.0, k) for k in range(5)]
-    assert mcmaster_detect(LinkSeries.from_samples(free), PARAMS) == []
+    assert alarm_list(mcmaster_detect(LinkSeries.from_samples(free), PARAMS)) == []
     jam = [traffic(60.0, 2000.0, k) for k in range(3)]
-    alarms = mcmaster_detect(LinkSeries.from_samples(jam), PARAMS)
+    alarms = alarm_list(mcmaster_detect(LinkSeries.from_samples(jam), PARAMS))
     assert alarms == [(jam[0].timestamp, jam[2].timestamp)]
 
 
@@ -309,7 +305,7 @@ def test_mcmaster_detect_matches_replay_oracle():
         stream = [traffic(r, f, k) for k, (r, f) in enumerate(zip(rhos, flows))]
         congested = [mcmaster_classify(s, PARAMS) == "congested" for s in stream]
         got = set()
-        for start, end in mcmaster_detect(LinkSeries.from_samples(stream), PARAMS):
+        for start, end in alarm_list(mcmaster_detect(LinkSeries.from_samples(stream), PARAMS)):
             k = int((start - MONDAY).total_seconds() // 60)
             while MONDAY + timedelta(minutes=k) <= end:
                 got.add(k)
@@ -422,7 +418,7 @@ def test_snd_detect_matches_per_minute_oracle(samples, c, data):
         thr = snd_threshold_oracle(profile, weekly_bin(s.timestamp, profile.tz_offset_min), c)
         hits.append(s.speed is not None and thr is not None and s.speed < thr)
     expected = persistence_oracle([s.timestamp for s in samples], hits)
-    assert snd_detect(LinkSeries.from_samples(samples), profile, c) == expected
+    assert alarm_list(snd_detect(LinkSeries.from_samples(samples), profile, c)) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -446,7 +442,7 @@ def test_mcmaster_detect_matches_per_minute_oracle(samples, a, b, curvature, dat
     params = McMasterParams(a, b, curvature * b / (2.0 * rho_crit), rho_crit, f_crit)
     hits = [mcmaster_classify(s, params) == "congested" for s in samples]
     expected = persistence_oracle([s.timestamp for s in samples], hits)
-    assert mcmaster_detect(LinkSeries.from_samples(samples), params) == expected
+    assert alarm_list(mcmaster_detect(LinkSeries.from_samples(samples), params)) == expected
 
 
 @settings(max_examples=40, deadline=None)

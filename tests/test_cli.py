@@ -192,6 +192,27 @@ def test_duration_percentile_annotates_once(workspace, tmp_path, capsys, monkeyp
         assert (tmp_path / "dp" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
+def detect_argv(workspace, out, *options):
+    return ["detect", "--series", str(workspace / "sim" / "series.csv"), "--region",
+            str(workspace / "fit" / "region.json"), "--out", str(out), *options]
+
+
+@pytest.mark.parametrize("mode, threshold", [("duration", "5"), ("severity", "0.2")])
+def test_detect_threshold_and_percentile_exclude_each_other(workspace, tmp_path, capsys, mode, threshold):
+    argv = detect_argv(workspace, tmp_path / "d", "--mode", mode, "--threshold", threshold, "--percentile", "95")
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert "argument --percentile: not allowed with argument --threshold" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_detect_severity_mode_rejects_percentile(workspace, tmp_path, capsys):
+    assert main(detect_argv(workspace, tmp_path / "d", "--mode", "severity", "--percentile", "95")) == 2
+    assert capsys.readouterr().err == "error: severity mode takes --threshold, not --percentile\n"
+    assert not (tmp_path / "d" / "flags.csv").exists()
+
+
 def test_five_minute_cadence_exit_2(workspace, tmp_path, capsys):
     lines = (workspace / "sim" / "series.csv").read_text().splitlines()
     coarse = tmp_path / "coarse.csv"
@@ -502,6 +523,45 @@ def test_plot_deterministic(workspace, tmp_path):
     assert main(args + ["--out", str(tmp_path / "p2")]) == 0
     for name in ("scatter.svg", "travel_time.svg", "durations.svg"):
         assert (tmp_path / "p1" / name).read_bytes() == (tmp_path / "p2" / name).read_bytes()
+
+
+def as_link(csv_text, link):
+    """The data rows of a series or flags CSV text, moved from link SIM1 to ``link``."""
+    return csv_text.split("\n", 1)[1].replace("SIM1,", f"{link},")
+
+
+def test_plot_flags_for_unknown_link_exit_2(workspace, tmp_path, capsys):
+    flags_text = (workspace / "det" / "flags.csv").read_text()
+    other = tmp_path / "other.csv"
+    other.write_text(flags_text.split("\n", 1)[0] + "\n" + as_link(flags_text, "OTHER"))
+    series = workspace / "sim" / "series.csv"
+    argv = ["plot", "--series", str(series), "--region", str(workspace / "fit" / "region.json"),
+            "--flags", str(other), "--out", str(tmp_path / "p")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {other} has flags for link 'OTHER', not in {series}\n"
+    assert not (tmp_path / "p").exists()
+
+
+def test_plot_paints_only_the_plotted_links_flags(workspace, tmp_path):
+    series_text = (workspace / "sim" / "series.csv").read_text()
+    series = tmp_path / "two_links.csv"
+    series.write_text(series_text + as_link(series_text, "OTHER"))
+    own = workspace / "det" / "flags.csv"
+    flags_text = own.read_text()
+    mixed, other = tmp_path / "mixed.csv", tmp_path / "other.csv"
+    mixed.write_text(flags_text + as_link(flags_text, "OTHER"))
+    other.write_text(flags_text.split("\n", 1)[0] + "\n" + as_link(flags_text, "OTHER"))
+
+    def plot(flags, out):
+        argv = ["plot", "--series", str(series), "--region", str(workspace / "fit" / "region.json"),
+                "--link", "SIM1", "--out", str(tmp_path / out)]
+        assert main(argv + (["--flags", str(flags)] if flags else [])) == 0
+        return [(tmp_path / out / name).read_text() for name in ("travel_time.svg", "durations.svg")]
+
+    painted = plot(own, "own")
+    assert 'class="flag"' in painted[0]
+    assert plot(mixed, "mixed") == painted
+    assert plot(other, "other") == plot(None, "none")
 
 
 IMPORT_GUARD = """

@@ -511,5 +511,5 @@ def test_dftb_sweep_matches_replay_oracle(rows, label_rows):
     for threshold in ev.DFTB_THRESHOLD_GRID:
         config = DetectorConfig("severity_threshold", severity_threshold=threshold)
         _, flags = track_annotated_oracle(series, config)
-        expected = ev.score_detector([(f.start, f.end) for f in flags], labels, int(series.usable.sum()))
+        expected = ev.score_detector(ev.intervals_us(flags), ev.intervals_us(labels), int(series.usable.sum()))
         assert score(threshold) == expected

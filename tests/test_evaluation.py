@@ -3,12 +3,13 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowsentry import evaluation as ev
-from flowsentry.ingest import EventLabel
+from flowsentry.ingest import US_PER_MINUTE, EventLabel, to_epoch_us
 
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 T0 = datetime(2017, 4, 3, tzinfo=timezone.utc)
 
 
@@ -20,13 +21,93 @@ def label(start_min, end_min, category="accident"):
     return EventLabel("L1", category, T0 + timedelta(minutes=start_min), T0 + timedelta(minutes=end_min))
 
 
+def pair(intervals):
+    """The (start_us, end_us) pair of (start, end) datetime tuples."""
+    us = np.array([(to_epoch_us(a), to_epoch_us(b)) for a, b in intervals], dtype=np.int64).reshape(-1, 2)
+    return us[:, 0], us[:, 1]
+
+
 def score(flags, labels):
-    return ev.score_detector(flags, labels, 10_000)
+    return ev.score_detector(pair(flags), ev.intervals_us(labels), 10_000)
+
+
+def far(flags, labels, n_applications):
+    return ev.false_alarm_rate(pair(flags), ev.intervals_us(labels), n_applications)
 
 
 def overlaps(flag, lab):
     """Oracle: a flag interval meets a label."""
     return flag[0] <= lab.end and flag[1] >= lab.start
+
+
+# --- the datetime scorer, the oracle of score_detector --------------------------------
+
+
+def oracle_minute(ts):
+    return int(ts.timestamp() // 60)
+
+
+def oracle_interval_minutes(intervals):
+    out = set()
+    for start, end in intervals:
+        out.update(range(oracle_minute(start), oracle_minute(end) + 1))
+    return out
+
+
+def oracle_score(flags, labels, n_applications):
+    """DR, FAR and MTTD of (start, end) datetime flags, one label and one flag at a time."""
+    lags = []
+    for lab in labels:
+        starts = [f[0] for f in flags if overlaps(f, lab)]
+        lags.append((max(min(starts), lab.start) - lab.start).total_seconds() / 60.0 if starts else None)
+    if not lags:
+        raise ev.UndefinedMetricError("detection rate undefined with zero labels")
+    dr = 100.0 * sum(1 for lag in lags if lag is not None) / len(lags)
+    flagged = oracle_interval_minutes(flags)
+    labelled = oracle_interval_minutes([(lab.start, lab.end) for lab in labels])
+    far = 100.0 * len(flagged - labelled) / n_applications
+    detected = [lag for lag in lags if lag is not None]
+    return ev.DetectorScore(dr, far, float(np.mean(detected)) if detected else None)
+
+
+# Epoch minutes the instants of a case are drawn after: April 2017, and 2480, where a float
+# floor of microseconds / 6e7 rounds the last microsecond of a minute up into the next one.
+# The oracle's datetime.timestamp() keeps the microsecond until 2**34 s (year 2514).
+BASE_MINUTES = (to_epoch_us(T0) // US_PER_MINUTE, 2**28)
+SUBMINUTE_US = st.sampled_from([0, 1, 999_999, 1_000_000, 30_000_000, 59_999_999]) | st.integers(0, US_PER_MINUTE - 1)
+
+
+@st.composite
+def scoring_cases(draw):
+    """Flags and labels as (start, end) datetimes with second and microsecond offsets, all
+    drawn from a few instants of one 90-minute window, so that labels overlap each other,
+    flags start before, inside or at the end of a label, and an end often equals a start.
+    A flag covers the minutes between its ends whether or not a sample fell in them."""
+    base = draw(st.sampled_from(BASE_MINUTES))
+    instant = st.builds(
+        lambda minute, us: EPOCH + timedelta(microseconds=(base + minute) * US_PER_MINUTE + us),
+        st.integers(0, 90),
+        SUBMINUTE_US,
+    )
+    pool = draw(st.lists(instant, min_size=1, max_size=8, unique=True))
+    ends = st.lists(st.sampled_from(pool), min_size=2, max_size=2).map(sorted)
+    labels = [EventLabel("L1", "accident", a, b) for a, b in draw(st.lists(ends, min_size=1, max_size=5))]
+    flags = [tuple(f) for f in draw(st.lists(ends, max_size=6))]
+    return flags, labels
+
+
+def _at(minute, us=0):
+    return EPOCH + timedelta(microseconds=(2**28 + minute) * US_PER_MINUTE + us)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=scoring_cases(), n_applications=st.integers(1, 10_000))
+@example(case=([], [EventLabel("L1", "accident", _at(0), _at(5))]), n_applications=100)  # no flags, MTTD None
+@example(case=([(_at(0, 59_999_999), _at(3))], [EventLabel("L1", "other", _at(9), _at(10))]), n_applications=100)
+def test_score_detector_matches_datetime_oracle(case, n_applications):
+    flags, labels = case
+    expected = oracle_score(flags, labels, n_applications)
+    assert ev.score_detector(pair(flags), ev.intervals_us(labels), n_applications) == expected
 
 
 # --- detection rate ---------------------------------------------------------------
@@ -66,21 +147,21 @@ def test_detection_plus_undetected_is_total():
 
 
 def test_far_no_flags():
-    assert ev.false_alarm_rate([], [label(0, 10)], 1000) == 0.0
+    assert far([], [label(0, 10)], 1000) == 0.0
 
 
 def test_far_counts_unlabelled_minutes():
     flags = [interval(50, 59)]  # 10 flagged minutes, no labels nearby
-    assert ev.false_alarm_rate(flags, [label(200, 210)], 1000) == pytest.approx(1.0)
+    assert far(flags, [label(200, 210)], 1000) == pytest.approx(1.0)
 
 
 def test_far_all_flags_inside_labels():
-    assert ev.false_alarm_rate([interval(2, 8)], [label(0, 10)], 1000) == 0.0
+    assert far([interval(2, 8)], [label(0, 10)], 1000) == 0.0
 
 
 def test_far_zero_applications_error():
     with pytest.raises(ev.UndefinedMetricError):
-        ev.false_alarm_rate([], [], 0)
+        far([], [], 0)
 
 
 # --- mean time to detect ----------------------------------------------------------
@@ -381,5 +462,6 @@ def test_application_counts_per_detector(monkeypatch):
     monkeypatch.setattr(ev, "score_detector", lambda f, lab, n: applications.append(n) or score_detector(f, lab, n))
     result = ev.calibrate_mcmaster(stream, labels)
     assert set(applications) == {with_density}
-    flagged = ev.interval_minutes(mcmaster_detect(stream, result.parameter)) - ev.interval_minutes([interval(140, 144)])
-    assert result.score.far == 100.0 * len(flagged) / with_density
+    alarmed = ev.covered_minutes(*mcmaster_detect(stream, result.parameter))
+    flagged = np.setdiff1d(alarmed, ev.covered_minutes(*pair([interval(140, 144)])))
+    assert result.score.far == 100.0 * flagged.size / with_density

@@ -13,7 +13,6 @@ from flowsentry import ingest
 from flowsentry.ingest import (
     SERIES_HEADER,
     EventLabel,
-    LinkMeta,
     LinkSeries,
     ParseError,
     TrafficSample,
@@ -225,7 +224,7 @@ def test_link_series_columns_match_samples(rows, seconds):
 def test_events_round_trip_and_duration():
     text = io.StringIO("link_id,category,start,end\nL1,accident,2017-04-07T08:00:00Z,2017-04-07T09:40:00Z\n")
     labels = parse_events(text)
-    assert labels[0].duration_minutes == pytest.approx(100.0)
+    assert labels[0].end - labels[0].start == timedelta(minutes=100)
     buf = io.StringIO()
     write_events(labels, buf)
     assert parse_events(io.StringIO(buf.getvalue())) == labels
@@ -255,14 +254,6 @@ def test_nonrecurrent_filter_drops_roadworks_and_weather():
     assert nonrecurrent_filter([]) == []
     triple = [make_label("roadworks"), make_label("deviation_from_profile", 20), make_label("obstruction", 40)]
     assert nonrecurrent_filter(triple) == triple[1:]
-
-
-def test_link_meta_length_warning():
-    with pytest.warns(UserWarning, match="outside"):
-        LinkMeta("L1", 150.0)
-    LinkMeta("L2", 700.0)  # no warning
-    with pytest.raises(ValueError):
-        LinkMeta("L3", -5.0)
 
 
 # --- read_series against the row-by-row parser it replaced -----------------------------

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,7 +10,6 @@ from flowsentry.kde import (
     DegenerateDataError,
     DensityGrid,
     InsufficientDataError,
-    normal_reference_scale,
 )
 
 
@@ -38,7 +36,6 @@ def test_univariate_amise_matches_numerical_minimum():
     expected = (4.0 / 3.0) ** 0.2 * std * n**-0.2
     assert res.x == pytest.approx(expected, rel=1e-6)
     assert kde.amise_optimal_scale(n, r_curv) == pytest.approx(expected, rel=1e-12)
-    assert normal_reference_scale(std, n) == pytest.approx(expected, rel=1e-12)
 
 
 def test_normal_reference_is_scaled_covariance():
@@ -223,23 +220,6 @@ def test_peak_decreases_with_wider_bandwidth():
 
 def grid_bounds(grid: DensityGrid):
     return (grid.rho_min, grid.rho_max, grid.f_min, grid.f_max)
-
-
-def test_grid_json_round_trip_bit_exact():
-    pts = gaussian_cloud(300, seed=31)
-    model = kde.fit(pts, kde.select_bandwidth(pts))
-    grid = kde.evaluate_grid(model, resolution=(128, 128))
-    back = DensityGrid.from_json(grid.to_json())
-    assert back.values.tobytes() == grid.values.tobytes()
-    assert (back.rho_min, back.rho_max, back.f_min, back.f_max) == (
-        grid.rho_min,
-        grid.rho_max,
-        grid.f_min,
-        grid.f_max,
-    )
-    # decimal payload, not binary
-    payload = json.loads(grid.to_json())
-    assert isinstance(payload["values"][0], float)
 
 
 def test_grid_deterministic():

@@ -74,7 +74,7 @@ def test_every_incident_produces_congestion():
     for spec, label in zip(plan, labels):
         during = stream.density[spec.start_min : spec.end_min]
         assert max(during) > p95  # congestion overlaps its label
-        assert label.duration_minutes == spec.duration_min - 1
+        assert label.end - label.start == timedelta(minutes=spec.duration_min - 1)
 
 
 def test_flow_cap_invariant():
