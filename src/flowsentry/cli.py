@@ -181,13 +181,13 @@ def cmd_fit(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"alpha {args.alpha} outside (0, 1)")
     pts = _load_series(args.series, args.link).points
-    out = _out_dir(args.out)
     config = levelset.RegionConfig(alpha=args.alpha)
     bandwidth = select_bandwidth(pts, args.bandwidth_method)
     model = kde_fit(pts, bandwidth)
     grid = evaluate_grid(model, resolution=grid_resolution())
     region = levelset.fit_typical_region(pts, config, model=model, grid=grid)
     region = detector.calibrate_normalizer(region, pts)
+    out = _out_dir(args.out)
     (out / "region.json").write_text(region.to_json(), encoding="utf-8")
     in_fraction = levelset.contains_many(region, pts).mean()
     print(f"samples: {len(pts)}")
@@ -198,17 +198,23 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _detector_config(args, annotated: detector.SeveritySeries) -> detector.DetectorConfig:
+def _check_detector_options(args) -> None:
+    """The detect options that make no sense together, checked before any input is read."""
     if args.mode == "severity":
         if args.percentile is not None:
             raise UsageError("severity mode takes --threshold, not --percentile")
         if args.threshold is None:
             raise UsageError("severity mode needs --threshold")
+    elif args.threshold is None and args.percentile is None:
+        raise UsageError("duration mode needs --threshold or --percentile")
+
+
+def _detector_config(args, annotated: detector.SeveritySeries) -> detector.DetectorConfig:
+    """The detector of checked options; a duration percentile is taken over this stream's excursions."""
+    if args.mode == "severity":
         return detector.DetectorConfig("severity_threshold", severity_threshold=args.threshold)
     if args.threshold is not None:
         return detector.DetectorConfig("duration_threshold", duration_threshold_min=args.threshold)
-    if args.percentile is None:
-        raise UsageError("duration mode needs --threshold or --percentile")
     durations = detector.segment(annotated).duration
     minutes = detector.duration_threshold_from_percentile(durations, args.percentile)
     print(f"duration threshold from percentile {args.percentile}: {minutes} min")
@@ -216,11 +222,12 @@ def _detector_config(args, annotated: detector.SeveritySeries) -> detector.Detec
 
 
 def cmd_detect(args) -> int:
+    _check_detector_options(args)
     stream = _load_series(args.series, args.link)
     region = _load_region(args.region)
-    out = _out_dir(args.out)
     annotated = detector.annotate(stream, region)
     excursions, flags = detector.track_annotated(annotated, _detector_config(args, annotated))
+    out = _out_dir(args.out)
     detector.write_excursions_csv(excursions, out / "excursions.csv")
     detector.write_flags_csv(flags, out / "flags.csv")
     print(f"excursions: {len(excursions)}")
@@ -229,13 +236,13 @@ def cmd_detect(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if args.detector == "dftb" and args.region is None:
+        raise UsageError("dftb calibration needs --region")
     stream = _load_series(args.series, args.link)
     labels = ingest.nonrecurrent_filter(ingest.parse_events(_require_file(args.events)))
     labels = [lab for lab in labels if lab.link_id == stream.link_id]
-    out = _out_dir(args.out)
+    profile = None
     if args.detector == "dftb":
-        if args.region is None:
-            raise UsageError("dftb calibration needs --region")
         region = _load_region(args.region)
         result = evaluation.calibrate_dftb(stream, region, labels)
         payload = {"detector": "dftb", "severity_threshold": result.parameter}
@@ -243,42 +250,44 @@ def cmd_calibrate(args) -> int:
         profile = baselines.snd_fit(stream, tz_offset_min=args.tz_offset)
         result = evaluation.calibrate_snd(stream, profile, labels)
         payload = {"detector": "snd", "c": result.parameter}
-        (out / "snd_profile.json").write_text(profile.to_json(), encoding="utf-8")
     else:
         result = evaluation.calibrate_mcmaster(stream, labels)
         payload = {"detector": "mcmaster", "params": asdict(result.parameter)}
     payload["training_score"] = _score_payload(result.score)
+    out = _out_dir(args.out)
+    if profile is not None:
+        (out / "snd_profile.json").write_text(profile.to_json(), encoding="utf-8")
     (out / "calibration.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    out = _out_dir(args.out)
     if args.fixture == "table1":
-        return _evaluate_fixture(out)
+        return _evaluate_fixture(_out_dir(args.out))
     if not (args.series and args.events and args.flags):
         raise UsageError("evaluate needs --fixture table1 or --series/--events/--flags")
-    streams = ingest.read_series(_require_file(args.series))
+    streams = _read_series(args.series)
     labels = ingest.nonrecurrent_filter(ingest.parse_events(_require_file(args.events)))
-    if not labels:
-        raise evaluation.UndefinedMetricError("no non-recurrent labels; detection rate undefined")
     flag_sets = {}
     for name, path in (("a", args.flags), ("b", args.flags_b)):
         if path:
             flag_sets[name] = _read_flags(path, streams, args.series)
     for stream in streams.values():
         stream.require_minute_cadence()
+    link_labels = {link_id: [lab for lab in labels if lab.link_id == link_id] for link_id in streams}
+    link_labels = {link_id: labs for link_id, labs in link_labels.items() if labs}
+    if not link_labels:
+        raise evaluation.UndefinedMetricError(
+            f"no non-recurrent labels for link {', '.join(map(repr, sorted(streams)))}; detection rate undefined"
+        )
     scores: dict[str, dict[str, evaluation.DetectorScore]] = {}
     for name, rows in flag_sets.items():
         per_link = {}
-        for link_id, stream in streams.items():
-            link_labels = [lab for lab in labels if lab.link_id == link_id]
-            if not link_labels:
-                continue
+        for link_id, labs in link_labels.items():
             flags = evaluation.intervals_us(r for r in rows if r.link_id == link_id and r.flagged)
             per_link[link_id] = evaluation.score_detector(
-                flags, evaluation.intervals_us(link_labels), evaluation.applications(stream, "dftb")
+                flags, evaluation.intervals_us(labs), evaluation.applications(streams[link_id], "dftb")
             )
         scores[name] = per_link
     payload: dict = {"links": {}}
@@ -296,6 +305,7 @@ def cmd_evaluate(args) -> int:
                 if va is not None and vb is not None:
                     pairs.append((va, vb))
             payload["tests"][metric] = _paired_tests_payload(pairs)
+    out = _out_dir(args.out)
     (out / "evaluation.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
     print(json.dumps(payload, indent=2))
     return EXIT_OK

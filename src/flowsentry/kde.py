@@ -2,10 +2,13 @@
 
 The estimate at x is the mean of Gaussian kernels centred on the samples,
 with a single positive-definite 2x2 bandwidth matrix shared by all kernels.
-Grid evaluation sums over every sample exactly (no tree or FFT
-approximation); it is organised as a per-tile rank-1 factorisation so the
-bulk of the arithmetic runs through matrix products, which keeps a 10^5
-sample x 512^2 grid fit to a few seconds.
+Grid evaluation has no tree or FFT approximation. Each tile of the grid sums
+the samples whose kernel reaches above e^-145 of its peak somewhere on the
+tile, found from an exact per-sample minimum of the kernel's quadratic form
+over the tile; every other sample is below that level on the whole tile, the
+level the factorisation may lose to underflow anyway. The sum is organised
+as a per-tile rank-1 factorisation so the bulk of the arithmetic runs
+through matrix products.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ GAUSS_KERNEL_SECOND_MOMENT = 1.0
 # exp underflow guard: a tile may scale per-sample weights up to e^MAX_TILE_LOG,
 # so tile half-diagonals are chosen to keep every factor finite in float64.
 _MAX_TILE_LOG = 600.0
+# A tile sums a sample only when its kernel quadratic q = d' H^-1 d falls to this on the
+# tile: beyond it, exp(-q/2) is below e^-(underflow - _MAX_TILE_LOG), about e^-145 of the
+# kernel peak, which the factorisation's scaled factors underflow to zero anyway.
+_TILE_REACH_Q = 2.0 * (-math.log(np.finfo(float).smallest_subnormal) - _MAX_TILE_LOG)
 
 MIN_BANDWIDTH_SAMPLES = 50  # fewest samples a bandwidth is selected from
 BOUNDS_MARGIN_SD = 3.0  # default grid bounds pad the sample hull by this many marginal bandwidth sds
@@ -286,12 +293,15 @@ def evaluate_grid(
 ) -> DensityGrid:
     """Evaluate the KDE at the cell centres of a regular grid.
 
-    The summation over samples is exact: the kernel is factorised per tile as
-    exp(-q/2) = exp(-G/2) * w_i * F_i(u) * H_i(v), which is algebraically
-    identical to the direct sum and lets the accumulation over samples run as
-    one matrix product per tile. Tiles are sized so no factor overflows;
-    factors that underflow correspond to contributions below e^-145 of the
-    kernel peak and round to zero either way.
+    Each tile sums the samples whose kernel reaches above e^-145 of its peak
+    somewhere on the tile (``_box_min_quadratic``); every sample left out
+    contributes less than that at every cell of the tile. The kept samples'
+    kernels are factorised as exp(-q/2) = exp(-G/2) * w_i * F_i(u) * H_i(v),
+    which is algebraically identical to the direct sum and lets the
+    accumulation over samples run as one matrix product per tile. Tiles are
+    sized so no factor overflows; a factor can underflow only for a
+    contribution below e^-145 of the kernel peak, the level the selection
+    drops, so every contribution above that level is summed.
     """
     n_rho, n_f = resolution
     if n_rho < MIN_GRID_RESOLUTION or n_f < MIN_GRID_RESOLUTION:
@@ -346,48 +356,83 @@ def _tile_counts(width_x, width_y, n_x, n_y, a, b, c):
             ty *= 2
 
 
+def _box_min_quadratic(sx, sy, x_lo, x_hi, y_lo, y_hi, a, b, c):
+    """Each sample's minimum over the box [x_lo, x_hi] x [y_lo, y_hi] of
+    q(d) = a*dx^2 + 2b*dx*dy + c*dy^2, with d = point - sample.
+
+    At the minimiser d of the convex q over a box that excludes d = 0,
+    d . grad q = q(d) > 0, so d_k * dq/dd_k > 0 on some axis k; the box's
+    optimality conditions then put d_k at the bound nearest 0 on that axis. So
+    the minimum is the smaller of the minima along dx = (the dx nearest 0) and
+    along dy = (the dy nearest 0), each found by clamping the other coordinate's
+    1-D minimiser to the box. A sample inside the box gets d = 0, exactly 0.
+    """
+    dx_lo, dx_hi = x_lo - sx, x_hi - sx
+    dy_lo, dy_hi = y_lo - sy, y_hi - sy
+    near_dx = np.clip(0.0, dx_lo, dx_hi)
+    near_dy = np.clip(0.0, dy_lo, dy_hi)
+    along_dx = _quadratic(near_dx, np.clip(near_dx * (-b / c), dy_lo, dy_hi), a, b, c)
+    along_dy = _quadratic(np.clip(near_dy * (-b / a), dx_lo, dx_hi), near_dy, a, b, c)
+    return np.minimum(along_dx, along_dy, out=along_dx)
+
+
+def _quadratic(dx, dy, a, b, c):
+    """a*dx^2 + 2b*dx*dy + c*dy^2, elementwise."""
+    return dx * (a * dx + 2.0 * b * dy) + c * dy * dy
+
+
 def _grid_tiled(model, x_centers, y_centers, a, b, c, tiles_x, tiles_y):
     sx = model.samples[:, 0]
     sy = model.samples[:, 1]
-    n = sx.size
     n_x, n_y = x_centers.size, y_centers.size
-    values = np.empty((n_x, n_y))
+    values = np.zeros((n_x, n_y))
     x_edges = np.linspace(0, n_x, tiles_x + 1).astype(int)
     y_edges = np.linspace(0, n_y, tiles_y + 1).astype(int)
-    buf_x = np.empty((n, int(np.diff(x_edges).max())))
-    buf_y = np.empty((n, int(np.diff(y_edges).max())))
+    reached = []  # (x slice, y slice, indices of the samples that reach the tile)
     for xi in range(tiles_x):
-        xs = x_centers[x_edges[xi] : x_edges[xi + 1]]
-        cx = 0.5 * (xs[0] + xs[-1])
-        u = xs - cx
-        hx = float(np.abs(u).max())
-        px = sx - cx
+        xs = slice(x_edges[xi], x_edges[xi + 1])
+        x_lo, x_hi = x_centers[xs][[0, -1]]
         for yi in range(tiles_y):
-            ys = y_centers[y_edges[yi] : y_edges[yi + 1]]
-            cy = 0.5 * (ys[0] + ys[-1])
-            v = ys - cy
-            hy = float(np.abs(v).max())
-            py = sy - cy
+            ys = slice(y_edges[yi], y_edges[yi + 1])
+            y_lo, y_hi = y_centers[ys][[0, -1]]
+            kept = np.flatnonzero(_box_min_quadratic(sx, sy, x_lo, x_hi, y_lo, y_hi, a, b, c) <= _TILE_REACH_Q)
+            if kept.size:
+                reached.append((xs, ys, kept))
+    if not reached:
+        return values
+    rows = max(kept.size for _, _, kept in reached)
+    buf_x = np.empty((rows, int(np.diff(x_edges).max())))
+    buf_y = np.empty((rows, int(np.diff(y_edges).max())))
+    for xs, ys, kept in reached:
+        tile_x, tile_y = x_centers[xs], y_centers[ys]
+        cx = 0.5 * (tile_x[0] + tile_x[-1])
+        cy = 0.5 * (tile_y[0] + tile_y[-1])
+        u = tile_x - cx
+        v = tile_y - cy
+        hx = float(np.abs(u).max())
+        hy = float(np.abs(v).max())
+        px = sx[kept] - cx
+        py = sy[kept] - cy
 
-            alpha = a * px + b * py
-            beta = b * px + c * py
-            s_i = a * px * px + 2.0 * b * px * py + c * py * py
-            shift_x = hx * np.abs(alpha)
-            shift_y = hy * np.abs(beta)
-            w = np.exp(-0.5 * s_i + shift_x + shift_y)
+        alpha = a * px + b * py
+        beta = b * px + c * py
+        s_i = a * px * px + 2.0 * b * px * py + c * py * py
+        shift_x = hx * np.abs(alpha)
+        shift_y = hy * np.abs(beta)
+        w = np.exp(-0.5 * s_i + shift_x + shift_y)
 
-            fx = buf_x[:, : u.size]
-            np.multiply(alpha[:, None], u[None, :], out=fx)
-            fx -= shift_x[:, None]
-            np.exp(fx, out=fx)
-            fx *= w[:, None]
-            fy = buf_y[:, : v.size]
-            np.multiply(beta[:, None], v[None, :], out=fy)
-            fy -= shift_y[:, None]
-            np.exp(fy, out=fy)
+        fx = buf_x[: kept.size, : u.size]
+        np.multiply(alpha[:, None], u[None, :], out=fx)
+        fx -= shift_x[:, None]
+        np.exp(fx, out=fx)
+        fx *= w[:, None]
+        fy = buf_y[: kept.size, : v.size]
+        np.multiply(beta[:, None], v[None, :], out=fy)
+        fy -= shift_y[:, None]
+        np.exp(fy, out=fy)
 
-            tile = fx.T @ fy
-            g_uv = a * u[:, None] ** 2 + 2.0 * b * np.outer(u, v) + c * v[None, :] ** 2
-            tile *= np.exp(-0.5 * g_uv)
-            values[x_edges[xi] : x_edges[xi + 1], y_edges[yi] : y_edges[yi + 1]] = tile
+        tile = fx.T @ fy
+        g_uv = a * u[:, None] ** 2 + 2.0 * b * np.outer(u, v) + c * v[None, :] ** 2
+        tile *= np.exp(-0.5 * g_uv)
+        values[xs, ys] = tile
     return values

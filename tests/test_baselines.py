@@ -1,8 +1,9 @@
+import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowsentry.baselines import (
@@ -438,8 +439,11 @@ def test_mcmaster_detect_matches_per_minute_oracle(samples, a, b, curvature, dat
         rho_crit |= st.sampled_from([s.density for s in usable])
         f_crit |= st.sampled_from([s.flow for s in usable])
     rho_crit, f_crit = data.draw(rho_crit), data.draw(f_crit)
-    # c = curvature * b / (2 rho_crit) keeps the bound nondecreasing on [0, rho_crit]
-    params = McMasterParams(a, b, curvature * b / (2.0 * rho_crit), rho_crit, f_crit)
+    # c = curvature * b / (2 rho_crit) keeps the bound nondecreasing on [0, rho_crit],
+    # unless a subnormal stream density as rho_crit overflows c to infinity
+    c = curvature * b / (2.0 * rho_crit)
+    assume(math.isfinite(c))
+    params = McMasterParams(a, b, c, rho_crit, f_crit)
     hits = [mcmaster_classify(s, params) == "congested" for s in samples]
     expected = persistence_oracle([s.timestamp for s in samples], hits)
     assert alarm_list(mcmaster_detect(LinkSeries.from_samples(samples), params)) == expected

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from flowsentry import levelset
 from flowsentry.cli import main
 
 
@@ -51,6 +52,25 @@ def test_fit_report_mass_check(tmp_path, capsys):
     frac = float(re.search(r"in_region_fraction: ([0-9.]+)", report).group(1))
     assert 0.93 <= frac <= 0.97
     assert "z_star" in report
+
+
+def test_fit_plug_in_bandwidth(tmp_path, capsys):
+    assert main(["simulate", "--out", str(tmp_path / "sim"), "--seed", "11", "--weeks", "1", "--incidents", "2"]) == 0
+    argv = ["fit", "--series", str(tmp_path / "sim" / "series.csv"), "--out", str(tmp_path / "fit"),
+            "--bandwidth-method", "plug_in"]
+    assert main(argv) == 0
+    frac = float(re.search(r"in_region_fraction: ([0-9.]+)", capsys.readouterr().out).group(1))
+    assert abs(frac - 0.95) <= 0.01
+    text = (tmp_path / "fit" / "region.json").read_text()
+    assert levelset.TypicalRegion.from_json(text).to_json() == text
+
+
+def test_fit_too_few_samples_leaves_no_out(workspace, tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join((workspace / "sim" / "series.csv").read_text().splitlines()[:11]) + "\n")
+    assert main(["fit", "--series", str(short), "--out", str(tmp_path / "fit")]) == 1
+    assert "need at least 50 samples, got 10" in capsys.readouterr().err
+    assert not (tmp_path / "fit").exists()
 
 
 def test_fit_missing_input_exit_2(tmp_path, capsys):
@@ -211,6 +231,29 @@ def test_detect_severity_mode_rejects_percentile(workspace, tmp_path, capsys):
     assert main(detect_argv(workspace, tmp_path / "d", "--mode", "severity", "--percentile", "95")) == 2
     assert capsys.readouterr().err == "error: severity mode takes --threshold, not --percentile\n"
     assert not (tmp_path / "d" / "flags.csv").exists()
+
+
+def test_detect_option_checks_come_before_the_inputs(tmp_path, capsys):
+    # severity mode without --threshold is rejected before the (missing) inputs are read
+    argv = ["detect", "--series", str(tmp_path / "none.csv"), "--region", str(tmp_path / "none.json"),
+            "--mode", "severity", "--out", str(tmp_path / "d")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: severity mode needs --threshold\n"
+    assert not (tmp_path / "d").exists()
+
+
+def test_detect_severity_mode_without_threshold_leaves_no_out(workspace, tmp_path, capsys):
+    assert main(detect_argv(workspace, tmp_path / "d", "--mode", "severity")) == 2
+    assert capsys.readouterr().err == "error: severity mode needs --threshold\n"
+    assert not (tmp_path / "d").exists()
+
+
+def test_calibrate_dftb_without_region_leaves_no_out(workspace, tmp_path, capsys):
+    argv = ["calibrate", "--series", str(workspace / "sim" / "series.csv"), "--events",
+            str(workspace / "sim" / "events.csv"), "--detector", "dftb", "--out", str(tmp_path / "c")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: dftb calibration needs --region\n"
+    assert not (tmp_path / "c").exists()
 
 
 def test_five_minute_cadence_exit_2(workspace, tmp_path, capsys):
@@ -406,6 +449,32 @@ def test_evaluate_zero_labels_exit_1(workspace, tmp_path):
         ]
     )
     assert code == 1
+
+
+def test_evaluate_header_only_series_exit_2(tmp_path, capsys):
+    series, flags = tmp_path / "series.csv", tmp_path / "flags.csv"
+    series.write_text("link_id,timestamp,speed_kmh,flow_vph,travel_time_s\n")
+    flags.write_text("link_id,start,end,duration_min,max_severity,exit_side,flagged\n")
+    events = tmp_path / "events.csv"
+    events.write_text("link_id,category,start,end\nSIM1,accident,2017-04-05T10:59:00Z,2017-04-05T11:24:00Z\n")
+    argv = ["evaluate", "--series", str(series), "--events", str(events), "--flags", str(flags),
+            "--out", str(tmp_path / "ev")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: no samples in {series}\n"
+    assert not (tmp_path / "ev").exists()
+
+
+def test_evaluate_no_labelled_link_exit_1(workspace, tmp_path, capsys):
+    # labels exist, but none for the series' link: nothing would be scored
+    events = tmp_path / "events.csv"
+    events.write_text("link_id,category,start,end\nOTHER,accident,2017-04-05T10:59:00Z,2017-04-05T11:24:00Z\n")
+    argv = ["evaluate", "--series", str(workspace / "sim" / "series.csv"), "--events", str(events),
+            "--flags", str(workspace / "det" / "flags.csv"), "--out", str(tmp_path / "ev")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: no non-recurrent labels for link 'SIM1'; detection rate undefined\n"
+    )
+    assert not (tmp_path / "ev").exists()
 
 
 def test_evaluate_single_link_reports_insufficient_n(workspace, tmp_path):

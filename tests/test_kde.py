@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from flowsentry import kde
+from flowsentry import kde, simgen
 from flowsentry.kde import (
     BandwidthMatrix,
     DegenerateDataError,
@@ -228,3 +230,106 @@ def test_grid_deterministic():
     a = kde.evaluate_grid(model, resolution=(128, 128))
     b = kde.evaluate_grid(model, resolution=(128, 128))
     assert a.values.tobytes() == b.values.tobytes()
+
+
+# --- tile selection -----------------------------------------------------------
+
+
+def quadratic(dx, dy, a, b, c):
+    return a * dx * dx + 2.0 * b * dx * dy + c * dy * dy
+
+
+def box_min_by_edges(px, py, x_lo, x_hi, y_lo, y_hi, a, b, c):
+    """Minimum over the box of q(cell - p), from the inside case and the four clamped edge minima."""
+    if x_lo <= px <= x_hi and y_lo <= py <= y_hi:
+        return 0.0
+    best = math.inf
+    for dx in (x_lo - px, x_hi - px):
+        dy = min(max(-b * dx / c, y_lo - py), y_hi - py)
+        best = min(best, quadratic(dx, dy, a, b, c))
+    for dy in (y_lo - py, y_hi - py):
+        dx = min(max(-b * dy / a, x_lo - px), x_hi - px)
+        best = min(best, quadratic(dx, dy, a, b, c))
+    return best
+
+
+@st.composite
+def boxes_and_points(draw):
+    sd = draw(st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 20.0)))
+    corr = draw(st.floats(-0.95, 0.95))
+    cov = np.array([[sd[0] ** 2, corr * sd[0] * sd[1]], [corr * sd[0] * sd[1], sd[1] ** 2]])
+    lo = draw(st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)))
+    step = draw(st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 5.0)))
+    cells = draw(st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    xs = lo[0] + step[0] * np.arange(cells[0])
+    ys = lo[1] + step[1] * np.arange(cells[1])
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    span = np.array([xs[-1] - xs[0], ys[-1] - ys[0]])
+    reach = np.maximum(span, 4.0 * np.array(sd))
+    outside = np.array([xs[0], ys[0]]) + rng.uniform(-2.0, 3.0, size=(40, 2)) * reach
+    inside = np.array([xs[0], ys[0]]) + rng.uniform(0.0, 1.0, size=(20, 2)) * span
+    corners = np.array([[x, y] for x in (xs[0], xs[-1]) for y in (ys[0], ys[-1])])
+    return np.linalg.inv(cov), xs, ys, np.vstack([outside, inside, corners])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=boxes_and_points())
+def test_box_min_quadratic_bounds_every_cell_centre(case):
+    inv, xs, ys, pts = case
+    a, b, c = inv[0, 0], inv[0, 1], inv[1, 1]
+    got = kde._box_min_quadratic(pts[:, 0], pts[:, 1], xs[0], xs[-1], ys[0], ys[-1], a, b, c)
+
+    dx = xs[None, :, None] - pts[:, 0, None, None]
+    dy = ys[None, None, :] - pts[:, 1, None, None]
+    terms = (np.abs(a * dx * dx) + np.abs(2.0 * b * dx * dy) + np.abs(c * dy * dy)).reshape(len(pts), -1)
+    q = quadratic(dx, dy, a, b, c).reshape(len(pts), -1)
+    at = (np.arange(len(pts)), q.argmin(axis=1))
+    # never above q at any cell centre: no sample that reaches a cell is dropped
+    assert np.all(got <= q[at] + 1e-12 * terms[at])
+
+    inside = (pts[:, 0] >= xs[0]) & (pts[:, 0] <= xs[-1]) & (pts[:, 1] >= ys[0]) & (pts[:, 1] <= ys[-1])
+    assert np.all(got[inside] == 0.0)
+
+    # and the exact minimum over the box, not a looser lower bound
+    exact = np.array([box_min_by_edges(px, py, xs[0], xs[-1], ys[0], ys[-1], a, b, c) for px, py in pts])
+    assert np.all(np.abs(got - exact) <= 1e-12 * terms.max(axis=1))
+
+
+def widened(bounds, factor):
+    cx, cy = 0.5 * (bounds[0] + bounds[1]), 0.5 * (bounds[2] + bounds[3])
+    hx, hy = 0.5 * factor * (bounds[1] - bounds[0]), 0.5 * factor * (bounds[3] - bounds[2])
+    return cx - hx, cx + hx, cy - hy, cy + hy
+
+
+def simulated_link(stride):
+    stream, _ = simgen.generate(simgen.ScenarioConfig(seed=11, weeks=1, incidents=simgen.plan_incidents(2, 1, 11)))
+    return stream.points[::stride]
+
+
+@pytest.mark.parametrize("method", ["normal_reference", "plug_in"])
+@pytest.mark.parametrize(
+    "make_samples, widen, min_tiles",
+    [
+        (lambda: simulated_link(10), 1.0, 4),
+        # wide bounds around a correlated cloud: many tiles, the corner ones reached by no sample
+        (lambda: gaussian_cloud(1_000, seed=41, cov=np.array([[4.0, 1.8], [1.8, 1.0]])), 2.5, 8),
+        (lambda: gaussian_cloud(1_000, seed=43, cov=np.array([[1.0, -2.7], [-2.7, 9.0]])), 2.5, 8),
+    ],
+    ids=["link", "cloud+0.9", "cloud-0.9"],
+)
+def test_tiled_grid_matches_direct_evaluation(method, make_samples, widen, min_tiles):
+    pts = make_samples()
+    model = kde.fit(pts, kde.select_bandwidth(pts, method))
+    bounds = widened(kde.default_bounds(model), widen)
+    inv = model.bandwidth.inverse
+    tiles_x, tiles_y = kde._tile_counts(bounds[1] - bounds[0], bounds[3] - bounds[2], 128, 128, *inv.flat[[0, 1, 3]])
+    assert tiles_x is not None and tiles_x * tiles_y >= min_tiles
+    grid = kde.evaluate_grid(model, bounds, resolution=(128, 128))
+    cells = np.stack(np.meshgrid(grid.rho_centers, grid.f_centers, indexing="ij"), axis=-1).reshape(-1, 2)
+    direct = kde.evaluate_many(model, cells).reshape(grid.values.shape)
+    err = np.abs(grid.values - direct)
+    peak = direct.max()
+    assert err.max() <= 1e-13 * peak
+    above = direct > 1e-40 * peak
+    assert np.all(err[above] <= 1e-12 * direct[above])
