@@ -166,11 +166,11 @@ def _read_flags(path: str, streams: dict[str, ingest.LinkSeries], series_path: s
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args.out)
     bottleneck = simgen.BottleneckSpec() if args.bimodal else None
     plan = simgen.plan_incidents(args.incidents, args.weeks, args.seed, avoid=bottleneck)
     config = simgen.ScenarioConfig(seed=args.seed, weeks=args.weeks, incidents=plan, bottleneck=bottleneck)
     stream, labels = simgen.generate(config)
+    out = _out_dir(args.out)
     ingest.write_series(stream, out / "series.csv")
     ingest.write_events(labels, out / "events.csv")
     print(f"wrote {len(stream)} samples and {len(labels)} labels to {out}")
@@ -376,7 +376,6 @@ def cmd_plot(args) -> int:
     region = _load_region(args.region)
     flags = _read_flags(args.flags, streams, args.series) if args.flags else []
     flags = [row for row in flags if row.link_id == stream.link_id]
-    out = _out_dir(args.out)
 
     points = stream.points
     boundary = np.vstack(region.polygons)
@@ -387,10 +386,6 @@ def cmd_plot(args) -> int:
         max(points[:, 1].max(), boundary[:, 1].max()),
     )
     stride = max(1, len(points) // 15000)
-    body = svg.axes(frame, "density (veh/km)", "flow (veh/h)")
-    body += svg.scatter(frame, points[::stride, 0], points[::stride, 1])
-    body += [svg.closed_path(frame, poly) for poly in region.polygons]
-    (out / "scatter.svg").write_text(svg.document(body, "density-flow with typical region"), encoding="utf-8")
 
     raised = evaluation.intervals_us(row for row in flags if row.flagged)
     flagged = np.isin(stream.minutes, evaluation.covered_minutes(*raised))
@@ -398,10 +393,6 @@ def cmd_plot(args) -> int:
     xs = (stream.minutes[with_tt] - stream.minutes[0]) * 60 / 3600.0
     ys = stream.travel_time[with_tt]
     frame_tt = svg.Frame(min(xs, default=0.0), max(xs, default=1.0), min(ys, default=0.0), max(ys, default=1.0))
-    body = svg.axes(frame_tt, "hours since start", "travel time (s)")
-    body.append(svg.polyline(frame_tt, xs, ys))
-    body += svg.scatter(frame_tt, xs[flagged[with_tt]], ys[flagged[with_tt]], fill="crimson", radius=2.5, css="flag")
-    (out / "travel_time.svg").write_text(svg.document(body, "travel time with flags"), encoding="utf-8")
 
     durations = [row.duration_min for row in flags]
     if durations:
@@ -410,6 +401,20 @@ def cmd_plot(args) -> int:
     else:
         counts, edges = np.histogram([], bins=3, range=(0, 3))
     frame_h = svg.Frame(float(edges[0]), float(edges[-1]), 0.0, float(max(counts.max(), 1)))
+
+    # every plotted value is computed before --out exists; the documents are rendered and
+    # written one at a time, so that only one is held in memory
+    out = _out_dir(args.out)
+    body = svg.axes(frame, "density (veh/km)", "flow (veh/h)")
+    body += svg.scatter(frame, points[::stride, 0], points[::stride, 1])
+    body += [svg.closed_path(frame, poly) for poly in region.polygons]
+    (out / "scatter.svg").write_text(svg.document(body, "density-flow with typical region"), encoding="utf-8")
+
+    body = svg.axes(frame_tt, "hours since start", "travel time (s)")
+    body.append(svg.polyline(frame_tt, xs, ys))
+    body += svg.scatter(frame_tt, xs[flagged[with_tt]], ys[flagged[with_tt]], fill="crimson", radius=2.5, css="flag")
+    (out / "travel_time.svg").write_text(svg.document(body, "travel time with flags"), encoding="utf-8")
+
     body = svg.axes(frame_h, "duration (min)", "count")
     body += svg.bars(frame_h, edges, counts)
     (out / "durations.svg").write_text(svg.document(body, "excursion durations"), encoding="utf-8")

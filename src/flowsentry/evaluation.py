@@ -17,8 +17,9 @@ and no ranks are tied (up to 25 effective pairs), otherwise a normal
 approximation with tie-corrected variance and continuity correction. The
 sign test is always exact binomial.
 
-scipy is imported inside the functions that use it, after their input
-checks, so that a command which never reaches it does not pay for loading it.
+Only the paired tests use scipy. They import it inside the function, after
+their input checks, so that a command which never reaches them does not pay
+for loading it. The McMaster seed fit is an exact vertex descent in numpy.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import csv
 import importlib.resources
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -40,6 +42,11 @@ EPS_FAR = 0.001
 DFTB_THRESHOLD_GRID = tuple(round(0.05 * k, 2) for k in range(1, 41))  # 0.05 .. 2.00
 SND_C_GRID = tuple(round(0.1 * k, 1) for k in range(0, 51))  # 0.0 .. 5.0
 MCMASTER_SEED_QUANTILE = 0.05  # the flow quantile the McMaster lower bound is seeded at
+MCMASTER_SEED_MAX_POINTS = 3000  # the seed fit strides a larger training set down to at most this many
+
+_MAX_PIVOTS = 1000  # guards the vertex descent against cycling in floating point; seed fits take about 10
+_DESCENT_TOL = 1e-12  # an edge descends when its slope per unit of sum(|u|) is below minus this
+_ON_CURVE_ULPS = 32  # residuals within this many ulps of the terms' magnitude count as on the curve
 
 Intervals = tuple[np.ndarray, np.ndarray]  # (start_us, end_us): int64 epoch microseconds
 _NO_FLAG = np.iinfo(np.int64).max
@@ -351,27 +358,108 @@ def write_report_csv(rows: Sequence[FixtureRow], sink) -> None:
 
 
 def quantile_regression_quadratic(density: np.ndarray, flow: np.ndarray) -> tuple[float, float, float]:
-    """``MCMASTER_SEED_QUANTILE`` quantile regression of flow on (1, rho, rho^2) via the standard LP form."""
-    from scipy import sparse
-    from scipy.optimize import linprog
+    """``MCMASTER_SEED_QUANTILE`` quantile regression of flow on (1, rho, rho^2) (Koenker & Bassett 1978).
 
+    Returns the coefficients (a, b, c) of the curve a + b rho + c rho^2 that minimises
+    sum(rho_tau(flow - curve)), found exactly by vertex descent (Barrodale & Roberts 1973):
+    a vertex is a curve through 3 points of distinct density, and each pivot moves along
+    the steepest descending edge to the weighted median of its kinks, where the next
+    point enters. The descent stops at a vertex from which no edge descends, which is the
+    optimality condition. A training set larger than ``MCMASTER_SEED_MAX_POINTS`` is
+    strided down to at most that many points first.
+
+    Raises RuntimeError when fewer than 3 distinct densities are given, or when the
+    descent has not converged within ``_MAX_PIVOTS`` pivots.
+    """
     n = density.size
-    if n > 3000:  # deterministic stride subsample keeps the LP small
-        step = n // 3000 + 1
+    if n > MCMASTER_SEED_MAX_POINTS:  # deterministic stride subsample
+        step = n // MCMASTER_SEED_MAX_POINTS + 1
         density = density[::step]
         flow = flow[::step]
-        n = density.size
-    design = np.column_stack([np.ones(n), density, density**2])
-    # minimise tau*u + (1-tau)*v  s.t.  X beta + u - v = y
     tau = MCMASTER_SEED_QUANTILE
-    c = np.concatenate([np.zeros(6), tau * np.ones(n), (1 - tau) * np.ones(n)])
-    # beta is split into positive and negative parts to keep variables >= 0
-    a_eq = sparse.hstack([design, -design, sparse.eye(n), -sparse.eye(n)], format="csc")
-    res = linprog(c, A_eq=a_eq, b_eq=flow, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"quantile regression failed: {res.message}")
-    beta = res.x[:3] - res.x[3:6]
-    return float(beta[0]), float(beta[1]), float(beta[2])
+    basis = _start_basis(density)
+    for _ in range(_MAX_PIVOTS + 1):  # up to _MAX_PIVOTS pivots, each followed by an optimality check
+        p, q = density[basis], flow[basis]
+        terms = [q[j] * _lagrange(density, p, j) for j in range(3)]
+        residual = flow - (terms[0] + terms[1] + terms[2])  # exactly 0 on the basis and its duplicates
+        scale = np.abs(flow) + np.abs(terms[0]) + np.abs(terms[1]) + np.abs(terms[2])
+        on_curve = np.abs(residual) <= _ON_CURVE_ULPS * np.finfo(float).eps * scale
+        edge = _steepest_edge(density, residual, on_curve, tau)
+        if edge is None:
+            return _monomial(p, q)
+        keep, direction, slope = edge
+        basis = [*keep, _entering_point(residual, on_curve, direction, slope)]
+    raise RuntimeError(f"quantile regression did not converge within {_MAX_PIVOTS} pivots")
+
+
+def _start_basis(density: np.ndarray) -> list[int]:
+    """The lowest and highest density points and the inner point nearest their midrange."""
+    lo, hi = int(np.argmin(density)), int(np.argmax(density))
+    inner = np.flatnonzero((density > density[lo]) & (density < density[hi]))
+    if not inner.size:
+        raise RuntimeError("quantile regression needs at least 3 distinct densities")
+    mid = inner[np.argmin(np.abs(density[inner] - 0.5 * (density[lo] + density[hi])))]
+    return [lo, int(mid), hi]
+
+
+def _lagrange(density: np.ndarray, p: np.ndarray, j: int) -> np.ndarray:
+    """The quadratic through 1 at ``p[j]`` and 0 at the other two basis densities."""
+    k, m = (j + 1) % 3, (j + 2) % 3
+    return ((density - p[k]) / (p[j] - p[k])) * ((density - p[m]) / (p[j] - p[m]))
+
+
+def _monomial(p: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
+    """(a, b, c) of the quadratic through the 3 points (p, q): the 3x3 Vandermonde system
+    solved in closed form, each point weighted by q_j / prod_k (p_j - p_k)."""
+    a = b = c = 0.0
+    for j in range(3):
+        k, m = (j + 1) % 3, (j + 2) % 3
+        w = q[j] / ((p[j] - p[k]) * (p[j] - p[m]))
+        a += w * (p[k] * p[m])
+        b -= w * (p[k] + p[m])
+        c += w
+    return float(a), float(b), float(c)
+
+
+def _steepest_edge(density, residual, on_curve, tau):
+    """The edge of the current vertex with the most negative directional derivative of the
+    objective per unit of sum(|change in fitted flow|), or None when none descends.
+
+    An edge keeps 2 on-curve points of distinct density on the curve, so the fitted flow
+    changes by t * u with u = (rho - rho_a)(rho - rho_b). On data in general position the
+    curve holds 3 distinct densities and the vertex has 6 edges; when more points lie on
+    it, every pair of them spans an edge, and no descending edge is still the optimality
+    condition. Returns the kept pair, the direction u and its slope.
+    """
+    on = np.flatnonzero(on_curve)
+    _, first = np.unique(density[on], return_index=True)
+    weight = np.where(residual > 0, -tau, 1.0 - tau)  # d rho_tau(r - t u)/dt = weight * u off the curve
+    weight[on_curve] = 0.0
+    best = None
+    for a, b in combinations(on[first].tolist(), 2):
+        u = (density - density[a]) * (density - density[b])
+        linear = np.sum(weight * u)
+        u_on = u[on_curve]
+        norm = np.sum(np.abs(u))
+        for direction, slope in (
+            (u, linear + np.sum(np.maximum((1.0 - tau) * u_on, -tau * u_on))),
+            (-u, -linear + np.sum(np.maximum(-(1.0 - tau) * u_on, tau * u_on))),
+        ):
+            if slope < -_DESCENT_TOL * norm and (best is None or slope / norm < best[0]):
+                best = (slope / norm, (a, b), direction, slope)
+    return None if best is None else best[1:]
+
+
+def _entering_point(residual, on_curve, direction, slope) -> int:
+    """The exact line search along an edge: the objective's slope rises by |u_i| as the
+    step passes each kink r_i / u_i ahead, and the point where it turns non-negative
+    (the weighted median of the kinks) enters the basis."""
+    ahead = np.flatnonzero(~on_curve & (residual * direction > 0))
+    order = np.argsort(residual[ahead] / direction[ahead], kind="stable")
+    reached = np.flatnonzero(slope + np.cumsum(np.abs(direction[ahead[order]])) >= 0)
+    if not reached.size:
+        raise RuntimeError("quantile regression line search found no minimum")
+    return int(ahead[order[reached[0]]])
 
 
 # --- detector-family calibration -----------------------------------------------------

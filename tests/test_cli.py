@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from flowsentry import levelset
+from flowsentry import cli, levelset
 from flowsentry.cli import main
 
 
@@ -637,26 +637,47 @@ IMPORT_GUARD = """
 import sys
 from flowsentry import cli
 
-def run(*argv):
-    assert cli.main(list(argv)) == 0, argv
-
-run("simulate", "--out", "sim", "--seed", "3", "--weeks", "1", "--incidents", "3")
-run("fit", "--series", "sim/series.csv", "--out", "fit")
-run("detect", "--series", "sim/series.csv", "--region", "fit/region.json", "--threshold", "0.2", "--out", "det")
-run("plot", "--series", "sim/series.csv", "--region", "fit/region.json", "--flags", "det/flags.csv", "--out", "plots")
-for name in ("dftb", "snd"):
-    run("calibrate", "--series", "sim/series.csv", "--events", "sim/events.csv", "--detector", name,
-        "--region", "fit/region.json", "--out", "cal_" + name)
-run("evaluate", "--series", "sim/series.csv", "--events", "sim/events.csv", "--flags", "det/flags.csv",
-    "--flags-b", "det/flags.csv", "--out", "eval")  # one link: too few pairs to test
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+assert cli.main(sys.argv[1:]) == 0, sys.argv
+assert "scipy" not in sys.modules, sys.argv
 """
 
 
 def test_scipy_loaded_only_by_the_commands_that_call_it(tmp_path):
-    # simulate, fit, detect, plot, the dftb and snd calibrations and a one-link evaluate must
-    # not import scipy; the child process imports the same flowsentry as this one
+    # every command but evaluate's paired tests runs without loading scipy; each runs in its
+    # own child process, which imports the same flowsentry as this one
+    series, events, region = "sim/series.csv", "sim/events.csv", "fit/region.json"
+    calibrate = ["calibrate", "--series", series, "--events", events, "--region", region, "--detector"]
+    commands = [
+        ["simulate", "--out", "sim", "--seed", "3", "--weeks", "1", "--incidents", "3"],
+        ["fit", "--series", series, "--out", "fit"],
+        ["detect", "--series", series, "--region", region, "--threshold", "0.2", "--out", "det"],
+        ["plot", "--series", series, "--region", region, "--flags", "det/flags.csv", "--out", "plots"],
+        *(calibrate + [name, "--out", f"cal_{name}"] for name in ("dftb", "snd", "mcmaster")),
+        # one link: too few pairs to test
+        ["evaluate", "--series", series, "--events", events, "--flags", "det/flags.csv", "--flags-b",
+         "det/flags.csv", "--out", "eval"],
+    ]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    run = subprocess.run([sys.executable, "-c", IMPORT_GUARD], cwd=tmp_path, env=env, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "[]"
+    for argv in commands:
+        run = subprocess.run(
+            [sys.executable, "-c", IMPORT_GUARD, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "plot"])
+def test_failure_after_reading_the_inputs_leaves_no_out(workspace, tmp_path, capsys, monkeypatch, command):
+    # simulate fails as it generates, plot as it finds the flagged minutes
+    def fail(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.simgen, "generate", fail)
+    monkeypatch.setattr(cli.evaluation, "covered_minutes", fail)
+    argv = {
+        "simulate": ["simulate", "--seed", "1", "--weeks", "1"],
+        "plot": ["plot", "--series", str(workspace / "sim" / "series.csv"), "--region",
+                 str(workspace / "fit" / "region.json"), "--flags", str(workspace / "det" / "flags.csv")],
+    }[command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: boom\n"
+    assert not (tmp_path / "out").exists()

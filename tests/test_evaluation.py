@@ -3,7 +3,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flowsentry import evaluation as ev
@@ -409,6 +409,120 @@ def test_quantile_regression_sits_near_requested_quantile():
     a, b, c = ev.quantile_regression_quadratic(rho, flow)
     below = np.mean(flow < a + b * rho + c * rho**2)
     assert 0.02 <= below <= 0.09
+
+
+def check_loss(density, flow, beta):
+    """sum(rho_tau(flow - curve)) of the quadratic with coefficients ``beta``."""
+    r = flow - (beta[0] + beta[1] * density + beta[2] * density**2)
+    return float(np.sum(r * (ev.MCMASTER_SEED_QUANTILE - (r < 0))))
+
+
+def lp_quantile_fit(density, flow):
+    """Oracle: the quantile regression's standard LP form, solved by HiGHS."""
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    n = density.size
+    tau = ev.MCMASTER_SEED_QUANTILE
+    design = np.column_stack([np.ones(n), density, density**2])
+    # minimise tau*u + (1-tau)*v  s.t.  X beta + u - v = y, beta split into positive and negative parts
+    c = np.concatenate([np.zeros(6), tau * np.ones(n), (1 - tau) * np.ones(n)])
+    a_eq = sparse.hstack([design, -design, sparse.eye(n), -sparse.eye(n)], format="csc")
+    res = linprog(c, A_eq=a_eq, b_eq=flow, bounds=(0, None), method="highs")
+    assert res.success, res.message
+    return res.x[:3] - res.x[3:6]
+
+
+def edge_slopes(density, flow, beta):
+    """The on-curve densities at ``beta`` and the directional derivative of the check loss
+    along each edge, per unit of sum(|u|): an edge keeps two on-curve densities rho_a, rho_b
+    on the curve and moves the fitted flow by t * u, u = +-(rho - rho_a)(rho - rho_b). These
+    directions span every cone on which the loss is linear near ``beta``, so beta is optimal
+    exactly when none of the slopes is negative."""
+    tau = ev.MCMASTER_SEED_QUANTILE
+    terms = np.abs(beta[0]) + np.abs(beta[1] * density) + np.abs(beta[2] * density**2)
+    r = flow - (beta[0] + beta[1] * density + beta[2] * density**2)
+    on = np.abs(r) <= 1e-9 * (np.abs(flow) + terms + 1.0)
+    kept = np.unique(density[on])
+    slopes = []
+    for i, rho_a in enumerate(kept):
+        for rho_b in kept[i + 1 :]:
+            for sign in (1.0, -1.0):
+                u = sign * (density - rho_a) * (density - rho_b)
+                off = np.where(r > 0, -tau * u, (1 - tau) * u)  # d/dt rho_tau(r - t u), r != 0
+                at = np.where(u > 0, (1 - tau) * u, -tau * u)  # rho_tau(-u), r == 0
+                slopes.append(float(np.sum(np.where(on, at, off)) / np.sum(np.abs(u))))
+    return kept, slopes
+
+
+@st.composite
+def quadratic_clouds(draw):
+    """Flows around a concave quadratic of density, some rounded to integers (ties), some
+    with repeated points. Every value is on a 0.01 grid, so that no basis is near-singular
+    and no flow is so small that the LP solver's absolute tolerances decide its optimum."""
+
+    def hundredths(lo, hi, size=None):
+        values = st.integers(round(100 * lo), round(100 * hi))
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)) if size else draw(values)) / 100.0
+
+    n = draw(st.integers(3, 40))
+    density = hundredths(0.5, 80, n)
+    a, b, c = hundredths(-200, 200), hundredths(0, 120), hundredths(-1.5, 0)
+    noise = hundredths(-400, 400, n)
+    flow = a + b * density + c * density**2 + noise
+    if draw(st.booleans()):
+        flow = np.round(flow)
+    repeat = draw(st.lists(st.integers(0, n - 1), max_size=5))
+    return np.concatenate([density, density[repeat]]), np.concatenate([flow, flow[repeat]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadratic_clouds())
+# four points on one line, so the optimal vertex is degenerate
+@example((np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]), np.array([0.0, 0.0, 0.0, 0.0, 7.0, -3.0])))
+def test_quantile_regression_matches_the_lp_optimum(cloud):
+    density, flow = cloud
+    assume(np.unique(density).size >= 3)
+    beta = ev.quantile_regression_quadratic(density, flow)
+    lp = lp_quantile_fit(density, flow)
+    loss, lp_loss = check_loss(density, flow, beta), check_loss(density, flow, lp)
+    assert abs(loss - lp_loss) <= 1e-9 * max(lp_loss, np.sum(np.abs(flow)) * 1e-3, 1.0)
+    # the optimality certificate: the curve holds 3 distinct densities and no edge descends
+    kept, slopes = edge_slopes(density, flow, beta)
+    assert kept.size >= 3
+    assert min(slopes) >= -1e-9
+    if kept.size == 3 and min(slopes) > 1e-6:  # a strict minimum: the LP's optimum is unique
+        np.testing.assert_allclose(beta, lp, rtol=1e-7, atol=1e-9 * max(*np.abs(lp), 1.0))
+
+
+@pytest.mark.parametrize(
+    "density",
+    [[5.0], [5.0, 7.0], [5.0, 7.0, 5.0, 7.0, 7.0], [3.0] * 10],
+)
+def test_quantile_regression_needs_three_distinct_densities(density):
+    density = np.array(density)
+    with pytest.raises(RuntimeError, match="at least 3 distinct densities"):
+        ev.quantile_regression_quadratic(density, 20.0 * density)
+
+
+def test_quantile_regression_pivot_cap(monkeypatch):
+    rng = np.random.default_rng(3)
+    rho = rng.uniform(1, 40, 500)
+    flow = 90 * rho - 0.6 * rho**2 + rng.normal(0, 150, 500)
+    beta = ev.quantile_regression_quadratic(rho, flow)  # 6 pivots from the start basis
+    monkeypatch.setattr(ev, "_MAX_PIVOTS", 6)
+    assert ev.quantile_regression_quadratic(rho, flow) == beta
+    monkeypatch.setattr(ev, "_MAX_PIVOTS", 5)
+    with pytest.raises(RuntimeError, match="did not converge within 5 pivots"):
+        ev.quantile_regression_quadratic(rho, flow)
+
+
+def test_quantile_regression_strides_a_large_training_set():
+    rng = np.random.default_rng(4)
+    n = 2 * ev.MCMASTER_SEED_MAX_POINTS + 1
+    rho = rng.uniform(1, 40, n)
+    flow = 90 * rho - 0.6 * rho**2 + rng.normal(0, 150, n)
+    assert ev.quantile_regression_quadratic(rho, flow) == ev.quantile_regression_quadratic(rho[::3], flow[::3])
 
 
 # --- applications per detector ------------------------------------------------------
