@@ -281,6 +281,11 @@ def cmd_evaluate(args) -> int:
         raise evaluation.UndefinedMetricError(
             f"no non-recurrent labels for link {', '.join(map(repr, sorted(streams)))}; detection rate undefined"
         )
+    # an events file may cover more links than one series file: their labels are left out
+    absent = sorted({lab.link_id for lab in labels} - streams.keys())
+    if absent:
+        print(f"note: labels for links not in {args.series} are not scored: {', '.join(map(repr, absent))}",
+              file=sys.stderr)
     scores: dict[str, dict[str, evaluation.DetectorScore]] = {}
     for name, rows in flag_sets.items():
         per_link = {}

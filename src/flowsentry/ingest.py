@@ -5,8 +5,12 @@ All timestamps are stored timezone-aware in UTC. Density is a derived proxy
 input is missing, so downstream consumers never see an infinite density.
 
 ``read_series`` is the one series reader. It converts the CSV into per-link
-``LinkSeries`` columns a block of rows at a time and applies every input check
-as an array operation over each block; ``parse_series`` is a row view over it.
+``LinkSeries`` columns a chunk of whole lines at a time. A chunk that plain
+comma splitting reads as ``csv.reader`` would (no quote, carriage return or NUL,
+and every line with one field per column) is split in bulk; from the first other
+chunk on, ``csv.reader`` splits the rest of the file. Both splitters feed one
+routine that applies every input check as an array operation over the chunk;
+``parse_series`` is a row view over it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -49,8 +53,11 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 US_PER_MINUTE = 60_000_000
 _MICROSECOND = timedelta(microseconds=1)
 
-# Rows the reader turns into columns at a time: the csv rows of one block are all the
-# per-row Python objects alive at once, so a long file is never held as rows.
+# Characters of whole lines the reader takes from the file at a time: a chunk's lines and
+# cells are all the per-row Python objects alive at once, so a long file is never held as
+# rows. Larger chunks save little time and raise each command's peak memory.
+_CHUNK_CHARS = 1 << 18
+# Rows the reader turns into columns at a time once csv.reader splits the file.
 _ROW_BLOCK = 8192
 
 
@@ -257,19 +264,26 @@ _DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
 
 
-def _parse_stamps(texts: Sequence[str]) -> tuple[np.ndarray, dict[int, str]]:
+def _parse_stamps(texts: Sequence[str], chars: np.ndarray | None = None) -> tuple[np.ndarray, dict[int, str]]:
     """Epoch microseconds of timestamp fields, and ``parse_timestamp``'s error for each one it rejects.
 
     A field of the form YYYY-MM-DDTHH:MM:SSZ (or z) that names a valid date and time
-    is converted as arrays; any other field goes through ``parse_timestamp``.
+    is converted as arrays; any other field goes through ``parse_timestamp``. ``chars``,
+    when given, holds the (n, 20) UTF-8 bytes of fields that are all 20 bytes long,
+    taken straight from the file.
     """
     n = len(texts)
-    stripped = list(map(str.strip, texts))
-    fast = np.fromiter(map(len, stripped), np.intp, n) == 20
+    if chars is None:
+        stripped = list(map(str.strip, texts))
+        fast = np.fromiter(map(len, stripped), np.intp, n) == 20
+        if fast.any():
+            chars = np.array(list(compress(stripped, fast))).view(np.uint32).reshape(-1, 20)
+    else:
+        fast = np.ones(n, dtype=bool)
     epoch_us = np.zeros(n, dtype=np.int64)
     candidates = np.flatnonzero(fast)
     if candidates.size:
-        chars = np.array(list(compress(stripped, fast))).view(np.uint32).reshape(-1, 20).astype(np.int64)
+        chars = chars.astype(np.int32)  # code points fit; days below are int64
         digits = chars[:, _DIGITS] - ord("0")
         ok = ((digits >= 0) & (digits <= 9)).all(axis=1)
         for at, separator in _SEPARATORS.items():
@@ -299,6 +313,10 @@ def _parse_floats(texts: Sequence[str], what: str) -> tuple[np.ndarray, np.ndarr
     """Values of one numeric field (NaN where the cell is blank), which cells are not blank,
     and the error of each cell that is not a number."""
     n = len(texts)
+    try:  # float strips the whitespace str.strip does, and rejects a blank cell
+        return np.fromiter(map(float, texts), float, n), np.ones(n, dtype=bool), {}
+    except ValueError:
+        pass
     stripped = list(map(str.strip, texts))
     present = np.fromiter(map(len, stripped), np.intp, n) > 0
     values = np.full(n, np.nan)
@@ -321,8 +339,8 @@ def _mask(rows: Iterable[int], n: int) -> np.ndarray:
 
 
 class _SeriesReader:
-    """Converts a series CSV one block of rows at a time, carrying each link's last
-    timestamp from block to block for the duplicate and monotonicity checks."""
+    """Converts a series CSV one chunk of rows at a time, carrying each link's last
+    timestamp from chunk to chunk for the duplicate and monotonicity checks."""
 
     def __init__(self, width: int):
         self.width = width
@@ -330,25 +348,67 @@ class _SeriesReader:
         self.last_us = np.zeros(0, dtype=np.int64)
         self.seen = np.zeros(0, dtype=bool)
 
-    def block(self, rows: list[list[str]], first_row: int) -> list[np.ndarray]:
-        """(link code, epoch_us, speed, flow, travel_time) of the block's rows, or a
-        ParseError at its earliest bad row, naming that row's first failed check."""
+    def bulk(self, text: str, first_row: int) -> list[np.ndarray] | None:
+        """The columns of whole lines split at every comma, or None when ``csv.reader``
+        could split them otherwise: a quote, carriage return or NUL, a line without one
+        field per column (a blank line, a wrong field count or no final newline), or a
+        field longer than csv's field size limit."""
+        if text[-1:] != "\n" or '"' in text or "\r" in text or "\0" in text:
+            return None
+        data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+        ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))  # the separator after each field
+        if ends.size % self.width:
+            return None
+        newline = (data[ends] == ord("\n")).reshape(-1, self.width)
+        if newline[:, :-1].any() or not newline[:, -1].all():
+            return None
+        if np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():  # UTF-8 bytes, never fewer than characters
+            return None
+        ends = ends.reshape(-1, self.width)
+        stamp_chars = None
+        if (ends[:, 1] - ends[:, 0] == 21).all():  # every timestamp field is 20 bytes
+            stamp_chars = data[ends[:, :1] + np.arange(1, 21)]
+        cells = text[:-1].replace("\n", ",").split(",")
+        fields = [cells[k :: self.width] for k in range(self.width)]
+        return self.columns(fields, first_row + np.arange(len(ends)), stamp_chars)
+
+    def rows(self, rows: list[list[str]], first_row: int) -> list[np.ndarray]:
+        """The columns of rows split by ``csv.reader``, whose blank rows are skipped but keep
+        their row numbers; a row with the wrong field count fails after the rows before it."""
         lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-        nonblank = np.flatnonzero(lengths)  # blank rows are skipped but keep their row numbers
+        nonblank = np.flatnonzero(lengths)
         wrong_width = np.flatnonzero(lengths[nonblank] != self.width)
         at = nonblank[: wrong_width[0]] if wrong_width.size else nonblank  # rows before it are checked first
-        n = at.size
         fields = list(zip(*map(rows.__getitem__, at.tolist()))) or [()] * self.width
-        ids = list(map(str.strip, fields[0]))
-        epoch_us, stamp_problems = _parse_stamps(fields[1])
+        columns = self.columns(fields, first_row + at)
+        if wrong_width.size:
+            row = int(nonblank[wrong_width[0]])
+            raise ParseError(f"expected {self.width} fields, got {lengths[row]}", first_row + row)
+        return columns
+
+    def columns(
+        self, fields: Sequence[Sequence[str]], rows: np.ndarray, stamp_chars: np.ndarray | None = None
+    ) -> list[np.ndarray]:
+        """(link code, epoch_us, speed, flow, travel_time) of the cells of each field, or a
+        ParseError at the earliest bad one, naming its file row (``rows``) and first failed
+        check. ``stamp_chars`` is ``_parse_stamps``'s ``chars``."""
+        n = rows.size
+        ids = fields[0]
+        epoch_us, stamp_problems = _parse_stamps(fields[1], stamp_chars)
         numbers = [_parse_floats(texts, what) for texts, what in zip(fields[2:], ("speed", "flow", "travel_time"))]
         if self.width == 4:
             numbers.append((np.full(n, np.nan), np.zeros(n, dtype=bool), {}))
         (speed, has_speed, _), (flow, has_flow, _), (travel_time, has_tt, _) = numbers
 
-        for link in dict.fromkeys(ids):
-            self.links.setdefault(link, len(self.links))
-        code = np.fromiter(map(self.links.__getitem__, ids), np.intp, n)
+        if n and ids[0] and ids[0] == ids[0].strip() and ids.count(ids[0]) == n:  # one unpadded link
+            blank_id = np.zeros(n, dtype=bool)
+            code = np.full(n, self.links.setdefault(ids[0], len(self.links)), dtype=np.intp)
+        else:
+            ids = list(map(str.strip, ids))
+            blank_id = np.fromiter(map(len, ids), np.intp, n) == 0
+            for link in dict.fromkeys(ids):
+                self.links.setdefault(link, len(self.links))
+            code = np.fromiter(map(self.links.__getitem__, ids), np.intp, n)
         grow = len(self.links) - self.last_us.size
         self.last_us = np.append(self.last_us, np.zeros(grow, dtype=np.int64))
         self.seen = np.append(self.seen, np.zeros(grow, dtype=bool))
@@ -382,7 +442,7 @@ class _SeriesReader:
             return _range_error(*(values[i].item() if present[i] else None for values, present, _ in numbers))
 
         checks = [  # in the order a row's checks apply
-            (np.fromiter(map(len, ids), np.intp, n) == 0, lambda i: "empty link_id"),
+            (blank_id, lambda i: "empty link_id"),
             (_mask(stamp_problems, n), stamp_problems.get),
             *((_mask(problems, n), problems.get) for _, _, problems in numbers),
             (follows & (step == 0), lambda i: f"duplicate timestamp {stamp(i)} for link {ids[i]}"),
@@ -392,10 +452,7 @@ class _SeriesReader:
         failing = np.logical_or.reduce([mask for mask, _ in checks])
         if failing.any():
             i = int(np.argmax(failing))
-            raise ParseError(next(describe(i) for mask, describe in checks if mask[i]), first_row + int(at[i]))
-        if wrong_width.size:
-            row = int(nonblank[wrong_width[0]])
-            raise ParseError(f"expected {self.width} fields, got {lengths[row]}", first_row + row)
+            raise ParseError(next(describe(i) for mask, describe in checks if mask[i]), int(rows[i]))
 
         last = np.ones(n, dtype=bool)
         last[:-1] = first[1:]
@@ -408,8 +465,7 @@ def _read_columns(source) -> tuple[list[str], list[np.ndarray]]:
     """Link ids in order of first appearance, and the (link code, epoch_us, speed, flow,
     travel_time) columns of the data rows in file order."""
     with open_text(source) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        header = next(csv.reader(handle), None)
         if header is None:
             raise ParseError("empty input, expected a header row", 1)
         header = [h.strip() for h in header]
@@ -418,11 +474,20 @@ def _read_columns(source) -> tuple[list[str], list[np.ndarray]]:
         state = _SeriesReader(len(header))
         blocks = []
         first_row = 2
-        while rows := list(islice(reader, _ROW_BLOCK)):
-            blocks.append(state.block(rows, first_row))
-            first_row += len(rows)
+        # readlines splits lines as the handle does (a newline="" file also at a lone \r),
+        # so csv.reader gets the same lines from a chunk as from the handle itself
+        while lines := handle.readlines(_CHUNK_CHARS):
+            block = state.bulk("".join(lines), first_row)
+            if block is None:
+                reader = csv.reader(chain(lines, handle))
+                while rows := list(islice(reader, _ROW_BLOCK)):
+                    blocks.append(state.rows(rows, first_row))
+                    first_row += len(rows)
+                break
+            blocks.append(block)
+            first_row += len(lines)
     if not blocks:
-        blocks.append(state.block([], first_row))
+        blocks.append(state.rows([], first_row))
     return list(state.links), [np.concatenate(parts) for parts in zip(*blocks)]
 
 
@@ -437,6 +502,12 @@ def read_series(source) -> dict[str, LinkSeries]:
     1 and blank rows count) and that row's first failed check, in the order:
     field count, link id, timestamp, speed, flow and travel time numeric,
     duplicate and non-monotone timestamp, then value ranges.
+
+    The file is read as chunks of whole lines of about ``_CHUNK_CHARS``
+    characters. A chunk with no quote, carriage return, NUL or blank line, and
+    one field per column on every line, is split at its commas in bulk; from the
+    first other chunk on, ``csv.reader`` splits the rest. Either way the columns,
+    the error and its row are those ``csv.reader`` alone would give.
     """
     links, (code, *columns) = _read_columns(source)
     order = np.argsort(code, kind="stable")
@@ -478,10 +549,15 @@ def write_series(stream: LinkSeries, sink) -> None:
         for i in np.flatnonzero(np.isnan(column)).tolist():
             text[i] = ""
         cells.append(text)
+    # Only the link id can need quoting: repr floats, RFC 3339 stamps and empty cells never
+    # do in a row of several fields. csv quotes it as the first cell of such a row.
+    link = io.StringIO()
+    csv.writer(link, lineterminator="\n").writerow([stream.link_id, ""])
+    link_cell = link.getvalue()[:-1]  # with its comma
+    stamps = _format_stamps(stream.epoch_us).tolist()
     with open_text(sink, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(SERIES_HEADER)
-        writer.writerows(zip(repeat(stream.link_id), _format_stamps(stream.epoch_us).tolist(), *cells))
+        handle.write(",".join(SERIES_HEADER) + "\n")
+        handle.writelines(map("{}{},{},{},{}\n".format, repeat(link_cell), stamps, *cells))
 
 
 def parse_events(source) -> list[EventLabel]:

@@ -477,6 +477,24 @@ def test_evaluate_no_labelled_link_exit_1(workspace, tmp_path, capsys):
     assert not (tmp_path / "ev").exists()
 
 
+def test_evaluate_notes_labels_for_links_not_in_the_series(workspace, tmp_path, capsys):
+    events = (workspace / "sim" / "events.csv").read_text()
+    extra = tmp_path / "events.csv"
+    extra.write_text(events + "OTHER,accident,2017-04-05T10:59:00Z,2017-04-05T11:24:00Z\n"
+                     "WET,weather,2017-04-05T10:59:00Z,2017-04-05T11:24:00Z\n"
+                     "ALSO,breakdown,2017-04-06T10:59:00Z,2017-04-06T11:24:00Z\n")
+    series = workspace / "sim" / "series.csv"
+    argv = ["evaluate", "--series", str(series), "--events", str(workspace / "sim" / "events.csv"),
+            "--flags", str(workspace / "det" / "flags.csv"), "--out", str(tmp_path / "ev")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    argv[argv.index("--events") + 1], argv[-1] = str(extra), str(tmp_path / "ev_extra")
+    assert main(argv) == 0
+    # a weather label is recurrent, never scored on any link, so WET goes unnamed
+    assert capsys.readouterr().err == f"note: labels for links not in {series} are not scored: 'ALSO', 'OTHER'\n"
+    assert (tmp_path / "ev_extra" / "evaluation.json").read_bytes() == (tmp_path / "ev" / "evaluation.json").read_bytes()
+
+
 def test_evaluate_single_link_reports_insufficient_n(workspace, tmp_path):
     code = main(
         [

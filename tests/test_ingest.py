@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flowsentry import ingest
+from flowsentry import ingest, simgen
 from flowsentry.ingest import (
     SERIES_HEADER,
     EventLabel,
@@ -324,13 +325,17 @@ def read_outcome(text):
         return str(exc), exc.row
 
 
+def oracle_series(source):
+    """The row parser's samples grouped into per-link columns."""
+    return {link: LinkSeries.from_samples(rows) for link, rows in by_link(parse_series_oracle(source)).items()}
+
+
 def oracle_outcome(text):
-    """The row parser's samples grouped into per-link columns, or its error and row."""
+    """The row parser's per-link columns, or its error and row."""
     try:
-        samples = parse_series_oracle(io.StringIO(text))
+        return column_bytes(oracle_series(io.StringIO(text)))
     except ParseError as exc:
         return str(exc), exc.row
-    return column_bytes({link: LinkSeries.from_samples(rows) for link, rows in by_link(samples).items()})
 
 
 def rows_view(samples):
@@ -528,3 +533,158 @@ def test_overflowing_density_is_out_of_range():
     assert read_outcome(text) == oracle_outcome(text) == ("row 3: density 1.0/5e-324 is not finite", 3)
     with pytest.raises(ValueError, match="infinite density"):
         LinkSeries("L1", np.array([0], dtype=np.int64), np.array([5e-324]), np.array([1.0]), np.array([np.nan]))
+
+
+# --- the bulk splitter against the row parser --------------------------------------------
+
+# Chunk budgets in characters: one line per chunk, two, several, and the whole text.
+CHUNKS = [1, 64, 256, ingest._CHUNK_CHARS]
+# Timestamps 20 UTF-8 bytes long that are not 20 ASCII characters.
+WIDE_STAMPS = ["2017-04-07T00:00:0Ż", "2017-04-07T00:0é:0Z"]
+
+
+@contextmanager
+def csv_rows_seen():
+    """The rows csv.reader hands to ingest while the block runs, header rows included."""
+    seen, reader = [], csv.reader
+
+    def spy(*args, **kwargs):
+        for row in reader(*args, **kwargs):
+            seen.append(row)
+            yield row
+
+    with mock.patch.object(ingest.csv, "reader", spy):
+        yield seen
+
+
+@st.composite
+def canonical_series_texts(draw, max_rows=40):
+    """A series CSV as csv.writer writes it under QUOTE_MINIMAL, with no blank line and no
+    id that needs quoting, so that plain comma splitting reads it: interleaved and non-ASCII
+    link ids, either header, and now and then a row that a check rejects."""
+    width = draw(st.sampled_from([4, 5]))
+    clocks = {}
+    lines = [",".join(SERIES_HEADER[:width])]
+    for _ in range(draw(st.integers(0, max_rows))):
+        fault = draw(st.integers(0, 199))
+        fault = FAULTS[fault] if fault < len(FAULTS) else None
+        link = draw(st.sampled_from(["L1", "L1", "L1", "L2", " L2 ", "Łódź", "東京"]))
+        if fault == "blank_link":
+            link = draw(st.sampled_from(["", "  "]))
+        clock = clocks.get(link.strip(), datetime(2017, 4, 3, tzinfo=timezone.utc))
+        step = {"duplicate": 0, "backwards": -1}.get(fault, draw(st.sampled_from([1, 1, 1, 2, 90])))
+        clock += timedelta(minutes=step, microseconds=0 if step < 1 else draw(st.sampled_from([0, 0, 0, 1])))
+        clocks[link.strip()] = clock
+        stamp = format_timestamp(clock)
+        if fault in ("stamp", "odd_stamp"):
+            stamp = draw(st.sampled_from(BAD_STAMPS + WIDE_STAMPS if fault == "stamp" else GOOD_ODD_STAMPS))
+        values = []
+        for what, top in (("speed", 250.0), ("flow", 12000.0), ("travel_time", 86400.0))[: width - 2]:
+            text = draw(st.floats(0.0, top).map(repr) | st.sampled_from(ODD_NUMBERS))
+            values.append(draw(st.sampled_from(BAD_NUMBERS)) if fault == what else text)
+        row = [link, stamp, *values]
+        if fault == "width":
+            row = row[:-1] if draw(st.booleans()) else row + ["1"]
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow(row)
+        lines.append(buffer.getvalue()[:-1])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@settings(max_examples=100, deadline=None)
+@given(text=canonical_series_texts())
+@example(text="link_id,timestamp,speed_kmh,flow_vph\nL1,2017-04-03T00:00:00Z,1,2\nL1,2017-04-03T00:00:00Z,1,2\n")
+@example(text="link_id,timestamp,speed_kmh,flow_vph\nL1,2017-04-03T00:00:0Ż,1,2\n")
+@example(text="link_id,timestamp,speed_kmh,flow_vph\nL1,2017-04-03T00:00:00Z, 1 ,\n")
+@example(text="link_id,timestamp,speed_kmh,flow_vph\nL1,2017-04-03T00:00:00Z,1,2\nL1")
+@example(text="link_id,timestamp,speed_kmh,flow_vph\nL1,2017-04-03T00:00:00Z,1\nL1,2017-04-03T00:01:00Z,1,2,3\n")
+def test_read_series_splits_plain_lines_as_the_row_parser(chunk, text):
+    lines = text.splitlines()
+    plain = '"' not in text and all(line.count(",") == lines[0].count(",") for line in lines)
+    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk), csv_rows_seen() as seen:
+        outcome = read_outcome(text)
+    assert outcome == oracle_outcome(text)
+    if plain:  # csv.reader splits the header alone
+        assert len(seen) == 1
+
+
+SWITCHES = {  # a line from which csv.reader splits the rest of the file
+    "quote": lambda lines, k: lines.__setitem__(k, '"' + lines[k].replace(",", '",', 1)),
+    "blank": lambda lines, k: lines.insert(k, ""),
+    "crlf": lambda lines, k: lines.__setitem__(k, lines[k] + "\r"),
+    "width": lambda lines, k: lines.__setitem__(k, lines[k] + ",1,1"),
+}
+ENDINGS = {"no_final_newline": "", "bare_last_line": "\nL1"}  # the file's last line has no \n
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+@settings(max_examples=40, deadline=None)
+@given(
+    switch=st.sampled_from(sorted(SWITCHES) + sorted(ENDINGS)),
+    at=st.integers(5, 40),
+    later=st.sampled_from(sorted(BAD_ROWS) + [None]),
+    gap=st.integers(0, 6),
+)
+@example(switch="crlf", at=5, later="duplicate", gap=1)
+@example(switch="quote", at=40, later="width", gap=6)
+def test_read_series_hands_the_rest_to_csv_after_a_plain_chunk(chunk, switch, at, later, gap):
+    lines = two_link_rows(48)
+    if later is not None:
+        lines[at + gap] = BAD_ROWS[later](lines, at + gap)
+    if switch in SWITCHES:
+        SWITCHES[switch](lines, at)
+    text = "\n".join(["link_id,timestamp,speed_kmh,flow_vph", *lines]) + ENDINGS.get(switch, "\n")
+    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk), csv_rows_seen() as seen:
+        outcome = read_outcome(text)
+    assert outcome == oracle_outcome(text)
+    if later is None or switch in SWITCHES:  # no bad row comes before the switch
+        assert len(seen) > 1
+
+
+def test_read_series_splits_a_simulated_series_without_csv():
+    stream, _ = simgen.generate(simgen.ScenarioConfig(seed=3, weeks=1))
+    buffer = io.StringIO()
+    write_series(stream, buffer)
+    text = buffer.getvalue()
+    with csv_rows_seen() as seen, mock.patch.object(ingest, "parse_timestamp", side_effect=parse_timestamp) as slow:
+        outcome = read_outcome(text)
+    assert seen == [SERIES_HEADER]
+    assert not slow.called  # every stamp is converted from the chunk's bytes
+    assert outcome == oracle_outcome(text) == column_bytes({stream.link_id: stream})
+
+
+@pytest.mark.parametrize("length", [40, 41])
+def test_read_series_keeps_csvs_field_size_limit(length):
+    text = f"link_id,timestamp,speed_kmh,flow_vph\n{'L' * length},2017-04-03T00:00:00Z,1,2\n"
+    limit = csv.field_size_limit(40)
+    try:
+        if length > 40:
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                parse_series_oracle(io.StringIO(text))
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                read_series(io.StringIO(text))
+        else:
+            assert read_outcome(text) == oracle_outcome(text)
+    finally:
+        csv.field_size_limit(limit)
+
+
+@pytest.mark.parametrize("newline", ["", "\n"])
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_read_series_splits_a_lone_carriage_return_as_its_handle(chunk, newline):
+    # a newline="" handle (a file opened by path) ends a line at a lone \r; a StringIO does not
+    lines = two_link_rows(30)
+    lines[20] += "\r" + lines.pop(21)
+    text = "\n".join(["link_id,timestamp,speed_kmh,flow_vph", *lines]) + "\n"
+
+    def outcome(read):
+        try:
+            return column_bytes(read(io.StringIO(text, newline=newline)))
+        except csv.Error as exc:
+            return str(exc)
+
+    expected = outcome(oracle_series)
+    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk):
+        assert outcome(read_series) == expected
+    assert isinstance(expected, str) == (newline == "\n")
