@@ -8,9 +8,10 @@ identical output bytes.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +242,8 @@ def cmd_calibrate(args) -> int:
     stream = _load_series(args.series, args.link)
     labels = ingest.nonrecurrent_filter(ingest.parse_events(_require_file(args.events)))
     labels = [lab for lab in labels if lab.link_id == stream.link_id]
+    if not labels:
+        raise _no_labels([stream.link_id])
     profile = None
     if args.detector == "dftb":
         region = _load_region(args.region)
@@ -258,8 +261,33 @@ def cmd_calibrate(args) -> int:
     if profile is not None:
         (out / "snd_profile.json").write_text(profile.to_json(), encoding="utf-8")
     (out / "calibration.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    _write_sweep(result, args.detector, out / "sweep.csv")
     print(json.dumps(payload, indent=2))
     return EXIT_OK
+
+
+_SWEEP_PARAMETERS = {
+    "dftb": ["severity_threshold"],
+    "snd": ["c"],
+    "mcmaster": ["stage", "a", "b", "c", "rho_crit", "f_crit"],
+}
+
+
+def _write_sweep(result: evaluation.CalibrationResult, detector: str, path: Path) -> None:
+    """One row per grid point scored: its parameters, then DR, FAR, MTTD and PI, with an
+    empty cell where MTTD and PI are undefined. McMaster rows name their grid, coarse or fine."""
+    with ingest.open_text(path, "w") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow([*_SWEEP_PARAMETERS[detector], "dr", "far", "mttd", "pi"])
+        for stage, parameter, s in result.sweep:
+            values = [stage, *astuple(parameter)] if detector == "mcmaster" else [parameter]
+            writer.writerow([*values, s.dr, s.far, s.mttd, s.pi])
+
+
+def _no_labels(link_ids) -> evaluation.UndefinedMetricError:
+    return evaluation.UndefinedMetricError(
+        f"no non-recurrent labels for link {', '.join(map(repr, sorted(link_ids)))}; detection rate undefined"
+    )
 
 
 def cmd_evaluate(args) -> int:
@@ -278,9 +306,7 @@ def cmd_evaluate(args) -> int:
     link_labels = {link_id: [lab for lab in labels if lab.link_id == link_id] for link_id in streams}
     link_labels = {link_id: labs for link_id, labs in link_labels.items() if labs}
     if not link_labels:
-        raise evaluation.UndefinedMetricError(
-            f"no non-recurrent labels for link {', '.join(map(repr, sorted(streams)))}; detection rate undefined"
-        )
+        raise _no_labels(streams)
     # an events file may cover more links than one series file: their labels are left out
     absent = sorted({lab.link_id for lab in labels} - streams.keys())
     if absent:

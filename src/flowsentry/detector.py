@@ -180,13 +180,17 @@ class Excursions:
     def end(self) -> np.ndarray:
         return self.rows[self.first + self.duration - 1]
 
-    def onsets(self, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-        """Right-side excursions that reach ``threshold`` and the position in ``rows``
-        of each one's first minute at or above it."""
-        hit = np.where(self.severity >= threshold, np.arange(self.rows.size), self.rows.size)
-        onset = np.minimum.reduceat(hit, self.first) if self.first.size else self.first
-        flagged = np.flatnonzero(self.right & (onset < self.first + self.duration))
-        return flagged, onset[flagged]
+    def onsets(self, thresholds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (threshold, excursion) pair where a right-side excursion reaches the
+        threshold: the index of the threshold, the excursion, and the position in
+        ``rows`` of its first minute at or above the threshold; by threshold, then time."""
+        if not self.first.size:
+            return self.first, self.first, self.first
+        at_or_above = self.severity >= np.asarray(thresholds, dtype=float)[:, None]
+        hit = np.where(at_or_above, np.arange(self.rows.size), self.rows.size)
+        onset = np.minimum.reduceat(hit, self.first, axis=1)
+        point, flagged = np.nonzero(self.right & (onset < self.first + self.duration))
+        return point, flagged, onset[point, flagged]
 
 
 def segment(series: SeveritySeries) -> Excursions:
@@ -227,7 +231,7 @@ def track_annotated(series: SeveritySeries, config: DetectorConfig) -> tuple[lis
         chosen = np.flatnonzero(found.right & (found.duration >= config.duration_threshold_min))
         onset = found.first[chosen]
     else:
-        chosen, onset = found.onsets(config.severity_threshold)
+        _, chosen, onset = found.onsets([config.severity_threshold])
     raised = np.zeros(found.first.size, dtype=bool)
     raised[chosen] = True
     at = series.epoch_us

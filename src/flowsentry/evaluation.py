@@ -11,6 +11,14 @@ an interval covers the minutes from the floor minute of its start to the
 floor minute of its end (``covered_minutes``); detection lag is clamped at
 zero for flags that predate the event.
 
+Scoring takes many flag sets at once: ``score_flag_sets`` scores every set of
+a batch against one set of labels, each flag tagged with its set, and
+``score_detector`` is its one-set case. A calibration sweep detects the flags
+of its whole grid in one batch (``baselines.snd_detect_grid``,
+``baselines.mcmaster_detect_grid``, one segmentation for DFTB), scores them in
+one call, and ``calibrate`` takes the argmin over the scores; the result keeps
+the score of every grid point.
+
 Wilcoxon p-values follow the convention most reference implementations use:
 the exact signed-rank distribution when no zero differences were discarded
 and no ranks are tied (up to 25 effective pairs), otherwise a normal
@@ -29,11 +37,11 @@ import importlib.resources
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .baselines import McMasterParams
+from .baselines import McMasterParams, mcmaster_detect_grid, quantiles, snd_detect_grid
 from .ingest import US_PER_MINUTE, EventLabel, LinkSeries, open_text, to_epoch_us
 
 EPS_DR = 1.01
@@ -74,10 +82,11 @@ def intervals_us(rows: Iterable) -> Intervals:
 def covered_minutes(start_us: np.ndarray, end_us: np.ndarray) -> np.ndarray:
     """The sorted distinct epoch minutes that intervals cover: each covers every minute
     from the floor minute of its start to the floor minute of its end."""
-    first = start_us // US_PER_MINUTE
-    count = end_us // US_PER_MINUTE - first + 1
+    first, last = start_us // US_PER_MINUTE, end_us // US_PER_MINUTE
+    count = last - first + 1
     within = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    return np.unique(np.repeat(first, count) + within)
+    minutes = np.sort(np.repeat(first, count) + within)
+    return minutes[np.diff(minutes, prepend=minutes[:1] - 1) != 0]
 
 
 def applications(stream: LinkSeries, detector: str) -> int:
@@ -94,8 +103,35 @@ def false_alarm_rate(flags: Intervals, labels: Intervals, n_applications: int) -
     """Percent of applications whose minute a flag covers and no label does."""
     if n_applications <= 0:
         raise UndefinedMetricError("false alarm rate undefined with zero applications")
-    unlabelled = ~np.isin(covered_minutes(*flags), covered_minutes(*labels), assume_unique=True)
-    return 100.0 * np.count_nonzero(unlabelled) / n_applications
+    unlabelled = _unlabelled_minutes(flags, np.zeros(flags[0].size, dtype=np.intp), 1, covered_minutes(*labels))
+    return 100.0 * int(unlabelled[0]) / n_applications
+
+
+def _unlabelled_minutes(flags: Intervals, owner: np.ndarray, n_sets: int, labelled: np.ndarray) -> np.ndarray:
+    """For each of ``n_sets`` flag sets, the number of distinct minutes its flags cover
+    (the rule of ``covered_minutes``) that are not in the sorted minutes ``labelled``.
+
+    Each set's intervals are merged into disjoint pieces of whole minutes, so the count
+    takes one search per piece, not one entry per covered minute. The sets are merged
+    together, each offset into its own range of keys.
+    """
+    first, last = flags[0] // US_PER_MINUTE, flags[1] // US_PER_MINUTE
+    counts = np.zeros(n_sets, dtype=np.int64)
+    if not first.size:
+        return counts
+    base = first.min()
+    span = last.max() - base + 1
+    lo = owner * span + (first - base)
+    order = np.argsort(lo, kind="stable")
+    lo, reach = lo[order], np.maximum.accumulate((owner * span + (last - base))[order])
+    # a piece opens at an interval that starts after every earlier interval of its set ends
+    opens = np.flatnonzero(np.r_[True, lo[1:] > reach[:-1]])
+    owner_of = lo[opens] // span
+    start = lo[opens] - owner_of * span + base
+    stop = reach[np.r_[opens[1:] - 1, lo.size - 1]] - owner_of * span + base
+    inside = np.searchsorted(labelled, stop, side="right") - np.searchsorted(labelled, start, side="left")
+    np.add.at(counts, owner_of, stop - start + 1 - inside)
+    return counts
 
 
 def performance_index(dr: float, far: float, mttd: float) -> float:
@@ -117,43 +153,64 @@ class DetectorScore:
 
 
 def score_detector(flags: Intervals, labels: Intervals, n_applications: int) -> DetectorScore:
-    """DR, FAR and MTTD of flag intervals against label intervals.
+    """DR, FAR and MTTD of flag intervals against label intervals: the one-set case of
+    ``score_flag_sets``."""
+    return score_flag_sets(flags, np.zeros(flags[0].size, dtype=np.intp), 1, labels, n_applications)[0]
+
+
+def score_flag_sets(
+    flags: Intervals, owner: np.ndarray, n_sets: int, labels: Intervals, n_applications: int
+) -> list[DetectorScore]:
+    """DR, FAR and MTTD of each of ``n_sets`` flag sets against one set of labels, where
+    flag k belongs to set ``owner[k]``. Flags may come in any order and may overlap.
 
     A label's lag is the minutes from its start to the start of the earliest flag
-    that overlaps it, clamped at 0; MTTD, their mean, is None when no label is detected.
+    of the set that overlaps it, clamped at 0; MTTD, their mean, is None when no
+    label is detected. DR and MTTD come from one labels x flags overlap over every
+    set, and the labels' covered minutes are found once.
     """
     label_start, label_end = labels
     if not label_start.size:
         raise UndefinedMetricError("detection rate undefined with zero labels")
+    if n_applications <= 0:
+        raise UndefinedMetricError("false alarm rate undefined with zero applications")
     start_us, end_us = flags
-    meets = (start_us <= label_end[:, None]) & (end_us >= label_start[:, None])  # labels x flags
-    detected = meets.any(axis=1)
-    first_us = np.where(meets, start_us, _NO_FLAG).min(axis=1, initial=_NO_FLAG)[detected]
+    label, flag = np.nonzero((start_us <= label_end[:, None]) & (end_us >= label_start[:, None]))
+    detected = np.zeros((label_start.size, n_sets), dtype=bool)
+    detected[label, owner[flag]] = True
+    first_us = np.where(detected, _NO_FLAG, label_start[:, None])  # labels x sets; undetected lag 0
+    np.minimum.at(first_us, (label, owner[flag]), start_us[flag])
     # to seconds, then minutes: both divisions round as timedelta.total_seconds() / 60.0 does
-    lags = np.maximum(first_us - label_start[detected], 0) / 1e6 / 60.0
-    dr = 100.0 * np.count_nonzero(detected) / label_start.size
-    far = false_alarm_rate(flags, labels, n_applications)
-    return DetectorScore(dr, far, float(np.mean(lags)) if lags.size else None)
+    lags = np.maximum(first_us - label_start[:, None], 0) / 1e6 / 60.0
+    unlabelled = _unlabelled_minutes(flags, owner, n_sets, covered_minutes(*labels))
+    scores = []
+    detections = detected.sum(axis=0).tolist()
+    for hits, minutes, set_lags, set_detected in zip(detections, unlabelled.tolist(), lags.T, detected.T):
+        lag = set_lags[set_detected]
+        mttd = float(np.mean(lag)) if lag.size else None
+        scores.append(DetectorScore(100.0 * hits / label_start.size, 100.0 * minutes / n_applications, mttd))
+    return scores
 
 
 @dataclass(frozen=True)
 class CalibrationResult:
     parameter: object
     score: DetectorScore
+    sweep: tuple = ()  # (stage, parameter, score) of every grid point scored, in grid order
 
 
-def calibrate(parameters: Sequence, score_fn: Callable[[object], DetectorScore]) -> CalibrationResult:
-    """Exhaustive grid argmin of PI.
+def calibrate(parameters: Sequence, scores: Sequence[DetectorScore], stage: str = "") -> CalibrationResult:
+    """Exhaustive grid argmin of PI over the score of every grid point.
 
     Ties break toward higher DR, then lower FAR, then the smaller parameter
     (grid order decides when parameters are not comparable). Grid points with
     undefined PI are skipped; if every point is undefined, that is an error.
+    ``stage`` names the grid in the result's sweep.
     """
     if not parameters:
         raise ValueError("empty parameter grid")
     best: tuple | None = None
-    for order, param in enumerate(parameters):
-        s = score_fn(param)
+    for order, (param, s) in enumerate(zip(parameters, scores, strict=True)):
         pi = s.pi
         if pi is None:
             continue
@@ -162,7 +219,7 @@ def calibrate(parameters: Sequence, score_fn: Callable[[object], DetectorScore])
             best = (key, param, s)
     if best is None:
         raise UndefinedMetricError("no grid point produced a defined performance index")
-    return CalibrationResult(best[1], best[2])
+    return CalibrationResult(best[1], best[2], tuple((stage, p, s) for p, s in zip(parameters, scores)))
 
 
 # --- paired statistical tests ------------------------------------------------------
@@ -466,7 +523,8 @@ def _entering_point(residual, on_curve, direction, slope) -> int:
 
 
 def dftb_score_fn(stream: LinkSeries, region, labels: Sequence[EventLabel]):
-    """Score function over severity thresholds; the stream is annotated and segmented once."""
+    """Score function over a grid of severity thresholds: the stream is annotated and
+    segmented once, and every threshold's flags come from that one segmentation."""
     from .detector import annotate, segment
 
     series = annotate(stream, region)
@@ -476,47 +534,53 @@ def dftb_score_fn(stream: LinkSeries, region, labels: Sequence[EventLabel]):
     label_us = intervals_us(labels)
     n_applications = applications(stream, "dftb")
 
-    def score(threshold: float) -> DetectorScore:
-        flagged, onset = found.onsets(threshold)
-        return score_detector((exterior_us[onset], end_us[flagged]), label_us, n_applications)
+    def score(thresholds: Sequence[float]) -> list[DetectorScore]:
+        point, flagged, onset = found.onsets(thresholds)
+        return score_flag_sets((exterior_us[onset], end_us[flagged]), point, len(thresholds), label_us, n_applications)
 
     return score
 
 
 def calibrate_dftb(stream: LinkSeries, region, labels: Sequence[EventLabel]) -> CalibrationResult:
     """Sweep of ``DFTB_THRESHOLD_GRID`` severity thresholds minimising PI against the training labels."""
-    return calibrate(list(DFTB_THRESHOLD_GRID), dftb_score_fn(stream, region, labels))
+    return calibrate(DFTB_THRESHOLD_GRID, dftb_score_fn(stream, region, labels)(DFTB_THRESHOLD_GRID))
 
 
 def snd_score_fn(stream: LinkSeries, profile, labels: Sequence[EventLabel]):
-    from .baselines import snd_detect
-
-    stream.require_minute_cadence()
+    """Score function over a grid of SND multipliers c."""
     label_us = intervals_us(labels)
     n_applications = applications(stream, "snd")
 
-    def score(c: float) -> DetectorScore:
-        return score_detector(snd_detect(stream, profile, c), label_us, n_applications)
+    def score(cs: Sequence[float]) -> list[DetectorScore]:
+        start_us, end_us, point = snd_detect_grid(stream, profile, cs)
+        return score_flag_sets((start_us, end_us), point, len(cs), label_us, n_applications)
 
     return score
 
 
 def calibrate_snd(stream: LinkSeries, profile, labels: Sequence[EventLabel]) -> CalibrationResult:
     """Sweep of the robust threshold multiplier c over ``SND_C_GRID`` minimising PI."""
-    return calibrate(list(SND_C_GRID), snd_score_fn(stream, profile, labels))
+    return calibrate(SND_C_GRID, snd_score_fn(stream, profile, labels)(SND_C_GRID))
 
 
-def calibrate_mcmaster(stream: LinkSeries, labels: Sequence[EventLabel]) -> CalibrationResult:
-    """Coarse-to-fine PI minimisation over the 5 segmentation parameters."""
-    from .baselines import mcmaster_detect
-
+def mcmaster_score_fn(stream: LinkSeries, labels: Sequence[EventLabel]):
+    """Score function over a grid of ``McMasterParams``."""
     label_us = intervals_us(labels)
     n_applications = applications(stream, "mcmaster")
 
-    def score(params: McMasterParams) -> DetectorScore:
-        return score_detector(mcmaster_detect(stream, params), label_us, n_applications)
+    def score(grid: Sequence[McMasterParams]) -> list[DetectorScore]:
+        start_us, end_us, point = mcmaster_detect_grid(stream, grid)
+        return score_flag_sets((start_us, end_us), point, len(grid), label_us, n_applications)
 
-    coarse = calibrate(_mcmaster_grid(stream, label_us), score)
+    return score
+
+
+def calibrate_mcmaster(stream: LinkSeries, labels: Sequence[EventLabel]) -> CalibrationResult:
+    """Coarse-to-fine PI minimisation over the 5 segmentation parameters; the sweep holds
+    the coarse grid's points, then the fine grid's."""
+    score = mcmaster_score_fn(stream, labels)
+    grid = _mcmaster_grid(stream, intervals_us(labels))
+    coarse = calibrate(grid, score(grid), "coarse")
     seed: McMasterParams = coarse.parameter
     fine = [seed]
     for rho_scale in (0.9, 1.0, 1.1):
@@ -528,7 +592,8 @@ def calibrate_mcmaster(stream: LinkSeries, labels: Sequence[EventLabel]) -> Cali
                 if b + 2.0 * c * rho_crit < 0:
                     c = -b / (2.0 * rho_crit)
                 fine.append(McMasterParams(seed.a * lud_scale, b, c, rho_crit, seed.f_crit * f_scale))
-    return calibrate(fine, score)
+    result = calibrate(fine, score(fine), "fine")
+    return CalibrationResult(result.parameter, result.score, coarse.sweep + result.sweep)
 
 
 def mcmaster_parameter_grid(samples, labels: Sequence[EventLabel]) -> list[McMasterParams]:
@@ -550,16 +615,12 @@ def _mcmaster_grid(stream: LinkSeries, label_us: Intervals) -> list[McMasterPara
         raise ValueError("not enough uncongested training data for a seed fit")
     rho = stream.density[free]
     flow = stream.flow[free]
-    rho_hi = float(np.percentile(rho, 98))
-    fit_mask = rho <= rho_hi
+    fit_mask = rho <= quantiles(rho, [0.98])[0]
     a0, b0, c0 = quantile_regression_quadratic(rho[fit_mask], flow[fit_mask])
-    rho_all = stream.density[usable]
-    flow_all = stream.flow[usable]
+    f_crits = quantiles(stream.flow[usable], (0.3, 0.5, 0.7)).tolist()
     grid = []
-    for rho_q in (0.90, 0.95, 0.99):
-        rho_crit = float(np.quantile(rho_all, rho_q))
-        for f_q in (0.3, 0.5, 0.7):
-            f_crit = float(np.quantile(flow_all, f_q))
+    for rho_crit in quantiles(stream.density[usable], (0.90, 0.95, 0.99)).tolist():
+        for f_crit in f_crits:
             for scale in (0.6, 0.8, 1.0, 1.2):
                 b = max(b0 * scale, 0.0)
                 c = c0 * scale

@@ -129,6 +129,14 @@ def datetimes(epoch_us) -> list[datetime]:
     return [_EPOCH + timedelta(microseconds=us) for us in np.asarray(epoch_us).tolist()]
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a non-empty integer array, as a float: the middle value, or the
+    mean of the two middle values. numpy's own call loads ``numpy.ma``."""
+    n = values.size
+    ordered = np.partition(values, [(n - 1) // 2, n // 2])
+    return (float(ordered[(n - 1) // 2]) + float(ordered[n // 2])) / 2
+
+
 @dataclass(frozen=True)
 class LinkSeries:
     """One link's stream as columns, strictly increasing in time.
@@ -162,7 +170,7 @@ class LinkSeries:
         if np.isinf(density).any():
             raise ValueError(f"link {self.link_id}: flow/speed overflows to an infinite density")
         object.__setattr__(self, "density", density)
-        object.__setattr__(self, "spacing_min", float(np.median(steps)) / US_PER_MINUTE if steps.size else 1.0)
+        object.__setattr__(self, "spacing_min", _median(steps) / US_PER_MINUTE if steps.size else 1.0)
 
     @classmethod
     def from_samples(cls, samples: Sequence[TrafficSample]) -> "LinkSeries":

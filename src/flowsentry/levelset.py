@@ -328,7 +328,8 @@ def _polygon_contains(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
     slab = np.searchsorted(floors, pts[candidates, 1], side="right")
     counts = slab_start[slab + 1] - slab_start[slab]
     ends = np.cumsum(counts)
-    cuts = np.unique(np.searchsorted(ends, np.arange(_QUERY_BLOCK, ends[-1], _QUERY_BLOCK), side="right"))
+    cuts = np.searchsorted(ends, np.arange(_QUERY_BLOCK, ends[-1], _QUERY_BLOCK), side="right")
+    cuts = cuts[np.diff(cuts, prepend=-1) != 0]  # distinct: cuts are sorted
     for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, candidates.size]):
         point = np.repeat(np.arange(hi - lo), counts[lo:hi])
         edge = slab_edges[_concat_ranges(slab_start[slab[lo:hi]], counts[lo:hi])]

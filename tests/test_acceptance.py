@@ -15,7 +15,6 @@ from flowsentry import evaluation as ev
 from flowsentry import kde, simgen
 from flowsentry.baselines import (
     BINS_PER_WEEK,
-    BinStats,
     McMasterParams,
     SndProfile,
     mcmaster_detect,
@@ -347,8 +346,7 @@ def mcmaster_classify(sample: TrafficSample, params: McMasterParams) -> str:
 
 def test_criterion_10_baseline_replay_oracles():
     rng = np.random.default_rng(10)
-    bins = tuple(BinStats(10, 60.0, 60.0, 5.0, 6.0, 3.0) for _ in range(BINS_PER_WEEK))
-    profile = SndProfile(bins)
+    profile = SndProfile(*(np.full(BINS_PER_WEEK, stat) for stat in (10, 60.0, 60.0, 5.0, 6.0, 3.0)))
     params = McMasterParams(a=0.0, b=80.0, c=-0.5, rho_crit=40.0, f_crit=3000.0)
     threshold = 60.0 - 1.0 * 6.0  # c = 1, median 60, IQR 6 (below the cap)
     mismatches = 0

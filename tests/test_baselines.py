@@ -1,24 +1,28 @@
 import math
+from unittest import mock
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from flowsentry import baselines
 from flowsentry.baselines import (
     BINS_PER_WEEK,
+    MIN_BIN_OBSERVATIONS,
     SPEED_CAP_KMH,
-    BinStats,
     McMasterParams,
     SndProfile,
     mcmaster_detect,
+    mcmaster_detect_grid,
     snd_detect,
+    snd_detect_grid,
     snd_fit,
     snd_thresholds,
     weekly_bins,
 )
-from flowsentry.ingest import LinkSeries, TrafficSample, datetimes
+from flowsentry.ingest import LinkSeries, TrafficSample, datetimes, to_epoch_us
 
 MONDAY = datetime(2017, 4, 3, tzinfo=timezone.utc)  # a Monday
 
@@ -37,11 +41,18 @@ def epoch_minute(ts):
     return int(ts.timestamp() // 60)
 
 
+EMPTY_BIN = (0, float("nan"), float("nan"), float("nan"), float("nan"), float("nan"))
+
+
+def profile_of(bins, tz_offset_min=0):
+    """The profile of one (count, mean, median, sd, iqr, mad) tuple per weekly bin."""
+    return SndProfile(*zip(*bins), tz_offset_min=tz_offset_min)
+
+
 def profile_with_bin(bin_index, stats):
-    empty = BinStats(0, float("nan"), float("nan"), float("nan"), float("nan"), float("nan"))
-    bins = [empty] * BINS_PER_WEEK
+    bins = [EMPTY_BIN] * BINS_PER_WEEK
     bins[bin_index] = stats
-    return SndProfile(tuple(bins))
+    return profile_of(bins)
 
 
 # --- profile fitting --------------------------------------------------------------
@@ -69,16 +80,16 @@ def test_snd_fit_bin_statistics():
     samples = [speed_sample(MONDAY + timedelta(hours=8, minutes=k), v) for k, v in enumerate(speeds)]
     samples.append(speed_sample(MONDAY + timedelta(days=7, hours=8), 90))
     profile = snd_fit(LinkSeries.from_samples(samples))
-    stats = profile.bins[weekly_bin(MONDAY + timedelta(hours=8))]
-    assert stats.count == 9  # the week-later sample falls in the same weekly bin
+    # the week-later sample falls in the same weekly bin
+    assert profile.count[weekly_bin(MONDAY + timedelta(hours=8))] == 9
     # use only the main window for the arithmetic check
     samples8 = samples[:8] + [speed_sample(MONDAY + timedelta(days=7, hours=9), 90)]
-    stats8 = snd_fit(LinkSeries.from_samples(samples8)).bins[weekly_bin(MONDAY + timedelta(hours=8))]
-    assert stats8.count == 8
-    assert stats8.median == pytest.approx(100.0)
+    profile8, b = snd_fit(LinkSeries.from_samples(samples8)), weekly_bin(MONDAY + timedelta(hours=8))
+    assert profile8.count[b] == 8
+    assert profile8.median[b] == pytest.approx(100.0)
     # type-7 quartiles: Q1 = 99.75, Q3 = 100.25 on the sorted speeds
-    assert stats8.iqr == pytest.approx(0.5)
-    assert stats8.mad == pytest.approx(0.5)
+    assert profile8.iqr[b] == pytest.approx(0.5)
+    assert profile8.mad[b] == pytest.approx(0.5)
 
 
 def test_snd_fit_needs_a_week():
@@ -97,38 +108,38 @@ def test_empty_bin_unusable():
 def test_constant_bin_zero_spread():
     samples = [speed_sample(MONDAY + timedelta(hours=8, minutes=m), 100) for m in range(8)]
     samples.append(speed_sample(MONDAY + timedelta(days=7, hours=8, minutes=14), 100))
-    stats = snd_fit(LinkSeries.from_samples(samples)).bins[weekly_bin(MONDAY + timedelta(hours=8))]
-    assert stats.iqr == 0.0
-    assert stats.mad == 0.0
+    profile, b = snd_fit(LinkSeries.from_samples(samples)), weekly_bin(MONDAY + timedelta(hours=8))
+    assert profile.iqr[b] == 0.0
+    assert profile.mad[b] == 0.0
 
 
 # --- thresholds -------------------------------------------------------------------
 
 
 def test_threshold_cap_binds():
-    profile = profile_with_bin(0, BinStats(10, 110.0, 110.0, 8.0, 10.0, 5.0))
+    profile = profile_with_bin(0, (10, 110.0, 110.0, 8.0, 10.0, 5.0))
     assert snd_thresholds(profile, 2.0)[0] == SPEED_CAP_KMH
 
 
 def test_threshold_below_cap():
-    profile = profile_with_bin(0, BinStats(10, 60.0, 60.0, 8.0, 10.0, 5.0))
+    profile = profile_with_bin(0, (10, 60.0, 60.0, 8.0, 10.0, 5.0))
     assert snd_thresholds(profile, 1.0)[0] == pytest.approx(50.0)
 
 
 def test_threshold_c_zero_caps():
-    profile = profile_with_bin(0, BinStats(10, 100.0, 100.0, 8.0, 10.0, 5.0))
+    profile = profile_with_bin(0, (10, 100.0, 100.0, 8.0, 10.0, 5.0))
     assert snd_thresholds(profile, 0.0)[0] == SPEED_CAP_KMH
 
 
 def test_threshold_is_median_minus_c_iqr():
-    profile = profile_with_bin(0, BinStats(10, 65.0, 60.0, 4.0, 10.0, 2.0))
+    profile = profile_with_bin(0, (10, 65.0, 60.0, 4.0, 10.0, 2.0))
     assert snd_thresholds(profile, 1.0)[0] == pytest.approx(50.0)
     with pytest.raises(ValueError, match="nonnegative"):
         snd_thresholds(profile, -1.0)
 
 
 def test_threshold_nonincreasing_in_c():
-    profile = profile_with_bin(0, BinStats(10, 60.0, 60.0, 8.0, 10.0, 5.0))
+    profile = profile_with_bin(0, (10, 60.0, 60.0, 8.0, 10.0, 5.0))
     values = [snd_thresholds(profile, c)[0] for c in np.linspace(0, 5, 20)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
@@ -138,8 +149,7 @@ def test_threshold_nonincreasing_in_c():
 
 def low_speed_profile():
     """Every bin usable with median 60, IQR 0 -> threshold 60 for any c."""
-    bins = tuple(BinStats(10, 60.0, 60.0, 0.0, 0.0, 0.0) for _ in range(BINS_PER_WEEK))
-    return SndProfile(bins)
+    return profile_of([(10, 60.0, 60.0, 0.0, 0.0, 0.0)] * BINS_PER_WEEK)
 
 
 def alarm_list(alarms):
@@ -204,8 +214,7 @@ def test_snd_detect_matches_replay_oracle():
 
 def test_snd_alarm_minutes_shrink_with_larger_c():
     rng = np.random.default_rng(11)
-    bins = tuple(BinStats(10, 60.0, 60.0, 5.0, 6.0, 3.0) for _ in range(BINS_PER_WEEK))
-    profile = SndProfile(bins)
+    profile = profile_of([(10, 60.0, 60.0, 5.0, 6.0, 3.0)] * BINS_PER_WEEK)
     speeds = rng.uniform(30, 75, size=300).round(1)
     stream = LinkSeries.from_samples([speed_sample(MONDAY + timedelta(minutes=k), v) for k, v in enumerate(speeds)])
 
@@ -330,10 +339,9 @@ def test_mcmaster_detect_matches_replay_oracle():
 
 def snd_threshold_oracle(profile, bin_index, c):
     """min(cap, median - c * IQR) of one bin; None when the bin is unusable."""
-    stats = profile.bins[bin_index]
-    if not stats.usable:
+    if profile.count[bin_index] < MIN_BIN_OBSERVATIONS:
         return None
-    return min(profile.cap_kmh, stats.median - c * stats.iqr)
+    return min(profile.cap_kmh, profile.median[bin_index] - c * profile.iqr[bin_index])
 
 
 def persistence_oracle(timestamps, hits, persistence=3):
@@ -353,12 +361,12 @@ def persistence_oracle(timestamps, hits, persistence=3):
 
 def bin_stats_oracle(values):
     if not values:
-        return BinStats(0, float("nan"), float("nan"), float("nan"), float("nan"), float("nan"))
+        return EMPTY_BIN
     arr = np.asarray(values, dtype=float)
     q25, median, q75 = np.percentile(arr, [25, 50, 75])
     sd = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     mad = float(np.median(np.abs(arr - median)))
-    return BinStats(arr.size, float(arr.mean()), float(median), sd, float(q75 - q25), mad)
+    return arr.size, float(arr.mean()), float(median), sd, float(q75 - q25), mad
 
 
 @st.composite
@@ -404,10 +412,10 @@ def snd_profiles(draw, speeds):
         locations[tied] = rng.choice(speeds, (int(tied.sum()), 1))
         scales[tied] = 0.0
     bins = tuple(
-        BinStats(int(k), float(mean), float(median), float(sd), float(iqr), float(mad))
+        (int(k), float(mean), float(median), float(sd), float(iqr), float(mad))
         for k, (mean, median), (sd, iqr, mad) in zip(counts, locations, scales)
     )
-    return SndProfile(bins, tz_offset_min=draw(st.integers(-720, 840)))
+    return profile_of(bins, tz_offset_min=draw(st.integers(-720, 840)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -458,7 +466,7 @@ def test_snd_fit_matches_per_sample_oracle(samples, tz_offset_min):
     for s in samples:
         if s.speed is not None:
             speeds[weekly_bin(s.timestamp, tz_offset_min)].append(s.speed)
-    expected = SndProfile(tuple(bin_stats_oracle(v) for v in speeds), tz_offset_min=tz_offset_min)
+    expected = profile_of([bin_stats_oracle(v) for v in speeds], tz_offset_min=tz_offset_min)
     assert snd_fit(LinkSeries.from_samples(samples), tz_offset_min).to_json() == expected.to_json()
 
 
@@ -466,3 +474,86 @@ def test_snd_fit_matches_per_sample_oracle(samples, tz_offset_min):
        tz_offset_min=st.integers(-720, 840))
 def test_weekly_bin_matches_calendar_formula(ts, tz_offset_min):
     assert weekly_bins(epoch_minute(ts), tz_offset_min) == weekly_bin(ts, tz_offset_min)
+
+
+def long_stream(seed, weeks, extra_min, start_min, start_s, decimals, missing):
+    """A minute stream of ``weeks`` weeks and ``extra_min`` minutes: half the speeds from a
+    pool of 4 (ties), half uniform and rounded to ``decimals``, and a ``missing`` share of
+    them absent, so that the bins' counts differ."""
+    rng = np.random.default_rng(seed)
+    n = weeks * 7 * 24 * 60 + extra_min
+    start_us = to_epoch_us(MONDAY + timedelta(minutes=start_min, seconds=start_s))
+    epoch_us = start_us + np.arange(n, dtype=np.int64) * 60_000_000
+    pooled = rng.choice(rng.uniform(10.0, 120.0, 4), n)
+    speed = np.where(rng.random(n) < 0.5, pooled, np.round(rng.uniform(0.5, 130.0, n), decimals))
+    speed[rng.random(n) < missing] = np.nan
+    return LinkSeries("L1", epoch_us, speed, np.full(n, 1000.0), np.full(n, np.nan))
+
+
+# a bin holds from 1 to more than 150 speeds; numpy sums more than 8 values in 8 lanes,
+# and more than 128 in halves, which the rows of equal count must reproduce
+LONG_STREAMS = st.builds(
+    long_stream,
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 9, 10]),
+    st.integers(0, 3000),
+    st.integers(-20000, 20000),
+    st.sampled_from([0, 30]),
+    st.sampled_from([0, 1, 12]),
+    st.sampled_from([0.0, 0.05, 0.5, 0.95]),
+)
+
+
+@settings(max_examples=12, deadline=None)
+@given(stream=LONG_STREAMS, tz_offset_min=st.integers(-720, 840))
+@example(stream=long_stream(1, 9, 2000, -3000, 30, 1, 0.05), tz_offset_min=60)  # counts 119 to 147
+@example(stream=long_stream(2, 1, 700, 0, 0, 12, 0.5), tz_offset_min=0)  # counts 2 to 23
+def test_snd_fit_matches_per_sample_oracle_on_long_streams(stream, tz_offset_min):
+    speeds = [[] for _ in range(BINS_PER_WEEK)]
+    for ts, speed in zip(datetimes(stream.epoch_us), stream.speed.tolist()):
+        if not math.isnan(speed):
+            speeds[weekly_bin(ts, tz_offset_min)].append(speed)
+    expected = profile_of([bin_stats_oracle(v) for v in speeds], tz_offset_min=tz_offset_min)
+    assert snd_fit(stream, tz_offset_min).to_json() == expected.to_json()
+
+
+def test_long_stream_examples_span_the_summation_blocks():
+    counts = np.unique(snd_fit(long_stream(1, 9, 2000, -3000, 30, 1, 0.05), 60).count)
+    assert counts.min() < 128 < counts.max() and counts.size > 20
+    counts = np.unique(snd_fit(long_stream(2, 1, 700, 0, 0, 12, 0.5)).count)
+    assert counts.min() < 8 < counts.max() and counts.size > 5
+
+
+# --- whole calibration grids against one point at a time -----------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(samples=sample_streams(), cs=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8), data=st.data())
+def test_snd_detect_grid_matches_each_point(samples, cs, data):
+    stream = LinkSeries.from_samples(samples)
+    profile = data.draw(snd_profiles([s.speed for s in samples if s.speed is not None]))
+    rows_per_block = data.draw(st.sampled_from([1, 2, 5]))
+    expected = [alarm_list(snd_detect(stream, profile, c)) for c in cs]
+    with mock.patch.object(baselines, "_GRID_BLOCK_CELLS", rows_per_block * (len(stream) + 1)):
+        start_us, end_us, point = snd_detect_grid(stream, profile, cs)
+    assert np.all(np.diff(point) >= 0)
+    assert [alarm_list((start_us[point == k], end_us[point == k])) for k in range(len(cs))] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(samples=sample_streams(), data=st.data())
+def test_mcmaster_detect_grid_matches_each_point(samples, data):
+    # the points share a and b but not always c, so that a lower bound evaluated for one
+    # point of a block is reused only where it applies; c keeps each bound nondecreasing
+    stream = LinkSeries.from_samples(samples)
+    rho_crit, f_crit = data.draw(st.floats(5.0, 80.0)), data.draw(st.floats(500.0, 5000.0))
+    a, b = data.draw(st.floats(-500.0, 500.0)), data.draw(st.floats(0.0, 150.0))
+    curvatures = data.draw(st.lists(st.sampled_from([-0.4, 0.0, 0.5, 2.0]), min_size=1, max_size=6))
+    grid = [
+        McMasterParams(a, b, k * b / (2.0 * rho_crit), rho_crit * (1 + i % 2), f_crit) for i, k in enumerate(curvatures)
+    ]
+    rows_per_block = data.draw(st.sampled_from([1, 2, 5]))
+    expected = [alarm_list(mcmaster_detect(stream, p)) for p in grid]
+    with mock.patch.object(baselines, "_GRID_BLOCK_CELLS", rows_per_block * (len(stream) + 1)):
+        start_us, end_us, point = mcmaster_detect_grid(stream, grid)
+    assert [alarm_list((start_us[point == k], end_us[point == k])) for k in range(len(grid))] == expected

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -254,6 +255,57 @@ def test_calibrate_dftb_without_region_leaves_no_out(workspace, tmp_path, capsys
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: dftb calibration needs --region\n"
     assert not (tmp_path / "c").exists()
+
+
+def calibrate_argv(workspace, detector, out, events=None):
+    return ["calibrate", "--series", str(workspace / "sim" / "series.csv"), "--events",
+            str(events or workspace / "sim" / "events.csv"), "--region", str(workspace / "fit" / "region.json"),
+            "--detector", detector, "--out", str(out)]
+
+
+@pytest.mark.parametrize("detector", ["dftb", "snd", "mcmaster"])
+def test_calibrate_without_labels_for_the_link_exit_1_before_fitting(workspace, tmp_path, capsys, monkeypatch,
+                                                                     detector):
+    # a roadworks label is recurrent, and OTHER is not the series' link
+    events = tmp_path / "events.csv"
+    events.write_text("link_id,category,start,end\n"
+                      "OTHER,accident,2017-04-05T10:59:00Z,2017-04-05T11:24:00Z\n"
+                      "SIM1,roadworks,2017-04-06T10:59:00Z,2017-04-06T11:24:00Z\n")
+
+    def fit(*args, **kwargs):
+        raise AssertionError("fitted before the labels were checked")
+
+    monkeypatch.setattr(cli.baselines, "snd_fit", fit)
+    monkeypatch.setattr(cli.detector, "annotate", fit)
+    monkeypatch.setattr(cli.evaluation, "quantile_regression_quadratic", fit)
+    assert main(calibrate_argv(workspace, detector, tmp_path / "c", events)) == 1
+    assert capsys.readouterr().err == "error: no non-recurrent labels for link 'SIM1'; detection rate undefined\n"
+    assert not (tmp_path / "c").exists()
+
+
+SWEEP_SIZES = {"dftb": 40, "snd": 51, "mcmaster": 36 + 28}
+
+
+@pytest.mark.parametrize("detector", ["dftb", "snd", "mcmaster"])
+def test_calibrate_writes_every_grid_point_to_the_sweep(workspace, tmp_path, detector):
+    out = tmp_path / "c"
+    assert main(calibrate_argv(workspace, detector, out)) == 0
+    payload = json.loads((out / "calibration.json").read_text())
+    with open(out / "sweep.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == SWEEP_SIZES[detector]
+    for row in rows:
+        for key in ("dr", "far", "mttd", "pi"):
+            row[key] = float(row[key]) if row[key] else None
+        assert (row["mttd"] is None) == (row["pi"] is None)
+    if detector == "mcmaster":
+        assert [row.pop("stage") for row in rows] == ["coarse"] * 36 + ["fine"] * 28
+        rows = rows[36:]  # the fine grid around the coarse argmin
+    defined = [row for row in rows if row["pi"] is not None]
+    best = min(defined, key=lambda row: (row["pi"], -row["dr"], row["far"]))  # the first of equals
+    assert {key: best.pop(key) for key in ("dr", "far", "mttd", "pi")} == payload["training_score"]
+    parameters = {key: float(value) for key, value in best.items()}
+    assert parameters == payload.get("params", {k: payload[k] for k in ("c", "severity_threshold") if k in payload})
 
 
 def test_five_minute_cadence_exit_2(workspace, tmp_path, capsys):
@@ -679,6 +731,37 @@ def test_scipy_loaded_only_by_the_commands_that_call_it(tmp_path):
     for argv in commands:
         run = subprocess.run(
             [sys.executable, "-c", IMPORT_GUARD, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+
+
+MA_GUARD = """
+import sys
+from flowsentry import cli
+
+assert cli.main(sys.argv[1:]) == 0, sys.argv
+assert "numpy.ma" not in sys.modules, sys.argv
+"""
+
+
+def test_operating_commands_do_not_load_numpy_ma(workspace, tmp_path):
+    # numpy's median, percentile, quantile and unique load numpy.ma, 11-15 ms a process; the
+    # commands that operate a fitted link use exact sort and partition equivalents instead
+    series, events, region = (str(workspace / name) for name in ("sim/series.csv", "sim/events.csv", "fit/region.json"))
+    detect = ["detect", "--series", series, "--region", region]
+    flags = str(workspace / "det" / "flags.csv")
+    commands = [
+        detect + ["--mode", "severity", "--threshold", "0.2", "--out", "sev"],
+        detect + ["--mode", "duration", "--percentile", "95", "--out", "dur"],
+        *(calibrate_argv(workspace, name, f"cal_{name}") for name in ("dftb", "snd", "mcmaster")),
+        ["evaluate", "--series", series, "--events", events, "--flags", flags, "--flags-b", "dur/flags.csv",
+         "--out", "eval"],
+        ["plot", "--series", series, "--region", region, "--flags", flags, "--out", "plots"],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for argv in commands:
+        run = subprocess.run(
+            [sys.executable, "-c", MA_GUARD, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
         )
         assert run.returncode == 0, run.stderr
 

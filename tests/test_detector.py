@@ -507,9 +507,9 @@ def test_dftb_sweep_matches_replay_oracle(rows, label_rows):
     ]
     r = region()
     series = annotate(stream, r)
-    score = ev.dftb_score_fn(stream, r, labels)
+    expected = []
     for threshold in ev.DFTB_THRESHOLD_GRID:
         config = DetectorConfig("severity_threshold", severity_threshold=threshold)
         _, flags = track_annotated_oracle(series, config)
-        expected = ev.score_detector(ev.intervals_us(flags), ev.intervals_us(labels), int(series.usable.sum()))
-        assert score(threshold) == expected
+        expected.append(ev.score_detector(ev.intervals_us(flags), ev.intervals_us(labels), int(series.usable.sum())))
+    assert ev.dftb_score_fn(stream, r, labels)(ev.DFTB_THRESHOLD_GRID) == expected

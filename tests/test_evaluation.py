@@ -110,6 +110,46 @@ def test_score_detector_matches_datetime_oracle(case, n_applications):
     assert ev.score_detector(pair(flags), ev.intervals_us(labels), n_applications) == expected
 
 
+@st.composite
+def flag_set_cases(draw):
+    """Labels and several flag sets, some empty, drawn as ``scoring_cases`` draws its flags:
+    from a few instants of one window, with sub-minute offsets, so that flags of a set
+    overlap, come in any order and share a minute with the next one."""
+    base = draw(st.sampled_from(BASE_MINUTES))
+    instant = st.builds(
+        lambda minute, us: EPOCH + timedelta(microseconds=(base + minute) * US_PER_MINUTE + us),
+        st.integers(0, 90),
+        SUBMINUTE_US,
+    )
+    pool = draw(st.lists(instant, min_size=1, max_size=10, unique=True))
+    ends = st.lists(st.sampled_from(pool), min_size=2, max_size=2).map(sorted).map(tuple)
+    labels = [EventLabel("L1", "accident", a, b) for a, b in draw(st.lists(ends, min_size=1, max_size=5))]
+    sets = draw(st.lists(st.lists(ends, max_size=6), min_size=1, max_size=5))
+    return sets, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=flag_set_cases(), n_applications=st.integers(1, 10_000), shuffle=st.integers(0, 2**32 - 1))
+@example(  # two runs of 30-second samples share minute 5; the second set is empty; the third is unsorted
+    case=(
+        [[(_at(1), _at(5, 10_000_000)), (_at(5, 40_000_000), _at(8))], [], [(_at(7), _at(9)), (_at(2), _at(7, 1))]],
+        [EventLabel("L1", "accident", _at(6), _at(7))],
+    ),
+    n_applications=100,
+    shuffle=0,
+)
+def test_score_flag_sets_matches_datetime_oracle_per_set(case, n_applications, shuffle):
+    sets, labels = case
+    owner = [k for k, flags in enumerate(sets) for _ in flags]
+    flags = [f for flags in sets for f in flags]
+    order = np.random.default_rng(shuffle).permutation(len(flags))  # the sets' flags interleaved
+    scores = ev.score_flag_sets(
+        pair([flags[i] for i in order]), np.array([owner[i] for i in order], dtype=np.intp), len(sets),
+        ev.intervals_us(labels), n_applications,
+    )
+    assert scores == [oracle_score(flags, labels, n_applications) for flags in sets]
+
+
 # --- detection rate ---------------------------------------------------------------
 
 
@@ -216,7 +256,7 @@ def test_pi_monotonicity():
 
 
 def test_calibrate_single_point():
-    result = ev.calibrate([0.5], lambda p: ev.DetectorScore(80.0, 1.0, 5.0))
+    result = ev.calibrate([0.5], [ev.DetectorScore(80.0, 1.0, 5.0)])
     assert result.parameter == 0.5
 
 
@@ -226,7 +266,8 @@ def test_calibrate_prefers_perfect_point():
             return ev.DetectorScore(100.0, 0.0, 1.0)
         return ev.DetectorScore(60.0, 4.0, 12.0)
 
-    assert ev.calibrate([0.1, 0.3, 0.5], score).parameter == 0.3
+    grid = [0.1, 0.3, 0.5]
+    assert ev.calibrate(grid, [score(p) for p in grid]).parameter == 0.3
 
 
 def test_calibrate_tie_breaks_on_dr_then_far_then_order():
@@ -235,12 +276,12 @@ def test_calibrate_tie_breaks_on_dr_then_far_then_order():
         0.2: ev.DetectorScore(90.0, 1.0, 0.0),  # pi 0, dr 90  <- winner
         0.3: ev.DetectorScore(90.0, 2.0, 0.0),  # pi 0, dr 90, worse far
     }
-    assert ev.calibrate([0.1, 0.2, 0.3], scores.__getitem__).parameter == 0.2
+    assert ev.calibrate(list(scores), list(scores.values())).parameter == 0.2
 
 
 def test_calibrate_all_undefined_errors():
     with pytest.raises(ev.UndefinedMetricError):
-        ev.calibrate([1, 2], lambda p: ev.DetectorScore(0.0, 0.0, None))
+        ev.calibrate([1, 2], [ev.DetectorScore(0.0, 0.0, None)] * 2)
 
 
 # --- paired t test ----------------------------------------------------------------
@@ -538,7 +579,7 @@ def test_applications_reject_an_unknown_detector():
 
 
 def test_application_counts_per_detector(monkeypatch):
-    from flowsentry.baselines import BINS_PER_WEEK, BinStats, SndProfile, mcmaster_detect
+    from flowsentry.baselines import BINS_PER_WEEK, SndProfile, mcmaster_detect
     from flowsentry.ingest import LinkSeries, TrafficSample
     from flowsentry.levelset import TypicalRegion
 
@@ -561,21 +602,127 @@ def test_application_counts_per_detector(monkeypatch):
     assert (with_speed, with_density) == (183, 168)
 
     # SND alarms on rows 120-134 (15 unlabelled minutes below the 72.4 km/h cap)
-    profile = SndProfile((BinStats(10, 100.0, 100.0, 0.0, 0.0, 0.0),) * BINS_PER_WEEK)
-    assert ev.snd_score_fn(stream, profile, labels)(1.0).far == 100.0 * 15 / with_speed
+    profile = SndProfile(*(np.full(BINS_PER_WEEK, stat) for stat in (10, 100.0, 100.0, 0.0, 0.0, 0.0)))
+    assert ev.snd_score_fn(stream, profile, labels)([1.0])[0].far == 100.0 * 15 / with_speed
 
     # DFTB flags rows 140-144 and 165-167; only the last 3 minutes are unlabelled
     box = np.array([[0.0, 0.0], [20.0, 0.0], [20.0, 2000.0], [0.0, 2000.0], [0.0, 0.0]])
     region = TypicalRegion(
         z_star=0.5, alpha=0.05, polygons=(box,), scale_rho=1.0, scale_f=100.0, max_training_distance=1.0
     )
-    assert ev.dftb_score_fn(stream, region, labels)(0.5).far == 100.0 * 3 / with_density
+    assert ev.dftb_score_fn(stream, region, labels)([0.5])[0].far == 100.0 * 3 / with_density
 
     applications = []
-    score_detector = ev.score_detector
-    monkeypatch.setattr(ev, "score_detector", lambda f, lab, n: applications.append(n) or score_detector(f, lab, n))
+    score_flag_sets = ev.score_flag_sets
+
+    def spy(flags, owner, n_sets, labels, n_applications):
+        applications.append(n_applications)
+        return score_flag_sets(flags, owner, n_sets, labels, n_applications)
+
+    monkeypatch.setattr(ev, "score_flag_sets", spy)
     result = ev.calibrate_mcmaster(stream, labels)
     assert set(applications) == {with_density}
     alarmed = ev.covered_minutes(*mcmaster_detect(stream, result.parameter))
     flagged = np.setdiff1d(alarmed, ev.covered_minutes(*pair([interval(140, 144)])))
     assert result.score.far == 100.0 * flagged.size / with_density
+
+
+# --- calibration sweeps against the per-point loop -----------------------------------
+
+
+def calibrate_oracle(grid, score_point, stage=""):
+    """The per-point calibration loop: each grid point detected and scored on its own, and
+    the argmin of PI with ties broken toward higher DR, lower FAR, then grid order."""
+    best, sweep = None, []
+    for order, param in enumerate(grid):
+        s = score_point(param)
+        sweep.append((stage, param, s))
+        if s.pi is not None and (best is None or (s.pi, -s.dr, s.far, order) < best[0]):
+            best = ((s.pi, -s.dr, s.far, order), param, s)
+    return ev.CalibrationResult(best[1], best[2], tuple(sweep))
+
+
+@pytest.fixture(scope="module")
+def simulated_link():
+    from flowsentry.simgen import ScenarioConfig, generate, plan_incidents
+
+    stream, labels = generate(ScenarioConfig(seed=4, weeks=2, incidents=plan_incidents(4, 2, seed=4)))
+    return stream, labels
+
+
+@pytest.fixture(params=[None, 1, 4], ids=["default_blocks", "one_point_blocks", "four_point_blocks"])
+def grid_blocks(request, monkeypatch, simulated_link):
+    """Runs a test with the grid's hits in blocks of the default size, of one grid point
+    and of four, so that the runs of several blocks and of several rows are joined."""
+    from flowsentry import baselines
+
+    if request.param is not None:
+        monkeypatch.setattr(baselines, "_GRID_BLOCK_CELLS", request.param * (len(simulated_link[0]) + 1))
+
+
+def distinct_scores(result):
+    return len({s for _, _, s in result.sweep})
+
+
+def test_calibrate_snd_matches_per_point_loop(simulated_link, grid_blocks):
+    from flowsentry.baselines import snd_detect, snd_fit
+
+    stream, labels = simulated_link
+    profile = snd_fit(stream)
+    label_us, n = ev.intervals_us(labels), ev.applications(stream, "snd")
+    expected = calibrate_oracle(ev.SND_C_GRID, lambda c: ev.score_detector(snd_detect(stream, profile, c), label_us, n))
+    assert distinct_scores(expected) > 10
+    assert ev.calibrate_snd(stream, profile, labels) == expected
+
+
+def test_calibrate_mcmaster_matches_per_point_loop(simulated_link, grid_blocks):
+    from flowsentry.baselines import mcmaster_detect
+
+    stream, labels = simulated_link
+    label_us, n = ev.intervals_us(labels), ev.applications(stream, "mcmaster")
+
+    def score_point(params):
+        return ev.score_detector(mcmaster_detect(stream, params), label_us, n)
+
+    coarse = calibrate_oracle(ev._mcmaster_grid(stream, label_us), score_point, "coarse")
+    seed = coarse.parameter
+    fine = [seed]
+    for rho_scale in (0.9, 1.0, 1.1):
+        for f_scale in (0.9, 1.0, 1.1):
+            for lud_scale in (0.9, 1.0, 1.1):
+                b = max(seed.b * lud_scale, 0.0)
+                c = seed.c * lud_scale
+                rho_crit = seed.rho_crit * rho_scale
+                if b + 2.0 * c * rho_crit < 0:
+                    c = -b / (2.0 * rho_crit)
+                fine.append(ev.McMasterParams(seed.a * lud_scale, b, c, rho_crit, seed.f_crit * f_scale))
+    best = calibrate_oracle(fine, score_point, "fine")
+    expected = ev.CalibrationResult(best.parameter, best.score, coarse.sweep + best.sweep)
+    assert distinct_scores(expected) > 10
+    assert ev.calibrate_mcmaster(stream, labels) == expected
+
+
+def test_calibrate_dftb_matches_per_threshold_loop(simulated_link):
+    from flowsentry.detector import annotate, calibrate_normalizer, segment
+    from flowsentry.levelset import TypicalRegion
+
+    stream, labels = simulated_link
+    (r0, r1), (f0, f1) = (np.percentile(column, [10, 90]) for column in stream.points.T)
+    box = np.array([[r0, f0], [r1, f0], [r1, f1], [r0, f1], [r0, f0]])
+    region = calibrate_normalizer(
+        TypicalRegion(z_star=1.0, alpha=0.05, polygons=(box,), scale_rho=r1 - r0, scale_f=f1 - f0), stream.points
+    )
+    series = annotate(stream, region)
+    found = segment(series)
+    label_us, n = ev.intervals_us(labels), ev.applications(stream, "dftb")
+
+    def score_point(threshold):  # one threshold's onsets at a time
+        hit = np.where(found.severity >= threshold, np.arange(found.rows.size), found.rows.size)
+        onset = np.minimum.reduceat(hit, found.first)
+        flagged = np.flatnonzero(found.right & (onset < found.first + found.duration))
+        flags = (series.epoch_us[found.rows[onset[flagged]]], series.epoch_us[found.end[flagged]])
+        return ev.score_detector(flags, label_us, n)
+
+    expected = calibrate_oracle(ev.DFTB_THRESHOLD_GRID, score_point)
+    assert distinct_scores(expected) > 5
+    assert ev.calibrate_dftb(stream, region, labels) == expected
