@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ingest import US_PER_MINUTE, LinkSeries
+from .ingest import US_PER_MINUTE, LinkSeries, _lerp, _order_positions
 
 BIN_MINUTES = 15
 BINS_PER_DAY = 24 * 60 // BIN_MINUTES
@@ -129,29 +129,6 @@ def _bin_stats(block: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 _QUARTILES = (0.25, 0.5, 0.75)
-
-
-def _order_positions(n: int, quantiles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The order statistics numpy's linear method interpolates between for each quantile of
-    n values, and the weight of the upper one: (n - 1) q, its floor and fractional part."""
-    virtual = (n - 1) * np.asarray(quantiles, dtype=float)
-    lo = np.floor(virtual).astype(np.intp)
-    return lo, np.minimum(lo + 1, n - 1), virtual - lo
-
-
-def _lerp(a, b, t):
-    """numpy's interpolation between neighbouring order statistics, which switches to
-    counting back from the upper one at t >= 0.5."""
-    diff = b - a
-    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
-
-
-def quantiles(values: np.ndarray, qs: Sequence[float]) -> np.ndarray:
-    """``np.quantile(values, q)`` (linear method) of finite values for each q, from one
-    partition. numpy's own call loads ``numpy.ma``, which costs more than the quantiles."""
-    lo, hi, t = _order_positions(values.size, qs)
-    ordered = np.partition(values, np.concatenate((lo, hi)))
-    return _lerp(ordered[lo], ordered[hi], t)
 
 
 def snd_thresholds(profile: SndProfile, c) -> np.ndarray:

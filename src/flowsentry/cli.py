@@ -167,6 +167,10 @@ def _read_flags(path: str, streams: dict[str, ingest.LinkSeries], series_path: s
 
 
 def cmd_simulate(args) -> int:
+    limits = (("--weeks", args.weeks, 1), ("--incidents", args.incidents, 0), ("--seed", args.seed, 0))
+    for option, value, least in limits:
+        if value < least:
+            raise UsageError(f"{option} must be at least {least}, got {value}")
     bottleneck = simgen.BottleneckSpec() if args.bimodal else None
     plan = simgen.plan_incidents(args.incidents, args.weeks, args.seed, avoid=bottleneck)
     config = simgen.ScenarioConfig(seed=args.seed, weeks=args.weeks, incidents=plan, bottleneck=bottleneck)

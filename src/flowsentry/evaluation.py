@@ -41,8 +41,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .baselines import McMasterParams, mcmaster_detect_grid, quantiles, snd_detect_grid
-from .ingest import US_PER_MINUTE, EventLabel, LinkSeries, open_text, to_epoch_us
+from .baselines import McMasterParams, mcmaster_detect_grid, snd_detect_grid
+from .ingest import US_PER_MINUTE, EventLabel, LinkSeries, open_text, quantiles, to_epoch_us
 
 EPS_DR = 1.01
 EPS_FAR = 0.001

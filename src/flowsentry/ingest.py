@@ -137,6 +137,29 @@ def _median(values: np.ndarray) -> float:
     return (float(ordered[(n - 1) // 2]) + float(ordered[n // 2])) / 2
 
 
+def _order_positions(n: int, quantiles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order statistics numpy's linear method interpolates between for each quantile of
+    n values, and the weight of the upper one: (n - 1) q, its floor and fractional part."""
+    virtual = (n - 1) * np.asarray(quantiles, dtype=float)
+    lo = np.floor(virtual).astype(np.intp)
+    return lo, np.minimum(lo + 1, n - 1), virtual - lo
+
+
+def _lerp(a, b, t):
+    """numpy's interpolation between neighbouring order statistics, which switches to
+    counting back from the upper one at t >= 0.5."""
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
+def quantiles(values: np.ndarray, qs: Sequence[float]) -> np.ndarray:
+    """``np.quantile(values, q)`` (linear method) of finite values for each q, from one
+    partition. numpy's own call loads ``numpy.ma``, which costs more than the quantiles."""
+    lo, hi, t = _order_positions(values.size, qs)
+    ordered = np.partition(values, np.concatenate((lo, hi)))
+    return _lerp(ordered[lo], ordered[hi], t)
+
+
 @dataclass(frozen=True)
 class LinkSeries:
     """One link's stream as columns, strictly increasing in time.
@@ -544,8 +567,11 @@ def parse_series(source) -> list[TrafficSample]:
 def _format_stamps(epoch_us: np.ndarray) -> np.ndarray:
     """``format_timestamp`` of each epoch microsecond value."""
     at = epoch_us.astype("datetime64[us]")
+    seconds = np.datetime_as_string(at, unit="s", timezone="UTC")
     whole = epoch_us % 1_000_000 == 0  # isoformat leaves out a zero fraction
-    return np.char.add(np.where(whole, np.datetime_as_string(at, unit="s"), np.datetime_as_string(at, unit="us")), "Z")
+    if whole.all():
+        return seconds
+    return np.where(whole, seconds, np.datetime_as_string(at, unit="us", timezone="UTC"))
 
 
 def write_series(stream: LinkSeries, sink) -> None:
@@ -561,11 +587,11 @@ def write_series(stream: LinkSeries, sink) -> None:
     # do in a row of several fields. csv quotes it as the first cell of such a row.
     link = io.StringIO()
     csv.writer(link, lineterminator="\n").writerow([stream.link_id, ""])
-    link_cell = link.getvalue()[:-1]  # with its comma
-    stamps = _format_stamps(stream.epoch_us).tolist()
+    rows = zip(repeat(link.getvalue()[:-2]), _format_stamps(stream.epoch_us).tolist(), *cells)
     with open_text(sink, "w") as handle:
         handle.write(",".join(SERIES_HEADER) + "\n")
-        handle.writelines(map("{}{},{},{},{}\n".format, repeat(link_cell), stamps, *cells))
+        handle.write("\n".join(map(",".join, rows)))
+        handle.write("\n")
 
 
 def parse_events(source) -> list[EventLabel]:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kde
+from .ingest import quantiles
 from .kde import DensityGrid, DensityModel
 
 # Region queries work on (points x edges) blocks of this many elements, small
@@ -437,8 +438,7 @@ def fit_typical_region(
         grid = kde.evaluate_grid(model, resolution=resolution)
     z_star = find_level(grid, config.alpha)
     polygons = filter_components(extract_contour(grid, z_star), MIN_COMPONENT_AREA_FRACTION)
-    q25, q75 = np.percentile(pts, [25, 75], axis=0)
-    iqr = q75 - q25
+    iqr = np.array([q75 - q25 for q25, q75 in (quantiles(column, (0.25, 0.75)) for column in pts.T)])
     if np.any(iqr <= 0):
         raise ValueError("training data has zero interquartile range on an axis")
     return TypicalRegion(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from typing import Iterator
 
 import numpy as np
 
@@ -75,12 +76,17 @@ class BottleneckSpec:
         if self.speed_drop <= 0:
             raise ValueError("speed drop must be positive")
 
-    def active(self, minute: int) -> bool:
-        day = minute // 1440
-        if day < self.first_day or (day - self.first_day) % self.period_days != 0:
-            return False
-        tod = minute % 1440
-        return self.start_minute_of_day <= tod < self.start_minute_of_day + self.duration_min
+    def active(self, minutes):
+        """Whether the bottleneck is on at each minute since the series start (an int or
+        an integer array)."""
+        day, tod = np.divmod(minutes, 1440)
+        start = self.start_minute_of_day
+        return (
+            (day >= self.first_day)
+            & ((day - self.first_day) % self.period_days == 0)
+            & (start <= tod)
+            & (tod < start + self.duration_min)
+        )
 
 
 @dataclass(frozen=True)
@@ -130,24 +136,38 @@ class ScenarioConfig:
         return self.weeks * 7 * 1440
 
 
-def backbone_flow(config: ScenarioConfig, density: float) -> float:
-    """Triangular fundamental diagram: flow as a function of density."""
-    if density <= config.critical_density:
-        return config.free_flow_speed * density
-    if density >= config.jam_density:
-        return 0.0
+def backbone_flow(config: ScenarioConfig, density):
+    """Triangular fundamental diagram: flow at each density (a float or an array)."""
+    density = np.asarray(density, dtype=float)
     span = config.jam_density - config.critical_density
-    return config.apex_flow * (config.jam_density - density) / span
+    congested = np.where(density >= config.jam_density, 0.0, config.apex_flow * (config.jam_density - density) / span)
+    return np.where(density <= config.critical_density, config.free_flow_speed * density, congested)[()]
+
+
+def _density(excess: np.ndarray, raw: np.ndarray, rho: float) -> Iterator[float]:
+    """Each minute's link density from the starting density ``rho``: the queue gains
+    ``excess`` vehicles per km (never going below empty, so -inf empties it) and adds to
+    the ``raw`` density, and first-order smoothing keeps transitions sensor-like."""
+    queue = 0.0  # extra vehicles per km stored on the link
+    for gain, base in zip(excess.tolist(), raw.tolist()):
+        queue += gain
+        if queue < 0.0:
+            queue = 0.0
+        rho += (base + queue - rho) / 2.0
+        yield rho
 
 
 def generate(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel]]:
-    """Simulate the scenario minute by minute; returns (stream, labels).
+    """Simulate the scenario; returns (stream, labels).
 
     Congestion is queue-driven: whenever demand exceeds the available
     capacity (cut by an incident, or the diagram apex during oversaturated
     peaks), the excess accumulates as extra density over the link and speed
     degrades gradually as flow-out over total density. Queues discharge at
     the apex rate once capacity returns.
+
+    Every quantity that does not depend on the previous minute is an array
+    operation; only the queue and the density smoothing run minute by minute.
     """
     rng = np.random.default_rng(config.seed)
     n = config.total_minutes
@@ -166,52 +186,38 @@ def generate(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel]]:
     flow_noise = rng.normal(0.0, 1.0, size=n)
     bn_factors = rng.uniform(0.8, 1.2, size=n // 1440 + 2)  # per-occurrence severity jitter
 
-    speeds = np.empty(n)
-    flows = np.empty(n)
-    queue = 0.0  # extra vehicles per km stored on the link
-    rho_prev = config.demand_profile[0] * apex / v_f
+    days = np.tile(np.asarray(config.demand_profile) * apex, (n // 1440, 1))
+    days[np.arange(n // 1440) % 7 >= 5] *= WEEKEND_DEMAND_FACTOR
+    demand = days.ravel()
+    # stored vehicles per km gained (lost, when negative) this minute; the queue cannot go
+    # below empty and discharges at the capacity left after the demand
+    excess = (demand - apex * (1.0 - incident_at)) / 60.0 / link_km
+    raw = demand / v_f  # density before smoothing, without the queue
+
+    bn = config.bottleneck
+    if bn is not None:
+        on = bn.active(np.arange(n))
+        occurrence = (np.flatnonzero(on) // 1440 - bn.first_day) // bn.period_days
+        v_slow = np.maximum(v_f - bn.speed_drop * bn_factors[occurrence], 5.0)
+        excess[on] = -np.inf  # the bottleneck holds no queue
+        raw[on] = np.minimum(demand[on], 0.95 * apex) / v_slow
+
+    rho = np.fromiter(_density(excess, raw, config.demand_profile[0] * apex / v_f), float, n)
+    flows = backbone_flow(config, rho)
+    speeds = np.divide(flows, rho, out=np.full(n, v_f), where=rho > 1e-9)
+    if bn is not None:
+        # a distinct regime: high flow sustained at depressed speed
+        speeds[on] = v_slow
+        flows[on] = v_slow * rho[on]
+    if config.noise_scale > 0.0:
+        # math.exp, not np.exp, whose last bit can differ across builds
+        speeds *= np.fromiter(map(math.exp, (config.noise_scale * speed_noise).tolist()), float, n)
+        flows *= np.fromiter(map(math.exp, (FLOW_JITTER * flow_noise).tolist()), float, n)
+    speeds = np.minimum(np.maximum(speeds, 1.0), 249.0)
     flow_cap = config.capacity_flow * (1.0 + 3.0 * config.noise_scale)
-    for minute in range(n):
-        day = minute // 1440
-        weekday = day % 7
-        demand = config.demand_profile[minute % 1440] * apex
-        if weekday >= 5:
-            demand *= WEEKEND_DEMAND_FACTOR
-
-        bottleneck_on = config.bottleneck is not None and config.bottleneck.active(minute)
-        drop = float(incident_at[minute])
-        capacity_now = apex * (1.0 - drop)
-
-        if bottleneck_on:
-            occurrence = (day - config.bottleneck.first_day) // config.bottleneck.period_days
-            v_slow = max(v_f - config.bottleneck.speed_drop * bn_factors[occurrence], 5.0)
-            rho_raw = min(demand, 0.95 * apex) / v_slow
-            queue = 0.0
-        else:
-            if demand > capacity_now:
-                queue += (demand - capacity_now) / 60.0 / link_km
-            elif queue > 0.0:  # discharge the stored queue at full capacity
-                queue = max(0.0, queue - (capacity_now - demand) / 60.0 / link_km)
-            rho_raw = demand / v_f + queue
-
-        # first-order smoothing keeps transitions sensor-like
-        rho = rho_prev + (rho_raw - rho_prev) / 2.0
-        rho_prev = rho
-        if bottleneck_on:
-            # a distinct regime: high flow sustained at depressed speed
-            speed = v_slow
-            flow = speed * rho
-        else:
-            flow = backbone_flow(config, rho)
-            speed = flow / rho if rho > 1e-9 else v_f
-
-        if config.noise_scale > 0.0:
-            speed *= math.exp(config.noise_scale * speed_noise[minute])
-            flow *= math.exp(FLOW_JITTER * flow_noise[minute])
-        speeds[minute] = min(max(speed, 1.0), 249.0)
-        flows[minute] = min(max(flow, 0.0), flow_cap, 11999.0)
+    flows = np.minimum(np.minimum(np.maximum(flows, 0.0), flow_cap), 11999.0)
     epoch_us = to_epoch_us(SERIES_START) + np.arange(n, dtype=np.int64) * US_PER_MINUTE
-    stream = LinkSeries(config.link_id, epoch_us, speeds, flows, config.link_length_m / 1000.0 / speeds * 3600.0)
+    stream = LinkSeries(config.link_id, epoch_us, speeds, flows, link_km / speeds * 3600.0)
 
     labels = []
     categories = ("accident", "obstruction", "breakdown")
@@ -267,7 +273,7 @@ def plan_incidents(
             continue
         if max(window) > 0.88:  # saturated peak: congestion present without the incident
             continue
-        if avoid is not None and any(avoid.active(m) for m in (start - 60, start, start + dur, start + dur + 60)):
+        if avoid is not None and avoid.active(np.array([start - 60, start, start + dur, start + dur + 60])).any():
             continue
         if any(
             start < other.end_min + min_separation_min and other.start_min < start + dur + min_separation_min

@@ -45,6 +45,21 @@ def test_simulate_is_deterministic(workspace, tmp_path):
     assert a == b
 
 
+@pytest.mark.parametrize("option, value", [("--weeks", "0"), ("--incidents", "-2"), ("--seed", "-5")])
+def test_simulate_rejects_an_out_of_range_option(tmp_path, capsys, monkeypatch, option, value):
+    # checked before any work: neither the incident plan nor the generator runs
+    def fail(*args, **kwargs):
+        raise AssertionError("simulate worked on a rejected option")
+
+    monkeypatch.setattr(cli.simgen, "plan_incidents", fail)
+    monkeypatch.setattr(cli.simgen, "generate", fail)
+    options = {"--weeks": "1", "--incidents": "1", "--seed": "1", option: value}
+    argv = ["simulate", "--out", str(tmp_path / "out")] + [word for pair in options.items() for word in pair]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option} must be at least")
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_report_mass_check(tmp_path, capsys):
     # the canonical scenario: three weeks of training data, alpha 0.05
     assert main(["simulate", "--out", str(tmp_path / "sim3"), "--seed", "5", "--weeks", "3", "--incidents", "0"]) == 0
@@ -757,6 +772,20 @@ def test_operating_commands_do_not_load_numpy_ma(workspace, tmp_path):
         ["evaluate", "--series", series, "--events", events, "--flags", flags, "--flags-b", "dur/flags.csv",
          "--out", "eval"],
         ["plot", "--series", series, "--region", region, "--flags", flags, "--out", "plots"],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for argv in commands:
+        run = subprocess.run(
+            [sys.executable, "-c", MA_GUARD, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+
+
+def test_simulate_and_fit_do_not_load_numpy_ma(tmp_path):
+    # the training IQR of fit comes from the same partition quantiles as the baselines' cuts
+    commands = [
+        ["simulate", "--out", "sim", "--seed", "3", "--weeks", "1", "--incidents", "3", "--bimodal"],
+        ["fit", "--series", "sim/series.csv", "--out", "fit"],
     ]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     for argv in commands:

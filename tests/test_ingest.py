@@ -151,6 +151,8 @@ def write_series_oracle(samples, sink):
     ),
     start=st.integers(-2 * 10**9, 10**9),  # from 1953 on, so some epochs are negative
 )
+@example(rows=[(60, 0, 50.0, 1000.0, 30.0), (60, 0, None, None, None), (1, 0, 0.0, 0.0, 0.0)], start=0)  # whole seconds
+@example(rows=[(60, 0, 50.0, 1000.0, 30.0), (60, 1, 60.5, 900.0, None)], start=-61)
 def test_write_series_matches_row_writer(rows, start):
     assume(all(finite_density(speed, flow) for _, _, speed, flow, _ in rows))
     samples, t = [], T0 + timedelta(seconds=start)

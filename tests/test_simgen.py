@@ -1,22 +1,130 @@
 import io
+import math
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowsentry import simgen
 from flowsentry.baselines import weekly_bins
-from flowsentry.ingest import write_series
+from flowsentry.ingest import US_PER_MINUTE, EventLabel, LinkSeries, to_epoch_us, write_series
 from flowsentry.levelset import RegionConfig, contains_many, fit_typical_region
 from flowsentry.simgen import (
+    FLOW_JITTER,
+    INCIDENT_ONSET_RAMP_MIN,
     SERIES_START,
+    WEEKEND_DEMAND_FACTOR,
     BottleneckSpec,
     IncidentSpec,
     ScenarioConfig,
     backbone_flow,
+    default_demand_profile,
     generate,
     plan_incidents,
 )
+
+
+# --- per-minute oracle -------------------------------------------------------------
+
+
+def active_oracle(spec: BottleneckSpec, minute: int) -> bool:
+    day = minute // 1440
+    if day < spec.first_day or (day - spec.first_day) % spec.period_days != 0:
+        return False
+    tod = minute % 1440
+    return spec.start_minute_of_day <= tod < spec.start_minute_of_day + spec.duration_min
+
+
+def backbone_flow_oracle(config: ScenarioConfig, density: float) -> float:
+    if density <= config.critical_density:
+        return config.free_flow_speed * density
+    if density >= config.jam_density:
+        return 0.0
+    span = config.jam_density - config.critical_density
+    return config.apex_flow * (config.jam_density - density) / span
+
+
+def generate_oracle(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel]]:
+    """The generator as one loop over the minutes, each computed in full from the last."""
+    rng = np.random.default_rng(config.seed)
+    n = config.total_minutes
+    apex = config.apex_flow
+    v_f = config.free_flow_speed
+    link_km = config.link_length_m / 1000.0
+
+    incident_at = np.zeros(n)
+    for spec in config.incidents:
+        if spec.end_min > n:
+            raise ValueError(f"incident at minute {spec.start_min} runs past the series end")
+        ramp = np.minimum(np.arange(1, spec.duration_min + 1) / INCIDENT_ONSET_RAMP_MIN, 1.0)
+        incident_at[spec.start_min : spec.end_min] = spec.capacity_drop * ramp
+
+    speed_noise = rng.normal(0.0, 1.0, size=n)
+    flow_noise = rng.normal(0.0, 1.0, size=n)
+    bn_factors = rng.uniform(0.8, 1.2, size=n // 1440 + 2)  # per-occurrence severity jitter
+
+    speeds = np.empty(n)
+    flows = np.empty(n)
+    queue = 0.0  # extra vehicles per km stored on the link
+    rho_prev = config.demand_profile[0] * apex / v_f
+    flow_cap = config.capacity_flow * (1.0 + 3.0 * config.noise_scale)
+    for minute in range(n):
+        day = minute // 1440
+        weekday = day % 7
+        demand = config.demand_profile[minute % 1440] * apex
+        if weekday >= 5:
+            demand *= WEEKEND_DEMAND_FACTOR
+
+        bottleneck_on = config.bottleneck is not None and active_oracle(config.bottleneck, minute)
+        drop = float(incident_at[minute])
+        capacity_now = apex * (1.0 - drop)
+
+        if bottleneck_on:
+            occurrence = (day - config.bottleneck.first_day) // config.bottleneck.period_days
+            v_slow = max(v_f - config.bottleneck.speed_drop * bn_factors[occurrence], 5.0)
+            rho_raw = min(demand, 0.95 * apex) / v_slow
+            queue = 0.0
+        else:
+            if demand > capacity_now:
+                queue += (demand - capacity_now) / 60.0 / link_km
+            elif queue > 0.0:  # discharge the stored queue at full capacity
+                queue = max(0.0, queue - (capacity_now - demand) / 60.0 / link_km)
+            rho_raw = demand / v_f + queue
+
+        # first-order smoothing keeps transitions sensor-like
+        rho = rho_prev + (rho_raw - rho_prev) / 2.0
+        rho_prev = rho
+        if bottleneck_on:
+            # a distinct regime: high flow sustained at depressed speed
+            speed = v_slow
+            flow = speed * rho
+        else:
+            flow = backbone_flow_oracle(config, rho)
+            speed = flow / rho if rho > 1e-9 else v_f
+
+        if config.noise_scale > 0.0:
+            speed *= math.exp(config.noise_scale * speed_noise[minute])
+            flow *= math.exp(FLOW_JITTER * flow_noise[minute])
+        speeds[minute] = min(max(speed, 1.0), 249.0)
+        flows[minute] = min(max(flow, 0.0), flow_cap, 11999.0)
+    epoch_us = to_epoch_us(SERIES_START) + np.arange(n, dtype=np.int64) * US_PER_MINUTE
+    stream = LinkSeries(config.link_id, epoch_us, speeds, flows, config.link_length_m / 1000.0 / speeds * 3600.0)
+
+    labels = []
+    categories = ("accident", "obstruction", "breakdown")
+    for k, spec in enumerate(sorted(config.incidents, key=lambda s: s.start_min)):
+        labels.append(
+            EventLabel(
+                config.link_id,
+                categories[k % len(categories)],
+                SERIES_START + timedelta(minutes=spec.start_min),
+                SERIES_START + timedelta(minutes=spec.end_min - 1),
+            )
+        )
+    return stream, labels
 
 
 def densities(stream):
@@ -164,3 +272,114 @@ def test_exit_sides_on_fitted_synthetic_region():
     jam = (90.0, backbone_flow(cfg, 90.0))
     assert not contains(region, jam)
     assert exit_side(region, jam) == "right"
+
+
+# --- array generator against the per-minute oracle ---------------------------------
+
+
+@st.composite
+def demand_profiles(draw):
+    """The default profile scaled, with stretches set to a level from empty to four times
+    the apex: an empty road smooths the density down past 1e-9, and a surge over an
+    incident's cut capacity queues the density past jam density."""
+    profile = np.asarray(default_demand_profile()) * draw(st.floats(0.3, 1.5))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, 1439))
+        profile[start : start + draw(st.integers(1, 300))] = draw(st.sampled_from([0.0, 4.0]) | st.floats(0.0, 4.0))
+    return tuple(profile.tolist())
+
+
+@st.composite
+def incident_plans(draw, n: int):
+    """Non-overlapping incidents in any order, the last of them perhaps ending at minute n."""
+    specs, free_from = [], 0
+    drops = st.floats(0.01, 0.99)
+    for gap, duration, drop in draw(st.lists(st.tuples(st.integers(0, 3000), st.integers(1, 240), drops), max_size=4)):
+        if free_from + gap + duration > n:
+            break
+        specs.append(IncidentSpec(free_from + gap, duration, drop))
+        free_from += gap + duration
+    duration = draw(st.integers(1, 240))
+    if draw(st.booleans()) and n - duration >= free_from:
+        specs.append(IncidentSpec(n - duration, duration, draw(drops)))
+    return tuple(draw(st.permutations(specs)))
+
+
+@st.composite
+def bottlenecks(draw):
+    start = draw(st.integers(0, 1439))
+    return BottleneckSpec(
+        period_days=draw(st.integers(1, 4)),
+        speed_drop=draw(st.floats(1.0, 120.0)),
+        start_minute_of_day=start,
+        duration_min=draw(st.just(1440 - start) | st.integers(1, 1500 - start)),  # often to midnight
+        first_day=draw(st.integers(0, 3)),
+    )
+
+
+@st.composite
+def scenarios(draw):
+    weeks = draw(st.integers(1, 2))
+    return ScenarioConfig(
+        seed=draw(st.integers(0, 2**64)),
+        weeks=weeks,
+        demand_profile=draw(demand_profiles()),
+        noise_scale=draw(st.just(0.0) | st.floats(0.001, 0.3)),
+        incidents=draw(incident_plans(weeks * 7 * 1440)),
+        bottleneck=draw(st.none() | bottlenecks()),
+    )
+
+
+EXTREME_PROFILE = default_demand_profile()[:300] + (4.0,) * 60 + default_demand_profile()[360:1140] + (0.0,) * 300
+EXTREME = ScenarioConfig(
+    seed=7,
+    weeks=1,
+    demand_profile=EXTREME_PROFILE,
+    noise_scale=0.0,
+    incidents=(IncidentSpec(400, 120, 0.5), IncidentSpec(7 * 1440 - 30, 30, 0.6)),
+    bottleneck=BottleneckSpec(period_days=2, start_minute_of_day=1200, duration_min=240, first_day=1),
+)
+
+
+def test_extreme_scenario_reaches_jam_and_an_empty_road():
+    stream, _ = generate_oracle(EXTREME)
+    assert EXTREME.incidents[-1].end_min == EXTREME.total_minutes
+    assert np.any((stream.flow == 0.0) & (stream.speed == 1.0))  # density at or past jam
+    v_f = EXTREME.free_flow_speed
+    assert np.sum((stream.speed == v_f) & (stream.flow <= v_f * 1e-9)) > 100  # density at or below 1e-9
+    assert EXTREME.bottleneck.active(1440 + 1439) and not EXTREME.bottleneck.active(2 * 1440)  # on to midnight
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenarios())
+@example(EXTREME)
+@example(replace(EXTREME, noise_scale=0.3, seed=2**64))
+def test_generate_matches_per_minute_oracle(config):
+    stream, labels = generate(config)
+    expected, expected_labels = generate_oracle(config)
+    for column in ("speed", "flow", "travel_time", "epoch_us"):
+        assert getattr(stream, column).tobytes() == getattr(expected, column).tobytes(), column
+    assert labels == expected_labels
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        BottleneckSpec(),
+        BottleneckSpec(period_days=1, start_minute_of_day=1300, duration_min=140, first_day=0),
+        BottleneckSpec(period_days=4, start_minute_of_day=0, duration_min=1440, first_day=3),
+        BottleneckSpec(period_days=2, start_minute_of_day=1439, duration_min=500, first_day=1),
+    ],
+)
+def test_bottleneck_array_form_matches_scalar_form(spec):
+    minutes = range(3 * 7 * 1440)
+    on = spec.active(np.arange(len(minutes)))
+    assert on.dtype == bool
+    assert on.tolist() == [bool(spec.active(m)) for m in minutes] == [active_oracle(spec, m) for m in minutes]
+
+
+def test_backbone_flow_is_element_wise():
+    cfg = ScenarioConfig()
+    density = np.array([0.0, 1e-12, 20.0, cfg.critical_density, 90.0, cfg.jam_density, 400.0])
+    assert backbone_flow(cfg, density).tolist() == [backbone_flow_oracle(cfg, d) for d in density.tolist()]
+    assert backbone_flow(cfg, 90.0) == backbone_flow_oracle(cfg, 90.0)
