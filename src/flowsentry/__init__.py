@@ -7,12 +7,14 @@ mass (``levelset``), stream new data against that region to raise
 severity-ranked deviation flags (``detector``), and benchmark against
 robust-SND and McMaster-style baselines (``baselines``, ``evaluation``).
 ``simgen`` generates labelled synthetic links for desk-scale validation;
-``cli`` wires everything.
+``cli`` wires everything. The density and region queries are array
+functions: ``evaluate_many``, ``contains_many`` and ``distances_and_sides``
+take one point per row, and ``annotate`` scores a whole stream.
 """
 
 __version__ = "0.1.0"
 
-from .detector import DetectorConfig, FlagRow, calibrate_normalizer, severity, track
+from .detector import DetectorConfig, FlagRow, annotate, calibrate_normalizer, track
 from .ingest import (
     EventLabel,
     LinkSeries,
@@ -22,13 +24,11 @@ from .ingest import (
     parse_series,
     read_series,
 )
-from .kde import BandwidthMatrix, DensityGrid, DensityModel, evaluate, evaluate_grid, fit, select_bandwidth
+from .kde import BandwidthMatrix, DensityGrid, DensityModel, evaluate_grid, evaluate_many, fit, select_bandwidth
 from .levelset import (
-    RegionConfig,
     TypicalRegion,
-    contains,
-    distance_to_boundary,
-    exit_side,
+    contains_many,
+    distances_and_sides,
     find_level,
     fit_typical_region,
     mass_above,
@@ -42,15 +42,14 @@ __all__ = [
     "EventLabel",
     "FlagRow",
     "LinkSeries",
-    "RegionConfig",
     "TrafficSample",
     "TypicalRegion",
+    "annotate",
     "calibrate_normalizer",
-    "contains",
-    "distance_to_boundary",
-    "evaluate",
+    "contains_many",
+    "distances_and_sides",
     "evaluate_grid",
-    "exit_side",
+    "evaluate_many",
     "find_level",
     "fit",
     "fit_typical_region",
@@ -60,6 +59,5 @@ __all__ = [
     "parse_series",
     "read_series",
     "select_bandwidth",
-    "severity",
     "track",
 ]

@@ -186,19 +186,17 @@ def cmd_fit(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"alpha {args.alpha} outside (0, 1)")
     pts = _load_series(args.series, args.link).points
-    config = levelset.RegionConfig(alpha=args.alpha)
-    bandwidth = select_bandwidth(pts, args.bandwidth_method)
-    model = kde_fit(pts, bandwidth)
+    model = kde_fit(pts, select_bandwidth(pts, args.bandwidth_method))
     grid = evaluate_grid(model, resolution=grid_resolution())
-    region = levelset.fit_typical_region(pts, config, model=model, grid=grid)
-    region = detector.calibrate_normalizer(region, pts)
+    region = levelset.fit_typical_region(pts, grid=grid, alpha=args.alpha)
+    inside = levelset.contains_many(region, pts)
+    region = detector.calibrate_normalizer(region, pts, inside)
     out = _out_dir(args.out)
     (out / "region.json").write_text(region.to_json(), encoding="utf-8")
-    in_fraction = levelset.contains_many(region, pts).mean()
     print(f"samples: {len(pts)}")
     print(f"z_star: {region.z_star:.6e}")
     print(f"components: {len(region.polygons)}")
-    print(f"in_region_fraction: {in_fraction:.4f}")
+    print(f"in_region_fraction: {inside.mean():.4f}")
     print(f"region: {out / 'region.json'}")
     return EXIT_OK
 

@@ -21,15 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ingest import LinkSeries, ParseError, TrafficSample, datetimes, format_timestamp, open_text, parse_timestamp
-from .levelset import (
-    TypicalRegion,
-    contains,
-    contains_many,
-    distance_to_boundary,
-    distances_and_sides,
-    distances_to_boundary,
-    with_normalizer,
-)
+from .levelset import TypicalRegion, contains_many, distances_and_sides, with_normalizer
 
 # A missing run of at least this many minutes ends an excursion.
 GAP_TERMINATION_MIN = 2
@@ -96,23 +88,14 @@ class FlagRow:
             raise ValueError(f"end {format_timestamp(self.end)} precedes start {format_timestamp(self.start)}")
 
 
-def severity(point, region: TypicalRegion) -> float:
-    """0 inside the region, else boundary distance over the training maximum."""
-    if region.max_training_distance is None:
-        raise UncalibratedRegionError("region has no max_training_distance; calibrate first")
-    if contains(region, point):
-        return 0.0
-    return distance_to_boundary(region, point) / region.max_training_distance
-
-
-def calibrate_normalizer(region: TypicalRegion, points: np.ndarray) -> TypicalRegion:
-    """Set the severity normaliser to the worst training excursion distance."""
+def calibrate_normalizer(region: TypicalRegion, points: np.ndarray, inside: np.ndarray) -> TypicalRegion:
+    """Set the severity normaliser to the worst training excursion distance, where
+    ``inside`` is ``contains_many(region, points)``."""
     if points.shape[0] == 0:
         raise ValueError("no usable training samples")
-    outside = ~contains_many(region, points)
-    if not outside.any():
+    if inside.all():
         raise ValueError("no training sample falls outside the region; cannot calibrate severity")
-    worst = float(distances_to_boundary(region, points[outside]).max())
+    worst = float(distances_and_sides(region, points[~inside])[0].max())
     return with_normalizer(region, worst)
 
 

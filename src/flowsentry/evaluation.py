@@ -99,14 +99,6 @@ def applications(stream: LinkSeries, detector: str) -> int:
     raise ValueError(f"unknown detector {detector!r}")
 
 
-def false_alarm_rate(flags: Intervals, labels: Intervals, n_applications: int) -> float:
-    """Percent of applications whose minute a flag covers and no label does."""
-    if n_applications <= 0:
-        raise UndefinedMetricError("false alarm rate undefined with zero applications")
-    unlabelled = _unlabelled_minutes(flags, np.zeros(flags[0].size, dtype=np.intp), 1, covered_minutes(*labels))
-    return 100.0 * int(unlabelled[0]) / n_applications
-
-
 def _unlabelled_minutes(flags: Intervals, owner: np.ndarray, n_sets: int, labelled: np.ndarray) -> np.ndarray:
     """For each of ``n_sets`` flag sets, the number of distinct minutes its flags cover
     (the rule of ``covered_minutes``) that are not in the sorted minutes ``labelled``.

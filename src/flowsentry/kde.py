@@ -246,11 +246,6 @@ def fit(samples, bandwidth: BandwidthMatrix | np.ndarray) -> DensityModel:
     return DensityModel(pts, bandwidth)
 
 
-def evaluate(model: DensityModel, point) -> float:
-    """Exact KDE value at one point: mean of the N kernel contributions."""
-    return float(evaluate_many(model, np.asarray(point, dtype=float).reshape(1, 2))[0])
-
-
 def evaluate_many(model: DensityModel, points) -> np.ndarray:
     """Exact KDE values at each row of ``points``, chunked over samples."""
     pts = np.asarray(points, dtype=float)

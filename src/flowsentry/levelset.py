@@ -3,29 +3,35 @@
 The typical region is the superlevel set of the fitted density surface at the
 height z*, the largest grid value whose superlevel set encloses at least
 1 - alpha of the probability mass. Its boundary is extracted with marching
-squares on the evaluation grid, small components are dropped, and
-membership / distance / exit-side queries run exactly against the edges of
-the retained polygons. Distances are measured in axis-scaled coordinates
-(each axis divided by its training interquartile range) so severities are
-unitless and comparable across links.
+squares on the evaluation grid and small components are dropped. Each region
+query has one array function, run exactly against the edges of the retained
+polygons: ``contains_many`` for membership, and ``distances_and_sides`` for
+the boundary distance and exit side. A single point is a one-row array.
+Distances are measured in axis-scaled coordinates (each axis divided by its
+training interquartile range) so severities are unitless and comparable
+across links. A region file carries ``schema_version``, which ``from_json``
+checks.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kde
 from .ingest import quantiles
-from .kde import DensityGrid, DensityModel
+from .kde import DensityGrid
 
 # Region queries work on (points x edges) blocks of this many elements, small
 # enough for a block's temporaries to stay in a core's L2 cache. Blocks of 2**21
 # elements ran 1.9x (membership) to 2.5x (distance) slower against a
 # 1,073-vertex region on a Xeon with 2 MiB of L2 per core.
 _QUERY_BLOCK = 2**16
+
+# The layout of the region file that ``TypicalRegion.to_json`` writes and ``from_json`` reads.
+REGION_SCHEMA_VERSION = 1
 
 # Contour components enclosing less than this share of the total area are dropped.
 MIN_COMPONENT_AREA_FRACTION = 0.05
@@ -37,15 +43,6 @@ class TruncatedGridError(ValueError):
 
 class EmptyContourError(ValueError):
     """No grid cell crosses the requested level."""
-
-
-@dataclass(frozen=True)
-class RegionConfig:
-    alpha: float = 0.05
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha {self.alpha} outside (0, 1)")
 
 
 def mass_above(grid: DensityGrid, z: float) -> float:
@@ -236,10 +233,14 @@ class TypicalRegion:
     def __post_init__(self):
         if not self.polygons:
             raise ValueError("region needs at least one polygon")
-        if self.scale_rho <= 0 or self.scale_f <= 0:
-            raise ValueError("axis scales must be positive")
-        if self.max_training_distance is not None and self.max_training_distance <= 0:
-            raise ValueError("max_training_distance must be positive once calibrated")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError(f"alpha {self.alpha} outside (0, 1)")
+        positive = {"z_star": self.z_star, "scale_rho": self.scale_rho, "scale_f": self.scale_f}
+        if self.max_training_distance is not None:
+            positive["max_training_distance"] = self.max_training_distance
+        for name, value in positive.items():
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} {value} must be positive and finite")
         polys = tuple(np.asarray(p, dtype=float) for p in self.polygons)
         for p in polys:
             if p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 4:
@@ -254,6 +255,7 @@ class TypicalRegion:
 
     def to_json(self) -> str:
         payload = {
+            "schema_version": REGION_SCHEMA_VERSION,
             "alpha": self.alpha,
             "z_star": self.z_star,
             "scale_rho": self.scale_rho,
@@ -266,6 +268,10 @@ class TypicalRegion:
     @classmethod
     def from_json(cls, text: str) -> "TypicalRegion":
         payload = json.loads(text)
+        version = payload.get("schema_version") if isinstance(payload, dict) else None
+        if type(version) is not int or version != REGION_SCHEMA_VERSION:
+            found = "no schema_version" if version is None else f"schema_version {version!r}"
+            raise ValueError(f"{found}; this version reads schema_version {REGION_SCHEMA_VERSION}")
         return cls(
             z_star=payload["z_star"],
             alpha=payload["alpha"],
@@ -281,11 +287,6 @@ def _point_array(points) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (M, 2)")
     return pts
-
-
-def contains(region: TypicalRegion, point) -> bool:
-    """Ray-casting membership test; the boundary counts as inside."""
-    return bool(contains_many(region, np.asarray(point, dtype=float).reshape(1, 2))[0])
 
 
 def contains_many(region: TypicalRegion, points) -> np.ndarray:
@@ -399,51 +400,28 @@ def distances_and_sides(region: TypicalRegion, points) -> tuple[np.ndarray, np.n
     return np.hypot(offsets[:, 0], offsets[:, 1]), np.where(left, "left", "right")
 
 
-def distance_to_boundary(region: TypicalRegion, point) -> float:
-    """Scaled Euclidean distance to the nearest boundary point."""
-    return float(distances_to_boundary(region, np.asarray(point, dtype=float).reshape(1, 2))[0])
-
-
 def distances_to_boundary(region: TypicalRegion, points) -> np.ndarray:
-    """Vectorised distance_to_boundary."""
+    """The distances of ``distances_and_sides``; ``perfbench/tracer.py`` names it."""
     return distances_and_sides(region, points)[0]
 
 
-def exit_side(region: TypicalRegion, point) -> str:
-    """Which side of the boundary an exterior point left through (see distances_and_sides)."""
-    if contains(region, point):
-        raise ValueError("exit_side is defined only for exterior points")
-    return str(exit_sides(region, np.asarray(point, dtype=float).reshape(1, 2))[0])
-
-
 def exit_sides(region: TypicalRegion, points) -> np.ndarray:
-    """Vectorised exit_side; callers must pass exterior points only."""
+    """The sides of ``distances_and_sides``; ``perfbench/tracer.py`` names it."""
     return distances_and_sides(region, points)[1]
 
 
-def fit_typical_region(
-    samples,
-    config: RegionConfig = RegionConfig(),
-    *,
-    bandwidth_method: str = "normal_reference",
-    resolution: tuple[int, int] = kde.GRID_RESOLUTION,
-    model: DensityModel | None = None,
-    grid: DensityGrid | None = None,
-) -> TypicalRegion:
-    """Full pipeline: KDE fit, grid, level search, contour, component filter."""
+def fit_typical_region(samples, grid: DensityGrid, alpha: float = 0.05) -> TypicalRegion:
+    """The region of a KDE grid of ``samples``: level search, contour, component filter,
+    and the samples' interquartile ranges as axis scales."""
     pts = np.asarray(samples, dtype=float)
-    if model is None:
-        model = kde.fit(pts, kde.select_bandwidth(pts, bandwidth_method))
-    if grid is None:
-        grid = kde.evaluate_grid(model, resolution=resolution)
-    z_star = find_level(grid, config.alpha)
+    z_star = find_level(grid, alpha)
     polygons = filter_components(extract_contour(grid, z_star), MIN_COMPONENT_AREA_FRACTION)
     iqr = np.array([q75 - q25 for q25, q75 in (quantiles(column, (0.25, 0.75)) for column in pts.T)])
     if np.any(iqr <= 0):
         raise ValueError("training data has zero interquartile range on an axis")
     return TypicalRegion(
         z_star=z_star,
-        alpha=config.alpha,
+        alpha=alpha,
         polygons=tuple(polygons),
         scale_rho=float(iqr[0]),
         scale_f=float(iqr[1]),

@@ -22,14 +22,9 @@ from flowsentry.baselines import (
 )
 from flowsentry.detector import DetectorConfig, annotate, calibrate_normalizer, track_annotated
 from flowsentry.ingest import LinkSeries, TrafficSample, datetimes, nonrecurrent_filter, to_epoch_us
-from flowsentry.levelset import (
-    RegionConfig,
-    TypicalRegion,
-    contains_many,
-    distance_to_boundary,
-    fit_typical_region,
-)
+from flowsentry.levelset import TypicalRegion, contains_many, distances_and_sides, fit_typical_region
 from flowsentry.simgen import SERIES_START, BottleneckSpec, ScenarioConfig, generate, plan_incidents
+from region_helpers import density_grid, exact_segment_distance, winding_number_inside
 
 MONDAY = SERIES_START
 
@@ -102,37 +97,13 @@ def test_criterion_03_reference_tests():
 def test_criterion_04_level_set_analytic_oracle():
     t0 = time.perf_counter()
     pts = np.random.default_rng(4).standard_normal((100_000, 2))
-    region = fit_typical_region(pts, RegionConfig(alpha=0.05), resolution=(512, 512))
+    region = fit_typical_region(pts, grid=density_grid(pts, (512, 512)))
     fraction = contains_many(region, pts).mean()
     elapsed = time.perf_counter() - t0
     z_expected = 0.05 / (2.0 * math.pi)
     rel = abs(region.z_star - z_expected) / z_expected
     ok = rel <= 0.03 and abs(fraction - 0.95) <= 0.01 and elapsed < 30.0
     verdict(4, ok, f"z* rel err {rel:.4f} (<=0.03), fraction {fraction:.4f} (0.95+/-0.01), {elapsed:.1f}s (<30s)")
-
-
-def _winding_inside(point, polygon) -> bool:
-    wn = 0
-    px, py = point
-    for (ax, ay), (bx, by) in zip(polygon[:-1], polygon[1:]):
-        left = (bx - ax) * (py - ay) - (px - ax) * (by - ay)
-        if ay <= py:
-            if by > py and left > 0:
-                wn += 1
-        elif by <= py and left < 0:
-            wn -= 1
-    return wn != 0
-
-
-def _segment_distance(point, polygon) -> float:
-    p = np.asarray(point, dtype=float)
-    best = math.inf
-    for a, b in zip(polygon[:-1], polygon[1:]):
-        a = np.asarray(a, dtype=float)
-        d = np.asarray(b, dtype=float) - a
-        t = np.clip(np.dot(p - a, d) / np.dot(d, d), 0.0, 1.0)
-        best = min(best, float(np.hypot(*(p - a - t * d))))
-    return best
 
 
 def test_criterion_05_geometry_oracles():
@@ -146,7 +117,7 @@ def test_criterion_05_geometry_oracles():
         region = TypicalRegion(z_star=1.0, alpha=0.05, polygons=(poly,), scale_rho=1.0, scale_f=1.0)
         points = rng.uniform(-2.5, 2.5, size=(100, 2))
         ours = contains_many(region, points)
-        oracle = np.array([_winding_inside(p, poly) for p in points])
+        oracle = np.array([winding_number_inside(p, poly) for p in points])
         disagreements += int((ours != oracle).sum())
 
     angles = np.sort(rng.uniform(0, 2 * math.pi, 20))
@@ -154,9 +125,9 @@ def test_criterion_05_geometry_oracles():
     poly = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     poly = np.vstack([poly, poly[:1]])
     region = TypicalRegion(z_star=1.0, alpha=0.05, polygons=(poly,), scale_rho=1.0, scale_f=1.0)
-    worst = 0.0
-    for p in rng.uniform(-3, 3, size=(100, 2)):
-        worst = max(worst, abs(distance_to_boundary(region, p) - _segment_distance(p, poly)))
+    points = rng.uniform(-3, 3, size=(100, 2))
+    distances = distances_and_sides(region, points)[0]
+    worst = max(abs(d - exact_segment_distance(p, poly)) for p, d in zip(points, distances))
     ok = disagreements == 0 and worst <= 1e-12
     verdict(
         5,
@@ -189,21 +160,17 @@ def test_criterion_06_kde_normalization_and_invariances():
     pts = rng.standard_normal((400, 2))
     sym = np.vstack([pts, -pts])
     model = kde.fit(sym, kde.select_bandwidth(sym))
-    sym_err = 0.0
-    for probe in rng.uniform(-2, 2, size=(20, 2)):
-        a = kde.evaluate(model, probe)
-        b = kde.evaluate(model, -probe)
-        sym_err = max(sym_err, abs(a - b) / max(a, b, 1e-300))
+    probes = rng.uniform(-2, 2, size=(20, 2))
+    a, b = kde.evaluate_many(model, probes), kde.evaluate_many(model, -probes)
+    sym_err = float(np.max(np.abs(a - b) / np.maximum(np.maximum(a, b), 1e-300)))
 
     bw = kde.select_bandwidth(pts)
     shift = np.array([311.0, -47.0])
     base = kde.fit(pts, bw)
     moved = kde.fit(pts + shift, bw)
-    trans_err = 0.0
-    for probe in rng.uniform(-2, 2, size=(20, 2)):
-        a = kde.evaluate(base, probe)
-        b = kde.evaluate(moved, probe + shift)
-        trans_err = max(trans_err, abs(a - b) / max(a, abs(b), 1e-300))
+    probes = rng.uniform(-2, 2, size=(20, 2))
+    a, b = kde.evaluate_many(base, probes), kde.evaluate_many(moved, probes + shift)
+    trans_err = float(np.max(np.abs(a - b) / np.maximum(np.maximum(a, np.abs(b)), 1e-300)))
 
     ok = worst_integral_gap <= 0.01 and sym_err <= 1e-9 and trans_err <= 1e-9
     verdict(
@@ -235,7 +202,7 @@ def test_criterion_07_stability_over_disjoint_windows():
         lo = MONDAY + timedelta(days=21 * w)
         hi = MONDAY + timedelta(days=21 * (w + 1))
         pts = window(stream, lo, hi).points
-        regions.append(fit_typical_region(pts, RegionConfig(alpha=0.05), resolution=(256, 256)))
+        regions.append(fit_typical_region(pts, grid=density_grid(pts)))
     ratios = []
     for i in range(3):
         for j in range(i + 1, 3):
@@ -258,8 +225,8 @@ def _split_scenario(seed: int, incidents, bottleneck=None):
 
 def _fit_and_calibrate(train, train_labels):
     pts = train.points
-    region = fit_typical_region(pts, RegionConfig(alpha=0.05), resolution=(256, 256))
-    region = calibrate_normalizer(region, pts)
+    region = fit_typical_region(pts, grid=density_grid(pts))
+    region = calibrate_normalizer(region, pts, contains_many(region, pts))
     calibration = ev.calibrate_dftb(train, region, train_labels)
     return region, calibration
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -366,8 +367,10 @@ def test_five_minute_cadence_exit_2(workspace, tmp_path, capsys):
     [
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "z_star"}), "missing key 'z_star'"),
         (lambda text: "not json", "Expecting value"),
+        (lambda text: text.replace('{"schema_version": 1, ', "{", 1), "no schema_version"),
+        (lambda text: text.replace('"schema_version": 1', '"schema_version": 2', 1), "schema_version 2"),
     ],
-    ids=["no_z_star", "not_json"],
+    ids=["no_z_star", "not_json", "no_schema_version", "schema_version_2"],
 )
 def test_detect_bad_region_file_exit_2(workspace, tmp_path, capsys, mangle, problem):
     bad = tmp_path / "region.json"
@@ -391,6 +394,29 @@ def test_detect_bad_region_file_exit_2(workspace, tmp_path, capsys, mangle, prob
     err = capsys.readouterr().err
     assert f"bad region file {bad}" in err
     assert problem in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("scale_rho", math.nan),
+        ("scale_rho", math.inf),
+        ("max_training_distance", math.nan),
+        ("max_training_distance", math.inf),
+        ("alpha", 7),
+        ("z_star", -1),
+    ],
+)
+def test_detect_region_field_out_of_range_exit_2(workspace, tmp_path, capsys, field, value):
+    payload = json.loads((workspace / "fit" / "region.json").read_text())
+    payload[field] = value
+    bad = tmp_path / "region.json"
+    bad.write_text(json.dumps(payload))
+    argv = ["detect", "--series", str(workspace / "sim" / "series.csv"), "--region", str(bad),
+            "--mode", "severity", "--threshold", "0.2", "--out", str(tmp_path / "d")]
+    assert main(argv) == 2
+    assert f"bad region file {bad}: {field} " in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def mangle_row(path, row, column, value):

@@ -17,14 +17,14 @@ from flowsentry.detector import (
     calibrate_normalizer,
     duration_threshold_from_percentile,
     read_flags_csv,
-    severity,
     track,
     track_annotated,
     write_excursions_csv,
     write_flags_csv,
 )
 from flowsentry.ingest import EventLabel, LinkSeries, TrafficSample, datetimes, to_epoch_us
-from flowsentry.levelset import TypicalRegion, contains
+from flowsentry.levelset import TypicalRegion, contains_many
+from region_helpers import exact_segment_distance, winding_number_inside
 
 T0 = datetime(2017, 4, 3, 8, 0, tzinfo=timezone.utc)
 
@@ -67,6 +67,11 @@ DUR_CFG = DetectorConfig("duration_threshold", duration_threshold_min=3)
 # --- severity -------------------------------------------------------------------
 
 
+def severity(point, r):
+    """The severity ``annotate`` gives a one-minute stream at ``point``."""
+    return float(annotate(LinkSeries.from_samples(series([point])), r).severity[0])
+
+
 def test_severity_zero_inside():
     assert severity(INTERIOR, region()) == 0.0
 
@@ -93,14 +98,15 @@ def test_severity_requires_calibration():
 def test_calibrate_normalizer_takes_maximum():
     r = TypicalRegion(z_star=0.5, alpha=0.05, polygons=(UNIT_SQUARE,), scale_rho=1.0, scale_f=1.0)
     pts = np.array([[0.5, 1.2], [0.5, 1.5], [0.5, 1.1], [0.5, 0.5]])
-    calibrated = calibrate_normalizer(r, pts)
+    calibrated = calibrate_normalizer(r, pts, contains_many(r, pts))
     assert calibrated.max_training_distance == pytest.approx(0.5, abs=0.01)
 
 
 def test_calibrate_normalizer_all_interior_errors():
     r = TypicalRegion(z_star=0.5, alpha=0.05, polygons=(UNIT_SQUARE,), scale_rho=1.0, scale_f=1.0)
+    pts = np.array([[0.5, 0.5], [0.2, 0.8]])
     with pytest.raises(ValueError, match="outside"):
-        calibrate_normalizer(r, np.array([[0.5, 0.5], [0.2, 0.8]]))
+        calibrate_normalizer(r, pts, contains_many(r, pts))
 
 
 def test_calibrate_normalizer_monotone_under_superset():
@@ -108,8 +114,8 @@ def test_calibrate_normalizer_monotone_under_superset():
     base = np.array([[0.5, 1.2], [0.5, 1.3]])
     extended = np.vstack([base, [[0.5, 1.9], [2.5, 0.5]]])
     assert (
-        calibrate_normalizer(r, extended).max_training_distance
-        >= calibrate_normalizer(r, base).max_training_distance
+        calibrate_normalizer(r, extended, contains_many(r, extended)).max_training_distance
+        >= calibrate_normalizer(r, base, contains_many(r, base)).max_training_distance
     )
 
 
@@ -205,10 +211,11 @@ def test_severity_mode_onset_matches_replay_oracle():
     excursions, flags = track(series(pts), r, DetectorConfig("severity_threshold", severity_threshold=threshold))
     assert len(flags) == 1
 
-    # oracle: straight-line replay with the scalar API
+    # oracle: straight-line replay, one point at a time, with loop geometry
     onset = None
     for k, p in enumerate(pts):
-        if not contains(r, p) and severity(p, r) >= threshold:
+        outside = not winding_number_inside(p, UNIT_SQUARE)
+        if outside and exact_segment_distance(p, UNIT_SQUARE) / r.max_training_distance >= threshold:
             onset = T0 + timedelta(minutes=k)
             break
     assert flags[0].start == onset

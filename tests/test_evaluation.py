@@ -32,7 +32,7 @@ def score(flags, labels):
 
 
 def far(flags, labels, n_applications):
-    return ev.false_alarm_rate(pair(flags), ev.intervals_us(labels), n_applications)
+    return ev.score_detector(pair(flags), ev.intervals_us(labels), n_applications).far
 
 
 def overlaps(flag, lab):
@@ -200,8 +200,8 @@ def test_far_all_flags_inside_labels():
 
 
 def test_far_zero_applications_error():
-    with pytest.raises(ev.UndefinedMetricError):
-        far([], [], 0)
+    with pytest.raises(ev.UndefinedMetricError, match="zero applications"):
+        far([], [label(0, 10)], 0)
 
 
 # --- mean time to detect ----------------------------------------------------------
@@ -704,14 +704,13 @@ def test_calibrate_mcmaster_matches_per_point_loop(simulated_link, grid_blocks):
 
 def test_calibrate_dftb_matches_per_threshold_loop(simulated_link):
     from flowsentry.detector import annotate, calibrate_normalizer, segment
-    from flowsentry.levelset import TypicalRegion
+    from flowsentry.levelset import TypicalRegion, contains_many
 
     stream, labels = simulated_link
     (r0, r1), (f0, f1) = (np.percentile(column, [10, 90]) for column in stream.points.T)
     box = np.array([[r0, f0], [r1, f0], [r1, f1], [r0, f1], [r0, f0]])
-    region = calibrate_normalizer(
-        TypicalRegion(z_star=1.0, alpha=0.05, polygons=(box,), scale_rho=r1 - r0, scale_f=f1 - f0), stream.points
-    )
+    region = TypicalRegion(z_star=1.0, alpha=0.05, polygons=(box,), scale_rho=r1 - r0, scale_f=f1 - f0)
+    region = calibrate_normalizer(region, stream.points, contains_many(region, stream.points))
     series = annotate(stream, region)
     found = segment(series)
     label_us, n = ev.intervals_us(labels), ev.applications(stream, "dftb")

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 from unittest import mock
@@ -11,15 +12,10 @@ from flowsentry import kde, levelset
 from flowsentry.kde import DensityGrid
 from flowsentry.levelset import (
     EmptyContourError,
-    RegionConfig,
     TruncatedGridError,
     TypicalRegion,
-    contains,
     contains_many,
-    distance_to_boundary,
-    distances_to_boundary,
-    exit_side,
-    exit_sides,
+    distances_and_sides,
     extract_contour,
     filter_components,
     find_level,
@@ -27,6 +23,7 @@ from flowsentry.levelset import (
     mass_above,
     polygon_area,
 )
+from region_helpers import density_grid, exact_segment_distance, exit_side_oracle, winding_number_inside
 
 
 def analytic_normal_grid(half_width=6.0, resolution=512):
@@ -203,30 +200,28 @@ def test_filter_empty_input_errors():
 # --- membership -----------------------------------------------------------------
 
 
+def inside(region, point):
+    return bool(contains_many(region, [point])[0])
+
+
+def distance(region, point):
+    return float(distances_and_sides(region, [point])[0][0])
+
+
+def side(region, point):
+    return str(distances_and_sides(region, [point])[1][0])
+
+
 def test_unit_square_membership():
     region = square_region()
-    assert contains(region, (0.5, 0.5))
-    assert not contains(region, (2.0, 2.0))
+    assert inside(region, (0.5, 0.5))
+    assert not inside(region, (2.0, 2.0))
 
 
 def test_boundary_counts_as_inside():
     region = square_region()
-    assert contains(region, (0.0, 0.0))  # vertex
-    assert contains(region, (0.5, 0.0))  # edge midpoint
-
-
-def winding_number_inside(point, polygon):
-    """Independent oracle: nonzero winding number means inside."""
-    wn = 0
-    px, py = point
-    for (ax, ay), (bx, by) in zip(polygon[:-1], polygon[1:]):
-        is_left = (bx - ax) * (py - ay) - (px - ax) * (by - ay)
-        if ay <= py:
-            if by > py and is_left > 0:
-                wn += 1
-        elif by <= py and is_left < 0:
-            wn -= 1
-    return wn != 0
+    assert inside(region, (0.0, 0.0))  # vertex
+    assert inside(region, (0.5, 0.0))  # edge midpoint
 
 
 def random_simple_polygon(rng, n_vertices=20):
@@ -387,59 +382,27 @@ def test_region_rejects_non_finite_polygon():
 
 def test_distance_zero_on_vertex():
     region = square_region()
-    assert distance_to_boundary(region, (0.0, 0.0)) == 0.0
+    assert distance(region, (0.0, 0.0)) == 0.0
 
 
 def test_distance_above_square():
     region = square_region()
-    assert distance_to_boundary(region, (0.5, 1.5)) == pytest.approx(0.5, abs=1e-12)
+    assert distance(region, (0.5, 1.5)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_distance_zero_implies_contains():
     region = square_region()
     for p in [(0.0, 0.5), (1.0, 1.0), (0.25, 0.0)]:
-        if distance_to_boundary(region, p) == 0.0:
-            assert contains(region, p)
-
-
-def exact_segment_distance(point, polygon):
-    """Oracle: exact point-to-segment projection distance over all edges."""
-    p = np.asarray(point, dtype=float)
-    best = math.inf
-    for a, b in zip(polygon[:-1], polygon[1:]):
-        a = np.asarray(a, dtype=float)
-        d = np.asarray(b, dtype=float) - a
-        if not d.any():
-            continue  # a repeated vertex adds no edge
-        t = np.clip(np.dot(p - a, d) / np.dot(d, d), 0.0, 1.0)
-        best = min(best, float(np.hypot(*(p - a - t * d))))
-    return best
-
-
-def exit_side_oracle(point, polygon):
-    """Oracle: side of the offset from the first nearest point over all edges."""
-    px, py = point
-    best, offset = math.inf, None
-    for (ax, ay), (bx, by) in zip(polygon[:-1], polygon[1:]):
-        dx, dy = bx - ax, by - ay
-        if dx == 0.0 and dy == 0.0:
-            continue
-        t = min(max(((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy), 0.0), 1.0)
-        ox, oy = px - ax - t * dx, py - ay - t * dy
-        if ox * ox + oy * oy < best:
-            best, offset = ox * ox + oy * oy, (ox, oy)
-    return "left" if offset[0] <= 0.0 and offset[1] >= 0.0 else "right"
+        if distance(region, p) == 0.0:
+            assert inside(region, p)
 
 
 def test_distance_matches_projection_oracle():
     rng = np.random.default_rng(7)
     poly = random_simple_polygon(rng, n_vertices=17)
     region = TypicalRegion(z_star=1.0, alpha=0.05, polygons=(poly,), scale_rho=1.0, scale_f=1.0)
-    points = rng.uniform(-3, 3, size=(100, 2))
-    for p in points:
-        ours = distance_to_boundary(region, p)
-        oracle = exact_segment_distance(p, poly)
-        assert abs(ours - oracle) <= 1e-12
+    for p in rng.uniform(-3, 3, size=(100, 2)):
+        assert abs(distance(region, p) - exact_segment_distance(p, poly)) <= 1e-12
 
 
 @pytest.mark.parametrize("repeat_vertex", [False, True], ids=["simple", "repeated_vertex"])
@@ -456,20 +419,19 @@ def test_distances_and_sides_match_loop_oracles(repeat_vertex, scale):
         nudges = 1e-4 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
         near = (poly[:-1, None, :] / scale + nudges).reshape(-1, 2)
         points = np.vstack([rng.uniform(-3, 3, size=(300, 2)), near]) * scale
-        exterior = points[~contains_many(region, points)]
-        distances = distances_to_boundary(region, points)
-        sides = exit_sides(region, exterior)
+        exterior = ~contains_many(region, points)
+        distances, sides = distances_and_sides(region, points)
         for p, d in zip(points, distances):
             assert abs(d - exact_segment_distance(p / scale, poly / scale)) <= 1e-12
-        oracle_sides = [exit_side_oracle(p / scale, poly / scale) for p in exterior]
-        assert list(sides) == oracle_sides
+        oracle_sides = [exit_side_oracle(p / scale, poly / scale) for p in points[exterior]]
+        assert list(sides[exterior]) == oracle_sides
         assert {"left", "right"} <= set(oracle_sides)
 
 
 def test_distance_uses_axis_scales():
     region = square_region(scale_rho=2.0, scale_f=1.0)
     # point 1.0 to the right of the right edge: scaled gap is 0.5
-    assert distance_to_boundary(region, (2.0, 0.5)) == pytest.approx(0.5, abs=1e-12)
+    assert distance(region, (2.0, 0.5)) == pytest.approx(0.5, abs=1e-12)
 
 
 # --- exit side ------------------------------------------------------------------
@@ -477,14 +439,9 @@ def test_distance_uses_axis_scales():
 
 def test_exit_side_rules():
     region = square_region()
-    assert exit_side(region, (-0.5, 1.5)) == "left"  # above-left of nearest corner
-    assert exit_side(region, (1.5, 0.5)) == "right"  # density beyond the boundary
-    assert exit_side(region, (0.5, -0.5)) == "right"  # below: flow lower than boundary
-
-
-def test_exit_side_interior_point_rejected():
-    with pytest.raises(ValueError, match="exterior"):
-        exit_side(square_region(), (0.5, 0.5))
+    assert side(region, (-0.5, 1.5)) == "left"  # above-left of nearest corner
+    assert side(region, (1.5, 0.5)) == "right"  # density beyond the boundary
+    assert side(region, (0.5, -0.5)) == "right"  # below: flow lower than boundary
 
 
 # --- fitted regions -------------------------------------------------------------
@@ -494,7 +451,7 @@ def test_exit_side_interior_point_rejected():
 def fitted_region_and_samples():
     rng = np.random.default_rng(99)
     pts = rng.standard_normal((20_000, 2)) @ np.array([[3.0, 0.0], [1.0, 40.0]]).T + np.array([30.0, 2000.0])
-    region = fit_typical_region(pts, RegionConfig(alpha=0.05), resolution=(256, 256))
+    region = fit_typical_region(pts, grid=density_grid(pts))
     return region, pts
 
 
@@ -509,8 +466,8 @@ def test_fitted_region_json_round_trip_bit_identical(fitted_region_and_samples):
     back = TypicalRegion.from_json(region.to_json())
     probes = np.random.default_rng(5).uniform([10, 1000], [60, 3500], size=(200, 2))
     np.testing.assert_array_equal(contains_many(region, probes), contains_many(back, probes))
-    for p in probes[:20]:
-        assert distance_to_boundary(region, p) == distance_to_boundary(back, p)
+    for a, b in zip(distances_and_sides(region, probes), distances_and_sides(back, probes)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_region_rejects_polygon_without_extent():
@@ -520,8 +477,43 @@ def test_region_rejects_polygon_without_extent():
 
 
 def test_region_config_validation():
-    with pytest.raises(ValueError):
-        RegionConfig(alpha=1.5)
+    with pytest.raises(ValueError, match="alpha"):
+        fit_typical_region(np.zeros((4, 2)), GRID, alpha=1.5)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("alpha", 0.0),
+        ("alpha", 1.0),
+        ("z_star", 0.0),
+        ("z_star", math.nan),
+        ("scale_rho", math.inf),
+        ("scale_f", -1.0),
+        ("max_training_distance", math.nan),
+        ("max_training_distance", 0.0),
+    ],
+)
+def test_region_rejects_out_of_range_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        square_region(**{field: value})
+
+
+def test_region_file_carries_schema_version():
+    text = square_region(max_training_distance=0.5).to_json()
+    assert json.loads(text)["schema_version"] == levelset.REGION_SCHEMA_VERSION == 1
+    assert TypicalRegion.from_json(text).to_json() == text
+
+
+@pytest.mark.parametrize("version", [None, 0, 2, "1", 1.0, True])
+def test_region_file_rejects_missing_or_unknown_schema_version(version):
+    payload = json.loads(square_region().to_json())
+    if version is None:
+        del payload["schema_version"]
+    else:
+        payload["schema_version"] = version
+    with pytest.raises(ValueError, match="schema_version"):
+        TypicalRegion.from_json(json.dumps(payload))
 
 
 def region_overlap(region_a: TypicalRegion, region_b: TypicalRegion, resolution: int = 256) -> tuple[float, float]:

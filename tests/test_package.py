@@ -1,0 +1,16 @@
+"""The package's public names: ``flowsentry.__all__``."""
+
+import flowsentry
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from flowsentry import *", namespace)  # fails on a listed name the package lacks
+    assert sorted(flowsentry.__all__) == sorted(set(flowsentry.__all__))
+    assert all(namespace[name] is getattr(flowsentry, name) for name in flowsentry.__all__)
+
+
+def test_public_queries_take_arrays_only():
+    single_point = {"contains", "distance_to_boundary", "exit_side", "severity", "evaluate", "false_alarm_rate"}
+    assert single_point.isdisjoint(flowsentry.__all__)
+    assert {"contains_many", "distances_and_sides", "evaluate_many", "annotate"} <= set(flowsentry.__all__)

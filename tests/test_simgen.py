@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from flowsentry import simgen
 from flowsentry.baselines import weekly_bins
 from flowsentry.ingest import US_PER_MINUTE, EventLabel, LinkSeries, to_epoch_us, write_series
-from flowsentry.levelset import RegionConfig, contains_many, fit_typical_region
+from flowsentry.levelset import contains_many, distances_and_sides, fit_typical_region
 from flowsentry.simgen import (
     FLOW_JITTER,
     INCIDENT_ONSET_RAMP_MIN,
@@ -25,6 +25,7 @@ from flowsentry.simgen import (
     generate,
     plan_incidents,
 )
+from region_helpers import density_grid, exit_side_oracle, winding_number_inside
 
 
 # --- per-minute oracle -------------------------------------------------------------
@@ -159,7 +160,7 @@ def test_zero_noise_region_encloses_samples():
     cfg = ScenarioConfig(seed=3, weeks=3, noise_scale=0.0)
     stream, _ = generate(cfg)
     pts = stream.points
-    region = fit_typical_region(pts, RegionConfig(0.05), resolution=(256, 256))
+    region = fit_typical_region(pts, grid=density_grid(pts))
     assert contains_many(region, pts).mean() >= 0.95
 
 
@@ -258,20 +259,21 @@ def test_samples_have_travel_time():
 
 
 def test_exit_sides_on_fitted_synthetic_region():
-    from flowsentry.levelset import contains, exit_side
-
     cfg = ScenarioConfig(seed=13, weeks=3)
     stream, _ = generate(cfg)
     pts = stream.points
-    region = fit_typical_region(pts, RegionConfig(0.05), resolution=(256, 256))
-    # a low-density high-flow surge is atypically good: the left side
+    region = fit_typical_region(pts, grid=density_grid(pts))
+    (poly,) = region.polygons
+    scale = np.array([region.scale_rho, region.scale_f])
+    # a low-density high-flow surge is atypically good: the left side; queued
+    # congestion (high density, depressed flow) exits right
     surge = (12.0, 2.0 * cfg.free_flow_speed * 12.0)
-    assert not contains(region, surge)
-    assert exit_side(region, surge) == "left"
-    # queued congestion (high density, depressed flow) exits right
     jam = (90.0, backbone_flow(cfg, 90.0))
-    assert not contains(region, jam)
-    assert exit_side(region, jam) == "right"
+    points = np.array([surge, jam])
+    assert not contains_many(region, points).any()
+    assert not any(winding_number_inside(p, poly) for p in points)
+    oracle_sides = [exit_side_oracle(p / scale, poly / scale) for p in points]
+    assert list(distances_and_sides(region, points)[1]) == oracle_sides == ["left", "right"]
 
 
 # --- array generator against the per-minute oracle ---------------------------------
