@@ -122,13 +122,16 @@ def grid_resolution() -> tuple[int, int]:
 
 
 def _load_region(path: str) -> levelset.TypicalRegion:
-    """A fitted region file; a missing key, a wrong type or bad JSON is a usage error."""
+    """A fitted region file; a missing key, a wrong type, bad JSON or no normaliser is a usage error."""
     text = _require_file(path).read_text(encoding="utf-8")
     try:
-        return levelset.TypicalRegion.from_json(text)
+        region = levelset.TypicalRegion.from_json(text)
     except (KeyError, TypeError, ValueError) as exc:
         problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise UsageError(f"bad region file {path}: {problem}") from None
+    if region.max_training_distance is None:
+        raise UsageError(f"bad region file {path}: max_training_distance null; fit writes it calibrated")
+    return region
 
 
 def _read_series(path: str) -> dict[str, ingest.LinkSeries]:

@@ -46,10 +46,10 @@ class DegenerateDataError(ValueError):
 
 @dataclass(frozen=True)
 class BandwidthMatrix:
-    """Symmetric positive-definite 2x2 bandwidth (squared length scales)."""
+    """Symmetric positive-definite 2x2 bandwidth (squared length scales), with its
+    determinant m00*m11 - m01^2 and inverse (the adjugate over it) written out, free of BLAS."""
 
     matrix: np.ndarray
-    cholesky: np.ndarray = field(init=False, repr=False, compare=False)
     inverse: np.ndarray = field(init=False, repr=False, compare=False)
     det: float = field(init=False, repr=False, compare=False)
 
@@ -57,18 +57,23 @@ class BandwidthMatrix:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (2, 2):
             raise ValueError(f"bandwidth matrix must be 2x2, got {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("bandwidth matrix must be finite")
         if not np.allclose(m, m.T, rtol=1e-12, atol=0.0):
             raise ValueError("bandwidth matrix must be symmetric")
         m = 0.5 * (m + m.T)
         m.setflags(write=False)
-        try:
-            chol = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError:
-            raise ValueError("bandwidth matrix must be positive definite") from None
+        m00, m01, m11 = float(m[0, 0]), float(m[0, 1]), float(m[1, 1])
+        det = m00 * m11 - m01 * m01
+        if not (m00 > 0.0 and 0.0 < det < math.inf):  # Sylvester's criterion
+            raise ValueError("bandwidth matrix must be positive definite")
+        inverse = np.array([[m11 / det, -m01 / det], [-m01 / det, m00 / det]])
+        if not np.all(np.isfinite(inverse)):
+            raise ValueError("bandwidth matrix must be positive definite (its inverse overflows)")
+        inverse.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "cholesky", chol)
-        object.__setattr__(self, "inverse", np.linalg.inv(m))
-        object.__setattr__(self, "det", float(np.linalg.det(m)))
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "det", det)
 
     @property
     def marginal_sd(self) -> np.ndarray:
@@ -163,29 +168,31 @@ def select_bandwidth(samples, method: str = "normal_reference") -> BandwidthMatr
     n = pts.shape[0]
     if n < MIN_BANDWIDTH_SAMPLES:
         raise InsufficientDataError(f"need at least {MIN_BANDWIDTH_SAMPLES} samples, got {n}")
-    cov = np.cov(pts, rowvar=False)
-    if not np.all(np.isfinite(cov)) or np.linalg.det(cov) <= 0:
-        raise DegenerateDataError("sample covariance is singular")
+    dx, dy = (pts - pts.mean(axis=0)).T
+    sxy = np.sum(dx * dy)
+    try:
+        cov = BandwidthMatrix(np.array([[np.sum(dx * dx), sxy], [sxy, np.sum(dy * dy)]]) / (n - 1))
+    except ValueError:
+        raise DegenerateDataError("sample covariance is singular") from None
     if method == "normal_reference":
-        return BandwidthMatrix(n ** (-1.0 / 3.0) * cov)
+        return BandwidthMatrix(n ** (-1.0 / 3.0) * cov.matrix)
     if method == "plug_in":
         return _plug_in_bandwidth(pts, cov)
     raise ValueError(f"unknown bandwidth method {method!r}")
 
 
-def _sym_sqrt(matrix: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(matrix)
-    if np.any(vals <= 0):
-        raise DegenerateDataError("sample covariance is singular")
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
-def _plug_in_bandwidth(pts: np.ndarray, cov: np.ndarray) -> BandwidthMatrix:
-    root = _sym_sqrt(cov)
-    sphered = np.linalg.solve(root, pts.T).T
-    scales = [_univariate_two_stage_scale(sphered[:, k]) for k in range(2)]
-    sigma = root @ np.diag(np.square(scales)) @ root
-    return BandwidthMatrix(sigma)
+def _plug_in_bandwidth(pts: np.ndarray, cov: BandwidthMatrix) -> BandwidthMatrix:
+    """Sphere with the covariance's root R = (M + sI) / sqrt(tr M + 2s), s = sqrt(det M),
+    scale each axis, and map the squared scales S^2 back as R S^2 R."""
+    (m00, m01), (_, m11) = cov.matrix
+    s = math.sqrt(cov.det)
+    t = math.sqrt(m00 + m11 + 2.0 * s)
+    r00, r01, r11 = (m00 + s) / t, m01 / t, (m11 + s) / t
+    (i00, i01), (_, i11) = BandwidthMatrix([[r00, r01], [r01, r11]]).inverse
+    x, y = pts[:, 0], pts[:, 1]
+    h0, h1 = (_univariate_two_stage_scale(z) ** 2 for z in (i00 * x + i01 * y, i01 * x + i11 * y))
+    s01 = r00 * r01 * h0 + r01 * r11 * h1
+    return BandwidthMatrix([[r00 * r00 * h0 + r01 * r01 * h1, s01], [s01, r01 * r01 * h0 + r11 * r11 * h1]])
 
 
 def _phi4(x: np.ndarray) -> np.ndarray:
@@ -235,7 +242,7 @@ def _univariate_two_stage_scale(x: np.ndarray) -> float:
 
 
 def fit(samples, bandwidth: BandwidthMatrix | np.ndarray) -> DensityModel:
-    """Build a density model from the samples and a bandwidth (``BandwidthMatrix`` holds its Cholesky factor)."""
+    """Build a density model from the samples and a bandwidth (``BandwidthMatrix`` holds its inverse)."""
     pts = np.asarray(samples, dtype=float)
     if pts.size == 0:
         raise InsufficientDataError("no samples")
@@ -253,24 +260,16 @@ def evaluate_many(model: DensityModel, points) -> np.ndarray:
         raise ValueError("points must have shape (M, 2)")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    chol = model.bandwidth.cholesky
+    inv = model.bandwidth.inverse
     norm = 1.0 / (2.0 * math.pi * math.sqrt(model.bandwidth.det))
     out = np.zeros(pts.shape[0])
     step = max(1, 2**22 // max(model.n, 1))
     for lo in range(0, pts.shape[0], step):
-        diff = pts[lo : lo + step, None, :] - model.samples[None, :, :]  # (m, N, 2)
-        w = _solve_lower(chol, diff)
-        quad = np.einsum("mnk,mnk->mn", w, w)
+        dx = pts[lo : lo + step, 0, None] - model.samples[None, :, 0]  # (m, N)
+        dy = pts[lo : lo + step, 1, None] - model.samples[None, :, 1]
+        quad = _quadratic(dx, dy, inv[0, 0], inv[0, 1], inv[1, 1])
         out[lo : lo + step] = np.exp(-0.5 * quad).sum(axis=1)
     return out * (norm / model.n)
-
-
-def _solve_lower(chol: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Apply L^-1 to the trailing axis of ``diff`` for lower-triangular 2x2 L."""
-    l00, l10, l11 = chol[0, 0], chol[1, 0], chol[1, 1]
-    y0 = diff[..., 0] / l00
-    y1 = (diff[..., 1] - l10 * y0) / l11
-    return np.stack([y0, y1], axis=-1)
 
 
 def default_bounds(model: DensityModel) -> tuple[float, float, float, float]:
@@ -320,13 +319,9 @@ def evaluate_grid(
     a, b, c = inv[0, 0], inv[0, 1], inv[1, 1]
 
     tiles_x, tiles_y = _tile_counts(rho_max - rho_min, f_max - f_min, n_rho, n_f, a, b, c)
-    if tiles_x is None:
-        cells = np.stack(np.meshgrid(x_centers, y_centers, indexing="ij"), axis=-1).reshape(-1, 2)
-        values = evaluate_many(model, cells).reshape(n_rho, n_f)
-    else:
-        values = _grid_tiled(model, x_centers, y_centers, a, b, c, tiles_x, tiles_y)
-        values *= 1.0 / (model.n * 2.0 * math.pi * math.sqrt(model.bandwidth.det))
-        np.maximum(values, 0.0, out=values)
+    values = _grid_tiled(model, x_centers, y_centers, a, b, c, tiles_x, tiles_y)
+    values *= 1.0 / (model.n * 2.0 * math.pi * math.sqrt(model.bandwidth.det))
+    np.maximum(values, 0.0, out=values)
     return DensityGrid(rho_min, rho_max, f_min, f_max, values)
 
 
@@ -334,21 +329,20 @@ def _tile_counts(width_x, width_y, n_x, n_y, a, b, c):
     """Smallest per-axis tile counts keeping the factorisation overflow-safe.
 
     The grid-only quadratic G(u, v) over a tile is bounded by
-    a*hx^2 + 2|b|*hx*hy + c*hy^2, which respects anisotropic bandwidths.
+    a*hx^2 + 2|b|*hx*hy + c*hy^2, which respects anisotropic bandwidths. One-cell
+    tiles have no grid term (h = 0), so the doubling always ends.
     """
     b = abs(b)
     tx = ty = 1
     while True:
-        hx = 0.5 * width_x / tx
-        hy = 0.5 * width_y / ty
+        hx = 0.5 * width_x / tx if tx < n_x else 0.0
+        hy = 0.5 * width_y / ty if ty < n_y else 0.0
         if a * hx * hx + 2.0 * b * hx * hy + c * hy * hy <= 2.0 * _MAX_TILE_LOG:
             return tx, ty
-        if tx * 8 > n_x or ty * 8 > n_y:
-            return None, None  # bandwidth tiny relative to the grid; go direct
         if a * hx * hx >= c * hy * hy:
-            tx *= 2
+            tx = min(2 * tx, n_x)
         else:
-            ty *= 2
+            ty = min(2 * ty, n_y)
 
 
 def _box_min_quadratic(sx, sy, x_lo, x_hi, y_lo, y_hi, a, b, c):

@@ -195,7 +195,7 @@ def polygon_area(polygon: np.ndarray) -> float:
     """Absolute shoelace area of a closed polyline."""
     x = polygon[:, 0]
     y = polygon[:, 1]
-    return 0.5 * abs(float(np.dot(x[:-1], y[1:]) - np.dot(x[1:], y[:-1])))
+    return 0.5 * abs(float(np.sum(x[:-1] * y[1:]) - np.sum(x[1:] * y[:-1])))
 
 
 def filter_components(polylines: list[np.ndarray], min_fraction: float) -> list[np.ndarray]:

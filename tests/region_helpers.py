@@ -1,5 +1,6 @@
-"""Test helpers shared by the region tests: one way to build a KDE grid, and
-per-point loop oracles for the array region queries in ``flowsentry.levelset``.
+"""Test helpers shared by the region tests: one way to build a KDE grid, one
+raster overlap of two regions, and per-point loop oracles for the array region
+queries in ``flowsentry.levelset``.
 
 The oracles call nothing from the library, so a fault in the fast path cannot
 hide in them.
@@ -10,12 +11,26 @@ import math
 import numpy as np
 
 from flowsentry import kde
+from flowsentry.levelset import TypicalRegion, contains_many
 
 
 def density_grid(samples, resolution=(256, 256)):
     """The normal-reference KDE grid of ``samples`` that ``fit_typical_region`` takes."""
     pts = np.asarray(samples, dtype=float)
     return kde.evaluate_grid(kde.fit(pts, kde.select_bandwidth(pts)), resolution=resolution)
+
+
+def region_overlap(region_a: TypicalRegion, region_b: TypicalRegion, resolution: int = 256) -> tuple[float, float]:
+    """(symmetric-difference area, union area) via rasterised membership."""
+    pts = np.vstack([*region_a.polygons, *region_b.polygons])
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    dx, dy = (hi - lo) / resolution
+    x = lo[0] + (np.arange(resolution) + 0.5) * dx
+    y = lo[1] + (np.arange(resolution) + 0.5) * dy
+    cells = np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1).reshape(-1, 2)
+    in_a = contains_many(region_a, cells)
+    in_b = contains_many(region_b, cells)
+    return float((in_a ^ in_b).sum() * dx * dy), float((in_a | in_b).sum() * dx * dy)
 
 
 def winding_number_inside(point, polygon):

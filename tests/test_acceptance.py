@@ -24,7 +24,7 @@ from flowsentry.detector import DetectorConfig, annotate, calibrate_normalizer, 
 from flowsentry.ingest import LinkSeries, TrafficSample, datetimes, nonrecurrent_filter, to_epoch_us
 from flowsentry.levelset import TypicalRegion, contains_many, distances_and_sides, fit_typical_region
 from flowsentry.simgen import SERIES_START, BottleneckSpec, ScenarioConfig, generate, plan_incidents
-from region_helpers import density_grid, exact_segment_distance, winding_number_inside
+from region_helpers import density_grid, exact_segment_distance, region_overlap, winding_number_inside
 
 MONDAY = SERIES_START
 
@@ -179,19 +179,6 @@ def test_criterion_06_kde_normalization_and_invariances():
         f"integral gap {worst_integral_gap:.4f} (<=0.01) on 20 sets; symmetry {sym_err:.2e}, "
         f"translation {trans_err:.2e} (<=1e-9)",
     )
-
-
-def region_overlap(region_a: TypicalRegion, region_b: TypicalRegion, resolution: int = 256) -> tuple[float, float]:
-    """(symmetric-difference area, union area) via rasterised membership."""
-    pts = np.vstack([*region_a.polygons, *region_b.polygons])
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    dx, dy = (hi - lo) / resolution
-    x = lo[0] + (np.arange(resolution) + 0.5) * dx
-    y = lo[1] + (np.arange(resolution) + 0.5) * dy
-    cells = np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1).reshape(-1, 2)
-    in_a = contains_many(region_a, cells)
-    in_b = contains_many(region_b, cells)
-    return float((in_a ^ in_b).sum() * dx * dy), float((in_a | in_b).sum() * dx * dy)
 
 
 def test_criterion_07_stability_over_disjoint_windows():

@@ -403,6 +403,7 @@ def test_detect_bad_region_file_exit_2(workspace, tmp_path, capsys, mangle, prob
         ("scale_rho", math.inf),
         ("max_training_distance", math.nan),
         ("max_training_distance", math.inf),
+        ("max_training_distance", None),
         ("alpha", 7),
         ("z_star", -1),
     ],

@@ -1,4 +1,8 @@
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -73,6 +77,62 @@ def test_unknown_method_rejected():
         kde.select_bandwidth(gaussian_cloud(100), "cross_validation")
 
 
+def test_plug_in_matches_eigendecomposition_root():
+    # Oracle: the covariance's square root from numpy's eigendecomposition, applied with solve and @
+    pts = gaussian_cloud(800, seed=5, cov=np.array([[3.0, -1.2], [-1.2, 1.0]]))
+    vals, vecs = np.linalg.eigh(np.cov(pts, rowvar=False))
+    root = (vecs * np.sqrt(vals)) @ vecs.T
+    sphered = np.linalg.solve(root, pts.T).T
+    scales = [kde._univariate_two_stage_scale(sphered[:, k]) for k in range(2)]
+    expected = root @ np.diag(np.square(scales)) @ root
+    np.testing.assert_allclose(kde.select_bandwidth(pts, "plug_in").matrix, expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize("matrix", [[[2.0, 0.3], [0.3, 0.5]], [[1e-6, -4e-7], [-4e-7, 3e-6]], [[4e4, 1.9e2], [1.9e2, 1.0]]])
+def test_bandwidth_inverse_and_det_match_linalg(matrix):
+    bw = BandwidthMatrix(np.array(matrix))
+    assert bw.det == pytest.approx(np.linalg.det(matrix), rel=1e-12)
+    np.testing.assert_allclose(bw.inverse, np.linalg.inv(matrix), rtol=1e-12)
+
+
+CORE_TYPE_PROBE = """
+import numpy as np
+from flowsentry import kde, levelset
+
+rng = np.random.default_rng(2024)
+z = rng.standard_normal((1500, 2))
+pts = np.column_stack([40.0 + 9.0 * z[:, 0], 1500.0 + 300.0 * (0.6 * z[:, 0] + 0.8 * z[:, 1])])
+angle = np.sort(rng.uniform(0.0, 2.0 * np.pi, 2000))
+radius = 1.0 + 0.3 * rng.uniform(size=2000)
+polygon = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+polygon = np.vstack([polygon, polygon[:1]])
+for method in ("normal_reference", "plug_in"):
+    print(kde.select_bandwidth(pts, method).matrix.tobytes().hex())
+print(levelset.polygon_area(polygon).hex())
+"""
+
+
+def openblas_haswell_kernels_run_here():
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]["name"]
+    simd = config["SIMD Extensions"]
+    features = {*simd["baseline"], *simd["found"]}
+    return "openblas" in blas and platform.machine() in ("x86_64", "AMD64") and bool(features & {"AVX2", "X86_V3"})
+
+
+@pytest.mark.skipif(not openblas_haswell_kernels_run_here(), reason="needs OpenBLAS on an x86-64 CPU with AVX2")
+def test_bandwidth_and_polygon_area_bytes_do_not_depend_on_openblas_core_type():
+    # OpenBLAS picks its kernels by core type at load time, and its kernels sum in different orders;
+    # the variable is set only in each child's environment
+    outputs = []
+    for core in ("Haswell", "Prescott"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_CORETYPE": core}
+        run = subprocess.run([sys.executable, "-c", CORE_TYPE_PROBE], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+
+
 # --- model construction -------------------------------------------------------
 
 
@@ -81,9 +141,23 @@ def test_fit_reports_sample_count():
     assert model.n == 100
 
 
-def test_fit_rejects_indefinite_bandwidth():
-    with pytest.raises(ValueError, match="positive definite"):
-        kde.fit(gaussian_cloud(10), np.array([[1.0, 0.0], [0.0, -0.5]]))
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1.0, 0.0], [0.0, -0.5]],
+        [[1.0, 2.0], [2.0, 1.0]],  # positive diagonal, negative determinant
+        [[1.0, 2.0], [2.0, 4.0]],  # zero determinant
+        [[1.0, 0.0], [0.0, 1e-320]],  # positive determinant, but the inverse overflows
+        [[math.nan, 0.0], [0.0, 1.0]],
+        [[1.0, math.nan], [math.nan, 1.0]],
+        [[math.inf, 0.0], [0.0, 1.0]],
+        [[1.0, -math.inf], [-math.inf, 1.0]],
+    ],
+    ids=["negative-eigenvalue", "negative-det", "zero-det", "inverse-overflow", "nan", "nan-off-diagonal", "inf", "-inf"],
+)
+def test_fit_rejects_indefinite_bandwidth(matrix):
+    with pytest.raises(ValueError, match="finite|positive definite"):
+        kde.fit(gaussian_cloud(10), np.array(matrix))
 
 
 def test_fit_rejects_empty():
@@ -157,15 +231,23 @@ def test_grid_matches_scalar_evaluation():
         assert grid.values[i, j] == pytest.approx(direct, rel=1e-9, abs=1e-300)
 
 
-def test_grid_direct_path_matches_written_out_gaussian_sum():
-    # a bandwidth tiny relative to the bounds leaves no overflow-safe tiling
-    bandwidth = np.array([[1e-4, 4e-5], [4e-5, 2e-4]])
+@pytest.mark.parametrize(
+    "bandwidth, tiles",
+    [
+        # the old tiling stopped short of 32 tiles on a 128-cell axis
+        (np.array([[1e-4, 4e-5], [4e-5, 2e-4]]), (32, 32)),
+        # one-cell tiles: the factorisation has no grid term left
+        (np.eye(2) * 1e-6, (128, 128)),
+    ],
+    ids=["fine-tiles", "one-cell-tiles"],
+)
+def test_tiny_bandwidth_tiles_finely_and_matches_written_out_gaussian_sum(bandwidth, tiles):
     bounds = (-1.0, 11.0, -1.0, 11.0)
     centres = -1.0 + (np.arange(128) + 0.5) * 12.0 / 128
     samples = np.column_stack([centres[[10, 40, 41, 90, 127]] + 0.005, centres[[5, 60, 61, 100, 0]] - 0.007])
     model = kde.fit(samples, bandwidth)
     inv = np.linalg.inv(bandwidth)
-    assert kde._tile_counts(12.0, 12.0, 128, 128, inv[0, 0], inv[0, 1], inv[1, 1]) == (None, None)
+    assert kde._tile_counts(12.0, 12.0, 128, 128, inv[0, 0], inv[0, 1], inv[1, 1]) == tiles
     grid = kde.evaluate_grid(model, bounds, resolution=(128, 128))
 
     cells = np.stack(np.meshgrid(centres, centres, indexing="ij"), axis=-1).reshape(-1, 2)
@@ -231,6 +313,41 @@ def test_grid_deterministic():
 
 
 # --- tile selection -----------------------------------------------------------
+
+
+def capped_tile_counts(width_x, width_y, n_x, n_y, a, b, c):
+    """The tiling loop that gave up, with (None, None), once a tile count would pass 1/8 of its axis."""
+    tx = ty = 1
+    while True:
+        hx = 0.5 * width_x / tx
+        hy = 0.5 * width_y / ty
+        if a * hx * hx + 2.0 * abs(b) * hx * hy + c * hy * hy <= 2.0 * kde._MAX_TILE_LOG:
+            return tx, ty
+        if tx * 8 > n_x or ty * 8 > n_y:
+            return None, None
+        if a * hx * hx >= c * hy * hy:
+            tx *= 2
+        else:
+            ty *= 2
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    width=st.tuples(st.floats(0.1, 1e4), st.floats(0.1, 1e4)),
+    cells=st.tuples(st.sampled_from([128, 200, 256, 512]), st.sampled_from([128, 200, 256, 512])),
+    sd=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3)),
+    corr=st.floats(-0.99, 0.99),
+)
+def test_tile_counts_keep_every_capped_tiling_and_always_tile(width, cells, sd, corr):
+    cov = np.array([[sd[0] ** 2, corr * sd[0] * sd[1]], [corr * sd[0] * sd[1], sd[1] ** 2]])
+    a, b, c = BandwidthMatrix(cov).inverse.flat[[0, 1, 3]]
+    capped = capped_tile_counts(*width, *cells, a, b, c)
+    tx, ty = kde._tile_counts(*width, *cells, a, b, c)
+    if capped != (None, None):
+        assert (tx, ty) == capped
+    else:
+        assert tx * 8 > cells[0] or ty * 8 > cells[1]
+    assert 1 <= tx <= cells[0] and 1 <= ty <= cells[1]
 
 
 def quadratic(dx, dy, a, b, c):
@@ -322,7 +439,7 @@ def test_tiled_grid_matches_direct_evaluation(method, make_samples, widen, min_t
     bounds = widened(kde.default_bounds(model), widen)
     inv = model.bandwidth.inverse
     tiles_x, tiles_y = kde._tile_counts(bounds[1] - bounds[0], bounds[3] - bounds[2], 128, 128, *inv.flat[[0, 1, 3]])
-    assert tiles_x is not None and tiles_x * tiles_y >= min_tiles
+    assert tiles_x * tiles_y >= min_tiles
     grid = kde.evaluate_grid(model, bounds, resolution=(128, 128))
     cells = np.stack(np.meshgrid(grid.rho_centers, grid.f_centers, indexing="ij"), axis=-1).reshape(-1, 2)
     direct = kde.evaluate_many(model, cells).reshape(grid.values.shape)

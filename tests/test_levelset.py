@@ -23,7 +23,7 @@ from flowsentry.levelset import (
     mass_above,
     polygon_area,
 )
-from region_helpers import density_grid, exact_segment_distance, exit_side_oracle, winding_number_inside
+from region_helpers import density_grid, exact_segment_distance, exit_side_oracle, region_overlap, winding_number_inside
 
 
 def analytic_normal_grid(half_width=6.0, resolution=512):
@@ -514,19 +514,6 @@ def test_region_file_rejects_missing_or_unknown_schema_version(version):
         payload["schema_version"] = version
     with pytest.raises(ValueError, match="schema_version"):
         TypicalRegion.from_json(json.dumps(payload))
-
-
-def region_overlap(region_a: TypicalRegion, region_b: TypicalRegion, resolution: int = 256) -> tuple[float, float]:
-    """(symmetric-difference area, union area) via rasterised membership."""
-    pts = np.vstack([*region_a.polygons, *region_b.polygons])
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    dx, dy = (hi - lo) / resolution
-    x = lo[0] + (np.arange(resolution) + 0.5) * dx
-    y = lo[1] + (np.arange(resolution) + 0.5) * dy
-    cells = np.stack(np.meshgrid(x, y, indexing="ij"), axis=-1).reshape(-1, 2)
-    in_a = contains_many(region_a, cells)
-    in_b = contains_many(region_b, cells)
-    return float((in_a ^ in_b).sum() * dx * dy), float((in_a | in_b).sum() * dx * dy)
 
 
 def test_region_overlap_identical_region(fitted_region_and_samples):
