@@ -438,22 +438,32 @@ def cmd_plot(args) -> int:
         counts, edges = np.histogram([], bins=3, range=(0, 3))
     frame_h = svg.Frame(float(edges[0]), float(edges[-1]), 0.0, float(max(counts.max(), 1)))
 
-    # every plotted value is computed before --out exists; the documents are rendered and
-    # written one at a time, so that only one is held in memory
+    # every plotted value is computed before --out exists; each document is written as it
+    # is formatted, a block of points at a time
     out = _out_dir(args.out)
-    body = svg.axes(frame, "density (veh/km)", "flow (veh/h)")
-    body += svg.scatter(frame, points[::stride, 0], points[::stride, 1])
-    body += [svg.closed_path(frame, poly) for poly in region.polygons]
-    (out / "scatter.svg").write_text(svg.document(body, "density-flow with typical region"), encoding="utf-8")
-
-    body = svg.axes(frame_tt, "hours since start", "travel time (s)")
-    body.append(svg.polyline(frame_tt, xs, ys))
-    body += svg.scatter(frame_tt, xs[flagged[with_tt]], ys[flagged[with_tt]], fill="crimson", radius=2.5, css="flag")
-    (out / "travel_time.svg").write_text(svg.document(body, "travel time with flags"), encoding="utf-8")
-
-    body = svg.axes(frame_h, "duration (min)", "count")
-    body += svg.bars(frame_h, edges, counts)
-    (out / "durations.svg").write_text(svg.document(body, "excursion durations"), encoding="utf-8")
+    with ingest.open_text(out / "scatter.svg", "w") as handle:
+        svg.document(
+            handle,
+            "density-flow with typical region",
+            svg.axes(frame, "density (veh/km)", "flow (veh/h)"),
+            svg.scatter(frame, points[::stride, 0], points[::stride, 1]),
+            [svg.closed_path(frame, poly) for poly in region.polygons],
+        )
+    with ingest.open_text(out / "travel_time.svg", "w") as handle:
+        svg.document(
+            handle,
+            "travel time with flags",
+            svg.axes(frame_tt, "hours since start", "travel time (s)"),
+            svg.polyline(frame_tt, xs, ys),
+            svg.scatter(frame_tt, xs[flagged[with_tt]], ys[flagged[with_tt]], fill="crimson", radius=2.5, css="flag"),
+        )
+    with ingest.open_text(out / "durations.svg", "w") as handle:
+        svg.document(
+            handle,
+            "excursion durations",
+            svg.axes(frame_h, "duration (min)", "count"),
+            svg.bars(frame_h, edges, counts),
+        )
     print(f"plots: {out}")
     return EXIT_OK
 

@@ -6,9 +6,13 @@ Grid evaluation has no tree or FFT approximation. Each tile of the grid sums
 the samples whose kernel reaches above e^-145 of its peak somewhere on the
 tile, found from an exact per-sample minimum of the kernel's quadratic form
 over the tile; every other sample is below that level on the whole tile, the
-level the factorisation may lose to underflow anyway. The sum is organised
-as a per-tile rank-1 factorisation so the bulk of the arithmetic runs
-through matrix products.
+level the factorisation may lose to underflow anyway. Only the samples whose
+x lies within the kernel's reach of a column of tiles are tested for them.
+The sum is organised as a per-tile rank-1 factorisation so the bulk of the
+arithmetic runs through matrix products, one per block of a fixed number of
+kept samples (``_BLOCK_ELEMENTS``), added into the tile in ascending sample
+order. Working memory is therefore fixed for a given grid, whatever the
+number of samples, and so is ``evaluate_many``'s, which splits its points.
 """
 
 from __future__ import annotations
@@ -29,6 +33,19 @@ _MAX_TILE_LOG = 600.0
 # tile: beyond it, exp(-q/2) is below e^-(underflow - _MAX_TILE_LOG), about e^-145 of the
 # kernel peak, which the factorisation's scaled factors underflow to zero anyway.
 _TILE_REACH_Q = 2.0 * (-math.log(np.finfo(float).smallest_subnormal) - _MAX_TILE_LOG)
+
+# Working-memory budget, in float64 elements: a grid tile sums its kept samples in blocks
+# of rows whose two factor buffers hold this many elements together, and ``evaluate_many``
+# splits its points so that each (points x samples) temporary holds at most this many.
+# On the seed-11 3-week link (30,240 samples, 4x2 tiles of 128x256 cells, 2-vCPU Xeon with
+# 2 MiB of L2 per core) the normal-reference grid took 0.40-0.43 s at 2**18, 0.43-0.48 s at
+# 2**16 and 0.38-0.42 s at 2**19, against 0.45-0.50 s summing each tile's samples at once;
+# ``fit``'s peak RSS fell from 128 to 50 MiB.
+_BLOCK_ELEMENTS = 2**18
+# Samples tested at a time for reaching a tile (~10 temporaries of 32 KiB). The plug-in grid
+# of that link took 0.47-0.48 s at 2**12, 0.53-0.57 s at 2**10 and 0.45-0.50 s at 2**16, but a
+# 128x128 grid's scratch grew 0.8 MiB from 5,000 to 50,000 samples at 2**12 and 5.2 MiB at 2**16.
+_REACH_BLOCK = 2**12
 
 MIN_BANDWIDTH_SAMPLES = 50  # fewest samples a bandwidth is selected from
 BOUNDS_MARGIN_SD = 3.0  # default grid bounds pad the sample hull by this many marginal bandwidth sds
@@ -254,7 +271,10 @@ def fit(samples, bandwidth: BandwidthMatrix | np.ndarray) -> DensityModel:
 
 
 def evaluate_many(model: DensityModel, points) -> np.ndarray:
-    """Exact KDE values at each row of ``points``, chunked over samples."""
+    """Exact KDE values at each row of ``points``, in blocks of points whose
+    (points x samples) temporaries hold at most ``_BLOCK_ELEMENTS`` elements each
+    (one point per block when the samples alone exceed it). Every point's sum runs
+    over all samples at once, so the values do not depend on the block size."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must have shape (M, 2)")
@@ -263,7 +283,7 @@ def evaluate_many(model: DensityModel, points) -> np.ndarray:
     inv = model.bandwidth.inverse
     norm = 1.0 / (2.0 * math.pi * math.sqrt(model.bandwidth.det))
     out = np.zeros(pts.shape[0])
-    step = max(1, 2**22 // max(model.n, 1))
+    step = max(1, _BLOCK_ELEMENTS // model.n)
     for lo in range(0, pts.shape[0], step):
         dx = pts[lo : lo + step, 0, None] - model.samples[None, :, 0]  # (m, N)
         dy = pts[lo : lo + step, 1, None] - model.samples[None, :, 1]
@@ -292,7 +312,8 @@ def evaluate_grid(
     contributes less than that at every cell of the tile. The kept samples'
     kernels are factorised as exp(-q/2) = exp(-G/2) * w_i * F_i(u) * H_i(v),
     which is algebraically identical to the direct sum and lets the
-    accumulation over samples run as one matrix product per tile. Tiles are
+    accumulation over samples run as matrix products, one per fixed-size
+    block of kept samples, added into the tile in sample order. Tiles are
     sized so no factor overflows; a factor can underflow only for a
     contribution below e^-145 of the kernel peak, the level the selection
     drops, so every contribution above that level is summed.
@@ -370,29 +391,54 @@ def _quadratic(dx, dy, a, b, c):
     return dx * (a * dx + 2.0 * b * dy) + c * dy * dy
 
 
+def _reached_tiles(model, x_centers, y_centers, x_edges, y_edges, a, b, c):
+    """Each tile that some sample reaches, one at a time, as (x slice, y slice, ascending
+    indices of the samples that reach it).
+
+    A sample reaches a tile when the minimum of its kernel quadratic over the tile's box
+    (``_box_min_quadratic``) is at most ``_TILE_REACH_Q``. That bounds |dx| by
+    sqrt(_TILE_REACH_Q * H_xx), so only the samples whose x lies that near a column's
+    x-range are tested for its tiles (the slack covers rounding in q), ``_REACH_BLOCK``
+    at a time.
+    """
+    sx = model.samples[:, 0]
+    sy = model.samples[:, 1]
+    reach = math.sqrt(_TILE_REACH_Q * model.bandwidth.matrix[0, 0]) * (1.0 + 1e-6)
+    order = np.argsort(sx, kind="stable")
+    reaches = np.empty(sx.size, dtype=bool)
+    for xi in range(x_edges.size - 1):
+        xs = slice(x_edges[xi], x_edges[xi + 1])
+        x_lo, x_hi = x_centers[xs][[0, -1]]
+        lo, hi = np.searchsorted(sx, (x_lo - reach, x_hi + reach), sorter=order)
+        near = order[lo:hi]
+        for yi in range(y_edges.size - 1):
+            ys = slice(y_edges[yi], y_edges[yi + 1])
+            y_lo, y_hi = y_centers[ys][[0, -1]]
+            for start in range(0, near.size, _REACH_BLOCK):
+                block = near[start : start + _REACH_BLOCK]
+                q_min = _box_min_quadratic(sx[block], sy[block], x_lo, x_hi, y_lo, y_hi, a, b, c)
+                np.less_equal(q_min, _TILE_REACH_Q, out=reaches[start : start + block.size])
+            kept = near[reaches[: near.size]]
+            if kept.size:
+                kept.sort()
+                yield xs, ys, kept
+
+
 def _grid_tiled(model, x_centers, y_centers, a, b, c, tiles_x, tiles_y):
+    """The unnormalised grid sum: each reached tile sums its kept samples ``rows`` at a time
+    into the tile, then applies the grid-only factor once."""
     sx = model.samples[:, 0]
     sy = model.samples[:, 1]
     n_x, n_y = x_centers.size, y_centers.size
     values = np.zeros((n_x, n_y))
     x_edges = np.linspace(0, n_x, tiles_x + 1).astype(int)
     y_edges = np.linspace(0, n_y, tiles_y + 1).astype(int)
-    reached = []  # (x slice, y slice, indices of the samples that reach the tile)
-    for xi in range(tiles_x):
-        xs = slice(x_edges[xi], x_edges[xi + 1])
-        x_lo, x_hi = x_centers[xs][[0, -1]]
-        for yi in range(tiles_y):
-            ys = slice(y_edges[yi], y_edges[yi + 1])
-            y_lo, y_hi = y_centers[ys][[0, -1]]
-            kept = np.flatnonzero(_box_min_quadratic(sx, sy, x_lo, x_hi, y_lo, y_hi, a, b, c) <= _TILE_REACH_Q)
-            if kept.size:
-                reached.append((xs, ys, kept))
-    if not reached:
-        return values
-    rows = max(kept.size for _, _, kept in reached)
-    buf_x = np.empty((rows, int(np.diff(x_edges).max())))
-    buf_y = np.empty((rows, int(np.diff(y_edges).max())))
-    for xs, ys, kept in reached:
+    width_x, width_y = int(np.diff(x_edges).max()), int(np.diff(y_edges).max())
+    rows = max(1, _BLOCK_ELEMENTS // (width_x + width_y))
+    buf_x = np.empty((rows, width_x))
+    buf_y = np.empty((rows, width_y))
+    buf_tile = np.empty((width_x, width_y))
+    for xs, ys, kept in _reached_tiles(model, x_centers, y_centers, x_edges, y_edges, a, b, c):
         tile_x, tile_y = x_centers[xs], y_centers[ys]
         cx = 0.5 * (tile_x[0] + tile_x[-1])
         cy = 0.5 * (tile_y[0] + tile_y[-1])
@@ -400,28 +446,32 @@ def _grid_tiled(model, x_centers, y_centers, a, b, c, tiles_x, tiles_y):
         v = tile_y - cy
         hx = float(np.abs(u).max())
         hy = float(np.abs(v).max())
-        px = sx[kept] - cx
-        py = sy[kept] - cy
+        tile = values[xs, ys]
+        product = buf_tile[: u.size, : v.size]
+        for lo in range(0, kept.size, rows):
+            block = kept[lo : lo + rows]
+            px = sx[block] - cx
+            py = sy[block] - cy
 
-        alpha = a * px + b * py
-        beta = b * px + c * py
-        s_i = a * px * px + 2.0 * b * px * py + c * py * py
-        shift_x = hx * np.abs(alpha)
-        shift_y = hy * np.abs(beta)
-        w = np.exp(-0.5 * s_i + shift_x + shift_y)
+            alpha = a * px + b * py
+            beta = b * px + c * py
+            s_i = a * px * px + 2.0 * b * px * py + c * py * py
+            shift_x = hx * np.abs(alpha)
+            shift_y = hy * np.abs(beta)
+            w = np.exp(-0.5 * s_i + shift_x + shift_y)
 
-        fx = buf_x[: kept.size, : u.size]
-        np.multiply(alpha[:, None], u[None, :], out=fx)
-        fx -= shift_x[:, None]
-        np.exp(fx, out=fx)
-        fx *= w[:, None]
-        fy = buf_y[: kept.size, : v.size]
-        np.multiply(beta[:, None], v[None, :], out=fy)
-        fy -= shift_y[:, None]
-        np.exp(fy, out=fy)
+            fx = buf_x[: block.size, : u.size]
+            np.multiply(alpha[:, None], u[None, :], out=fx)
+            fx -= shift_x[:, None]
+            np.exp(fx, out=fx)
+            fx *= w[:, None]
+            fy = buf_y[: block.size, : v.size]
+            np.multiply(beta[:, None], v[None, :], out=fy)
+            fy -= shift_y[:, None]
+            np.exp(fy, out=fy)
 
-        tile = fx.T @ fy
+            np.matmul(fx.T, fy, out=product)
+            tile += product
         g_uv = a * u[:, None] ** 2 + 2.0 * b * np.outer(u, v) + c * v[None, :] ** 2
         tile *= np.exp(-0.5 * g_uv)
-        values[xs, ys] = tile
     return values

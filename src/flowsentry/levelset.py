@@ -24,11 +24,18 @@ import numpy as np
 from .ingest import quantiles
 from .kde import DensityGrid
 
-# Region queries work on (points x edges) blocks of this many elements, small
-# enough for a block's temporaries to stay in a core's L2 cache. Blocks of 2**21
-# elements ran 1.9x (membership) to 2.5x (distance) slower against a
-# 1,073-vertex region on a Xeon with 2 MiB of L2 per core.
-_QUERY_BLOCK = 2**16
+# Region queries work on (points x edges) blocks of about this many elements, so that
+# each query's working set stays fixed whatever the number of points. Measured against
+# the 1,073-vertex region of the seed-11 3-week link on the 40,320 minutes of the live
+# link (seed 12, 4 weeks, bimodal) on a 2-vCPU Xeon, medians of 7 calls in 7 processes:
+# membership took 18-29 ms (median 19 ms) in blocks of 2**13 against 17-25 ms (23 ms) in
+# blocks of 2**16, and ``detect``'s peak RSS fell from 45.2 to 38.8 MiB, as its ~15 live
+# temporaries shrank from 512 to 64 KiB each.
+_CONTAINS_BLOCK = 2**13
+# A distance block holds only _DISTANCE_BLOCK // edges points (15 above), so its size
+# trades Python overhead against cache: the 2,716 exterior points took 36-48 ms at 2**14,
+# 60-66 ms at 2**12 and 49-73 ms at 2**16.
+_DISTANCE_BLOCK = 2**14
 
 # The layout of the region file that ``TypicalRegion.to_json`` writes and ``from_json`` reads.
 REGION_SCHEMA_VERSION = 1
@@ -330,7 +337,7 @@ def _polygon_contains(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
     slab = np.searchsorted(floors, pts[candidates, 1], side="right")
     counts = slab_start[slab + 1] - slab_start[slab]
     ends = np.cumsum(counts)
-    cuts = np.searchsorted(ends, np.arange(_QUERY_BLOCK, ends[-1], _QUERY_BLOCK), side="right")
+    cuts = np.searchsorted(ends, np.arange(_CONTAINS_BLOCK, ends[-1], _CONTAINS_BLOCK), side="right")
     cuts = cuts[np.diff(cuts, prepend=-1) != 0]  # distinct: cuts are sorted
     for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, candidates.size]):
         point = np.repeat(np.arange(hi - lo), counts[lo:hi])
@@ -384,7 +391,7 @@ def distances_and_sides(region: TypicalRegion, points) -> tuple[np.ndarray, np.n
     dx, dy = deltas[keep, 0], deltas[keep, 1]
     length2 = dx * dx + dy * dy
     offsets = np.empty_like(pts)
-    step = max(1, _QUERY_BLOCK // ax.size)
+    step = max(1, _DISTANCE_BLOCK // ax.size)
     for lo in range(0, pts.shape[0], step):
         chunk = pts[lo : lo + step]
         rx = chunk[:, 0][:, None] - ax

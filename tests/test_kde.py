@@ -3,6 +3,8 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -422,8 +424,7 @@ def simulated_link(stride):
     return stream.points[::stride]
 
 
-@pytest.mark.parametrize("method", ["normal_reference", "plug_in"])
-@pytest.mark.parametrize(
+GRID_CASES = pytest.mark.parametrize(
     "make_samples, widen, min_tiles",
     [
         (lambda: simulated_link(10), 1.0, 4),
@@ -433,13 +434,19 @@ def simulated_link(stride):
     ],
     ids=["link", "cloud+0.9", "cloud-0.9"],
 )
-def test_tiled_grid_matches_direct_evaluation(method, make_samples, widen, min_tiles):
+
+
+def grid_case(method, make_samples, widen):
+    """A model, its widened default bounds and its tiling at 128x128."""
     pts = make_samples()
     model = kde.fit(pts, kde.select_bandwidth(pts, method))
     bounds = widened(kde.default_bounds(model), widen)
     inv = model.bandwidth.inverse
-    tiles_x, tiles_y = kde._tile_counts(bounds[1] - bounds[0], bounds[3] - bounds[2], 128, 128, *inv.flat[[0, 1, 3]])
-    assert tiles_x * tiles_y >= min_tiles
+    tiles = kde._tile_counts(bounds[1] - bounds[0], bounds[3] - bounds[2], 128, 128, *inv.flat[[0, 1, 3]])
+    return model, bounds, tiles
+
+
+def assert_grid_matches_direct_evaluation(model, bounds):
     grid = kde.evaluate_grid(model, bounds, resolution=(128, 128))
     cells = np.stack(np.meshgrid(grid.rho_centers, grid.f_centers, indexing="ij"), axis=-1).reshape(-1, 2)
     direct = kde.evaluate_many(model, cells).reshape(grid.values.shape)
@@ -448,3 +455,101 @@ def test_tiled_grid_matches_direct_evaluation(method, make_samples, widen, min_t
     assert err.max() <= 1e-13 * peak
     above = direct > 1e-40 * peak
     assert np.all(err[above] <= 1e-12 * direct[above])
+
+
+@pytest.mark.parametrize("method", ["normal_reference", "plug_in"])
+@GRID_CASES
+def test_tiled_grid_matches_direct_evaluation(method, make_samples, widen, min_tiles):
+    model, bounds, (tiles_x, tiles_y) = grid_case(method, make_samples, widen)
+    assert tiles_x * tiles_y >= min_tiles
+    assert_grid_matches_direct_evaluation(model, bounds)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+@GRID_CASES
+def test_grid_summed_in_blocks_of_rows_matches_direct_evaluation(monkeypatch, rows, make_samples, widen, min_tiles):
+    model, bounds, (tiles_x, tiles_y) = grid_case("normal_reference", make_samples, widen)
+    # a block holds _BLOCK_ELEMENTS // (a tile's cells along x + along y) kept samples;
+    # tile counts are powers of two, so every tile here has 128 // tiles cells per axis
+    monkeypatch.setattr(kde, "_BLOCK_ELEMENTS", rows * (128 // tiles_x + 128 // tiles_y))
+    assert_grid_matches_direct_evaluation(model, bounds)
+
+
+def full_scan_reached_tiles(model, x_centers, y_centers, x_edges, y_edges, a, b, c):
+    """Each reached tile's kept samples from the exact box minimum over every sample."""
+    sx, sy = model.samples[:, 0], model.samples[:, 1]
+    reached = []
+    for xi in range(x_edges.size - 1):
+        xs = slice(x_edges[xi], x_edges[xi + 1])
+        for yi in range(y_edges.size - 1):
+            ys = slice(y_edges[yi], y_edges[yi + 1])
+            box = (x_centers[xs][0], x_centers[xs][-1], y_centers[ys][0], y_centers[ys][-1])
+            kept = np.flatnonzero(kde._box_min_quadratic(sx, sy, *box, a, b, c) <= kde._TILE_REACH_Q)
+            if kept.size:
+                reached.append((xs, ys, kept))
+    return reached
+
+
+def assert_reach_matches_full_scan(model, bounds, resolution=(128, 128)):
+    (n_x, n_y), inv = resolution, model.bandwidth.inverse
+    a, b, c = inv.flat[[0, 1, 3]]
+    x_centers = bounds[0] + (np.arange(n_x) + 0.5) * (bounds[1] - bounds[0]) / n_x
+    y_centers = bounds[2] + (np.arange(n_y) + 0.5) * (bounds[3] - bounds[2]) / n_y
+    tiles_x, tiles_y = kde._tile_counts(bounds[1] - bounds[0], bounds[3] - bounds[2], n_x, n_y, a, b, c)
+    x_edges = np.linspace(0, n_x, tiles_x + 1).astype(int)
+    y_edges = np.linspace(0, n_y, tiles_y + 1).astype(int)
+    geometry = (model, x_centers, y_centers, x_edges, y_edges, a, b, c)
+    ours = list(kde._reached_tiles(*geometry))
+    oracle = full_scan_reached_tiles(*geometry)
+    assert [(xs, ys) for xs, ys, _ in ours] == [(xs, ys) for xs, ys, _ in oracle]
+    for (_, _, kept), (_, _, expected) in zip(ours, oracle):
+        np.testing.assert_array_equal(kept, expected)  # the same samples, in ascending order
+
+
+@pytest.mark.parametrize("reach_block", [7, kde._REACH_BLOCK])
+@pytest.mark.parametrize("method", ["normal_reference", "plug_in"])
+@GRID_CASES
+def test_reach_prefilter_keeps_the_full_scan_sets(monkeypatch, reach_block, method, make_samples, widen, min_tiles):
+    model, bounds, _ = grid_case(method, make_samples, widen)
+    monkeypatch.setattr(kde, "_REACH_BLOCK", reach_block)
+    assert_reach_matches_full_scan(model, bounds)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sd=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),
+    corr=st.floats(-0.99, 0.99),
+    scale=st.floats(1e-3, 1.0),
+    widen=st.floats(1.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+    reach_block=st.sampled_from([7, 64, kde._REACH_BLOCK]),
+)
+def test_reach_prefilter_keeps_the_full_scan_sets_for_any_bandwidth(sd, corr, scale, widen, seed, reach_block):
+    cov = np.array([[sd[0] ** 2, corr * sd[0] * sd[1]], [corr * sd[0] * sd[1], sd[1] ** 2]])
+    model = kde.fit(gaussian_cloud(300, seed=seed, cov=cov), scale * cov)
+    with mock.patch.object(kde, "_REACH_BLOCK", reach_block):
+        assert_reach_matches_full_scan(model, widened(kde.default_bounds(model), widen))
+
+
+def test_grid_scratch_memory_does_not_grow_with_samples():
+    peaks = []
+    for n in (5_000, 50_000):
+        pts = gaussian_cloud(n, seed=47)
+        model = kde.fit(pts, kde.select_bandwidth(pts))
+        tracemalloc.start()
+        try:
+            kde.evaluate_grid(model, resolution=(128, 128))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2**20, [f"{p / 2**20:.2f} MiB" for p in peaks]
+
+
+@pytest.mark.parametrize("budget", [1, 999, 2**12])
+def test_evaluate_many_values_do_not_depend_on_the_block(monkeypatch, budget):
+    pts = gaussian_cloud(1_000, seed=53)
+    model = kde.fit(pts, kde.select_bandwidth(pts))
+    probes = 1.5 * gaussian_cloud(300, seed=59)
+    expected = kde.evaluate_many(model, probes)
+    monkeypatch.setattr(kde, "_BLOCK_ELEMENTS", budget)
+    assert kde.evaluate_many(model, probes).tobytes() == expected.tobytes()

@@ -344,14 +344,30 @@ def test_contains_many_equals_brute_force_on_comb(teeth, height, seed):
     np.testing.assert_array_equal(contains_many(region, points), brute_force_contains_many(region, points))
 
 
-@pytest.mark.parametrize("block, n_points", [(1, 300), (7, 3_000), (levelset._QUERY_BLOCK, 20_000)])
+@pytest.mark.parametrize(
+    "block, n_points", [(1, 300), (7, 3_000), (levelset._CONTAINS_BLOCK, 20_000), (2**16, 20_000)]
+)
 def test_contains_many_blocks_agree_with_brute_force(block, n_points):
     rng = np.random.default_rng(31)
     region = region_of(random_simple_polygon(rng, 200), random_simple_polygon(rng, 50) + 2.0)
     points = np.vstack([rng.uniform(-3, 5, size=(n_points, 2)), *(p[:-1] for p in region.polygons)])
-    with mock.patch.object(levelset, "_QUERY_BLOCK", block):
+    with mock.patch.object(levelset, "_CONTAINS_BLOCK", block):
         ours = contains_many(region, points)
     np.testing.assert_array_equal(ours, brute_force_contains_many(region, points))
+
+
+# 52 edges: one point per block, 9 per block, and the default's 315
+@pytest.mark.parametrize("block, n_points", [(1, 100), (2**9, 300), (levelset._DISTANCE_BLOCK, 1_000)])
+def test_distances_and_sides_blocks_agree_with_loop_oracles(block, n_points):
+    rng = np.random.default_rng(37)
+    region = region_of(random_simple_polygon(rng, 40), random_simple_polygon(rng, 12) + 2.0)
+    points = np.vstack([rng.uniform(-3, 5, size=(n_points, 2)), *(p[:-1] + 1e-3 for p in region.polygons)])
+    with mock.patch.object(levelset, "_DISTANCE_BLOCK", block):
+        distances, sides = distances_and_sides(region, points)
+    for p, d, side in zip(points, distances, sides):
+        nearest = min(region.polygons, key=lambda poly: exact_segment_distance(p, poly))
+        assert abs(d - exact_segment_distance(p, nearest)) <= 1e-12
+        assert side == exit_side_oracle(p, nearest)
 
 
 @pytest.mark.parametrize(
