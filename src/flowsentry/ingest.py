@@ -6,11 +6,13 @@ input is missing, so downstream consumers never see an infinite density.
 
 ``read_series`` is the one series reader. It converts the CSV into per-link
 ``LinkSeries`` columns a chunk of whole lines at a time. A chunk that plain
-comma splitting reads as ``csv.reader`` would (no quote, carriage return or NUL,
-and every line with one field per column) is split in bulk; from the first other
-chunk on, ``csv.reader`` splits the rest of the file. Both splitters feed one
-routine that applies every input check as an array operation over the chunk;
-``parse_series`` is a row view over it.
+comma splitting reads as ``csv.reader`` would (no quote, lone carriage return
+or NUL, and every line with one field per column) is split in bulk; from the
+first other chunk on, ``csv.reader`` splits the rest of the file. Both splitters
+feed one routine that applies every input check as an array operation over the
+chunk and writes its values straight into the output columns, so a read holds
+the columns and one chunk; ``parse_series`` is a row view over it. Readers
+skip a byte order mark that opens a file.
 """
 
 from __future__ import annotations
@@ -55,8 +57,20 @@ _MICROSECOND = timedelta(microseconds=1)
 
 # Characters of whole lines the reader takes from the file at a time: a chunk's lines and
 # cells are all the per-row Python objects alive at once, so a long file is never held as
-# rows. Larger chunks save little time and raise each command's peak memory.
-_CHUNK_CHARS = 1 << 18
+# rows. Measured on a 2-vCPU Xeon (Python 3.11, numpy 2.4, no bytecode cache): what a read
+# of the 40,320-minute live link adds to the resident set after imports, the highest peak
+# of the five operating commands on that link, and the median in-process read of the live
+# and the 6-week (60,480-row) links, alternated 40 and 30 times with the reader that
+# concatenated blocks (2^18 chunks: 7.3 MiB, 39.2 MiB, 67 and 140 ms):
+#
+#   chunk   read adds   command peak   live read   6-week read
+#   2^15    2.5 MiB     35.5 MiB       77 ms       171 ms
+#   2^16    2.9 MiB     35.6 MiB       70 ms       154 ms
+#   2^17    3.6 MiB     35.9 MiB       65 ms       142 ms
+#   2^18    4.7 MiB     37.3 MiB       64 ms       124 ms
+#
+# 2^17 is the smallest chunk that reads no slower than that reader.
+_CHUNK_CHARS = 1 << 17
 # Rows the reader turns into columns at a time once csv.reader splits the file.
 _ROW_BLOCK = 8192
 
@@ -131,10 +145,11 @@ def datetimes(epoch_us) -> list[datetime]:
 
 def _median(values: np.ndarray) -> float:
     """``np.median`` of a non-empty integer array, as a float: the middle value, or the
-    mean of the two middle values. numpy's own call loads ``numpy.ma``."""
+    mean of the two middle values. ``values`` is partitioned in place, which saves a copy;
+    numpy's own call loads ``numpy.ma``."""
     n = values.size
-    ordered = np.partition(values, [(n - 1) // 2, n // 2])
-    return (float(ordered[(n - 1) // 2]) + float(ordered[n // 2])) / 2
+    values.partition([(n - 1) // 2, n // 2])
+    return (float(values[(n - 1) // 2]) + float(values[n // 2])) / 2
 
 
 def _order_positions(n: int, quantiles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,13 +202,14 @@ class LinkSeries:
         if backwards.size:
             at = datetimes(self.epoch_us[[backwards[0] + 1]])[0]
             raise ValueError(f"stream not time-ordered at {format_timestamp(at)}")
+        object.__setattr__(self, "spacing_min", _median(steps) / US_PER_MINUTE if steps.size else 1.0)
+        del steps  # before the density column takes its room
         density = np.full(len(self.epoch_us), np.nan)
         with np.errstate(over="ignore"):  # a tiny positive speed overflows; rejected below
             np.divide(self.flow, self.speed, out=density, where=self.speed > 0)
         if np.isinf(density).any():
             raise ValueError(f"link {self.link_id}: flow/speed overflows to an infinite density")
         object.__setattr__(self, "density", density)
-        object.__setattr__(self, "spacing_min", _median(steps) / US_PER_MINUTE if steps.size else 1.0)
 
     @classmethod
     def from_samples(cls, samples: Sequence[TrafficSample]) -> "LinkSeries":
@@ -275,24 +291,33 @@ def format_timestamp(ts: datetime) -> str:
 def open_text(target, mode: str = "r") -> Iterator[IO[str]]:
     """A UTF-8 text handle on ``target``, without newline translation.
 
-    A path is opened with ``mode`` and closed on exit. When reading, bytes and
-    binary file-like objects are decoded; any other handle is used as is and
-    left open.
+    A path is opened with ``mode`` and closed on exit. When reading, paths,
+    bytes and binary file-like objects are decoded as ``utf-8-sig``, which
+    drops one byte order mark at the start (spreadsheets write one); any other
+    handle is used as is and left open. Writers never write the mark.
     """
+    encoding = "utf-8-sig" if mode == "r" else "utf-8"
     if isinstance(target, (str, Path)):
-        with open(target, mode, encoding="utf-8", newline="") as handle:
+        with open(target, mode, encoding=encoding, newline="") as handle:
             yield handle
     elif mode == "r" and isinstance(target, bytes):
-        yield io.StringIO(target.decode("utf-8"))
+        yield io.StringIO(target.decode(encoding))
     elif mode == "r" and not isinstance(target, io.TextIOBase):
-        yield io.TextIOWrapper(target, encoding="utf-8", newline="")
+        yield io.TextIOWrapper(target, encoding=encoding, newline="")
     else:
         yield target
 
 
-# Character positions of the digits and separators of YYYY-MM-DDTHH:MM:SSZ.
+# Character positions of the digits and separators of YYYY-MM-DDTHH:MM:SSZ, and the
+# separators' code points. The zone letter is compared with its ASCII case bit set, which
+# maps only "Z" and "z" to "z".
 _DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
-_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
+_SEPARATORS = [4, 7, 10, 13, 16, 19]
+_SEPARATOR_CODES = np.frombuffer(b"--T::z", dtype=np.uint8)
+_CASE_BIT = np.array([0, 0, 0, 0, 0, 0x20], dtype=np.uint8)
+# The lowest and highest century, year, month, day, hour, minute and second.
+_FIELD_LOW = np.array([0, 0, 1, 1, 0, 0, 0])
+_FIELD_HIGH = np.array([99, 99, 12, 31, 23, 59, 59])
 
 
 def _parse_stamps(texts: Sequence[str], chars: np.ndarray | None = None) -> tuple[np.ndarray, dict[int, str]]:
@@ -312,25 +337,22 @@ def _parse_stamps(texts: Sequence[str], chars: np.ndarray | None = None) -> tupl
     else:
         fast = np.ones(n, dtype=bool)
     epoch_us = np.zeros(n, dtype=np.int64)
-    candidates = np.flatnonzero(fast)
-    if candidates.size:
-        chars = chars.astype(np.int32)  # code points fit; days below are int64
-        digits = chars[:, _DIGITS] - ord("0")
-        ok = ((digits >= 0) & (digits <= 9)).all(axis=1)
-        for at, separator in _SEPARATORS.items():
-            ok &= chars[:, at] == ord(separator)
-        ok &= (chars[:, 19] == ord("Z")) | (chars[:, 19] == ord("z"))
-        digits[~ok] = 0  # keeps the date arithmetic below in range
-        pairs = digits[:, 0::2] * 10 + digits[:, 1::2]  # century, year, month, day, hour, minute, second
-        year = pairs[:, 0] * 100 + pairs[:, 1]
-        month, day, hour, minute, second = pairs[:, 2:].T
-        first_of_month = ((year - 1970) * 12 + month - 1).astype("datetime64[M]").astype("datetime64[D]")
-        month_days = ((first_of_month.astype("datetime64[M]") + 1).astype("datetime64[D]") - first_of_month).astype(int)
-        ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
-        ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
-        days = first_of_month.astype(np.int64) + day - 1
-        epoch_us[candidates[ok]] = ((((days * 24 + hour) * 60 + minute) * 60 + second) * 1_000_000)[ok]
-        fast[candidates] = ok
+    if chars is not None:
+        digits = chars[:, _DIGITS] - ord("0")  # unsigned: a code point below "0" wraps above 9
+        ok = (digits <= 9).all(axis=1) & ((chars[:, _SEPARATORS] | _CASE_BIT) == _SEPARATOR_CODES).all(axis=1)
+        pairs = (digits[:, 0::2] * 10 + digits[:, 1::2]).astype(np.int64)  # century, year, month, ...
+        pairs[~ok] = 0  # keeps the date arithmetic below in range
+        ok &= ((pairs >= _FIELD_LOW) & (pairs <= _FIELD_HIGH)).all(axis=1)
+        year, day = pairs[:, 0] * 100 + pairs[:, 1], pairs[:, 3]
+        month = (year - 1970) * 12 + pairs[:, 2] - 1  # since January 1970
+        low = month.min()
+        # the epoch day of the first of each month from the earliest to one past the latest
+        firsts = np.arange(low, month.max() + 2).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+        first_day = firsts[month - low]
+        ok &= (year >= 1) & (day <= firsts[month - low + 1] - first_day)
+        seconds = (((first_day + day - 1) * 24 + pairs[:, 4]) * 60 + pairs[:, 5]) * 60 + pairs[:, 6]
+        epoch_us[fast] = np.where(ok, seconds * 1_000_000, 0)
+        fast[fast] = ok
     problems = {}
     for i in np.flatnonzero(~fast).tolist():
         try:
@@ -369,60 +391,86 @@ def _mask(rows: Iterable[int], n: int) -> np.ndarray:
     return mask
 
 
+def _write(column: np.ndarray, at: int, values: np.ndarray) -> None:
+    """Writes values into a column from row ``at`` on. A column too short for them grows in
+    place (realloc extends it where the allocator can) to a quarter more than it needs, so
+    that reallocations stay few and the unused tail of the four value columns stays within
+    the room the density column takes later."""
+    end = at + values.size
+    if end > column.size:
+        column.resize(end + end // 4, refcheck=False)
+    column[at:end] = values
+
+
 class _SeriesReader:
-    """Converts a series CSV one chunk of rows at a time, carrying each link's last
-    timestamp from chunk to chunk for the duplicate and monotonicity checks."""
+    """Converts a series CSV one chunk of rows at a time into output columns (epoch_us,
+    speed, flow, travel_time, and each row's link code once a second link appears),
+    carrying each link's last timestamp from chunk to chunk for the duplicate and
+    monotonicity checks."""
 
     def __init__(self, width: int):
         self.width = width
         self.links: dict[str, int] = {}  # link id -> code, in order of first appearance
         self.last_us = np.zeros(0, dtype=np.int64)
         self.seen = np.zeros(0, dtype=bool)
+        # what csv.reader ends each field of a plain line with, as UTF-8 bytes
+        self.separators = np.array([ord(",")] * (width - 1) + [ord("\n")], dtype=np.uint8)
+        self.size = 0  # rows written to the output columns
+        self.out = [np.empty(0, dtype=dtype) for dtype in (np.int64, float, float, float)]
+        self.code: np.ndarray | None = None
 
-    def bulk(self, text: str, first_row: int) -> list[np.ndarray] | None:
-        """The columns of whole lines split at every comma, or None when ``csv.reader``
-        could split them otherwise: a quote, carriage return or NUL, a line without one
-        field per column (a blank line, a wrong field count or no final newline), or a
-        field longer than csv's field size limit."""
-        if text[-1:] != "\n" or '"' in text or "\r" in text or "\0" in text:
-            return None
+    def bulk(self, lines: list[str], first_row: int) -> bool:
+        """Whether whole lines were split at every comma and their columns kept. They are
+        not when ``csv.reader`` could split them otherwise: a quote, NUL or lone carriage
+        return (a \\r\\n line end is read as \\n), a line without one field per column (a blank
+        line, a wrong field count or no final newline), or a field longer than csv's field
+        size limit. Once they will be split here, ``lines`` is emptied to free its strings."""
+        text = "".join(lines)
+        if text[-1:] != "\n" or '"' in text or "\0" in text:
+            return False
+        if "\r" in text:
+            if text.count("\r") != text.count("\r\n"):
+                return False
+            text = text.replace("\r\n", "\n")
         data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
         ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))  # the separator after each field
-        if ends.size % self.width:
-            return None
-        newline = (data[ends] == ord("\n")).reshape(-1, self.width)
-        if newline[:, :-1].any() or not newline[:, -1].all():
-            return None
-        if np.diff(ends, prepend=-1).max() - 1 > csv.field_size_limit():  # UTF-8 bytes, never fewer than characters
-            return None
+        if ends.size % self.width or (data[ends].reshape(-1, self.width) != self.separators).any():
+            return False
+        limit = csv.field_size_limit()  # in characters; UTF-8 bytes are never fewer
+        if data.size - 1 > limit and np.diff(ends, prepend=-1).max() - 1 > limit:
+            return False
         ends = ends.reshape(-1, self.width)
-        stamp_chars = None
-        if (ends[:, 1] - ends[:, 0] == 21).all():  # every timestamp field is 20 bytes
-            stamp_chars = data[ends[:, :1] + np.arange(1, 21)]
+        rows = first_row + np.arange(len(ends))
+        wide_stamps = (ends[:, 1] - ends[:, 0] == 21).all()  # every timestamp field is 20 bytes
+        # the split below sets the chunk's peak: free what it does not need
+        lines.clear()
+        del data, ends
         cells = text[:-1].replace("\n", ",").split(",")
+        del text
         fields = [cells[k :: self.width] for k in range(self.width)]
-        return self.columns(fields, first_row + np.arange(len(ends)), stamp_chars)
+        stamp_chars = None
+        if wide_stamps:
+            stamp_chars = np.frombuffer("".join(fields[1]).encode("utf-8"), dtype=np.uint8).reshape(-1, 20)
+        self.columns(fields, rows, stamp_chars)
+        return True
 
-    def rows(self, rows: list[list[str]], first_row: int) -> list[np.ndarray]:
-        """The columns of rows split by ``csv.reader``, whose blank rows are skipped but keep
-        their row numbers; a row with the wrong field count fails after the rows before it."""
+    def rows(self, rows: list[list[str]], first_row: int) -> None:
+        """Keeps the columns of rows split by ``csv.reader``, whose blank rows are skipped but
+        keep their row numbers; a row with the wrong field count fails after the rows before it."""
         lengths = np.fromiter(map(len, rows), np.intp, len(rows))
         nonblank = np.flatnonzero(lengths)
         wrong_width = np.flatnonzero(lengths[nonblank] != self.width)
         at = nonblank[: wrong_width[0]] if wrong_width.size else nonblank  # rows before it are checked first
-        fields = list(zip(*map(rows.__getitem__, at.tolist()))) or [()] * self.width
-        columns = self.columns(fields, first_row + at)
+        if at.size:
+            self.columns(list(zip(*map(rows.__getitem__, at.tolist()))), first_row + at)
         if wrong_width.size:
             row = int(nonblank[wrong_width[0]])
             raise ParseError(f"expected {self.width} fields, got {lengths[row]}", first_row + row)
-        return columns
 
-    def columns(
-        self, fields: Sequence[Sequence[str]], rows: np.ndarray, stamp_chars: np.ndarray | None = None
-    ) -> list[np.ndarray]:
-        """(link code, epoch_us, speed, flow, travel_time) of the cells of each field, or a
-        ParseError at the earliest bad one, naming its file row (``rows``) and first failed
-        check. ``stamp_chars`` is ``_parse_stamps``'s ``chars``."""
+    def columns(self, fields: Sequence[Sequence[str]], rows: np.ndarray, stamp_chars: np.ndarray | None = None) -> None:
+        """Keeps the (epoch_us, speed, flow, travel_time, link code) of the cells of each
+        field, or raises a ParseError at the earliest bad one, naming its file row (``rows``)
+        and first failed check. ``stamp_chars`` is ``_parse_stamps``'s ``chars``."""
         n = rows.size
         ids = fields[0]
         epoch_us, stamp_problems = _parse_stamps(fields[1], stamp_chars)
@@ -431,20 +479,22 @@ class _SeriesReader:
             numbers.append((np.full(n, np.nan), np.zeros(n, dtype=bool), {}))
         (speed, has_speed, _), (flow, has_flow, _), (travel_time, has_tt, _) = numbers
 
-        if n and ids[0] and ids[0] == ids[0].strip() and ids.count(ids[0]) == n:  # one unpadded link
+        order = None  # the rows in link order, when they are not already
+        if ids[0] and ids[0] == ids[0].strip() and ids.count(ids[0]) == n:  # one unpadded link
             blank_id = np.zeros(n, dtype=bool)
             code = np.full(n, self.links.setdefault(ids[0], len(self.links)), dtype=np.intp)
+            c, t = code, epoch_us
         else:
             ids = list(map(str.strip, ids))
             blank_id = np.fromiter(map(len, ids), np.intp, n) == 0
             for link in dict.fromkeys(ids):
                 self.links.setdefault(link, len(self.links))
             code = np.fromiter(map(self.links.__getitem__, ids), np.intp, n)
-        grow = len(self.links) - self.last_us.size
-        self.last_us = np.append(self.last_us, np.zeros(grow, dtype=np.int64))
-        self.seen = np.append(self.seen, np.zeros(grow, dtype=bool))
-        order = np.argsort(code, kind="stable")
-        c, t = code[order], epoch_us[order]
+            order = np.argsort(code, kind="stable")
+            c, t = code[order], epoch_us[order]
+        if grow := len(self.links) - self.last_us.size:
+            self.last_us = np.append(self.last_us, np.zeros(grow, dtype=np.int64))
+            self.seen = np.append(self.seen, np.zeros(grow, dtype=bool))
         first = np.ones(n, dtype=bool)
         first[1:] = c[1:] != c[:-1]
         prev = np.empty_like(t)
@@ -452,10 +502,11 @@ class _SeriesReader:
         prev[first] = self.last_us[c[first]]
         has_prev = ~first
         has_prev[first] = self.seen[c[first]]
-        step = np.empty_like(t)
-        step[order] = t - prev
-        follows = np.empty(n, dtype=bool)
-        follows[order] = has_prev
+        if order is None:
+            step, follows = t - prev, has_prev
+        else:
+            step, follows = np.empty_like(t), np.empty(n, dtype=bool)
+            step[order], follows[order] = t - prev, has_prev
 
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             infinite_density = (speed > 0.0) & (flow / speed == np.inf)
@@ -465,36 +516,49 @@ class _SeriesReader:
             | (has_tt & ~((travel_time >= 0.0) & (travel_time < np.inf)))
             | infinite_density
         )
+        listed = [stamp_problems, *(problems for _, _, problems in numbers)]  # rows -> error
+        if any(listed) or (blank_id | (follows & (step <= 0)) | out_of_range).any():
 
-        def stamp(i: int) -> str:
-            return format_timestamp(datetimes(epoch_us[i : i + 1])[0])
+            def stamp(i: int) -> str:
+                return format_timestamp(datetimes(epoch_us[i : i + 1])[0])
 
-        def range_error(i: int) -> str | None:
-            return _range_error(*(values[i].item() if present[i] else None for values, present, _ in numbers))
+            def range_error(i: int) -> str | None:
+                return _range_error(*(values[i].item() if present[i] else None for values, present, _ in numbers))
 
-        checks = [  # in the order a row's checks apply
-            (blank_id, lambda i: "empty link_id"),
-            (_mask(stamp_problems, n), stamp_problems.get),
-            *((_mask(problems, n), problems.get) for _, _, problems in numbers),
-            (follows & (step == 0), lambda i: f"duplicate timestamp {stamp(i)} for link {ids[i]}"),
-            (follows & (step < 0), lambda i: f"non-monotone timestamp {stamp(i)} for link {ids[i]}"),
-            (out_of_range, range_error),
-        ]
-        failing = np.logical_or.reduce([mask for mask, _ in checks])
-        if failing.any():
-            i = int(np.argmax(failing))
+            checks = [  # in the order a row's checks apply
+                (blank_id, lambda i: "empty link_id"),
+                *((_mask(problems, n), problems.get) for problems in listed),
+                (follows & (step == 0), lambda i: f"duplicate timestamp {stamp(i)} for link {ids[i]}"),
+                (follows & (step < 0), lambda i: f"non-monotone timestamp {stamp(i)} for link {ids[i]}"),
+                (out_of_range, range_error),
+            ]
+            i = int(np.argmax(np.logical_or.reduce([mask for mask, _ in checks])))
             raise ParseError(next(describe(i) for mask, describe in checks if mask[i]), int(rows[i]))
 
         last = np.ones(n, dtype=bool)
         last[:-1] = first[1:]
         self.last_us[c[last]] = t[last]
         self.seen[c[last]] = True
-        return [code, epoch_us, speed, flow, travel_time]
+        for out, values in zip(self.out, (epoch_us, speed, flow, travel_time)):
+            _write(out, self.size, values)
+        if len(self.links) > 1:
+            if self.code is None:  # the rows so far are all the first link's
+                self.code = np.zeros(self.size, dtype=np.intp)
+            _write(self.code, self.size, code)
+        self.size += n
+
+    def finish(self) -> tuple[list[str], np.ndarray | None, list[np.ndarray]]:
+        """Link ids in order of first appearance, each row's link code (None when there is
+        one link or none), and the (epoch_us, speed, flow, travel_time) columns, trimmed to
+        the rows kept."""
+        columns = self.out if self.code is None else [*self.out, self.code]
+        for column in columns:
+            column.resize(self.size, refcheck=False)
+        return list(self.links), self.code, self.out
 
 
-def _read_columns(source) -> tuple[list[str], list[np.ndarray]]:
-    """Link ids in order of first appearance, and the (link code, epoch_us, speed, flow,
-    travel_time) columns of the data rows in file order."""
+def _read_columns(source) -> tuple[list[str], np.ndarray | None, list[np.ndarray]]:
+    """``_SeriesReader.finish`` of the data rows, in file order."""
     with open_text(source) as handle:
         header = next(csv.reader(handle), None)
         if header is None:
@@ -503,23 +567,19 @@ def _read_columns(source) -> tuple[list[str], list[np.ndarray]]:
         if header not in (SERIES_HEADER, SERIES_HEADER[:4]):
             raise ParseError(f"unexpected header {header!r}", 1)
         state = _SeriesReader(len(header))
-        blocks = []
         first_row = 2
-        # readlines splits lines as the handle does (a newline="" file also at a lone \r),
-        # so csv.reader gets the same lines from a chunk as from the handle itself
+        # readlines splits lines as the handle does (a newline="" file also at a lone \r,
+        # never inside \r\n), so csv.reader gets the same lines from a chunk as from the handle
         while lines := handle.readlines(_CHUNK_CHARS):
-            block = state.bulk("".join(lines), first_row)
-            if block is None:
+            count = len(lines)
+            if not state.bulk(lines, first_row):
                 reader = csv.reader(chain(lines, handle))
                 while rows := list(islice(reader, _ROW_BLOCK)):
-                    blocks.append(state.rows(rows, first_row))
+                    state.rows(rows, first_row)
                     first_row += len(rows)
                 break
-            blocks.append(block)
-            first_row += len(lines)
-    if not blocks:
-        blocks.append(state.rows([], first_row))
-    return list(state.links), [np.concatenate(parts) for parts in zip(*blocks)]
+            first_row += count
+    return state.finish()
 
 
 def read_series(source) -> dict[str, LinkSeries]:
@@ -532,22 +592,30 @@ def read_series(source) -> dict[str, LinkSeries]:
     input raises ``ParseError`` naming its earliest bad row (the header is row
     1 and blank rows count) and that row's first failed check, in the order:
     field count, link id, timestamp, speed, flow and travel time numeric,
-    duplicate and non-monotone timestamp, then value ranges.
+    duplicate and non-monotone timestamp, then value ranges. A byte order mark
+    before the header is skipped, and lines may end in \\n or \\r\\n.
 
     The file is read as chunks of whole lines of about ``_CHUNK_CHARS``
-    characters. A chunk with no quote, carriage return, NUL or blank line, and
-    one field per column on every line, is split at its commas in bulk; from the
-    first other chunk on, ``csv.reader`` splits the rest. Either way the columns,
-    the error and its row are those ``csv.reader`` alone would give.
+    characters. A chunk with no quote, lone carriage return, NUL or blank line,
+    and one field per column on every line, is split at its commas in bulk;
+    from the first other chunk on, ``csv.reader`` splits the rest. Either way
+    the columns, the error and its row are those ``csv.reader`` alone would
+    give. The chunks' columns are written straight into the output columns, and
+    a link whose rows are one run in the file (as every single-link file's are)
+    keeps a slice of them rather than a copy.
     """
-    links, (code, *columns) = _read_columns(source)
-    order = np.argsort(code, kind="stable")
+    links, code, columns = _read_columns(source)
+    if code is None:
+        return {link: LinkSeries(link, *columns) for link in links}
+    if (code[1:] < code[:-1]).any():  # sort interleaved links into runs
+        order = np.argsort(code, kind="stable")
+        for k, column in enumerate(columns):  # one column at a time, freeing each unsorted one
+            columns[k] = column[order]
     counts = np.bincount(code, minlength=len(links))
     ends = np.cumsum(counts)
-    starts = ends - counts
     return {
-        link: LinkSeries(link, *(column[order[a:b]] for column in columns))
-        for link, a, b in zip(links, starts.tolist(), ends.tolist())
+        link: LinkSeries(link, *(column[a:b] for column in columns))
+        for link, a, b in zip(links, (ends - counts).tolist(), ends.tolist())
     }
 
 
@@ -556,7 +624,9 @@ def parse_series(source) -> list[TrafficSample]:
 
     ``read_series`` reads and checks the file; blank cells become None.
     """
-    links, (code, epoch_us, *values) = _read_columns(source)
+    links, code, (epoch_us, *values) = _read_columns(source)
+    if code is None:
+        code = np.zeros(len(epoch_us), dtype=np.intp)
     cells = [[None if v != v else v for v in column.tolist()] for column in values]
     return [
         TrafficSample(links[c], ts, speed, flow, travel_time)

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flowsentry import ingest, simgen
+from flowsentry import detector, ingest, simgen
 from flowsentry.ingest import (
     SERIES_HEADER,
     EventLabel,
@@ -319,10 +320,10 @@ def column_bytes(streams):
     return [(link, *(getattr(s, name).tobytes() for name in names)) for link, s in streams.items()]
 
 
-def read_outcome(text):
-    """read_series's per-link columns, or its error and row."""
+def read_outcome(text, newline="\n"):
+    """read_series's per-link columns of text on a StringIO, or its error and row."""
     try:
-        return column_bytes(read_series(io.StringIO(text)))
+        return column_bytes(read_series(io.StringIO(text, newline=newline)))
     except ParseError as exc:
         return str(exc), exc.row
 
@@ -332,10 +333,10 @@ def oracle_series(source):
     return {link: LinkSeries.from_samples(rows) for link, rows in by_link(parse_series_oracle(source)).items()}
 
 
-def oracle_outcome(text):
+def oracle_outcome(text, newline="\n"):
     """The row parser's per-link columns, or its error and row."""
     try:
-        return column_bytes(oracle_series(io.StringIO(text)))
+        return column_bytes(oracle_series(io.StringIO(text, newline=newline)))
     except ParseError as exc:
         return str(exc), exc.row
 
@@ -484,6 +485,24 @@ def test_read_series_groups_links_across_blocks():
     assert [len(s) for s in streams.values()] == [9, 17]
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32), st.integers(0, 24),
+                          st.integers(0, 60), st.integers(0, 60), st.sampled_from("Zz")), min_size=1, max_size=30))
+def test_array_timestamps_match_parse_timestamp(fields):
+    # stamps of any years in one block, as text and as the file's bytes
+    texts = [f"{y:04d}-{mo:02d}-{d:02d}T{h:02d}:{mi:02d}:{sec:02d}{z}" for y, mo, d, h, mi, sec, z in fields]
+    chars = np.frombuffer("".join(texts).encode("utf-8"), dtype=np.uint8).reshape(-1, 20)
+    for given in (None, chars):
+        epoch_us, problems = ingest._parse_stamps(texts, given)
+        for i, text in enumerate(texts):
+            try:
+                expected = ingest.to_epoch_us(parse_timestamp(text))
+            except ValueError as exc:
+                assert problems[i] == str(exc)
+            else:
+                assert i not in problems and epoch_us[i] == expected
+
+
 @pytest.mark.parametrize("stamp", BAD_STAMPS + GOOD_ODD_STAMPS + ["2017-04-07T00:00:00Z", "2017-04-07T00:00:00z"])
 def test_read_series_parses_each_timestamp_as_the_row_parser(stamp):
     text = f"link_id,timestamp,speed_kmh,flow_vph\nL1,{stamp},1,1\n"
@@ -539,8 +558,9 @@ def test_overflowing_density_is_out_of_range():
 
 # --- the bulk splitter against the row parser --------------------------------------------
 
-# Chunk budgets in characters: one line per chunk, two, several, and the whole text.
-CHUNKS = [1, 64, 256, ingest._CHUNK_CHARS]
+# Chunk budgets in characters: one line per chunk, two, several, and the whole text (any
+# budget longer than the text, the reader's own included, reads it as one chunk).
+CHUNKS = [1, 64, 256, 2**18]
 # Timestamps 20 UTF-8 bytes long that are not 20 ASCII characters.
 WIDE_STAMPS = ["2017-04-07T00:00:0Ż", "2017-04-07T00:0é:0Z"]
 
@@ -614,7 +634,6 @@ def test_read_series_splits_plain_lines_as_the_row_parser(chunk, text):
 SWITCHES = {  # a line from which csv.reader splits the rest of the file
     "quote": lambda lines, k: lines.__setitem__(k, '"' + lines[k].replace(",", '",', 1)),
     "blank": lambda lines, k: lines.insert(k, ""),
-    "crlf": lambda lines, k: lines.__setitem__(k, lines[k] + "\r"),
     "width": lambda lines, k: lines.__setitem__(k, lines[k] + ",1,1"),
 }
 ENDINGS = {"no_final_newline": "", "bare_last_line": "\nL1"}  # the file's last line has no \n
@@ -628,7 +647,7 @@ ENDINGS = {"no_final_newline": "", "bare_last_line": "\nL1"}  # the file's last 
     later=st.sampled_from(sorted(BAD_ROWS) + [None]),
     gap=st.integers(0, 6),
 )
-@example(switch="crlf", at=5, later="duplicate", gap=1)
+@example(switch="blank", at=5, later="duplicate", gap=1)
 @example(switch="quote", at=40, later="width", gap=6)
 def test_read_series_hands_the_rest_to_csv_after_a_plain_chunk(chunk, switch, at, later, gap):
     lines = two_link_rows(48)
@@ -644,11 +663,16 @@ def test_read_series_hands_the_rest_to_csv_after_a_plain_chunk(chunk, switch, at
         assert len(seen) > 1
 
 
-def test_read_series_splits_a_simulated_series_without_csv():
+def simulated_series_text():
+    """A simulated week of one link, and its series CSV as ``write_series`` writes it."""
     stream, _ = simgen.generate(simgen.ScenarioConfig(seed=3, weeks=1))
     buffer = io.StringIO()
     write_series(stream, buffer)
-    text = buffer.getvalue()
+    return stream, buffer.getvalue()
+
+
+def test_read_series_splits_a_simulated_series_without_csv():
+    stream, text = simulated_series_text()
     with csv_rows_seen() as seen, mock.patch.object(ingest, "parse_timestamp", side_effect=parse_timestamp) as slow:
         outcome = read_outcome(text)
     assert seen == [SERIES_HEADER]
@@ -690,3 +714,128 @@ def test_read_series_splits_a_lone_carriage_return_as_its_handle(chunk, newline)
     with mock.patch.object(ingest, "_CHUNK_CHARS", chunk):
         assert outcome(read_series) == expected
     assert isinstance(expected, str) == (newline == "\n")
+
+
+@pytest.mark.parametrize("layout", ["runs", "interleaved"])
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_read_series_reads_two_links_in_runs_or_interleaved(chunk, layout):
+    t0 = datetime(2017, 4, 3, tzinfo=timezone.utc)
+    rows = {
+        link: [f"{link},{format_timestamp(t0 + timedelta(minutes=k))},{k % 120}.5,{k % 4000}" for k in range(n)]
+        for link, n in (("L1", 300), ("L2", 200))
+    }
+    if layout == "runs":
+        lines = rows["L1"] + rows["L2"]
+    else:
+        lines = [line for pair in zip(rows["L1"], rows["L2"]) for line in pair] + rows["L1"][200:]
+    text = "\n".join(["link_id,timestamp,speed_kmh,flow_vph", *lines]) + "\n"
+    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk):
+        outcome = read_outcome(text)
+    assert outcome == oracle_outcome(text)
+    assert [link for link, *_ in outcome] == ["L1", "L2"]
+
+
+def one_link_series(n):
+    rng = np.random.default_rng(5)
+    epoch_us = (np.arange(n) + 24_768_000) * ingest.US_PER_MINUTE
+    values = (rng.uniform(20, 120, n).round(1), rng.uniform(0, 3000, n).round(), rng.uniform(30, 300, n).round(2))
+    return LinkSeries("L1", epoch_us, *values)
+
+
+def read_scratch(path):
+    """tracemalloc's peak while ``read_series`` reads a file, less the bytes of the columns it returns."""
+    tracemalloc.start()
+    try:
+        streams = read_series(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    names = ("epoch_us", "speed", "flow", "travel_time", "density")
+    return peak - sum(getattr(stream, name).nbytes for stream in streams.values() for name in names)
+
+
+def test_read_scratch_memory_does_not_grow_with_rows(tmp_path):
+    # one chunk's scratch: 1.41 and 1.07 MiB here; concatenating per-chunk blocks and then
+    # gathering each link's rows took 3.9 and 6.1 MiB
+    scratch = []
+    for n in (5_000, 100_000):
+        path = tmp_path / f"series{n}.csv"
+        write_series(one_link_series(n), path)
+        scratch.append(read_scratch(path))
+    assert scratch[1] - scratch[0] < 2**18, scratch
+
+
+@pytest.mark.parametrize("newline", ["", "\n"])
+@pytest.mark.parametrize("chunk", CHUNKS)
+@settings(max_examples=60, deadline=None)
+@given(text=canonical_series_texts(), data=st.data())
+@example(text="link_id,timestamp,speed_kmh,flow_vph\nL1,2017-04-03T00:00:00Z,1,\nL1,2017-04-03T00:01:00Z,,2\n",
+         data=None)
+def test_read_series_splits_crlf_lines_in_bulk(chunk, newline, text, data):
+    # any mix of \n and \r\n line ends, the header's included; a chunk of one line (chunk 1)
+    # ends at every \r\n
+    lines = text[:-1].split("\n")
+    crlf = data.draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines))) if data else [True] * len(lines)
+    text = "".join(line + ("\r\n" if end else "\n") for line, end in zip(lines, crlf))
+    plain = '"' not in text and all(line.count(",") == lines[0].count(",") for line in lines)
+    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk), csv_rows_seen() as seen:
+        outcome = read_outcome(text, newline)
+    assert outcome == oracle_outcome(text, newline)
+    if plain:  # csv.reader splits the header alone
+        assert len(seen) == 1
+
+
+BOM = "\ufeff"
+
+
+@pytest.mark.parametrize("bom", ["", BOM])
+def test_read_series_splits_a_crlf_file_without_csv(tmp_path, bom):
+    # about 6 chunks of the default size and 100 of the decoder's 8 KiB buffer, each
+    # buffer boundary at a different place in a \r\n line
+    stream, text = simulated_series_text()
+    path = tmp_path / "series.csv"
+    path.write_bytes((bom + text.replace("\n", "\r\n")).encode("utf-8"))
+    with csv_rows_seen() as seen:
+        streams = read_series(path)
+    assert seen == [SERIES_HEADER]
+    assert column_bytes(streams) == column_bytes({stream.link_id: stream})
+
+
+def test_a_byte_order_mark_opening_an_input_is_skipped(tmp_path):
+    _, series = simulated_series_text()
+    events = "link_id,category,start,end\nL1,accident,2017-04-07T08:00:00Z,2017-04-07T09:00:00Z\n"
+    flags = ",".join(detector.FLAGS_HEADER) + "\nL1,2017-04-07T08:00:00Z,2017-04-07T08:09:00Z,10,1.5,right,true\n"
+    readers = [(series, lambda source: column_bytes(read_series(source))), (series, parse_series),
+               (events, parse_events), (flags, detector.read_flags_csv)]
+    for k, (text, read) in enumerate(readers):
+        expected = read(io.StringIO(text))
+        for bom in ("", BOM):
+            data = (bom + text).encode("utf-8")
+            path = tmp_path / f"input{k}{len(bom)}.csv"
+            path.write_bytes(data)
+            for source in (path, data, io.BytesIO(data)):
+                assert read(source) == expected
+
+
+HEADER = "link_id,timestamp,speed_kmh,flow_vph\n"
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (BOM + HEADER, "row 1: unexpected header ['\\ufefflink_id', "),  # one mark is skipped, not two
+        (HEADER + f"L1,{BOM}2017-04-03T00:00:00Z,1,2\n", "row 2: Invalid isoformat string: '\\ufeff2017-"),
+        (HEADER + f"L1,2017-04-03T00:00:00Z,{BOM}1,2\n", "row 2: speed '\\ufeff1' is not numeric"),
+    ],
+)
+def test_a_byte_order_mark_elsewhere_is_still_an_error(tmp_path, text, error):
+    path = tmp_path / "series.csv"
+    path.write_bytes((BOM + text).encode("utf-8"))
+    with pytest.raises(ParseError) as raised:
+        read_series(path)
+    assert str(raised.value).startswith(error)
+
+
+def test_a_text_handle_keeps_its_byte_order_mark():
+    with pytest.raises(ParseError, match="^row 1: unexpected header"):
+        read_series(io.StringIO(BOM + HEADER))

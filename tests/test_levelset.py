@@ -356,6 +356,16 @@ def test_contains_many_blocks_agree_with_brute_force(block, n_points):
     np.testing.assert_array_equal(ours, brute_force_contains_many(region, points))
 
 
+@pytest.mark.parametrize("block, n_points", [(1, 300), (7, 3_000), (levelset._POINT_BLOCK, 20_000)])
+def test_contains_many_point_blocks_agree_with_brute_force(block, n_points):
+    rng = np.random.default_rng(41)
+    region = region_of(random_simple_polygon(rng, 200), random_simple_polygon(rng, 50) + 2.0)
+    points = np.vstack([rng.uniform(-3, 5, size=(n_points, 2)), *(p[:-1] for p in region.polygons)])
+    with mock.patch.object(levelset, "_POINT_BLOCK", block):
+        ours = contains_many(region, points)
+    np.testing.assert_array_equal(ours, brute_force_contains_many(region, points))
+
+
 # 52 edges: one point per block, 9 per block, and the default's 315
 @pytest.mark.parametrize("block, n_points", [(1, 100), (2**9, 300), (levelset._DISTANCE_BLOCK, 1_000)])
 def test_distances_and_sides_blocks_agree_with_loop_oracles(block, n_points):
