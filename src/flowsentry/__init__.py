@@ -9,7 +9,7 @@ robust-SND and McMaster-style baselines (``baselines``, ``evaluation``).
 ``simgen`` generates labelled synthetic links for desk-scale validation;
 ``cli`` wires everything. The density and region queries are array
 functions: ``evaluate_many``, ``contains_many`` and ``distances_and_sides``
-take one point per row, and ``annotate`` scores a whole stream.
+take one point per row, and ``annotate`` returns a whole stream's excursions.
 """
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ingest.CadenceError, ingest.ParseError, OSError) as exc:
+    except (UsageError, ingest.CadenceError, ingest.ParseError, csv.Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # computation failures from the library
@@ -213,16 +213,19 @@ def _check_detector_options(args) -> None:
             raise UsageError("severity mode needs --threshold")
     elif args.threshold is None and args.percentile is None:
         raise UsageError("duration mode needs --threshold or --percentile")
+    if args.threshold is not None and not args.threshold >= 0:
+        raise UsageError(f"--threshold must be nonnegative, got {args.threshold}")
+    if args.percentile is not None and not 0 <= args.percentile <= 100:
+        raise UsageError(f"--percentile must be in [0, 100], got {args.percentile}")
 
 
-def _detector_config(args, annotated: detector.SeveritySeries) -> detector.DetectorConfig:
+def _detector_config(args, found: detector.Excursions) -> detector.DetectorConfig:
     """The detector of checked options; a duration percentile is taken over this stream's excursions."""
     if args.mode == "severity":
         return detector.DetectorConfig("severity_threshold", severity_threshold=args.threshold)
     if args.threshold is not None:
         return detector.DetectorConfig("duration_threshold", duration_threshold_min=args.threshold)
-    durations = detector.segment(annotated).duration
-    minutes = detector.duration_threshold_from_percentile(durations, args.percentile)
+    minutes = detector.duration_threshold_from_percentile(found.duration, args.percentile)
     print(f"duration threshold from percentile {args.percentile}: {minutes} min")
     return detector.DetectorConfig("duration_threshold", duration_threshold_min=minutes)
 
@@ -231,8 +234,8 @@ def cmd_detect(args) -> int:
     _check_detector_options(args)
     stream = _load_series(args.series, args.link)
     region = _load_region(args.region)
-    annotated = detector.annotate(stream, region)
-    excursions, flags = detector.track_annotated(annotated, _detector_config(args, annotated))
+    found = detector.annotate(stream, region)
+    excursions, flags = detector.track_annotated(found, _detector_config(args, found))
     out = _out_dir(args.out)
     detector.write_excursions_csv(excursions, out / "excursions.csv")
     detector.write_flags_csv(flags, out / "flags.csv")

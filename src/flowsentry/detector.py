@@ -1,13 +1,13 @@
 """Excursion segmentation, severity scoring, and DFTB flag emission.
 
 One stream covers one link, in strictly increasing time order. A sample is
-usable when its density proxy exists. ``annotate`` gives every usable minute
-its membership, exit side and severity; ``segment`` splits the usable
-exterior minutes into excursions once, as arrays, and flags of either mode
-are reductions over those excursions. Unusable minutes never start or end an
-excursion on their own, but once the run of missing minutes between two
-usable minutes reaches the gap-termination length, an excursion ends at its
-last observed minute.
+usable when its density proxy exists. ``annotate`` queries the region once
+for the usable minutes and returns the stream's excursions as arrays: the
+timestamps, severities and sides of the usable exterior minutes, split into
+runs. Flags of either mode are reductions over those excursions. Unusable
+minutes never start or end an excursion on their own, but once the run of
+missing minutes between two usable minutes reaches the gap-termination
+length, an excursion ends at its last observed minute.
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ class DetectorConfig:
         if self.mode == "duration_threshold":
             if self.duration_threshold_min is None or self.severity_threshold is not None:
                 raise ValueError("duration_threshold mode needs duration_threshold_min only")
-            if self.duration_threshold_min < 0:
+            if not self.duration_threshold_min >= 0:
                 raise ValueError("duration threshold must be nonnegative")
         elif self.mode == "severity_threshold":
             if self.severity_threshold is None or self.duration_threshold_min is not None:
                 raise ValueError("severity_threshold mode needs severity_threshold only")
-            if self.severity_threshold < 0:
+            if not self.severity_threshold >= 0:
                 raise ValueError("severity threshold must be nonnegative")
         else:
             raise ValueError(f"unknown detector mode {self.mode!r}")
@@ -100,55 +100,16 @@ def calibrate_normalizer(region: TypicalRegion, points: np.ndarray, inside: np.n
 
 
 @dataclass(frozen=True)
-class SeveritySeries:
-    """Per-sample annotations for one link, aligned with the input order."""
-
-    link_id: str
-    epoch_us: np.ndarray  # the stream's exact timestamps, as in LinkSeries
-    usable: np.ndarray  # density present
-    exterior: np.ndarray  # outside the region (False wherever unusable)
-    side: np.ndarray  # "left"/"right" for exterior minutes, "" otherwise
-    severity: np.ndarray  # 0 inside, scaled distance outside
-
-
-def annotate(stream: LinkSeries, region: TypicalRegion) -> SeveritySeries:
-    """Batch-compute membership, side, and severity for one link's minute stream."""
-    stream.require_minute_cadence()
-    if region.max_training_distance is None:
-        raise UncalibratedRegionError("region has no max_training_distance; calibrate first")
-    n = len(stream)
-    exterior = np.zeros(n, dtype=bool)
-    side = np.full(n, "", dtype=object)
-    sev = np.zeros(n, dtype=float)
-    pts = stream.points
-    outside = ~contains_many(region, pts)
-    ext_idx = np.flatnonzero(stream.usable)[outside]
-    exterior[ext_idx] = True
-    if ext_idx.size:
-        distances, sides = distances_and_sides(region, pts[outside])
-        sev[ext_idx] = distances / region.max_training_distance
-        side[ext_idx] = sides
-    return SeveritySeries(stream.link_id, stream.epoch_us, stream.usable, exterior, side, sev)
-
-
-def track(
-    samples: Sequence[TrafficSample],
-    region: TypicalRegion,
-    config: DetectorConfig,
-) -> tuple[list[FlagRow], list[FlagRow]]:
-    """Excursion and flag rows of a stream; see ``segment`` and ``track_annotated``."""
-    return track_annotated(annotate(LinkSeries.from_samples(samples), region), config)
-
-
-@dataclass(frozen=True)
 class Excursions:
-    """One stream's excursions as parallel arrays, in time order.
+    """One link's excursions as parallel arrays, in time order.
 
-    ``rows`` are the usable exterior rows of the stream and ``severity`` their
-    severities; excursion k covers ``rows[first[k]:first[k] + duration[k]]``.
+    ``at_us`` are the timestamps of the stream's usable exterior minutes and
+    ``severity`` their severities; excursion k covers
+    ``at_us[first[k]:first[k] + duration[k]]``.
     """
 
-    rows: np.ndarray
+    link_id: str
+    at_us: np.ndarray
     severity: np.ndarray
     first: np.ndarray
     duration: np.ndarray
@@ -156,28 +117,25 @@ class Excursions:
     right: np.ndarray  # exit side is "right"
 
     @property
-    def start(self) -> np.ndarray:
-        return self.rows[self.first]
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.rows[self.first + self.duration - 1]
+    def last(self) -> np.ndarray:
+        """The position in ``at_us`` of each excursion's last minute."""
+        return self.first + self.duration - 1
 
     def onsets(self, thresholds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every (threshold, excursion) pair where a right-side excursion reaches the
         threshold: the index of the threshold, the excursion, and the position in
-        ``rows`` of its first minute at or above the threshold; by threshold, then time."""
+        ``at_us`` of its first minute at or above the threshold; by threshold, then time."""
         if not self.first.size:
             return self.first, self.first, self.first
         at_or_above = self.severity >= np.asarray(thresholds, dtype=float)[:, None]
-        hit = np.where(at_or_above, np.arange(self.rows.size), self.rows.size)
+        hit = np.where(at_or_above, np.arange(self.at_us.size), self.at_us.size)
         onset = np.minimum.reduceat(hit, self.first, axis=1)
         point, flagged = np.nonzero(self.right & (onset < self.first + self.duration))
         return point, flagged, onset[point, flagged]
 
 
-def segment(series: SeveritySeries) -> Excursions:
-    """Split the usable exterior minutes into excursions.
+def annotate(stream: LinkSeries, region: TypicalRegion) -> Excursions:
+    """The excursions of one link's minute stream outside ``region``.
 
     A usable exterior minute starts a new excursion when the previous usable
     minute was interior (or there is none), when its exit side differs from
@@ -186,30 +144,43 @@ def segment(series: SeveritySeries) -> Excursions:
     minutes count only through that gap, so durations count usable exterior
     minutes, not the wall-clock span.
     """
-    usable = np.flatnonzero(series.usable)
-    position = np.flatnonzero(series.exterior[usable])  # among the usable minutes
-    rows = usable[position]
-    right = series.side[rows] == "right"
+    stream.require_minute_cadence()
+    if region.max_training_distance is None:
+        raise UncalibratedRegionError("region has no max_training_distance; calibrate first")
+    usable = stream.usable
+    points = np.column_stack([stream.density[usable], stream.flow[usable]])
+    position = np.flatnonzero(~contains_many(region, points))  # among the usable minutes
+    distances, sides = distances_and_sides(region, points[position])
+    del points
+    severity = distances / region.max_training_distance
+    right = sides == "right"
+    at_us = stream.epoch_us[usable][position]
     joined = np.flatnonzero((np.diff(position) == 1) & (right[1:] == right[:-1])) + 1
-    waited_us = series.epoch_us[rows[joined]] - series.epoch_us[rows[joined - 1]]
-    continues = np.zeros(rows.size, dtype=bool)
-    continues[joined] = waited_us / 1e6 / 60.0 - 1.0 < GAP_TERMINATION_MIN
+    continues = np.zeros(position.size, dtype=bool)
+    continues[joined] = (at_us[joined] - at_us[joined - 1]) / 1e6 / 60.0 - 1.0 < GAP_TERMINATION_MIN
     first = np.flatnonzero(~continues)
-    severity = series.severity[rows]
-    duration = np.diff(np.append(first, rows.size))
+    duration = np.diff(np.append(first, position.size))
     max_severity = np.maximum.reduceat(severity, first) if first.size else severity
-    return Excursions(rows, severity, first, duration, max_severity, right[first])
+    return Excursions(stream.link_id, at_us, severity, first, duration, max_severity, right[first])
 
 
-def track_annotated(series: SeveritySeries, config: DetectorConfig) -> tuple[list[FlagRow], list[FlagRow]]:
-    """Excursion rows of an annotated stream and the flag rows ``config`` raises.
+def track(
+    samples: Sequence[TrafficSample],
+    region: TypicalRegion,
+    config: DetectorConfig,
+) -> tuple[list[FlagRow], list[FlagRow]]:
+    """Excursion and flag rows of a stream; see ``annotate`` and ``track_annotated``."""
+    return track_annotated(annotate(LinkSeries.from_samples(samples), region), config)
+
+
+def track_annotated(found: Excursions, config: DetectorConfig) -> tuple[list[FlagRow], list[FlagRow]]:
+    """Excursion rows of a stream's excursions and the flag rows ``config`` raises.
 
     Left-side excursions are recorded but never flagged. In severity mode a
     flag opens at the first minute at or above the threshold and persists to
     the excursion's end; in duration mode the flag is retroactive and covers
     the whole excursion when it lasted long enough.
     """
-    found = segment(series)
     if config.mode == "duration_threshold":
         chosen = np.flatnonzero(found.right & (found.duration >= config.duration_threshold_min))
         onset = found.first[chosen]
@@ -217,16 +188,16 @@ def track_annotated(series: SeveritySeries, config: DetectorConfig) -> tuple[lis
         _, chosen, onset = found.onsets([config.severity_threshold])
     raised = np.zeros(found.first.size, dtype=bool)
     raised[chosen] = True
-    at = series.epoch_us
+    at = found.at_us
     columns = (c.tolist() for c in (found.duration, found.max_severity, found.right, raised))
     excursions = [
-        FlagRow(series.link_id, a, b, d, m, "right" if r else "left", f)
-        for a, b, d, m, r, f in zip(datetimes(at[found.start]), datetimes(at[found.end]), *columns)
+        FlagRow(found.link_id, a, b, d, m, "right" if r else "left", f)
+        for a, b, d, m, r, f in zip(datetimes(at[found.first]), datetimes(at[found.last]), *columns)
     ]
     flagged_min = found.first[chosen] + found.duration[chosen] - onset
     flags = [
         replace(excursions[k], start=a, duration_min=m)
-        for k, a, m in zip(chosen.tolist(), datetimes(at[found.rows[onset]]), flagged_min.tolist())
+        for k, a, m in zip(chosen.tolist(), datetimes(at[onset]), flagged_min.tolist())
     ]
     return excursions, flags
 

@@ -15,9 +15,9 @@ Scoring takes many flag sets at once: ``score_flag_sets`` scores every set of
 a batch against one set of labels, each flag tagged with its set, and
 ``score_detector`` is its one-set case. A calibration sweep detects the flags
 of its whole grid in one batch (``baselines.snd_detect_grid``,
-``baselines.mcmaster_detect_grid``, one segmentation for DFTB), scores them in
-one call, and ``calibrate`` takes the argmin over the scores; the result keeps
-the score of every grid point.
+``baselines.mcmaster_detect_grid``, one ``detector.annotate`` for DFTB),
+scores them in one call, and ``calibrate`` takes the argmin over the scores;
+the result keeps the score of every grid point.
 
 Wilcoxon p-values follow the convention most reference implementations use:
 the exact signed-rank distribution when no zero differences were discarded
@@ -515,20 +515,18 @@ def _entering_point(residual, on_curve, direction, slope) -> int:
 
 
 def dftb_score_fn(stream: LinkSeries, region, labels: Sequence[EventLabel]):
-    """Score function over a grid of severity thresholds: the stream is annotated and
-    segmented once, and every threshold's flags come from that one segmentation."""
-    from .detector import annotate, segment
+    """Score function over a grid of severity thresholds: the stream's excursions are
+    found once, and every threshold's flags come from them."""
+    from .detector import annotate
 
-    series = annotate(stream, region)
-    found = segment(series)
-    exterior_us = series.epoch_us[found.rows]
-    end_us = series.epoch_us[found.end]
+    found = annotate(stream, region)
+    end_us = found.at_us[found.last]
     label_us = intervals_us(labels)
     n_applications = applications(stream, "dftb")
 
     def score(thresholds: Sequence[float]) -> list[DetectorScore]:
         point, flagged, onset = found.onsets(thresholds)
-        return score_flag_sets((exterior_us[onset], end_us[flagged]), point, len(thresholds), label_us, n_applications)
+        return score_flag_sets((found.at_us[onset], end_us[flagged]), point, len(thresholds), label_us, n_applications)
 
     return score
 

@@ -219,9 +219,9 @@ def _fit_and_calibrate(train, train_labels):
 
 
 def _dftb_test_score(test, test_labels, region, threshold):
-    series = annotate(test, region)
-    _, flags = track_annotated(series, DetectorConfig("severity_threshold", severity_threshold=threshold))
-    return ev.score_detector(ev.intervals_us(flags), ev.intervals_us(test_labels), int(series.usable.sum()))
+    config = DetectorConfig("severity_threshold", severity_threshold=threshold)
+    _, flags = track_annotated(annotate(test, region), config)
+    return ev.score_detector(ev.intervals_us(flags), ev.intervals_us(test_labels), ev.applications(test, "dftb"))
 
 
 def _snd_test_score(train, test, train_labels, test_labels):

@@ -13,7 +13,7 @@ from flowsentry.baselines import mcmaster_detect, snd_detect, snd_fit
 from flowsentry.detector import annotate
 from flowsentry.evaluation import McMasterParams
 from flowsentry.ingest import CadenceError, LinkSeries
-from flowsentry.levelset import TypicalRegion
+from flowsentry.levelset import TypicalRegion, contains_many
 from flowsentry.simgen import ScenarioConfig, generate, plan_incidents
 
 
@@ -67,7 +67,12 @@ def test_one_sample_stream_passes(link):
     stream, _, region = link
     single = rows(stream, slice(0, 1))
     assert single.spacing_min == 1.0
-    assert annotate(single, region).usable.tolist() == [True]
+    found = annotate(single, region)
+    if contains_many(region, single.points)[0]:  # an interior minute is in no excursion
+        assert found.at_us.size == found.duration.size == 0
+    else:
+        assert found.at_us.tolist() == single.epoch_us.tolist()
+        assert found.duration.tolist() == [1]
 
 
 def test_spacing_is_the_median_step_in_minutes():

@@ -259,6 +259,32 @@ def test_detect_option_checks_come_before_the_inputs(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize(
+    "mode, option, value, problem",
+    [
+        ("severity", "--threshold", "-1", "--threshold must be nonnegative, got -1.0"),
+        ("severity", "--threshold", "nan", "--threshold must be nonnegative, got nan"),
+        ("duration", "--threshold", "-1", "--threshold must be nonnegative, got -1.0"),
+        ("duration", "--threshold", "nan", "--threshold must be nonnegative, got nan"),
+        ("duration", "--percentile", "150", "--percentile must be in [0, 100], got 150.0"),
+        ("duration", "--percentile", "-5", "--percentile must be in [0, 100], got -5.0"),
+        ("duration", "--percentile", "nan", "--percentile must be in [0, 100], got nan"),
+    ],
+)
+def test_detect_option_values_are_checked_before_the_inputs(tmp_path, capsys, mode, option, value, problem):
+    # the (missing) inputs are never read: a bad value is a usage error, not a late failure or no flags
+    argv = ["detect", "--series", str(tmp_path / "none.csv"), "--region", str(tmp_path / "none.json"),
+            "--mode", mode, option, value, "--out", str(tmp_path / "d")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not (tmp_path / "d").exists()
+
+
+def test_detect_infinite_duration_threshold_flags_nothing(workspace, tmp_path, capsys):
+    assert main(detect_argv(workspace, tmp_path / "d", "--mode", "duration", "--threshold", "inf")) == 0
+    assert capsys.readouterr().out.endswith("flags: 0\n")
+
+
 def test_detect_severity_mode_without_threshold_leaves_no_out(workspace, tmp_path, capsys):
     assert main(detect_argv(workspace, tmp_path / "d", "--mode", "severity")) == 2
     assert capsys.readouterr().err == "error: severity mode needs --threshold\n"
@@ -444,6 +470,26 @@ def test_malformed_events_exit_2(workspace, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: row 3: ") and "'yesterday'" in err
+
+
+@pytest.mark.parametrize("kind", ["series", "events", "flags"])
+def test_field_over_csvs_size_limit_exit_2(workspace, tmp_path, capsys, kind):
+    series, events = str(workspace / "sim" / "series.csv"), str(workspace / "sim" / "events.csv")
+    long_field = "L" * (csv.field_size_limit() + 1)
+    bad = tmp_path / f"{kind}.csv"
+    if kind == "series":
+        bad.write_text(f"link_id,timestamp,speed_kmh,flow_vph\n{long_field},2017-04-03T00:00:00Z,1,2\n")
+        argv = ["fit", "--series", str(bad)]
+    elif kind == "events":
+        header = (workspace / "sim" / "events.csv").read_text().splitlines()[0]
+        bad.write_text(f"{header}\n{long_field}\n")
+        argv = ["calibrate", "--series", series, "--events", str(bad), "--detector", "snd"]
+    else:
+        bad.write_text(",".join(cli.detector.FLAGS_HEADER) + f"\n{long_field}\n")
+        argv = ["evaluate", "--series", series, "--events", events, "--flags", str(bad)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: field larger than field limit ({csv.field_size_limit()})\n"
+    assert not (tmp_path / "out").exists()
 
 
 FLAG_ROW = ["SIM1", "2017-04-03T14:32:00Z", "2017-04-03T14:50:00Z", "19", "0.83", "right", "true"]

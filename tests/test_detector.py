@@ -11,7 +11,6 @@ from flowsentry.detector import (
     GAP_TERMINATION_MIN,
     DetectorConfig,
     FlagRow,
-    SeveritySeries,
     UncalibratedRegionError,
     annotate,
     calibrate_normalizer,
@@ -22,7 +21,7 @@ from flowsentry.detector import (
     write_excursions_csv,
     write_flags_csv,
 )
-from flowsentry.ingest import EventLabel, LinkSeries, TrafficSample, datetimes, to_epoch_us
+from flowsentry.ingest import EventLabel, LinkSeries, TrafficSample, to_epoch_us
 from flowsentry.levelset import TypicalRegion, contains_many
 from region_helpers import exact_segment_distance, winding_number_inside
 
@@ -68,8 +67,10 @@ DUR_CFG = DetectorConfig("duration_threshold", duration_threshold_min=3)
 
 
 def severity(point, r):
-    """The severity ``annotate`` gives a one-minute stream at ``point``."""
-    return float(annotate(LinkSeries.from_samples(series([point])), r).severity[0])
+    """The severity ``annotate`` gives a one-minute stream at ``point``: 0 for an
+    interior minute, which is in no excursion."""
+    found = annotate(LinkSeries.from_samples(series([point])), r)
+    return float(found.severity[0]) if found.severity.size else 0.0
 
 
 def test_severity_zero_inside():
@@ -225,12 +226,12 @@ def test_severity_mode_onset_matches_replay_oracle():
 
 
 def test_flag_severity_positive_and_interior_severity_zero():
-    pts = [INTERIOR, RIGHT, RIGHT, INTERIOR]
-    r = region()
-    ann = annotate(LinkSeries.from_samples(series(pts)), r)
-    assert ann.severity[0] == 0.0
-    assert ann.severity[3] == 0.0
-    assert np.all(ann.severity[1:3] > 0)
+    samples = series([INTERIOR, RIGHT, RIGHT, INTERIOR])
+    ann = annotate(LinkSeries.from_samples(samples), region())
+    # the interior minutes are in no excursion
+    assert ann.at_us.tolist() == [to_epoch_us(s.timestamp) for s in samples[1:3]]
+    assert ann.duration.tolist() == [2]
+    assert np.all(ann.severity > 0)
 
 
 def test_flag_count_monotone_in_severity_threshold():
@@ -308,6 +309,15 @@ def test_config_exactly_one_mode():
         DetectorConfig("sometimes")
 
 
+@pytest.mark.parametrize(
+    "mode, field", [("severity_threshold", "severity_threshold"), ("duration_threshold", "duration_threshold_min")]
+)
+@pytest.mark.parametrize("value", [-1.0, float("nan")])
+def test_config_rejects_a_negative_or_nan_threshold(mode, field, value):
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        DetectorConfig(mode, **{field: value})
+
+
 def test_flags_csv_round_trip():
     pts = [INTERIOR] + [RIGHT] * 4 + [INTERIOR]
     excursions, flags = track(series(pts), region(), DUR_CFG)
@@ -346,64 +356,63 @@ def test_flag_row_invariants(change, problem):
 # --- segmentation against the per-minute replay -------------------------------------
 
 
-def track_annotated_oracle(series, config):
-    """Per-minute replay of the excursion state machine, one usable minute at a time."""
+def track_annotated_oracle(rows, config):
+    """Per-minute replay of the excursion state machine over ``(timestamp, state, severity)``
+    rows, one usable minute at a time; interior and missing rows' severities are unused."""
     excursions = []
     flags = []
 
     open_side = None
-    start_idx = end_idx = -1
+    start_ts = end_ts = None
     minute_count = 0
     max_sev = 0.0
-    flag_idx = None
+    flag_ts = None
     flag_minutes = 0
     last_usable = None
-    ts = datetimes(series.epoch_us)
 
     def close():
-        nonlocal open_side, flag_idx, flag_minutes
+        nonlocal open_side, flag_ts, flag_minutes
         flag = None
         if open_side == "right":
-            if config.mode == "severity_threshold" and flag_idx is not None:
-                flag = FlagRow(series.link_id, ts[flag_idx], ts[end_idx], flag_minutes, max_sev, "right", True)
+            if config.mode == "severity_threshold" and flag_ts is not None:
+                flag = FlagRow("L1", flag_ts, end_ts, flag_minutes, max_sev, "right", True)
             elif config.mode == "duration_threshold" and minute_count >= config.duration_threshold_min:
-                flag = FlagRow(series.link_id, ts[start_idx], ts[end_idx], minute_count, max_sev, "right", True)
+                flag = FlagRow("L1", start_ts, end_ts, minute_count, max_sev, "right", True)
         raised = flag is not None
-        excursions.append(FlagRow(series.link_id, ts[start_idx], ts[end_idx], minute_count, max_sev, open_side, raised))
+        excursions.append(FlagRow("L1", start_ts, end_ts, minute_count, max_sev, open_side, raised))
         if raised:
             flags.append(flag)
         open_side = None
-        flag_idx = None
+        flag_ts = None
         flag_minutes = 0
 
-    for i in range(len(ts)):
-        if not series.usable[i]:
+    for ts, state, sev in rows:
+        if state == M:
             continue
         if open_side is not None and last_usable is not None:
-            missing_run = (ts[i] - last_usable).total_seconds() / 60.0 - 1.0
+            missing_run = (ts - last_usable).total_seconds() / 60.0 - 1.0
             if missing_run >= GAP_TERMINATION_MIN:
                 close()
-        last_usable = ts[i]
-        if series.exterior[i]:
-            this_side = series.side[i]
-            if open_side is not None and this_side != open_side:
+        last_usable = ts
+        if state in (L, R):
+            if open_side is not None and state != open_side:
                 close()
             if open_side is None:
-                open_side = this_side
-                start_idx = i
+                open_side = state
+                start_ts = ts
                 minute_count = 0
                 max_sev = 0.0
-            end_idx = i
+            end_ts = ts
             minute_count += 1
-            max_sev = max(max_sev, float(series.severity[i]))
+            max_sev = max(max_sev, sev)
             if (
                 open_side == "right"
                 and config.mode == "severity_threshold"
-                and flag_idx is None
-                and series.severity[i] >= config.severity_threshold
+                and flag_ts is None
+                and sev >= config.severity_threshold
             ):
-                flag_idx = i
-            if flag_idx is not None:
+                flag_ts = ts
+            if flag_ts is not None:
                 flag_minutes += 1
         elif open_side is not None:
             close()
@@ -426,21 +435,33 @@ ROWS = st.lists(
 )
 
 
-def severity_series(rows):
-    timestamps, t = [], T0
-    for seconds, micros, _, _ in rows:
-        t += timedelta(seconds=seconds, microseconds=micros)
-        timestamps.append(t)
-    states = np.array([state for _, _, state, _ in rows])
-    exterior = (states == L) | (states == R)
-    return SeveritySeries(
-        "L1",
-        np.array([to_epoch_us(t) for t in timestamps]),
-        states != M,
-        exterior,
-        np.where(exterior, states, "").astype(object),
-        np.where(exterior, [sev for _, _, _, sev in rows], 0.0),
-    )
+def scaled_sample(ts, state, sev):
+    """A missing minute, or a point inside the unit square, ``sev`` above-left of it, or
+    ``sev`` to its right.
+
+    Left points have density exactly 0.25 and flow 1 + sev; right points have speed
+    0.25, so their density 4 * flow is exactly 1 + sev. Either lies 1 + sev - 1 from
+    the square: ``sev`` itself unless 1 + sev rounds."""
+    speed, flow = {M: (0.0, 0.0), I: (1.0, 0.5), L: (4.0 * (1.0 + sev), 1.0 + sev), R: (0.25, (1.0 + sev) / 4.0)}[state]
+    return TrafficSample("L1", ts, speed, flow)
+
+
+def scaled_stream(rows):
+    """The stream of ``(step, state, severity)`` rows, each ``step`` after the one before
+    (the first after T0), and the rows as ``(timestamp, state, severity)`` for the replay,
+    each severity the distance ``scaled_sample`` puts its point at.
+
+    ``annotate`` takes minute streams only: as many missing minutes follow the rows,
+    which makes most steps one minute long and changes no excursion."""
+    samples, replay, t = [], [], T0
+    for step, state, sev in rows:
+        t += step
+        samples.append(scaled_sample(t, state, sev))
+        replay.append((t, state, 1.0 + sev - 1.0))
+    for _ in rows:
+        t += timedelta(minutes=1)
+        samples.append(scaled_sample(t, M, 0.0))
+    return LinkSeries.from_samples(samples), replay
 
 
 def rows_of(*states, step=60, sev=0.25):
@@ -466,21 +487,13 @@ def rows_of(*states, step=60, sev=0.25):
 @example(rows=rows_of(M, M, M), threshold=0.25, duration=0)
 @example(rows=rows_of(I, M, I), threshold=0.0, duration=0)
 def test_track_annotated_matches_replay_oracle(rows, threshold, duration):
-    series = severity_series(rows)
+    stream, replay = scaled_stream([(timedelta(seconds=s, microseconds=us), state, sev) for s, us, state, sev in rows])
+    found = annotate(stream, region())
     for config in (
         DetectorConfig("severity_threshold", severity_threshold=threshold),
         DetectorConfig("duration_threshold", duration_threshold_min=duration),
     ):
-        assert track_annotated(series, config) == track_annotated_oracle(series, config)
-
-
-def scaled_sample(seconds, state, sev):
-    """A missing minute, or a point inside the unit square, above-left of it, or ``sev`` to its right.
-
-    Right points have speed 0.25, so their density 4 * flow is exactly 1 + sev."""
-    ts = T0 + timedelta(seconds=seconds)
-    speed, flow = {M: (0.0, 0.0), I: (1.0, 0.5), L: (6.0, 1.5), R: (0.25, (1.0 + sev) / 4.0)}[state]
-    return TrafficSample("L1", ts, speed, flow)
+        assert track_annotated(found, config) == track_annotated_oracle(replay, config)
 
 
 # Severities on a dyadic grid are exact distances, so some equal a calibration threshold.
@@ -495,28 +508,18 @@ SWEEP_ROWS = st.lists(
 @given(rows=SWEEP_ROWS, label_rows=st.lists(st.tuples(st.integers(0, 79), st.integers(0, 10)), min_size=1, max_size=4))
 @example(rows=[(60, R, 0.25), (180, R, 0.5), (60, I, 0.0), (60, R, 1.5)], label_rows=[(0, 3)])
 def test_dftb_sweep_matches_replay_oracle(rows, label_rows):
-    samples, seconds = [], 0
-    for step, state, sev in rows:
-        seconds += step
-        samples.append(scaled_sample(seconds, state, sev))
-    span = [s.timestamp for s in samples]
-    # annotate takes minute streams only: trailing missing minutes make most steps one
-    # minute long and change no excursion
-    for _ in rows:
-        seconds += 60
-        samples.append(scaled_sample(seconds, M, 0.0))
-    stream = LinkSeries.from_samples(samples)
-    if not stream.usable.any():
+    stream, replay = scaled_stream([(timedelta(seconds=step), state, sev) for step, state, sev in rows])
+    usable = sum(state != M for _, state, _ in replay)
+    if not usable:
         return
+    span = [ts for ts, _, _ in replay]
     labels = [
         EventLabel("L1", "accident", span[min(a, len(span) - 1)], span[min(a + b, len(span) - 1)])
         for a, b in label_rows
     ]
-    r = region()
-    series = annotate(stream, r)
     expected = []
     for threshold in ev.DFTB_THRESHOLD_GRID:
         config = DetectorConfig("severity_threshold", severity_threshold=threshold)
-        _, flags = track_annotated_oracle(series, config)
-        expected.append(ev.score_detector(ev.intervals_us(flags), ev.intervals_us(labels), int(series.usable.sum())))
-    assert ev.dftb_score_fn(stream, r, labels)(ev.DFTB_THRESHOLD_GRID) == expected
+        _, flags = track_annotated_oracle(replay, config)
+        expected.append(ev.score_detector(ev.intervals_us(flags), ev.intervals_us(labels), usable))
+    assert ev.dftb_score_fn(stream, region(), labels)(ev.DFTB_THRESHOLD_GRID) == expected

@@ -703,7 +703,7 @@ def test_calibrate_mcmaster_matches_per_point_loop(simulated_link, grid_blocks):
 
 
 def test_calibrate_dftb_matches_per_threshold_loop(simulated_link):
-    from flowsentry.detector import annotate, calibrate_normalizer, segment
+    from flowsentry.detector import annotate, calibrate_normalizer
     from flowsentry.levelset import TypicalRegion, contains_many
 
     stream, labels = simulated_link
@@ -711,15 +711,14 @@ def test_calibrate_dftb_matches_per_threshold_loop(simulated_link):
     box = np.array([[r0, f0], [r1, f0], [r1, f1], [r0, f1], [r0, f0]])
     region = TypicalRegion(z_star=1.0, alpha=0.05, polygons=(box,), scale_rho=r1 - r0, scale_f=f1 - f0)
     region = calibrate_normalizer(region, stream.points, contains_many(region, stream.points))
-    series = annotate(stream, region)
-    found = segment(series)
+    found = annotate(stream, region)
     label_us, n = ev.intervals_us(labels), ev.applications(stream, "dftb")
 
     def score_point(threshold):  # one threshold's onsets at a time
-        hit = np.where(found.severity >= threshold, np.arange(found.rows.size), found.rows.size)
+        hit = np.where(found.severity >= threshold, np.arange(found.at_us.size), found.at_us.size)
         onset = np.minimum.reduceat(hit, found.first)
         flagged = np.flatnonzero(found.right & (onset < found.first + found.duration))
-        flags = (series.epoch_us[found.rows[onset[flagged]]], series.epoch_us[found.end[flagged]])
+        flags = (found.at_us[onset[flagged]], found.at_us[found.last[flagged]])
         return ev.score_detector(flags, label_us, n)
 
     expected = calibrate_oracle(ev.DFTB_THRESHOLD_GRID, score_point)
