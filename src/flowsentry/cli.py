@@ -121,9 +121,15 @@ def grid_resolution() -> tuple[int, int]:
     return GRID_RESOLUTION
 
 
+def _write_text(path: Path, text: str) -> None:
+    with ingest.open_text(path, "w") as handle:
+        handle.write(text)
+
+
 def _load_region(path: str) -> levelset.TypicalRegion:
     """A fitted region file; a missing key, a wrong type, bad JSON or no normaliser is a usage error."""
-    text = _require_file(path).read_text(encoding="utf-8")
+    with ingest.open_text(_require_file(path)) as handle:
+        text = handle.read()
     try:
         region = levelset.TypicalRegion.from_json(text)
     except (KeyError, TypeError, ValueError) as exc:
@@ -195,7 +201,7 @@ def cmd_fit(args) -> int:
     inside = levelset.contains_many(region, pts)
     region = detector.calibrate_normalizer(region, pts, inside)
     out = _out_dir(args.out)
-    (out / "region.json").write_text(region.to_json(), encoding="utf-8")
+    _write_text(out / "region.json", region.to_json())
     print(f"samples: {len(pts)}")
     print(f"z_star: {region.z_star:.6e}")
     print(f"components: {len(region.polygons)}")
@@ -267,8 +273,8 @@ def cmd_calibrate(args) -> int:
     payload["training_score"] = _score_payload(result.score)
     out = _out_dir(args.out)
     if profile is not None:
-        (out / "snd_profile.json").write_text(profile.to_json(), encoding="utf-8")
-    (out / "calibration.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
+        _write_text(out / "snd_profile.json", profile.to_json())
+    _write_text(out / "calibration.json", json.dumps(payload, indent=2))
     _write_sweep(result, args.detector, out / "sweep.csv")
     print(json.dumps(payload, indent=2))
     return EXIT_OK
@@ -345,7 +351,7 @@ def cmd_evaluate(args) -> int:
                     pairs.append((va, vb))
             payload["tests"][metric] = _paired_tests_payload(pairs)
     out = _out_dir(args.out)
-    (out / "evaluation.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    _write_text(out / "evaluation.json", json.dumps(payload, indent=2))
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 
@@ -386,8 +392,8 @@ def _sign_test(pairs) -> evaluation.PairedTestResult:
 
 def _evaluate_fixture(out: Path) -> int:
     rows = evaluation.load_table1()
-    evaluation.write_report_csv(rows, out / "report.csv")
     report = evaluation.fixture_report(rows)
+    evaluation.write_report_csv(rows, report["aggregates"], out / "report.csv")
     payload = {
         "aggregates": {m: asdict(a) for m, a in report["aggregates"].items()},
         "differences": report["differences"],
@@ -396,7 +402,7 @@ def _evaluate_fixture(out: Path) -> int:
             for metric, tests in report["tests"].items()
         },
     }
-    (out / "tests.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    _write_text(out / "tests.json", json.dumps(payload, indent=2))
     for metric in ("dr", "far", "mttd"):
         tests = payload["tests"][metric]
         print(

@@ -15,12 +15,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from datetime import datetime
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import LinkSeries, ParseError, TrafficSample, datetimes, format_timestamp, open_text, parse_timestamp
+from .ingest import LinkSeries, ParseError, TrafficSample, format_stamps, format_timestamp, open_text, parse_timestamp
 from .levelset import TypicalRegion, contains_many, distances_and_sides, with_normalizer
 
 # A missing run of at least this many minutes ends an excursion.
@@ -62,12 +61,13 @@ class FlagRow:
 
     An excursion row is one atypical episode on a single side of the boundary,
     ``flagged`` if it raised a flag. A flag row is its excursion's row with the
-    flag onset as ``start`` and the flagged minutes as ``duration_min``.
+    flag onset as ``start_us`` and the flagged minutes as ``duration_min``. Both
+    instants are epoch microseconds.
     """
 
     link_id: str
-    start: datetime
-    end: datetime
+    start_us: int
+    end_us: int
     duration_min: int
     max_severity: float
     exit_side: str
@@ -84,8 +84,8 @@ class FlagRow:
             raise ValueError(f"bad exit side {self.exit_side!r}")
         if self.flagged and self.exit_side != "right":
             raise ValueError("flags are only raised for right-side excursions")
-        if self.end < self.start:
-            raise ValueError(f"end {format_timestamp(self.end)} precedes start {format_timestamp(self.start)}")
+        if self.end_us < self.start_us:
+            raise ValueError(f"end {format_timestamp(self.end_us)} precedes start {format_timestamp(self.start_us)}")
 
 
 def calibrate_normalizer(region: TypicalRegion, points: np.ndarray, inside: np.ndarray) -> TypicalRegion:
@@ -192,12 +192,12 @@ def track_annotated(found: Excursions, config: DetectorConfig) -> tuple[list[Fla
     columns = (c.tolist() for c in (found.duration, found.max_severity, found.right, raised))
     excursions = [
         FlagRow(found.link_id, a, b, d, m, "right" if r else "left", f)
-        for a, b, d, m, r, f in zip(datetimes(at[found.first]), datetimes(at[found.last]), *columns)
+        for a, b, d, m, r, f in zip(at[found.first].tolist(), at[found.last].tolist(), *columns)
     ]
     flagged_min = found.first[chosen] + found.duration[chosen] - onset
     flags = [
-        replace(excursions[k], start=a, duration_min=m)
-        for k, a, m in zip(chosen.tolist(), datetimes(at[onset]), flagged_min.tolist())
+        replace(excursions[k], start_us=a, duration_min=m)
+        for k, a, m in zip(chosen.tolist(), at[onset].tolist(), flagged_min.tolist())
     ]
     return excursions, flags
 
@@ -215,13 +215,15 @@ def duration_threshold_from_percentile(durations: Sequence[float], percentile: f
 
 def write_excursions_csv(rows: Iterable[FlagRow], sink) -> None:
     """Write excursion or flag rows in the shared CSV schema."""
+    rows = list(rows)
+    starts = format_stamps([r.start_us for r in rows])
+    ends = format_stamps([r.end_us for r in rows])
     with open_text(sink, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(FLAGS_HEADER)
         writer.writerows(
-            (r.link_id, format_timestamp(r.start), format_timestamp(r.end), r.duration_min, repr(r.max_severity),
-             r.exit_side, "true" if r.flagged else "false")
-            for r in rows
+            (r.link_id, a, b, r.duration_min, repr(r.max_severity), r.exit_side, "true" if r.flagged else "false")
+            for r, a, b in zip(rows, starts, ends)
         )
 
 

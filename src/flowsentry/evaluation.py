@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .baselines import McMasterParams, mcmaster_detect_grid, snd_detect_grid
-from .ingest import US_PER_MINUTE, EventLabel, LinkSeries, open_text, quantiles, to_epoch_us
+from .ingest import US_PER_MINUTE, EventLabel, LinkSeries, open_text, quantiles
 
 EPS_DR = 1.01
 EPS_FAR = 0.001
@@ -73,9 +73,9 @@ class InsufficientPairsError(ValueError):
 
 
 def intervals_us(rows: Iterable) -> Intervals:
-    """The ``(start_us, end_us)`` pair of rows with aware ``start`` and ``end`` datetimes,
+    """The ``(start_us, end_us)`` pair of rows with ``start_us`` and ``end_us`` fields,
     such as event labels or flag rows."""
-    us = np.array([(to_epoch_us(r.start), to_epoch_us(r.end)) for r in rows], dtype=np.int64).reshape(-1, 2)
+    us = np.array([(r.start_us, r.end_us) for r in rows], dtype=np.int64).reshape(-1, 2)
     return us[:, 0], us[:, 1]
 
 
@@ -390,15 +390,14 @@ def fixture_report(rows: Sequence[FixtureRow]) -> dict:
     return report
 
 
-def write_report_csv(rows: Sequence[FixtureRow], sink) -> None:
-    """Per-link metric table plus the four aggregate footer rows."""
+def write_report_csv(rows: Sequence[FixtureRow], aggregates: dict[str, AggregateStats], sink) -> None:
+    """Per-link metric table plus the four aggregate footer rows of ``aggregates``,
+    ``fixture_report``'s aggregates of ``rows``."""
     with open_text(sink, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["location", "length_km", *FIXTURE_METRICS])
         for r in rows:
             writer.writerow([r.location, r.length_km, *(getattr(r, m) for m in FIXTURE_METRICS)])
-        columns = {m: [getattr(r, m) for r in rows] for m in FIXTURE_METRICS}
-        aggregates = {m: summarize(v) for m, v in columns.items()}
         for stat in ("mean", "median", "std", "iqr"):
             writer.writerow([stat, "", *(round(getattr(aggregates[m], stat), 3) for m in FIXTURE_METRICS)])
 
@@ -576,12 +575,8 @@ def calibrate_mcmaster(stream: LinkSeries, labels: Sequence[EventLabel]) -> Cali
     for rho_scale in (0.9, 1.0, 1.1):
         for f_scale in (0.9, 1.0, 1.1):
             for lud_scale in (0.9, 1.0, 1.1):
-                b = max(seed.b * lud_scale, 0.0)
-                c = seed.c * lud_scale
-                rho_crit = seed.rho_crit * rho_scale
-                if b + 2.0 * c * rho_crit < 0:
-                    c = -b / (2.0 * rho_crit)
-                fine.append(McMasterParams(seed.a * lud_scale, b, c, rho_crit, seed.f_crit * f_scale))
+                curve = (seed.a, seed.b, seed.c)
+                fine.append(_scaled_bound(curve, lud_scale, seed.rho_crit * rho_scale, seed.f_crit * f_scale))
     result = calibrate(fine, score(fine), "fine")
     return CalibrationResult(result.parameter, result.score, coarse.sweep + result.sweep)
 
@@ -606,15 +601,22 @@ def _mcmaster_grid(stream: LinkSeries, label_us: Intervals) -> list[McMasterPara
     rho = stream.density[free]
     flow = stream.flow[free]
     fit_mask = rho <= quantiles(rho, [0.98])[0]
-    a0, b0, c0 = quantile_regression_quadratic(rho[fit_mask], flow[fit_mask])
+    curve = quantile_regression_quadratic(rho[fit_mask], flow[fit_mask])
     f_crits = quantiles(stream.flow[usable], (0.3, 0.5, 0.7)).tolist()
-    grid = []
-    for rho_crit in quantiles(stream.density[usable], (0.90, 0.95, 0.99)).tolist():
-        for f_crit in f_crits:
-            for scale in (0.6, 0.8, 1.0, 1.2):
-                b = max(b0 * scale, 0.0)
-                c = c0 * scale
-                if b + 2.0 * c * rho_crit < 0:  # keep the bound nondecreasing
-                    c = -b / (2.0 * rho_crit)
-                grid.append(McMasterParams(a0 * scale, b, c, rho_crit, f_crit))
-    return grid
+    return [
+        _scaled_bound(curve, scale, rho_crit, f_crit)
+        for rho_crit in quantiles(stream.density[usable], (0.90, 0.95, 0.99)).tolist()
+        for f_crit in f_crits
+        for scale in (0.6, 0.8, 1.0, 1.2)
+    ]
+
+
+def _scaled_bound(curve: tuple[float, float, float], scale: float, rho_crit: float, f_crit: float) -> McMasterParams:
+    """The lower uncongested bound a + b rho + c rho^2 of ``curve`` (a, b, c) scaled by
+    ``scale``, with ``rho_crit`` and ``f_crit``. The slope b is floored at 0 and c raised
+    where needed so that b + 2 c rho_crit >= 0: the bound is nondecreasing up to rho_crit."""
+    a, b, c = (scale * term for term in curve)
+    b = max(b, 0.0)
+    if b + 2.0 * c * rho_crit < 0:
+        c = -b / (2.0 * rho_crit)
+    return McMasterParams(a, b, c, rho_crit, f_crit)

@@ -1,8 +1,10 @@
 """Canonical data model and CSV parsing for link time series and event labels.
 
-All timestamps are stored timezone-aware in UTC. Density is a derived proxy
-(flow divided by speed) and is marked missing whenever speed is zero or an
-input is missing, so downstream consumers never see an infinite density.
+Every instant is an int of microseconds since the Unix epoch, from the text a
+reader parses (``parse_timestamp``) to the text a writer formats
+(``format_stamps``). Density is a derived proxy (flow divided by speed) and is
+marked missing whenever speed is zero or an input is missing, so downstream
+consumers never see an infinite density.
 
 ``read_series`` is the one series reader. It converts the CSV into per-link
 ``LinkSeries`` columns a chunk of whole lines at a time. A chunk that plain
@@ -105,23 +107,20 @@ def _range_error(speed: float | None, flow: float | None, travel_time: float | N
 
 @dataclass(frozen=True)
 class TrafficSample:
-    """One minute-resolution link observation.
+    """One minute-resolution link observation at ``epoch_us`` (epoch microseconds).
 
     ``density`` (veh/km) is derived as flow/speed when speed is positive and
     both inputs are present, otherwise it is None ("missing").
     """
 
     link_id: str
-    timestamp: datetime
+    epoch_us: int
     speed: float | None
     flow: float | None
     travel_time: float | None = None
     density: float | None = field(init=False, default=None)
 
     def __post_init__(self):
-        if self.timestamp.tzinfo is None:
-            raise ValueError("timestamp must be timezone-aware")
-        object.__setattr__(self, "timestamp", self.timestamp.astimezone(timezone.utc))
         problem = _range_error(self.speed, self.flow, self.travel_time)
         if problem is not None:
             raise ValueError(problem)
@@ -131,16 +130,6 @@ class TrafficSample:
     @property
     def has_density(self) -> bool:
         return self.density is not None
-
-
-def to_epoch_us(ts: datetime) -> int:
-    """Exact microseconds since the Unix epoch of an aware datetime."""
-    return (ts - _EPOCH) // _MICROSECOND
-
-
-def datetimes(epoch_us) -> list[datetime]:
-    """Aware UTC datetimes of integer epoch microseconds (the inverse of ``to_epoch_us``)."""
-    return [_EPOCH + timedelta(microseconds=us) for us in np.asarray(epoch_us).tolist()]
 
 
 def _median(values: np.ndarray) -> float:
@@ -200,8 +189,7 @@ class LinkSeries:
         steps = np.diff(self.epoch_us)
         backwards = np.flatnonzero(steps <= 0)
         if backwards.size:
-            at = datetimes(self.epoch_us[[backwards[0] + 1]])[0]
-            raise ValueError(f"stream not time-ordered at {format_timestamp(at)}")
+            raise ValueError(f"stream not time-ordered at {format_timestamp(self.epoch_us[backwards[0] + 1])}")
         object.__setattr__(self, "spacing_min", _median(steps) / US_PER_MINUTE if steps.size else 1.0)
         del steps  # before the density column takes its room
         density = np.full(len(self.epoch_us), np.nan)
@@ -220,7 +208,7 @@ class LinkSeries:
         for s in samples:
             if s.link_id != link_id:
                 raise ValueError(f"stream mixes links {link_id!r} and {s.link_id!r}")
-        epoch_us = np.array([to_epoch_us(s.timestamp) for s in samples], dtype=np.int64)
+        epoch_us = np.array([s.epoch_us for s in samples], dtype=np.int64)
         names = ("speed", "flow", "travel_time")
         return cls(link_id, epoch_us, *(np.array([getattr(s, name) for s in samples], dtype=float) for name in names))
 
@@ -251,26 +239,24 @@ class LinkSeries:
 
 @dataclass(frozen=True)
 class EventLabel:
-    """A labelled event interval on a link."""
+    """A labelled event interval on a link, from ``start_us`` to ``end_us`` (epoch microseconds)."""
 
     link_id: str
     category: str
-    start: datetime
-    end: datetime
+    start_us: int
+    end_us: int
 
     def __post_init__(self):
         if self.category not in EVENT_CATEGORIES:
             raise ValueError(f"unknown event category {self.category!r}")
-        if self.start.tzinfo is None or self.end.tzinfo is None:
-            raise ValueError("event instants must be timezone-aware")
-        object.__setattr__(self, "start", self.start.astimezone(timezone.utc))
-        object.__setattr__(self, "end", self.end.astimezone(timezone.utc))
-        if self.end < self.start:
-            raise ValueError(f"event end {self.end.isoformat()} precedes start {self.start.isoformat()}")
+        if self.end_us < self.start_us:
+            end, start = format_stamps([self.end_us, self.start_us])
+            raise ValueError(f"event end {end} precedes start {start}")
 
 
-def parse_timestamp(text: str) -> datetime:
-    """Parse an RFC 3339 timestamp into an aware UTC datetime."""
+def parse_timestamp(text: str) -> int:
+    """Epoch microseconds of an RFC 3339 timestamp, which must carry a UTC offset and
+    fall within years 1-9999 in UTC."""
     raw = text.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
@@ -278,13 +264,26 @@ def parse_timestamp(text: str) -> datetime:
     if ts.tzinfo is None:
         raise ValueError(f"timestamp {text!r} lacks a UTC offset")
     try:
-        return ts.astimezone(timezone.utc)
+        return (ts.astimezone(timezone.utc) - _EPOCH) // _MICROSECOND
     except OverflowError:
         raise ValueError(f"timestamp {text!r} is outside years 1-9999 in UTC") from None
 
 
-def format_timestamp(ts: datetime) -> str:
-    return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+def format_stamps(epoch_us) -> list[str]:
+    """The RFC 3339 text of each epoch microsecond value, in UTC with a ``Z``: whole
+    seconds, or six fraction digits when the fraction is not zero (as ``isoformat``)."""
+    epoch_us = np.asarray(epoch_us, dtype=np.int64)
+    at = epoch_us.astype("datetime64[us]")
+    seconds = np.datetime_as_string(at, unit="s", timezone="UTC")
+    whole = epoch_us % 1_000_000 == 0
+    if not whole.all():
+        seconds = np.where(whole, seconds, np.datetime_as_string(at, unit="us", timezone="UTC"))
+    return seconds.tolist()
+
+
+def format_timestamp(epoch_us: int) -> str:
+    """``format_stamps`` of one value."""
+    return format_stamps([epoch_us])[0]
 
 
 @contextmanager
@@ -356,7 +355,7 @@ def _parse_stamps(texts: Sequence[str], chars: np.ndarray | None = None) -> tupl
     problems = {}
     for i in np.flatnonzero(~fast).tolist():
         try:
-            epoch_us[i] = to_epoch_us(parse_timestamp(texts[i]))
+            epoch_us[i] = parse_timestamp(texts[i])
         except ValueError as exc:
             problems[i] = str(exc)
     return epoch_us, problems
@@ -520,7 +519,7 @@ class _SeriesReader:
         if any(listed) or (blank_id | (follows & (step <= 0)) | out_of_range).any():
 
             def stamp(i: int) -> str:
-                return format_timestamp(datetimes(epoch_us[i : i + 1])[0])
+                return format_timestamp(epoch_us[i])
 
             def range_error(i: int) -> str | None:
                 return _range_error(*(values[i].item() if present[i] else None for values, present, _ in numbers))
@@ -630,18 +629,8 @@ def parse_series(source) -> list[TrafficSample]:
     cells = [[None if v != v else v for v in column.tolist()] for column in values]
     return [
         TrafficSample(links[c], ts, speed, flow, travel_time)
-        for c, ts, speed, flow, travel_time in zip(code.tolist(), datetimes(epoch_us), *cells)
+        for c, ts, speed, flow, travel_time in zip(code.tolist(), epoch_us.tolist(), *cells)
     ]
-
-
-def _format_stamps(epoch_us: np.ndarray) -> np.ndarray:
-    """``format_timestamp`` of each epoch microsecond value."""
-    at = epoch_us.astype("datetime64[us]")
-    seconds = np.datetime_as_string(at, unit="s", timezone="UTC")
-    whole = epoch_us % 1_000_000 == 0  # isoformat leaves out a zero fraction
-    if whole.all():
-        return seconds
-    return np.where(whole, seconds, np.datetime_as_string(at, unit="us", timezone="UTC"))
 
 
 def write_series(stream: LinkSeries, sink) -> None:
@@ -657,7 +646,7 @@ def write_series(stream: LinkSeries, sink) -> None:
     # do in a row of several fields. csv quotes it as the first cell of such a row.
     link = io.StringIO()
     csv.writer(link, lineterminator="\n").writerow([stream.link_id, ""])
-    rows = zip(repeat(link.getvalue()[:-2]), _format_stamps(stream.epoch_us).tolist(), *cells)
+    rows = zip(repeat(link.getvalue()[:-2]), format_stamps(stream.epoch_us), *cells)
     with open_text(sink, "w") as handle:
         handle.write(",".join(SERIES_HEADER) + "\n")
         handle.write("\n".join(map(",".join, rows)))
@@ -694,13 +683,13 @@ def parse_events(source) -> list[EventLabel]:
 
 
 def write_events(labels: Iterable[EventLabel], sink) -> None:
+    labels = list(labels)
+    starts = format_stamps([label.start_us for label in labels])
+    ends = format_stamps([label.end_us for label in labels])
     with open_text(sink, "w") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(EVENTS_HEADER)
-        for label in labels:
-            writer.writerow(
-                [label.link_id, label.category, format_timestamp(label.start), format_timestamp(label.end)]
-            )
+        writer.writerows((label.link_id, label.category, a, b) for label, a, b in zip(labels, starts, ends))
 
 
 def nonrecurrent_filter(labels: Sequence[EventLabel]) -> list[EventLabel]:

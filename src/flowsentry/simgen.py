@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
 from typing import Iterator
 
 import numpy as np
 
-from .ingest import US_PER_MINUTE, EventLabel, LinkSeries, to_epoch_us
+from .ingest import US_PER_MINUTE, EventLabel, LinkSeries
 
-SERIES_START = datetime(2017, 4, 3, tzinfo=timezone.utc)  # a Monday
+SERIES_START_US = 1_491_177_600_000_000  # 2017-04-03T00:00:00Z, a Monday
 FLOW_JITTER = 0.02
 WEEKEND_DEMAND_FACTOR = 0.85
 INCIDENT_ONSET_RAMP_MIN = 8  # capacity degrades over the first minutes of a scene
@@ -216,20 +215,19 @@ def generate(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel]]:
     speeds = np.minimum(np.maximum(speeds, 1.0), 249.0)
     flow_cap = config.capacity_flow * (1.0 + 3.0 * config.noise_scale)
     flows = np.minimum(np.minimum(np.maximum(flows, 0.0), flow_cap), 11999.0)
-    epoch_us = to_epoch_us(SERIES_START) + np.arange(n, dtype=np.int64) * US_PER_MINUTE
+    epoch_us = SERIES_START_US + np.arange(n, dtype=np.int64) * US_PER_MINUTE
     stream = LinkSeries(config.link_id, epoch_us, speeds, flows, link_km / speeds * 3600.0)
 
-    labels = []
     categories = ("accident", "obstruction", "breakdown")
-    for k, spec in enumerate(sorted(config.incidents, key=lambda s: s.start_min)):
-        labels.append(
-            EventLabel(
-                config.link_id,
-                categories[k % len(categories)],
-                SERIES_START + timedelta(minutes=spec.start_min),
-                SERIES_START + timedelta(minutes=spec.end_min - 1),
-            )
+    labels = [
+        EventLabel(
+            config.link_id,
+            categories[k % len(categories)],
+            SERIES_START_US + spec.start_min * US_PER_MINUTE,
+            SERIES_START_US + (spec.end_min - 1) * US_PER_MINUTE,
         )
+        for k, spec in enumerate(sorted(config.incidents, key=lambda s: s.start_min))
+    ]
     return stream, labels
 
 

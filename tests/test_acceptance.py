@@ -21,17 +21,18 @@ from flowsentry.baselines import (
     snd_detect,
 )
 from flowsentry.detector import DetectorConfig, annotate, calibrate_normalizer, track_annotated
-from flowsentry.ingest import LinkSeries, TrafficSample, datetimes, nonrecurrent_filter, to_epoch_us
+from flowsentry.ingest import LinkSeries, TrafficSample, nonrecurrent_filter
 from flowsentry.levelset import TypicalRegion, contains_many, distances_and_sides, fit_typical_region
-from flowsentry.simgen import SERIES_START, BottleneckSpec, ScenarioConfig, generate, plan_incidents
+from flowsentry.simgen import SERIES_START_US, BottleneckSpec, ScenarioConfig, generate, plan_incidents
 from region_helpers import density_grid, exact_segment_distance, region_overlap, winding_number_inside
+from time_helpers import instant, us
 
-MONDAY = SERIES_START
+MONDAY = instant(SERIES_START_US)
 
 
 def window(stream: LinkSeries, lo, hi) -> LinkSeries:
     """The rows of ``stream`` in [lo, hi)."""
-    rows = (stream.epoch_us >= to_epoch_us(lo)) & (stream.epoch_us < to_epoch_us(hi))
+    rows = (stream.epoch_us >= us(lo)) & (stream.epoch_us < us(hi))
     columns = (stream.epoch_us, stream.speed, stream.flow, stream.travel_time)
     return LinkSeries(stream.link_id, *(column[rows] for column in columns))
 
@@ -205,8 +206,8 @@ def _split_scenario(seed: int, incidents, bottleneck=None):
     split = MONDAY + timedelta(days=21)
     train = window(stream, MONDAY, split)
     test = window(stream, split, MONDAY + timedelta(weeks=6))
-    train_labels = nonrecurrent_filter([lab for lab in labels if lab.start < split])
-    test_labels = nonrecurrent_filter([lab for lab in labels if lab.start >= split])
+    train_labels = nonrecurrent_filter([lab for lab in labels if lab.start_us < us(split)])
+    test_labels = nonrecurrent_filter([lab for lab in labels if lab.start_us >= us(split)])
     return train, test, train_labels, test_labels
 
 
@@ -310,12 +311,12 @@ def test_criterion_10_baseline_replay_oracles():
         rhos = rng.uniform(5, 70, size=n)
         flows = np.minimum(rng.uniform(500, 5000, size=n), 240.0 * rhos)
         stream = [
-            TrafficSample("L", MONDAY + timedelta(minutes=k), float(v), float(f))
+            TrafficSample("L", us(MONDAY + timedelta(minutes=k)), float(v), float(f))
             for k, (v, f) in enumerate(zip(speeds, flows))
         ]
         alarms = snd_detect(LinkSeries.from_samples(stream), profile, 1.0)
         got = set()
-        for start, end in zip(*map(datetimes, alarms)):
+        for start, end in zip(*(map(instant, column.tolist()) for column in alarms)):
             k = int((start - MONDAY).total_seconds() // 60)
             while MONDAY + timedelta(minutes=k) <= end:
                 got.add(k)
@@ -324,7 +325,7 @@ def test_criterion_10_baseline_replay_oracles():
             mismatches += 1
 
         mc_stream = [
-            TrafficSample("L", MONDAY + timedelta(minutes=k), float(f / r), float(f))
+            TrafficSample("L", us(MONDAY + timedelta(minutes=k)), float(f / r), float(f))
             for k, (r, f) in enumerate(zip(rhos, flows))
         ]
         congested = [mcmaster_classify(s, params) == "congested" for s in mc_stream]
@@ -340,7 +341,8 @@ def test_criterion_10_baseline_replay_oracles():
         if len(run) >= 3:
             expected.update(run)
         got_mc = set()
-        for start, end in zip(*map(datetimes, mcmaster_detect(LinkSeries.from_samples(mc_stream), params))):
+        mc_alarms = mcmaster_detect(LinkSeries.from_samples(mc_stream), params)
+        for start, end in zip(*(map(instant, column.tolist()) for column in mc_alarms)):
             k = int((start - MONDAY).total_seconds() // 60)
             while MONDAY + timedelta(minutes=k) <= end:
                 got_mc.add(k)

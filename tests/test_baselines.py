@@ -22,13 +22,14 @@ from flowsentry.baselines import (
     snd_thresholds,
     weekly_bins,
 )
-from flowsentry.ingest import LinkSeries, TrafficSample, datetimes, to_epoch_us
+from flowsentry.ingest import LinkSeries, TrafficSample
+from time_helpers import instant, us
 
 MONDAY = datetime(2017, 4, 3, tzinfo=timezone.utc)  # a Monday
 
 
 def speed_sample(ts, speed, link="L1"):
-    return TrafficSample(link, ts, speed, 1000.0)
+    return TrafficSample(link, us(ts), speed, 1000.0)
 
 
 def weekly_bin(ts, tz_offset_min=0):
@@ -156,7 +157,7 @@ def alarm_list(alarms):
     """(start, end) datetime tuples of a detector's ``(start_us, end_us)`` int64 pair."""
     start_us, end_us = alarms
     assert start_us.dtype == end_us.dtype == np.int64
-    return list(zip(datetimes(start_us), datetimes(end_us)))
+    return list(zip(map(instant, start_us.tolist()), map(instant, end_us.tolist())))
 
 
 def run_snd(speeds, c=1.0):
@@ -166,7 +167,7 @@ def run_snd(speeds, c=1.0):
 
 def test_snd_detect_three_minute_rule():
     stream, alarms = run_snd([50, 50, 50])
-    assert alarms == [(stream[0].timestamp, stream[2].timestamp)]
+    assert alarms == [(instant(stream[0].epoch_us), instant(stream[2].epoch_us))]
 
 
 def test_snd_detect_broken_run():
@@ -176,7 +177,7 @@ def test_snd_detect_broken_run():
 
 def test_snd_detect_persists_until_recovery():
     stream, alarms = run_snd([65, 50, 50, 50, 50, 65, 50])
-    assert alarms == [(stream[1].timestamp, stream[4].timestamp)]
+    assert alarms == [(instant(stream[1].epoch_us), instant(stream[4].epoch_us))]
 
 
 def snd_replay_oracle(speeds, thresholds, persistence=3):
@@ -253,7 +254,7 @@ def mcmaster_classify(sample: TrafficSample, params: McMasterParams) -> str:
 
 
 def traffic(density, flow, minute=0):
-    return TrafficSample("L1", MONDAY + timedelta(minutes=minute), flow / density, flow)
+    return TrafficSample("L1", us(MONDAY + timedelta(minutes=minute)), flow / density, flow)
 
 
 def test_classify_uncongested_above_lud():
@@ -304,7 +305,7 @@ def test_mcmaster_detect_cases():
     assert alarm_list(mcmaster_detect(LinkSeries.from_samples(free), PARAMS)) == []
     jam = [traffic(60.0, 2000.0, k) for k in range(3)]
     alarms = alarm_list(mcmaster_detect(LinkSeries.from_samples(jam), PARAMS))
-    assert alarms == [(jam[0].timestamp, jam[2].timestamp)]
+    assert alarms == [(instant(jam[0].epoch_us), instant(jam[2].epoch_us))]
 
 
 def test_mcmaster_detect_matches_replay_oracle():
@@ -393,7 +394,7 @@ def sample_streams(draw, max_size=80):
     minute = 0
     samples = []
     for gap, speed, flow in zip(gaps, speeds, flows):
-        samples.append(TrafficSample("L1", start + timedelta(minutes=minute), speed, flow))
+        samples.append(TrafficSample("L1", us(start + timedelta(minutes=minute)), speed, flow))
         minute += gap
     return samples
 
@@ -424,9 +425,9 @@ def test_snd_detect_matches_per_minute_oracle(samples, c, data):
     profile = data.draw(snd_profiles([s.speed for s in samples if s.speed is not None]))
     hits = []
     for s in samples:
-        thr = snd_threshold_oracle(profile, weekly_bin(s.timestamp, profile.tz_offset_min), c)
+        thr = snd_threshold_oracle(profile, weekly_bin(instant(s.epoch_us), profile.tz_offset_min), c)
         hits.append(s.speed is not None and thr is not None and s.speed < thr)
-    expected = persistence_oracle([s.timestamp for s in samples], hits)
+    expected = persistence_oracle([instant(s.epoch_us) for s in samples], hits)
     assert alarm_list(snd_detect(LinkSeries.from_samples(samples), profile, c)) == expected
 
 
@@ -453,19 +454,19 @@ def test_mcmaster_detect_matches_per_minute_oracle(samples, a, b, curvature, dat
     assume(math.isfinite(c))
     params = McMasterParams(a, b, c, rho_crit, f_crit)
     hits = [mcmaster_classify(s, params) == "congested" for s in samples]
-    expected = persistence_oracle([s.timestamp for s in samples], hits)
+    expected = persistence_oracle([instant(s.epoch_us) for s in samples], hits)
     assert alarm_list(mcmaster_detect(LinkSeries.from_samples(samples), params)) == expected
 
 
 @settings(max_examples=40, deadline=None)
 @given(samples=sample_streams(max_size=200), tz_offset_min=st.integers(-720, 840))
 def test_snd_fit_matches_per_sample_oracle(samples, tz_offset_min):
-    last = samples[-1].timestamp
-    samples = samples + [speed_sample(max(last + timedelta(minutes=1), samples[0].timestamp + timedelta(days=7)), 80.0)]
+    first, last = instant(samples[0].epoch_us), instant(samples[-1].epoch_us)
+    samples = samples + [speed_sample(max(last + timedelta(minutes=1), first + timedelta(days=7)), 80.0)]
     speeds = [[] for _ in range(BINS_PER_WEEK)]
     for s in samples:
         if s.speed is not None:
-            speeds[weekly_bin(s.timestamp, tz_offset_min)].append(s.speed)
+            speeds[weekly_bin(instant(s.epoch_us), tz_offset_min)].append(s.speed)
     expected = profile_of([bin_stats_oracle(v) for v in speeds], tz_offset_min=tz_offset_min)
     assert snd_fit(LinkSeries.from_samples(samples), tz_offset_min).to_json() == expected.to_json()
 
@@ -482,7 +483,7 @@ def long_stream(seed, weeks, extra_min, start_min, start_s, decimals, missing):
     them absent, so that the bins' counts differ."""
     rng = np.random.default_rng(seed)
     n = weeks * 7 * 24 * 60 + extra_min
-    start_us = to_epoch_us(MONDAY + timedelta(minutes=start_min, seconds=start_s))
+    start_us = us(MONDAY + timedelta(minutes=start_min, seconds=start_s))
     epoch_us = start_us + np.arange(n, dtype=np.int64) * 60_000_000
     pooled = rng.choice(rng.uniform(10.0, 120.0, 4), n)
     speed = np.where(rng.random(n) < 0.5, pooled, np.round(rng.uniform(0.5, 130.0, n), decimals))
@@ -510,7 +511,7 @@ LONG_STREAMS = st.builds(
 @example(stream=long_stream(2, 1, 700, 0, 0, 12, 0.5), tz_offset_min=0)  # counts 2 to 23
 def test_snd_fit_matches_per_sample_oracle_on_long_streams(stream, tz_offset_min):
     speeds = [[] for _ in range(BINS_PER_WEEK)]
-    for ts, speed in zip(datetimes(stream.epoch_us), stream.speed.tolist()):
+    for ts, speed in zip(map(instant, stream.epoch_us.tolist()), stream.speed.tolist()):
         if not math.isnan(speed):
             speeds[weekly_bin(ts, tz_offset_min)].append(speed)
     expected = profile_of([bin_stats_oracle(v) for v in speeds], tz_offset_min=tz_offset_min)

@@ -10,6 +10,7 @@ import pytest
 
 from flowsentry import cli, levelset
 from flowsentry.cli import main
+from time_helpers import us
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,16 @@ def test_simulate_is_deterministic(workspace, tmp_path):
     a = (workspace / "sim" / "series.csv").read_bytes()
     b = (tmp_path / "again" / "series.csv").read_bytes()
     assert a == b
+
+
+def test_detect_reads_a_region_file_that_opens_with_a_byte_order_mark(workspace, tmp_path):
+    region = tmp_path / "region.json"
+    region.write_bytes(b"\xef\xbb\xbf" + (workspace / "fit" / "region.json").read_bytes())
+    argv = ["detect", "--series", str(workspace / "sim" / "series.csv"), "--region", str(region),
+            "--out", str(tmp_path / "det"), "--mode", "severity", "--threshold", "0.2"]
+    assert main(argv) == 0
+    for name in ("excursions.csv", "flags.csv"):
+        assert (tmp_path / "det" / name).read_bytes() == (workspace / "det" / name).read_bytes()
 
 
 @pytest.mark.parametrize("option, value", [("--weeks", "0"), ("--incidents", "-2"), ("--seed", "-5")])
@@ -147,8 +158,8 @@ def test_detect_zero_threshold_flags_every_right_exterior_minute(workspace, tmp_
     assert right and all(r.flagged for r in right)
     flags = read_flags_csv(tmp_path / "d0" / "flags.csv")
     # threshold 0 means the flag opens at the first exterior minute
-    by_start = {r.start for r in right}
-    assert all(f.start in by_start for f in flags)
+    by_start = {r.start_us for r in right}
+    assert all(f.start_us in by_start for f in flags)
 
 
 def test_detect_empty_flags_file_has_header(workspace, tmp_path):
@@ -556,10 +567,12 @@ def test_cadence_check_passes_short_and_minute_links():
     from flowsentry.ingest import LinkSeries, TrafficSample
 
     t0 = datetime(2017, 4, 3, tzinfo=timezone.utc)
-    LinkSeries.from_samples([TrafficSample("L1", t0, 90.0, 1000.0)]).require_minute_cadence()
+    LinkSeries.from_samples([TrafficSample("L1", us(t0), 90.0, 1000.0)]).require_minute_cadence()
     # one 10-minute hole does not move the median off 1 minute
     minutes = [0, 1, 2, 12, 13]
-    stream = LinkSeries.from_samples([TrafficSample("L1", t0 + timedelta(minutes=m), 90.0, 1000.0) for m in minutes])
+    stream = LinkSeries.from_samples(
+        [TrafficSample("L1", us(t0 + timedelta(minutes=m)), 90.0, 1000.0) for m in minutes]
+    )
     stream.require_minute_cadence()
 
 

@@ -21,9 +21,10 @@ from flowsentry.detector import (
     write_excursions_csv,
     write_flags_csv,
 )
-from flowsentry.ingest import EventLabel, LinkSeries, TrafficSample, to_epoch_us
+from flowsentry.ingest import EventLabel, LinkSeries, TrafficSample
 from flowsentry.levelset import TypicalRegion, contains_many
 from region_helpers import exact_segment_distance, winding_number_inside
+from time_helpers import us
 
 T0 = datetime(2017, 4, 3, 8, 0, tzinfo=timezone.utc)
 
@@ -43,11 +44,11 @@ def region(normalizer=1.0):
 
 def sample(minute, density, flow, link="L1"):
     """Build a sample whose derived density lands on the requested value."""
-    return TrafficSample(link, T0 + timedelta(minutes=minute), flow / density, flow)
+    return TrafficSample(link, us(T0 + timedelta(minutes=minute)), flow / density, flow)
 
 
 def missing_sample(minute, link="L1"):
-    return TrafficSample(link, T0 + timedelta(minutes=minute), 0.0, 0.0)
+    return TrafficSample(link, us(T0 + timedelta(minutes=minute)), 0.0, 0.0)
 
 
 INTERIOR = (0.5, 0.5)
@@ -135,8 +136,8 @@ def test_exterior_run_is_one_record():
     assert len(excursions) == 1
     rec = excursions[0]
     assert rec.duration_min == 3
-    assert rec.start == T0 + timedelta(minutes=1)
-    assert rec.end == T0 + timedelta(minutes=3)
+    assert rec.start_us == us(T0 + timedelta(minutes=1))
+    assert rec.end_us == us(T0 + timedelta(minutes=3))
     assert rec.exit_side == "right"
 
 
@@ -165,7 +166,7 @@ def test_gap_terminates_open_excursion():
     samples.extend(series([RIGHT, INTERIOR], start_minute=3))
     excursions, _ = track(samples, region(), SEV_CFG)
     assert len(excursions) == 2
-    assert excursions[0].end == T0
+    assert excursions[0].end_us == us(T0)
 
 
 def test_stream_end_closes_excursion():
@@ -219,8 +220,8 @@ def test_severity_mode_onset_matches_replay_oracle():
         if outside and exact_segment_distance(p, UNIT_SQUARE) / r.max_training_distance >= threshold:
             onset = T0 + timedelta(minutes=k)
             break
-    assert flags[0].start == onset
-    assert flags[0].end == excursions[0].end
+    assert flags[0].start_us == us(onset)
+    assert flags[0].end_us == excursions[0].end_us
     assert flags[0].duration_min == 7 - (onset - T0) // timedelta(minutes=1) + 1
     assert flags[0].max_severity == excursions[0].max_severity
 
@@ -229,7 +230,7 @@ def test_flag_severity_positive_and_interior_severity_zero():
     samples = series([INTERIOR, RIGHT, RIGHT, INTERIOR])
     ann = annotate(LinkSeries.from_samples(samples), region())
     # the interior minutes are in no excursion
-    assert ann.at_us.tolist() == [to_epoch_us(s.timestamp) for s in samples[1:3]]
+    assert ann.at_us.tolist() == [s.epoch_us for s in samples[1:3]]
     assert ann.duration.tolist() == [2]
     assert np.all(ann.severity > 0)
 
@@ -267,13 +268,10 @@ def test_records_partition_exterior_minutes():
     pts = [(RIGHT if rng.random() < 0.5 else INTERIOR) for _ in range(200)]
     samples = series(pts)
     excursions, _ = track(samples, region(), SEV_CFG)
-    exterior_minutes = {s.timestamp for s, p in zip(samples, pts) if p == RIGHT}
+    exterior_minutes = {s.epoch_us for s, p in zip(samples, pts) if p == RIGHT}
     covered = []
     for e in excursions:
-        t = e.start
-        while t <= e.end:
-            covered.append(t)
-            t += timedelta(minutes=1)
+        covered.extend(range(e.start_us, e.end_us + 1, 60_000_000))
     assert set(covered) == exterior_minutes
     assert len(covered) == len(set(covered))
 
@@ -342,12 +340,13 @@ def test_flags_csv_round_trip():
         ({"max_severity": float("inf")}, "positive and finite"),
         ({"exit_side": "up"}, "bad exit side 'up'"),
         ({"exit_side": "left"}, "only raised for right-side"),
-        ({"end": T0 - timedelta(minutes=1)}, "precedes start"),
+        ({"end_us": us(T0) - 1}, "precedes start"),
         ({"link_id": ""}, "link_id is empty"),
     ],
 )
 def test_flag_row_invariants(change, problem):
-    good = dict(link_id="L1", start=T0, end=T0, duration_min=1, max_severity=0.5, exit_side="right", flagged=True)
+    good = dict(link_id="L1", start_us=us(T0), end_us=us(T0), duration_min=1, max_severity=0.5, exit_side="right",
+                flagged=True)
     FlagRow(**good)
     with pytest.raises(ValueError, match=problem):
         FlagRow(**{**good, **change})
@@ -375,11 +374,11 @@ def track_annotated_oracle(rows, config):
         flag = None
         if open_side == "right":
             if config.mode == "severity_threshold" and flag_ts is not None:
-                flag = FlagRow("L1", flag_ts, end_ts, flag_minutes, max_sev, "right", True)
+                flag = FlagRow("L1", us(flag_ts), us(end_ts), flag_minutes, max_sev, "right", True)
             elif config.mode == "duration_threshold" and minute_count >= config.duration_threshold_min:
-                flag = FlagRow("L1", start_ts, end_ts, minute_count, max_sev, "right", True)
+                flag = FlagRow("L1", us(start_ts), us(end_ts), minute_count, max_sev, "right", True)
         raised = flag is not None
-        excursions.append(FlagRow("L1", start_ts, end_ts, minute_count, max_sev, open_side, raised))
+        excursions.append(FlagRow("L1", us(start_ts), us(end_ts), minute_count, max_sev, open_side, raised))
         if raised:
             flags.append(flag)
         open_side = None
@@ -443,7 +442,7 @@ def scaled_sample(ts, state, sev):
     0.25, so their density 4 * flow is exactly 1 + sev. Either lies 1 + sev - 1 from
     the square: ``sev`` itself unless 1 + sev rounds."""
     speed, flow = {M: (0.0, 0.0), I: (1.0, 0.5), L: (4.0 * (1.0 + sev), 1.0 + sev), R: (0.25, (1.0 + sev) / 4.0)}[state]
-    return TrafficSample("L1", ts, speed, flow)
+    return TrafficSample("L1", us(ts), speed, flow)
 
 
 def scaled_stream(rows):
@@ -487,7 +486,7 @@ def rows_of(*states, step=60, sev=0.25):
 @example(rows=rows_of(M, M, M), threshold=0.25, duration=0)
 @example(rows=rows_of(I, M, I), threshold=0.0, duration=0)
 def test_track_annotated_matches_replay_oracle(rows, threshold, duration):
-    stream, replay = scaled_stream([(timedelta(seconds=s, microseconds=us), state, sev) for s, us, state, sev in rows])
+    stream, replay = scaled_stream([(timedelta(seconds=s, microseconds=m), state, sev) for s, m, state, sev in rows])
     found = annotate(stream, region())
     for config in (
         DetectorConfig("severity_threshold", severity_threshold=threshold),
@@ -514,7 +513,7 @@ def test_dftb_sweep_matches_replay_oracle(rows, label_rows):
         return
     span = [ts for ts, _, _ in replay]
     labels = [
-        EventLabel("L1", "accident", span[min(a, len(span) - 1)], span[min(a + b, len(span) - 1)])
+        EventLabel("L1", "accident", us(span[min(a, len(span) - 1)]), us(span[min(a + b, len(span) - 1)]))
         for a, b in label_rows
     ]
     expected = []

@@ -7,7 +7,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flowsentry import evaluation as ev
-from flowsentry.ingest import US_PER_MINUTE, EventLabel, to_epoch_us
+from flowsentry.ingest import US_PER_MINUTE, EventLabel
+from time_helpers import instant, us
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 T0 = datetime(2017, 4, 3, tzinfo=timezone.utc)
@@ -18,13 +19,13 @@ def interval(start_min, end_min):
 
 
 def label(start_min, end_min, category="accident"):
-    return EventLabel("L1", category, T0 + timedelta(minutes=start_min), T0 + timedelta(minutes=end_min))
+    return EventLabel("L1", category, us(T0 + timedelta(minutes=start_min)), us(T0 + timedelta(minutes=end_min)))
 
 
 def pair(intervals):
     """The (start_us, end_us) pair of (start, end) datetime tuples."""
-    us = np.array([(to_epoch_us(a), to_epoch_us(b)) for a, b in intervals], dtype=np.int64).reshape(-1, 2)
-    return us[:, 0], us[:, 1]
+    both = np.array([(us(a), us(b)) for a, b in intervals], dtype=np.int64).reshape(-1, 2)
+    return both[:, 0], both[:, 1]
 
 
 def score(flags, labels):
@@ -37,7 +38,7 @@ def far(flags, labels, n_applications):
 
 def overlaps(flag, lab):
     """Oracle: a flag interval meets a label."""
-    return flag[0] <= lab.end and flag[1] >= lab.start
+    return flag[0] <= instant(lab.end_us) and flag[1] >= instant(lab.start_us)
 
 
 # --- the datetime scorer, the oracle of score_detector --------------------------------
@@ -59,12 +60,13 @@ def oracle_score(flags, labels, n_applications):
     lags = []
     for lab in labels:
         starts = [f[0] for f in flags if overlaps(f, lab)]
-        lags.append((max(min(starts), lab.start) - lab.start).total_seconds() / 60.0 if starts else None)
+        start = instant(lab.start_us)
+        lags.append((max(min(starts), start) - start).total_seconds() / 60.0 if starts else None)
     if not lags:
         raise ev.UndefinedMetricError("detection rate undefined with zero labels")
     dr = 100.0 * sum(1 for lag in lags if lag is not None) / len(lags)
     flagged = oracle_interval_minutes(flags)
-    labelled = oracle_interval_minutes([(lab.start, lab.end) for lab in labels])
+    labelled = oracle_interval_minutes([(instant(lab.start_us), instant(lab.end_us)) for lab in labels])
     far = 100.0 * len(flagged - labelled) / n_applications
     detected = [lag for lag in lags if lag is not None]
     return ev.DetectorScore(dr, far, float(np.mean(detected)) if detected else None)
@@ -73,7 +75,7 @@ def oracle_score(flags, labels, n_applications):
 # Epoch minutes the instants of a case are drawn after: April 2017, and 2480, where a float
 # floor of microseconds / 6e7 rounds the last microsecond of a minute up into the next one.
 # The oracle's datetime.timestamp() keeps the microsecond until 2**34 s (year 2514).
-BASE_MINUTES = (to_epoch_us(T0) // US_PER_MINUTE, 2**28)
+BASE_MINUTES = (us(T0) // US_PER_MINUTE, 2**28)
 SUBMINUTE_US = st.sampled_from([0, 1, 999_999, 1_000_000, 30_000_000, 59_999_999]) | st.integers(0, US_PER_MINUTE - 1)
 
 
@@ -85,25 +87,27 @@ def scoring_cases(draw):
     A flag covers the minutes between its ends whether or not a sample fell in them."""
     base = draw(st.sampled_from(BASE_MINUTES))
     instant = st.builds(
-        lambda minute, us: EPOCH + timedelta(microseconds=(base + minute) * US_PER_MINUTE + us),
+        lambda minute, micro: EPOCH + timedelta(microseconds=(base + minute) * US_PER_MINUTE + micro),
         st.integers(0, 90),
         SUBMINUTE_US,
     )
     pool = draw(st.lists(instant, min_size=1, max_size=8, unique=True))
     ends = st.lists(st.sampled_from(pool), min_size=2, max_size=2).map(sorted)
-    labels = [EventLabel("L1", "accident", a, b) for a, b in draw(st.lists(ends, min_size=1, max_size=5))]
+    labels = [EventLabel("L1", "accident", us(a), us(b)) for a, b in draw(st.lists(ends, min_size=1, max_size=5))]
     flags = [tuple(f) for f in draw(st.lists(ends, max_size=6))]
     return flags, labels
 
 
-def _at(minute, us=0):
-    return EPOCH + timedelta(microseconds=(2**28 + minute) * US_PER_MINUTE + us)
+def _at(minute, micro=0):
+    return EPOCH + timedelta(microseconds=(2**28 + minute) * US_PER_MINUTE + micro)
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=scoring_cases(), n_applications=st.integers(1, 10_000))
-@example(case=([], [EventLabel("L1", "accident", _at(0), _at(5))]), n_applications=100)  # no flags, MTTD None
-@example(case=([(_at(0, 59_999_999), _at(3))], [EventLabel("L1", "other", _at(9), _at(10))]), n_applications=100)
+@example(case=([], [EventLabel("L1", "accident", us(_at(0)), us(_at(5)))]), n_applications=100)  # no flags, MTTD None
+@example(
+    case=([(_at(0, 59_999_999), _at(3))], [EventLabel("L1", "other", us(_at(9)), us(_at(10)))]), n_applications=100
+)
 def test_score_detector_matches_datetime_oracle(case, n_applications):
     flags, labels = case
     expected = oracle_score(flags, labels, n_applications)
@@ -117,13 +121,13 @@ def flag_set_cases(draw):
     overlap, come in any order and share a minute with the next one."""
     base = draw(st.sampled_from(BASE_MINUTES))
     instant = st.builds(
-        lambda minute, us: EPOCH + timedelta(microseconds=(base + minute) * US_PER_MINUTE + us),
+        lambda minute, micro: EPOCH + timedelta(microseconds=(base + minute) * US_PER_MINUTE + micro),
         st.integers(0, 90),
         SUBMINUTE_US,
     )
     pool = draw(st.lists(instant, min_size=1, max_size=10, unique=True))
     ends = st.lists(st.sampled_from(pool), min_size=2, max_size=2).map(sorted).map(tuple)
-    labels = [EventLabel("L1", "accident", a, b) for a, b in draw(st.lists(ends, min_size=1, max_size=5))]
+    labels = [EventLabel("L1", "accident", us(a), us(b)) for a, b in draw(st.lists(ends, min_size=1, max_size=5))]
     sets = draw(st.lists(st.lists(ends, max_size=6), min_size=1, max_size=5))
     return sets, labels
 
@@ -133,7 +137,7 @@ def flag_set_cases(draw):
 @example(  # two runs of 30-second samples share minute 5; the second set is empty; the third is unsorted
     case=(
         [[(_at(1), _at(5, 10_000_000)), (_at(5, 40_000_000), _at(8))], [], [(_at(7), _at(9)), (_at(2), _at(7, 1))]],
-        [EventLabel("L1", "accident", _at(6), _at(7))],
+        [EventLabel("L1", "accident", us(_at(6)), us(_at(7)))],
     ),
     n_applications=100,
     shuffle=0,
@@ -432,7 +436,7 @@ def test_fixture_has_17_links():
 def test_report_csv_round_trips_aggregates(tmp_path):
     rows = ev.load_table1()
     out = tmp_path / "report.csv"
-    ev.write_report_csv(rows, out)
+    ev.write_report_csv(rows, ev.fixture_report(rows)["aggregates"], out)
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 17 + 4
     mean_row = lines[18].split(",")
@@ -572,7 +576,7 @@ def test_quantile_regression_strides_a_large_training_set():
 def test_applications_reject_an_unknown_detector():
     from flowsentry.ingest import LinkSeries, TrafficSample
 
-    stream = LinkSeries.from_samples([TrafficSample("L1", T0, 50.0, 1000.0)])
+    stream = LinkSeries.from_samples([TrafficSample("L1", us(T0), 50.0, 1000.0)])
     assert [ev.applications(stream, name) for name in ("snd", "dftb", "mcmaster")] == [1, 1, 1]
     with pytest.raises(ValueError, match="unknown detector 'loop'"):
         ev.applications(stream, "loop")
@@ -595,7 +599,7 @@ def test_application_counts_per_detector(monkeypatch):
         normal,  # 168-187
     ]
     rows = [row for block in blocks for row in block]
-    samples = [TrafficSample("L1", T0 + timedelta(minutes=k), v, f) for k, (v, f) in enumerate(rows)]
+    samples = [TrafficSample("L1", us(T0 + timedelta(minutes=k)), v, f) for k, (v, f) in enumerate(rows)]
     stream = LinkSeries.from_samples(samples)
     labels = [label(140, 144)]
     with_speed, with_density = 120 + 10 + 5 + 5 + 20 + 3 + 20, 120 + 5 + 20 + 3 + 20

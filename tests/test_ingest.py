@@ -19,7 +19,7 @@ from flowsentry.ingest import (
     ParseError,
     TrafficSample,
     by_link,
-    datetimes,
+    format_stamps,
     format_timestamp,
     nonrecurrent_filter,
     parse_events,
@@ -29,6 +29,7 @@ from flowsentry.ingest import (
     write_events,
     write_series,
 )
+from time_helpers import instant, iso, us
 
 T0 = datetime(2017, 4, 7, tzinfo=timezone.utc)
 
@@ -47,7 +48,7 @@ def test_parse_row_derives_density():
     samples = parse_series(make_series_csv(["L1,2017-04-07T00:00:00Z,100,2000"]))
     assert len(samples) == 1
     assert samples[0].density == pytest.approx(20.0)
-    assert samples[0].timestamp == T0
+    assert samples[0].epoch_us == us(T0)
 
 
 def test_zero_speed_marks_density_missing():
@@ -121,7 +122,7 @@ def test_density_speed_flow_identity():
 )
 def test_series_round_trip(speed, flow, travel, minutes):
     assume(finite_density(speed, flow))
-    sample = TrafficSample("L9", T0 + timedelta(minutes=minutes), speed, flow, travel)
+    sample = TrafficSample("L9", us(T0 + timedelta(minutes=minutes)), speed, flow, travel)
     buf = io.StringIO()
     write_series(LinkSeries.from_samples([sample]), buf)
     back = parse_series(io.StringIO(buf.getvalue()))[0]
@@ -134,7 +135,7 @@ def write_series_oracle(samples, sink):
     writer.writerow(SERIES_HEADER)
     for s in samples:
         cells = ["" if v is None else repr(v) for v in (s.speed, s.flow, s.travel_time)]
-        writer.writerow([s.link_id, format_timestamp(s.timestamp), *cells])
+        writer.writerow([s.link_id, iso(s.epoch_us), *cells])
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,7 +160,7 @@ def test_write_series_matches_row_writer(rows, start):
     samples, t = [], T0 + timedelta(seconds=start)
     for step_s, micros, speed, flow, travel in rows:
         t += timedelta(seconds=step_s, microseconds=micros)
-        samples.append(TrafficSample("L,7", t, speed, flow, travel))
+        samples.append(TrafficSample("L,7", us(t), speed, flow, travel))
     ours, theirs = io.StringIO(), io.StringIO()
     write_series(LinkSeries.from_samples(samples), ours)
     write_series_oracle(samples, theirs)
@@ -172,7 +173,7 @@ def test_link_series_rejects_empty_stream():
 
 
 def test_link_series_rejects_mixed_links():
-    samples = [TrafficSample("L1", T0, 90.0, 1000.0), TrafficSample("L2", T0 + timedelta(minutes=1), 90.0, 1000.0)]
+    samples = [TrafficSample("L1", us(T0), 90.0, 1000.0), TrafficSample("L2", us(T0) + 60_000_000, 90.0, 1000.0)]
     with pytest.raises(ValueError, match="mixes links 'L1' and 'L2'"):
         LinkSeries.from_samples(samples)
 
@@ -180,9 +181,9 @@ def test_link_series_rejects_mixed_links():
 @pytest.mark.parametrize("offset_min", [0, -1])
 def test_link_series_rejects_unordered_stream(offset_min):
     samples = [
-        TrafficSample("L1", T0, 90.0, 1000.0),
-        TrafficSample("L1", T0 + timedelta(minutes=1), 90.0, 1000.0),
-        TrafficSample("L1", T0 + timedelta(minutes=1 + offset_min), 90.0, 1000.0),
+        TrafficSample("L1", us(T0), 90.0, 1000.0),
+        TrafficSample("L1", us(T0 + timedelta(minutes=1)), 90.0, 1000.0),
+        TrafficSample("L1", us(T0 + timedelta(minutes=1 + offset_min)), 90.0, 1000.0),
     ]
     with pytest.raises(ValueError, match="not time-ordered at"):
         LinkSeries.from_samples(samples)
@@ -208,16 +209,17 @@ def _column(values):
 )
 def test_link_series_columns_match_samples(rows, seconds):
     assume(all(finite_density(speed, flow) for _, speed, flow, _ in rows))
-    samples = []
+    samples, times = [], []
     t = T0 + timedelta(seconds=seconds)
     for gap, speed, flow, travel in rows:
         t += timedelta(minutes=gap)
-        samples.append(TrafficSample("L3", t, speed, flow, travel))
+        times.append(t)
+        samples.append(TrafficSample("L3", us(t), speed, flow, travel))
     series = LinkSeries.from_samples(samples)
     assert len(series) == len(samples)
     assert series.link_id == "L3"
-    assert datetimes(series.epoch_us) == [s.timestamp for s in samples]
-    assert series.minutes.tolist() == [int(s.timestamp.timestamp() // 60) for s in samples]
+    assert list(map(instant, series.epoch_us.tolist())) == times
+    assert series.minutes.tolist() == [int(t.timestamp() // 60) for t in times]
     for name in ("speed", "flow", "density", "travel_time"):
         np.testing.assert_array_equal(getattr(series, name), _column([getattr(s, name) for s in samples]))
     assert series.usable.tolist() == [s.has_density for s in samples]
@@ -228,7 +230,8 @@ def test_link_series_columns_match_samples(rows, seconds):
 def test_events_round_trip_and_duration():
     text = io.StringIO("link_id,category,start,end\nL1,accident,2017-04-07T08:00:00Z,2017-04-07T09:40:00Z\n")
     labels = parse_events(text)
-    assert labels[0].end - labels[0].start == timedelta(minutes=100)
+    assert labels[0].start_us == us(T0 + timedelta(hours=8))
+    assert labels[0].end_us - labels[0].start_us == 100 * 60_000_000
     buf = io.StringIO()
     write_events(labels, buf)
     assert parse_events(io.StringIO(buf.getvalue())) == labels
@@ -242,14 +245,101 @@ def test_unknown_event_category_warns_and_maps_to_other():
 
 
 def test_event_end_before_start_rejected():
-    text = io.StringIO("link_id,category,start,end\nL1,accident,2017-04-07T09:00:00Z,2017-04-07T08:00:00Z\n")
-    with pytest.raises(ParseError, match="precedes"):
+    text = io.StringIO("link_id,category,start,end\nL1,accident,2017-04-07T09:00:00.5+01:00,2017-04-07T08:00:00Z\n")
+    with pytest.raises(ParseError) as raised:
         parse_events(text)
+    assert str(raised.value) == "row 2: event end 2017-04-07T08:00:00Z precedes start 2017-04-07T08:00:00.500000Z"
+
+
+# --- the time codec against datetime -------------------------------------------------
+
+FIRST_US = us(datetime(1, 1, 1, tzinfo=timezone.utc))
+LAST_US = us(datetime(9999, 12, 31, 23, 59, 59, 999_999, tzinfo=timezone.utc))
+WHOLE_SECONDS = st.integers(FIRST_US // 1_000_000, LAST_US // 1_000_000).map(lambda s: s * 1_000_000)
+# any instant of years 1-9999, whole seconds among them, and many near the epoch on both sides
+INSTANTS = WHOLE_SECONDS | st.integers(FIRST_US, LAST_US) | st.integers(-(10**15), 10**15)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(INSTANTS, max_size=30))
+@example(values=[FIRST_US, LAST_US, -1, 0, 1, -1_000_000, 999_999, -(10**15)])
+@example(values=[FIRST_US, 0, -60_000_000])  # whole seconds only
+@example(values=[])
+def test_format_stamps_matches_isoformat(values):
+    assert format_stamps(values) == [iso(v) for v in values]
+    assert format_stamps(np.array(values, dtype=np.int64)) == [iso(v) for v in values]
+    for v in values[:5]:
+        assert format_timestamp(v) == iso(v)
+
+
+OFFSET_ZONES = [timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=14)),
+                timezone(timedelta(hours=-8)), timezone(timedelta(hours=-12, minutes=-45))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(ts=st.datetimes(datetime(1, 1, 2), datetime(9999, 12, 30), timezones=st.sampled_from(OFFSET_ZONES)))
+@example(ts=datetime(1969, 12, 31, 23, 59, 59, 999_999, tzinfo=timezone.utc))
+@example(ts=datetime(1970, 1, 1, 5, 29, 59, 1, tzinfo=OFFSET_ZONES[1]))
+def test_parse_timestamp_matches_datetime_arithmetic(ts):
+    expected = (ts - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(microseconds=1)
+    assert parse_timestamp(ts.isoformat()) == expected
+    assert parse_timestamp(ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")) == expected
+
+
+def round_trip(write, read, rows):
+    """What ``write`` makes of ``rows``, after checking that ``read`` gives them back and that
+    writing those again gives the same text."""
+    first = io.StringIO()
+    write(rows, first)
+    back = read(io.StringIO(first.getvalue()))
+    assert back == rows
+    second = io.StringIO()
+    write(back, second)
+    assert second.getvalue() == first.getvalue()
+    return first.getvalue()
+
+
+# lengths of whole minutes, whole seconds or any microseconds, up to about 4 months
+LENGTHS = (
+    st.integers(0, 10**4).map(lambda m: m * 60_000_000)
+    | st.integers(0, 10**7).map(lambda s: s * 1_000_000)
+    | st.integers(0, 10**13)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(st.sampled_from(sorted(ingest.EVENT_CATEGORIES)), INSTANTS, LENGTHS), max_size=20))
+@example(rows=[("accident", -1_500_000, 0), ("weather", FIRST_US, 1), ("other", LAST_US - 5, 5)])
+def test_events_csv_round_trips_byte_for_byte(rows):
+    assume(all(start + length <= LAST_US for _, start, length in rows))
+    labels = [EventLabel("L,1", category, start, start + length) for category, start, length in rows]
+    text = round_trip(write_events, parse_events, labels)
+    cells = [row[2:] for row in csv.reader(io.StringIO(text))][1:]
+    assert cells == [[iso(label.start_us), iso(label.end_us)] for label in labels]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(INSTANTS, LENGTHS, st.integers(1, 10**4), st.floats(1e-300, 1e300), st.booleans(), st.booleans()),
+        max_size=20,
+    )
+)
+@example(rows=[(-1_500_000, 0, 1, 0.5, True, True), (FIRST_US, 1, 2, 1e-300, False, False)])
+def test_flags_csv_round_trips_byte_for_byte(rows):
+    assume(all(start + length <= LAST_US for start, length, *_ in rows))
+    flags = [
+        detector.FlagRow("L1", start, start + length, minutes, sev, "right" if right else "left", right and flagged)
+        for start, length, minutes, sev, right, flagged in rows
+    ]
+    text = round_trip(detector.write_excursions_csv, detector.read_flags_csv, flags)
+    cells = [row[1:3] for row in csv.reader(io.StringIO(text))][1:]
+    assert cells == [[iso(flag.start_us), iso(flag.end_us)] for flag in flags]
 
 
 def make_label(category, minute=0):
-    start = T0 + timedelta(minutes=minute)
-    return EventLabel("L1", category, start, start + timedelta(minutes=10))
+    start = us(T0 + timedelta(minutes=minute))
+    return EventLabel("L1", category, start, start + 10 * 60_000_000)
 
 
 def test_nonrecurrent_filter_drops_roadworks_and_weather():
@@ -345,7 +435,7 @@ def rows_view(samples):
     """Samples as tuples, NaN readings as None (the row view reads NaN cells as missing)."""
     def cell(v):
         return None if v is None or v != v else v
-    return [(s.link_id, s.timestamp, cell(s.speed), cell(s.flow), cell(s.travel_time)) for s in samples]
+    return [(s.link_id, s.epoch_us, cell(s.speed), cell(s.flow), cell(s.travel_time)) for s in samples]
 
 
 OFFSETS = {"Z": timezone.utc, "z": timezone.utc, "+00:00": timezone.utc,
@@ -438,11 +528,11 @@ def test_read_series_matches_row_parser(block, text):
 
 def two_link_rows(n):
     """n valid rows of two interleaved links, a blank line after every 97th."""
-    t0 = datetime(2017, 4, 3, tzinfo=timezone.utc)
+    stamps = format_stamps(simgen.SERIES_START_US + np.arange(n) * ingest.US_PER_MINUTE)
     lines = []
     for k in range(n):
         link = "L1" if k % 3 else "L2"
-        lines.append(f"{link},{format_timestamp(t0 + timedelta(minutes=k))},{k % 120}.5,{k % 4000}")
+        lines.append(f"{link},{stamps[k]},{k % 120}.5,{k % 4000}")
         if k % 97 == 96:
             lines.append("")
     return lines
@@ -496,7 +586,7 @@ def test_array_timestamps_match_parse_timestamp(fields):
         epoch_us, problems = ingest._parse_stamps(texts, given)
         for i, text in enumerate(texts):
             try:
-                expected = ingest.to_epoch_us(parse_timestamp(text))
+                expected = parse_timestamp(text)
             except ValueError as exc:
                 assert problems[i] == str(exc)
             else:
@@ -597,7 +687,7 @@ def canonical_series_texts(draw, max_rows=40):
         step = {"duplicate": 0, "backwards": -1}.get(fault, draw(st.sampled_from([1, 1, 1, 2, 90])))
         clock += timedelta(minutes=step, microseconds=0 if step < 1 else draw(st.sampled_from([0, 0, 0, 1])))
         clocks[link.strip()] = clock
-        stamp = format_timestamp(clock)
+        stamp = iso(us(clock))
         if fault in ("stamp", "odd_stamp"):
             stamp = draw(st.sampled_from(BAD_STAMPS + WIDE_STAMPS if fault == "stamp" else GOOD_ODD_STAMPS))
         values = []
@@ -719,9 +809,9 @@ def test_read_series_splits_a_lone_carriage_return_as_its_handle(chunk, newline)
 @pytest.mark.parametrize("layout", ["runs", "interleaved"])
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_read_series_reads_two_links_in_runs_or_interleaved(chunk, layout):
-    t0 = datetime(2017, 4, 3, tzinfo=timezone.utc)
+    stamps = format_stamps(simgen.SERIES_START_US + np.arange(300) * ingest.US_PER_MINUTE)
     rows = {
-        link: [f"{link},{format_timestamp(t0 + timedelta(minutes=k))},{k % 120}.5,{k % 4000}" for k in range(n)]
+        link: [f"{link},{stamps[k]},{k % 120}.5,{k % 4000}" for k in range(n)]
         for link, n in (("L1", 300), ("L2", 200))
     }
     if layout == "runs":

@@ -1,7 +1,7 @@
 import io
 import math
 from dataclasses import replace
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from flowsentry import simgen
 from flowsentry.baselines import weekly_bins
-from flowsentry.ingest import US_PER_MINUTE, EventLabel, LinkSeries, to_epoch_us, write_series
+from flowsentry.ingest import US_PER_MINUTE, EventLabel, LinkSeries, write_series
 from flowsentry.levelset import contains_many, distances_and_sides, fit_typical_region
 from flowsentry.simgen import (
     FLOW_JITTER,
     INCIDENT_ONSET_RAMP_MIN,
-    SERIES_START,
     WEEKEND_DEMAND_FACTOR,
     BottleneckSpec,
     IncidentSpec,
@@ -26,6 +25,9 @@ from flowsentry.simgen import (
     plan_incidents,
 )
 from region_helpers import density_grid, exit_side_oracle, winding_number_inside
+from time_helpers import instant, us
+
+SERIES_START = datetime(2017, 4, 3, tzinfo=timezone.utc)  # a Monday
 
 
 # --- per-minute oracle -------------------------------------------------------------
@@ -111,7 +113,7 @@ def generate_oracle(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel
             flow *= math.exp(FLOW_JITTER * flow_noise[minute])
         speeds[minute] = min(max(speed, 1.0), 249.0)
         flows[minute] = min(max(flow, 0.0), flow_cap, 11999.0)
-    epoch_us = to_epoch_us(SERIES_START) + np.arange(n, dtype=np.int64) * US_PER_MINUTE
+    epoch_us = us(SERIES_START) + np.arange(n, dtype=np.int64) * US_PER_MINUTE
     stream = LinkSeries(config.link_id, epoch_us, speeds, flows, config.link_length_m / 1000.0 / speeds * 3600.0)
 
     labels = []
@@ -121,8 +123,8 @@ def generate_oracle(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel
             EventLabel(
                 config.link_id,
                 categories[k % len(categories)],
-                SERIES_START + timedelta(minutes=spec.start_min),
-                SERIES_START + timedelta(minutes=spec.end_min - 1),
+                us(SERIES_START + timedelta(minutes=spec.start_min)),
+                us(SERIES_START + timedelta(minutes=spec.end_min - 1)),
             )
         )
     return stream, labels
@@ -172,7 +174,7 @@ def test_incident_density_exceeds_baseline_p99():
     during = stream.density[spec.start_min : spec.end_min]
     assert max(during) > p99
     assert len(labels) == 1
-    assert labels[0].start == SERIES_START + timedelta(minutes=spec.start_min)
+    assert instant(labels[0].start_us) == SERIES_START + timedelta(minutes=spec.start_min)
 
 
 def test_every_incident_produces_congestion():
@@ -183,7 +185,7 @@ def test_every_incident_produces_congestion():
     for spec, label in zip(plan, labels):
         during = stream.density[spec.start_min : spec.end_min]
         assert max(during) > p95  # congestion overlaps its label
-        assert label.end - label.start == timedelta(minutes=spec.duration_min - 1)
+        assert instant(label.end_us) - instant(label.start_us) == timedelta(minutes=spec.duration_min - 1)
 
 
 def test_flow_cap_invariant():
