@@ -9,15 +9,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 from dataclasses import asdict, astuple
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import baselines, detector, evaluation, ingest, levelset, simgen, svg
-from .kde import GRID_RESOLUTION, evaluate_grid, fit as kde_fit, select_bandwidth
+# Only ingest is imported with this module: each command imports the library modules it
+# calls, so that a process loads no module its command does not run.
+from . import ingest
+
+if TYPE_CHECKING:
+    from . import detector, evaluation, levelset
 
 EXIT_OK = 0
 EXIT_COMPUTE = 1
@@ -39,6 +45,16 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # computation failures from the library
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
+
+
+def run() -> None:
+    """The process entry: ``main`` over the command line, then exit.
+
+    The objects left at exit are frozen first, so the interpreter's final collection
+    does not walk them; memory goes back with the process."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,6 +134,8 @@ def _out_dir(path: str) -> Path:
 
 def grid_resolution() -> tuple[int, int]:
     """The resolution of the grid ``fit`` evaluates the KDE on."""
+    from .kde import GRID_RESOLUTION
+
     return GRID_RESOLUTION
 
 
@@ -128,6 +146,8 @@ def _write_text(path: Path, text: str) -> None:
 
 def _load_region(path: str) -> levelset.TypicalRegion:
     """A fitted region file; a missing key, a wrong type, bad JSON or no normaliser is a usage error."""
+    from . import levelset
+
     with ingest.open_text(_require_file(path)) as handle:
         text = handle.read()
     try:
@@ -168,6 +188,8 @@ def _pick_link(streams: dict[str, ingest.LinkSeries], path: str, link: str | Non
 
 def _read_flags(path: str, streams: dict[str, ingest.LinkSeries], series_path: str) -> list[detector.FlagRow]:
     """The rows of a flags file; a row for a link the series file does not hold is a usage error."""
+    from . import detector
+
     rows = detector.read_flags_csv(_require_file(path))
     unknown = sorted({r.link_id for r in rows}.difference(streams))
     if unknown:
@@ -176,6 +198,8 @@ def _read_flags(path: str, streams: dict[str, ingest.LinkSeries], series_path: s
 
 
 def cmd_simulate(args) -> int:
+    from . import simgen
+
     limits = (("--weeks", args.weeks, 1), ("--incidents", args.incidents, 0), ("--seed", args.seed, 0))
     for option, value, least in limits:
         if value < least:
@@ -192,6 +216,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import detector, levelset
+    from .kde import evaluate_grid, fit as kde_fit, select_bandwidth
+
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"alpha {args.alpha} outside (0, 1)")
     pts = _load_series(args.series, args.link).points
@@ -227,6 +254,8 @@ def _check_detector_options(args) -> None:
 
 def _detector_config(args, found: detector.Excursions) -> detector.DetectorConfig:
     """The detector of checked options; a duration percentile is taken over this stream's excursions."""
+    from . import detector
+
     if args.mode == "severity":
         return detector.DetectorConfig("severity_threshold", severity_threshold=args.threshold)
     if args.threshold is not None:
@@ -237,6 +266,8 @@ def _detector_config(args, found: detector.Excursions) -> detector.DetectorConfi
 
 
 def cmd_detect(args) -> int:
+    from . import detector
+
     _check_detector_options(args)
     stream = _load_series(args.series, args.link)
     region = _load_region(args.region)
@@ -251,6 +282,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from . import baselines, evaluation
+
     if args.detector == "dftb" and args.region is None:
         raise UsageError("dftb calibration needs --region")
     stream = _load_series(args.series, args.link)
@@ -299,12 +332,16 @@ def _write_sweep(result: evaluation.CalibrationResult, detector: str, path: Path
 
 
 def _no_labels(link_ids) -> evaluation.UndefinedMetricError:
+    from . import evaluation
+
     return evaluation.UndefinedMetricError(
         f"no non-recurrent labels for link {', '.join(map(repr, sorted(link_ids)))}; detection rate undefined"
     )
 
 
 def cmd_evaluate(args) -> int:
+    from . import evaluation
+
     if args.fixture == "table1":
         return _evaluate_fixture(_out_dir(args.out))
     if not (args.series and args.events and args.flags):
@@ -370,6 +407,8 @@ def _test_payload(result: evaluation.PairedTestResult) -> dict:
 
 
 def _paired_tests_payload(pairs) -> dict:
+    from . import evaluation
+
     result: dict = {"n_pairs": len(pairs)}
     for name, test in (
         ("wilcoxon_signed_rank", evaluation.wilcoxon_signed_rank),
@@ -385,12 +424,16 @@ def _paired_tests_payload(pairs) -> dict:
 
 def _sign_test(pairs) -> evaluation.PairedTestResult:
     """The sign test across links. One link's pair is not a test; no pairs at all fail in sign_test."""
+    from . import evaluation
+
     if len(pairs) == 1:
         raise evaluation.InsufficientPairsError("sign test needs at least 2 pairs, got 1")
     return evaluation.sign_test(pairs)
 
 
 def _evaluate_fixture(out: Path) -> int:
+    from . import evaluation
+
     rows = evaluation.load_table1()
     report = evaluation.fixture_report(rows)
     evaluation.write_report_csv(rows, report["aggregates"], out / "report.csv")
@@ -416,6 +459,8 @@ def _evaluate_fixture(out: Path) -> int:
 
 
 def cmd_plot(args) -> int:
+    from . import evaluation, svg
+
     streams = _read_series(args.series)
     stream = _pick_link(streams, args.series, args.link)
     region = _load_region(args.region)
@@ -437,7 +482,7 @@ def cmd_plot(args) -> int:
     with_tt = ~np.isnan(stream.travel_time)
     xs = (stream.minutes[with_tt] - stream.minutes[0]) * 60 / 3600.0
     ys = stream.travel_time[with_tt]
-    frame_tt = svg.Frame(min(xs, default=0.0), max(xs, default=1.0), min(ys, default=0.0), max(ys, default=1.0))
+    frame_tt = svg.Frame(xs.min(), xs.max(), ys.min(), ys.max()) if xs.size else svg.Frame(0.0, 1.0, 0.0, 1.0)
 
     durations = [row.duration_min for row in flags]
     if durations:
@@ -478,4 +523,4 @@ def cmd_plot(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

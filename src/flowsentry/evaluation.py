@@ -33,7 +33,6 @@ for loading it. The McMaster seed fit is an exact vertex descent in numpy.
 from __future__ import annotations
 
 import csv
-import importlib.resources
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -357,6 +356,8 @@ class FixtureRow:
 
 def load_table1() -> list[FixtureRow]:
     """The embedded 17-link reference benchmark (per-link DR/FAR/MTTD pairs)."""
+    import importlib.resources
+
     text = importlib.resources.files("flowsentry.data").joinpath("table1.csv").read_text(encoding="utf-8")
     reader = csv.DictReader(text.splitlines())
     rows = []

@@ -18,11 +18,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .ingest import quantiles
-from .kde import DensityGrid
+
+if TYPE_CHECKING:
+    from .kde import DensityGrid
 
 # Region queries work on (points x edges) blocks of about this many elements, so that
 # each query's working set stays fixed whatever the number of points. Measured against

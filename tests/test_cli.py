@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import math
 import os
@@ -8,8 +9,8 @@ import sys
 
 import pytest
 
-from flowsentry import cli, levelset
-from flowsentry.cli import main
+from flowsentry import levelset
+from flowsentry.cli import main, run
 from time_helpers import us
 
 
@@ -63,8 +64,8 @@ def test_simulate_rejects_an_out_of_range_option(tmp_path, capsys, monkeypatch, 
     def fail(*args, **kwargs):
         raise AssertionError("simulate worked on a rejected option")
 
-    monkeypatch.setattr(cli.simgen, "plan_incidents", fail)
-    monkeypatch.setattr(cli.simgen, "generate", fail)
+    monkeypatch.setattr("flowsentry.simgen.plan_incidents", fail)
+    monkeypatch.setattr("flowsentry.simgen.generate", fail)
     options = {"--weeks": "1", "--incidents": "1", "--seed": "1", option: value}
     argv = ["simulate", "--out", str(tmp_path / "out")] + [word for pair in options.items() for word in pair]
     assert main(argv) == 2
@@ -328,9 +329,9 @@ def test_calibrate_without_labels_for_the_link_exit_1_before_fitting(workspace, 
     def fit(*args, **kwargs):
         raise AssertionError("fitted before the labels were checked")
 
-    monkeypatch.setattr(cli.baselines, "snd_fit", fit)
-    monkeypatch.setattr(cli.detector, "annotate", fit)
-    monkeypatch.setattr(cli.evaluation, "quantile_regression_quadratic", fit)
+    monkeypatch.setattr("flowsentry.baselines.snd_fit", fit)
+    monkeypatch.setattr("flowsentry.detector.annotate", fit)
+    monkeypatch.setattr("flowsentry.evaluation.quantile_regression_quadratic", fit)
     assert main(calibrate_argv(workspace, detector, tmp_path / "c", events)) == 1
     assert capsys.readouterr().err == "error: no non-recurrent labels for link 'SIM1'; detection rate undefined\n"
     assert not (tmp_path / "c").exists()
@@ -496,7 +497,9 @@ def test_field_over_csvs_size_limit_exit_2(workspace, tmp_path, capsys, kind):
         bad.write_text(f"{header}\n{long_field}\n")
         argv = ["calibrate", "--series", series, "--events", str(bad), "--detector", "snd"]
     else:
-        bad.write_text(",".join(cli.detector.FLAGS_HEADER) + f"\n{long_field}\n")
+        from flowsentry.detector import FLAGS_HEADER
+
+        bad.write_text(",".join(FLAGS_HEADER) + f"\n{long_field}\n")
         argv = ["evaluate", "--series", series, "--events", events, "--flags", str(bad)]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: field larger than field limit ({csv.field_size_limit()})\n"
@@ -749,6 +752,20 @@ def test_plot_without_flags_has_no_markers(workspace, tmp_path):
     assert 'class="flag"' not in travel
 
 
+def test_plot_of_a_series_without_travel_time_draws_the_unit_frame(workspace, tmp_path):
+    # four columns: no minute has a travel time, so the travel-time plot has no points and
+    # spans [0, 1] on both axes
+    rows = (workspace / "sim" / "series.csv").read_text().splitlines()
+    series = tmp_path / "four.csv"
+    series.write_text("".join(",".join(row.split(",")[:4]) + "\n" for row in rows))
+    argv = ["plot", "--series", str(series), "--region", str(workspace / "fit" / "region.json"),
+            "--flags", str(workspace / "det" / "flags.csv"), "--out", str(tmp_path / "plots")]
+    assert main(argv) == 0
+    travel = (tmp_path / "plots" / "travel_time.svg").read_text()
+    assert '<polyline class="series" points=""' in travel and 'class="flag"' not in travel
+    assert re.findall(r'font-size="11">([^<]*)<', travel) == ["0", "0", "0.5", "0.5", "1", "1"]
+
+
 def test_plot_deterministic(workspace, tmp_path):
     args = [
         "plot",
@@ -810,30 +827,72 @@ from flowsentry import cli
 
 assert cli.main(sys.argv[1:]) == 0, sys.argv
 assert "scipy" not in sys.modules, sys.argv
+print(*sorted(name for name in sys.modules if name.startswith("flowsentry.")))
 """
+
+# the flowsentry modules each command loads besides cli: those it calls, and what they import
+BASELINE_SET = {"ingest", "baselines", "evaluation"}
+EVALUATE_SET = BASELINE_SET | {"levelset", "detector"}
+LOADED_BY = {
+    "simulate": {"ingest", "simgen"},
+    "fit": {"ingest", "kde", "levelset", "detector"},
+    "detect": {"ingest", "levelset", "detector"},
+    "calibrate snd": BASELINE_SET,
+    "calibrate mcmaster": BASELINE_SET,
+    "calibrate dftb": BASELINE_SET | {"levelset", "detector"},
+    "evaluate": EVALUATE_SET,
+    "plot": EVALUATE_SET | {"svg"},
+}
 
 
 def test_scipy_loaded_only_by_the_commands_that_call_it(tmp_path):
-    # every command but evaluate's paired tests runs without loading scipy; each runs in its
-    # own child process, which imports the same flowsentry as this one
+    # every command but evaluate's paired tests runs without loading scipy, and each loads
+    # only the flowsentry modules it runs; each runs in its own child process, which imports
+    # the same flowsentry as this one
     series, events, region = "sim/series.csv", "sim/events.csv", "fit/region.json"
     calibrate = ["calibrate", "--series", series, "--events", events, "--region", region, "--detector"]
-    commands = [
-        ["simulate", "--out", "sim", "--seed", "3", "--weeks", "1", "--incidents", "3"],
-        ["fit", "--series", series, "--out", "fit"],
-        ["detect", "--series", series, "--region", region, "--threshold", "0.2", "--out", "det"],
-        ["plot", "--series", series, "--region", region, "--flags", "det/flags.csv", "--out", "plots"],
-        *(calibrate + [name, "--out", f"cal_{name}"] for name in ("dftb", "snd", "mcmaster")),
+    commands = {
+        "simulate": ["simulate", "--out", "sim", "--seed", "3", "--weeks", "1", "--incidents", "3"],
+        "fit": ["fit", "--series", series, "--out", "fit"],
+        "detect": ["detect", "--series", series, "--region", region, "--threshold", "0.2", "--out", "det"],
+        "plot": ["plot", "--series", series, "--region", region, "--flags", "det/flags.csv", "--out", "plots"],
+        **{f"calibrate {name}": calibrate + [name, "--out", f"cal_{name}"] for name in ("dftb", "snd", "mcmaster")},
         # one link: too few pairs to test
-        ["evaluate", "--series", series, "--events", events, "--flags", "det/flags.csv", "--flags-b",
-         "det/flags.csv", "--out", "eval"],
-    ]
+        "evaluate": ["evaluate", "--series", series, "--events", events, "--flags", "det/flags.csv", "--flags-b",
+                     "det/flags.csv", "--out", "eval"],
+    }
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    for argv in commands:
+    for command, argv in commands.items():
         run = subprocess.run(
             [sys.executable, "-c", IMPORT_GUARD, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
         )
         assert run.returncode == 0, run.stderr
+        loaded = set(run.stdout.splitlines()[-1].split())
+        assert loaded == {f"flowsentry.{name}" for name in LOADED_BY[command] | {"cli"}}, command
+
+
+def test_the_process_entry_exits_with_mains_code(tmp_path, monkeypatch, capsys):
+    # run freezes what the command left before it exits, so that the final collection skips it
+    argv = ["simulate", "--out", str(tmp_path / "sim"), "--seed", "2", "--weeks", "1", "--incidents", "1"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["flowsentry", *argv])
+    frozen = gc.get_freeze_count()
+    try:
+        with pytest.raises(SystemExit) as exited:
+            run()
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+    assert exited.value.code == 0 and capsys.readouterr().out == printed
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    for args, code, out, err in (
+        (argv, 0, printed, ""),
+        (["simulate", "--weeks", "0", "--out", "x"], 2, "", "error: --weeks must be at least 1, got 0\n"),
+    ):
+        child = subprocess.run([sys.executable, "-m", "flowsentry.cli", *args], cwd=tmp_path, env=env,
+                               capture_output=True, text=True)
+        assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
 
 
 MA_GUARD = """
@@ -887,8 +946,8 @@ def test_failure_after_reading_the_inputs_leaves_no_out(workspace, tmp_path, cap
     def fail(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli.simgen, "generate", fail)
-    monkeypatch.setattr(cli.evaluation, "covered_minutes", fail)
+    monkeypatch.setattr("flowsentry.simgen.generate", fail)
+    monkeypatch.setattr("flowsentry.evaluation.covered_minutes", fail)
     argv = {
         "simulate": ["simulate", "--seed", "1", "--weeks", "1"],
         "plot": ["plot", "--series", str(workspace / "sim" / "series.csv"), "--region",
