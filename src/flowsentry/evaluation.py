@@ -25,9 +25,11 @@ and no ranks are tied (up to 25 effective pairs), otherwise a normal
 approximation with tie-corrected variance and continuity correction. The
 sign test is always exact binomial.
 
-Only the paired tests use scipy. They import it inside the function, after
-their input checks, so that a command which never reaches them does not pay
-for loading it. The McMaster seed fit is an exact vertex descent in numpy.
+The p-values need only numpy and the standard library. The t test's is the
+regularised incomplete beta function, by its continued fraction; the Wilcoxon
+normal approximation's is ``math.erfc``; the sign test's is an exact integer
+sum of binomial coefficients, rounded once. The McMaster seed fit is an exact
+vertex descent in numpy.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .baselines import McMasterParams, mcmaster_detect_grid, snd_detect_grid
-from .ingest import US_PER_MINUTE, EventLabel, LinkSeries, open_text, quantiles
+from .ingest import US_PER_MINUTE, EventLabel, LinkSeries, _median, open_text, quantiles
 
 EPS_DR = 1.01
 EPS_FAR = 0.001
@@ -54,6 +56,10 @@ MCMASTER_SEED_MAX_POINTS = 3000  # the seed fit strides a larger training set do
 _MAX_PIVOTS = 1000  # guards the vertex descent against cycling in floating point; seed fits take about 10
 _DESCENT_TOL = 1e-12  # an edge descends when its slope per unit of sum(|u|) is below minus this
 _ON_CURVE_ULPS = 32  # residuals within this many ulps of the terms' magnitude count as on the curve
+
+_CF_MAX_TERMS = 1000  # the t test's fraction took at most 55 terms for 10 to 10^7 degrees of freedom
+_CF_EPS = 1e-15  # it has converged when a term changes the fraction by less than this, relatively
+_CF_TINY = 1e-300  # Lentz's method moves a zero denominator to this
 
 Intervals = tuple[np.ndarray, np.ndarray]  # (start_us, end_us): int64 epoch microseconds
 _NO_FLAG = np.iinfo(np.int64).max
@@ -243,11 +249,56 @@ def paired_t_test(pairs: Sequence[tuple[float, float]]) -> PairedTestResult:
     sd = float(d.std(ddof=1))
     if sd == 0.0:
         raise DegenerateTestError("differences have zero variance")
-    from scipy.stats import t as student_t
-
     t = float(d.mean()) / (sd / math.sqrt(n))
-    p = 2.0 * float(student_t.sf(abs(t), n - 1))
-    return PairedTestResult("paired_t", t, min(p, 1.0), n)
+    return PairedTestResult("paired_t", t, _t_two_sided_p(t, n - 1), n)
+
+
+def _t_two_sided_p(t: float, nu: int) -> float:
+    """P(|T| >= |t|) for Student's t with ``nu`` degrees of freedom: the regularised
+    incomplete beta I_x(nu/2, 1/2) at x = nu / (nu + t^2).
+
+    1 - x is taken as t^2 / (nu + t^2), not by subtraction, and x^(nu/2) as
+    exp(-nu/2 log1p(t^2 / nu)), which keeps its relative accuracy for x near 1.
+    B(nu/2, 1/2) comes from its recurrence B(a + 1, 1/2) = B(a, 1/2) a / (a + 1/2),
+    starting from B(1/2, 1/2) = pi or B(1, 1/2) = 2.
+    """
+    if t == 0.0:
+        return 1.0
+    t2 = t * t
+    x, y = nu / (nu + t2), t2 / (nu + t2)
+    a = nu / 2
+    start, beta = (0.5, math.pi) if nu % 2 else (1.0, 2.0)
+    for k in range((nu - 1) // 2):
+        beta *= (start + k) / (start + k + 0.5)
+    front = math.exp(-a * math.log1p(t2 / nu)) * math.sqrt(y) / beta
+    # the continued fraction converges fast below (a + 1) / (a + b + 2); above it, use
+    # I_x(a, b) = 1 - I_(1-x)(b, a)
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _beta_continued_fraction(a, 0.5, x) / a
+    return 1.0 - front * _beta_continued_fraction(0.5, a, y) / 0.5
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b) / (x^a (1 - x)^b / (a B(a, b))), by Lentz's
+    method (Numerical Recipes' ``betacf``)."""
+
+    def nonzero(v):
+        return v if abs(v) >= _CF_TINY else _CF_TINY
+
+    c, d = 1.0, 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, _CF_MAX_TERMS + 1):
+        m2 = 2 * m
+        for aa in (
+            m * (b - m) * x / ((a - 1.0 + m2) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2)),
+        ):
+            d = 1.0 / nonzero(1.0 + aa * d)
+            c = nonzero(1.0 + aa / c)
+            h *= d * c
+        if abs(d * c - 1.0) < _CF_EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta continued fraction did not converge in {_CF_MAX_TERMS} terms")
 
 
 def wilcoxon_signed_rank(pairs: Sequence[tuple[float, float]]) -> PairedTestResult:
@@ -265,27 +316,41 @@ def wilcoxon_signed_rank(pairs: Sequence[tuple[float, float]]) -> PairedTestResu
         raise DegenerateTestError("all differences are zero")
     if n < 6:
         raise InsufficientPairsError(f"need at least 6 nonzero pairs, got {n}")
-    from scipy.stats import norm, rankdata
-
-    ranks = rankdata(np.abs(nonzero))
+    ranks, counts = _average_ranks(np.abs(nonzero))
     w_plus = float(ranks[nonzero > 0].sum())
     w = float(np.sum(np.sign(nonzero) * ranks))
-    has_ties = np.unique(np.abs(nonzero)).size != n
+    has_ties = counts.size != n
 
     if n <= 25 and not had_zeros and not has_ties:
         p = _exact_signed_rank_p(int(round(w_plus)), n)
         method = "exact"
     else:
         mean = n * (n + 1) / 4.0
-        _, counts = np.unique(ranks, return_counts=True)
         tie_term = float(np.sum(counts**3 - counts)) / 48.0
         var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
         if var <= 0:
             raise DegenerateTestError("zero variance after tie correction")
         z = (w_plus - mean - 0.5 * np.sign(w_plus - mean)) / math.sqrt(var)
-        p = 2.0 * float(norm.sf(abs(z)))
+        p = 2.0 * _normal_sf(abs(z))
         method = "normal_approx"
     return PairedTestResult("wilcoxon_signed_rank", w, min(p, 1.0), n, method)
+
+
+def _average_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-based ranks of ``values``, tied values sharing the mean of their ranks, and
+    the size of each run of tied values in ascending order."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[first, values.size])
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(first + (counts + 1) / 2.0, counts)
+    return ranks, counts
+
+
+def _normal_sf(z: float) -> float:
+    """P(Z > z) for a standard normal Z."""
+    return 0.5 * math.erfc(z / math.sqrt(2))
 
 
 def _exact_signed_rank_p(w_plus: int, n: int) -> float:
@@ -308,13 +373,16 @@ def sign_test(pairs: Sequence[tuple[float, float]]) -> PairedTestResult:
     n = nonzero.size
     if n == 0:
         raise DegenerateTestError("all pairs are tied")
-    from scipy.stats import binom
-
     s = int((nonzero > 0).sum())
-    p_low = float(binom.cdf(s, n, 0.5))
-    p_high = float(binom.sf(s - 1, n, 0.5))
-    p = min(1.0, 2.0 * min(p_low, p_high))
+    p = min(1.0, 2.0 * min(_binomial_tails(s, n)))
     return PairedTestResult("sign", float(s), p, n)
+
+
+def _binomial_tails(s: int, n: int) -> tuple[float, float]:
+    """P(X <= s) and P(X >= s) for X ~ Binomial(n, 1/2): integer sums of binomial
+    coefficients, each divided once by 2^n and so correctly rounded."""
+    low = sum(math.comb(n, k) for k in range(s + 1))
+    return low / 2**n, (2**n - low + math.comb(n, s)) / 2**n
 
 
 # --- aggregation -------------------------------------------------------------------
@@ -333,8 +401,8 @@ def summarize(values: Sequence[float]) -> AggregateStats:
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         raise ValueError("need at least 2 links to aggregate")
-    q25, q75 = np.percentile(arr, [25, 75])
-    return AggregateStats(float(arr.mean()), float(np.median(arr)), float(arr.std(ddof=1)), float(q75 - q25))
+    q25, q75 = quantiles(arr, (0.25, 0.75))
+    return AggregateStats(float(arr.mean()), _median(arr.copy()), float(arr.std(ddof=1)), float(q75 - q25))
 
 
 # --- embedded reference fixture ------------------------------------------------------
@@ -382,7 +450,7 @@ def fixture_report(rows: Sequence[FixtureRow]) -> dict:
         diffs = _differences(pairs)
         report["differences"][metric] = {
             "mean": float(diffs.mean()),
-            "median": float(np.median(diffs)),
+            "median": _median(diffs.copy()),
         }
         report["tests"][metric] = {
             "wilcoxon_signed_rank": wilcoxon_signed_rank(pairs),

@@ -133,9 +133,9 @@ class TrafficSample:
 
 
 def _median(values: np.ndarray) -> float:
-    """``np.median`` of a non-empty integer array, as a float: the middle value, or the
-    mean of the two middle values. ``values`` is partitioned in place, which saves a copy;
-    numpy's own call loads ``numpy.ma``."""
+    """``np.median`` of a non-empty integer or float array, as a float: the middle value,
+    or (a + b) / 2 of the two middle values, as numpy takes their mean. ``values`` is
+    partitioned in place, which saves a copy; numpy's own call loads ``numpy.ma``."""
     n = values.size
     values.partition([(n - 1) // 2, n // 2])
     return (float(values[(n - 1) // 2]) + float(values[n // 2])) / 2

@@ -841,14 +841,16 @@ LOADED_BY = {
     "calibrate mcmaster": BASELINE_SET,
     "calibrate dftb": BASELINE_SET | {"levelset", "detector"},
     "evaluate": EVALUATE_SET,
+    "evaluate two links": EVALUATE_SET,
+    "evaluate fixture": BASELINE_SET | {"data"},  # the package that holds table1.csv
     "plot": EVALUATE_SET | {"svg"},
 }
 
 
-def test_scipy_loaded_only_by_the_commands_that_call_it(tmp_path):
-    # every command but evaluate's paired tests runs without loading scipy, and each loads
-    # only the flowsentry modules it runs; each runs in its own child process, which imports
-    # the same flowsentry as this one
+def test_no_command_loads_scipy_and_each_loads_only_its_modules(tmp_path):
+    # no command loads scipy, evaluate's paired tests included, and each loads only the
+    # flowsentry modules it runs; each runs in its own child process, which imports the
+    # same flowsentry as this one
     series, events, region = "sim/series.csv", "sim/events.csv", "fit/region.json"
     calibrate = ["calibrate", "--series", series, "--events", events, "--region", region, "--detector"]
     commands = {
@@ -860,15 +862,27 @@ def test_scipy_loaded_only_by_the_commands_that_call_it(tmp_path):
         # one link: too few pairs to test
         "evaluate": ["evaluate", "--series", series, "--events", events, "--flags", "det/flags.csv", "--flags-b",
                      "det/flags.csv", "--out", "eval"],
+        # a second link, OTHER, that the b flags leave unflagged, so that the sign and paired t
+        # tests compute; Wilcoxon needs 6 pairs and is skipped
+        "evaluate two links": ["evaluate", "--series", "two/series.csv", "--events", "two/events.csv", "--flags",
+                               "two/flags.csv", "--flags-b", "det/flags.csv", "--out", "eval2"],
+        "evaluate fixture": ["evaluate", "--fixture", "table1", "--out", "fixture"],
     }
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     for command, argv in commands.items():
+        if command == "evaluate two links":
+            (tmp_path / "two").mkdir()
+            for name, path in (("series", series), ("events", events), ("flags", "det/flags.csv")):
+                text = (tmp_path / path).read_text()
+                (tmp_path / "two" / f"{name}.csv").write_text(text + as_link(text, "OTHER"))
         run = subprocess.run(
             [sys.executable, "-c", IMPORT_GUARD, *argv], cwd=tmp_path, env=env, capture_output=True, text=True
         )
         assert run.returncode == 0, run.stderr
         loaded = set(run.stdout.splitlines()[-1].split())
         assert loaded == {f"flowsentry.{name}" for name in LOADED_BY[command] | {"cli"}}, command
+    tests = json.loads((tmp_path / "eval2" / "evaluation.json").read_text())["tests"]["dr"]
+    assert "p_value" in tests["sign"] and "p_value" in tests["paired_t"], tests
 
 
 def test_the_process_entry_exits_with_mains_code(tmp_path, monkeypatch, capsys):
@@ -906,7 +920,8 @@ assert "numpy.ma" not in sys.modules, sys.argv
 
 def test_operating_commands_do_not_load_numpy_ma(workspace, tmp_path):
     # numpy's median, percentile, quantile and unique load numpy.ma, 11-15 ms a process; the
-    # commands that operate a fitted link use exact sort and partition equivalents instead
+    # commands that operate a fitted link, and the fixture's aggregates and tests, use exact
+    # sort and partition equivalents instead
     series, events, region = (str(workspace / name) for name in ("sim/series.csv", "sim/events.csv", "fit/region.json"))
     detect = ["detect", "--series", series, "--region", region]
     flags = str(workspace / "det" / "flags.csv")
@@ -917,6 +932,7 @@ def test_operating_commands_do_not_load_numpy_ma(workspace, tmp_path):
         ["evaluate", "--series", series, "--events", events, "--flags", flags, "--flags-b", "dur/flags.csv",
          "--out", "eval"],
         ["plot", "--series", series, "--region", region, "--flags", flags, "--out", "plots"],
+        ["evaluate", "--fixture", "table1", "--out", "fixture"],
     ]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     for argv in commands:

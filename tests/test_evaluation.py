@@ -400,6 +400,67 @@ def test_sign_test_invariant_under_monotone_transform(diffs):
     assert ev.sign_test(pairs).p_value == pytest.approx(ev.sign_test(transformed).p_value, rel=1e-12)
 
 
+# --- p-values against scipy ----------------------------------------------------------
+
+
+def test_t_tail_matches_scipy():
+    # scipy's own t tail drifts by up to 3e-9 below |t| = 1e-4, so the grid starts at 0.01
+    from scipy.stats import t as student_t
+
+    ts = np.r_[np.linspace(-100.0, 100.0, 401), np.geomspace(0.01, 100.0, 120)]
+    for nu in [*range(1, 60), 100, 200, 1000]:
+        for t, ref in zip(ts.tolist(), (2.0 * student_t.sf(np.abs(ts), nu)).tolist()):
+            ours = ev._t_two_sided_p(t, nu)
+            if ref < 1e-290:
+                assert ours < 1e-280, (nu, t, ours)
+            else:
+                assert abs(ours - ref) <= 1e-12 * ref, (nu, t, ours, ref)
+
+
+def test_t_tail_with_one_degree_of_freedom_is_cauchy():
+    for t in np.r_[np.linspace(-100.0, 100.0, 401), np.geomspace(1e-8, 100.0, 120)].tolist():
+        assert ev._t_two_sided_p(t, 1) == pytest.approx(1.0 - 2.0 / math.pi * math.atan(abs(t)), rel=1e-12, abs=0)
+
+
+def test_normal_tail_matches_scipy():
+    from scipy.stats import norm
+
+    z = np.linspace(0.0, 30.0, 3001)
+    ours = np.array([ev._normal_sf(v) for v in z.tolist()])
+    np.testing.assert_allclose(ours, norm.sf(z), rtol=1e-12, atol=0)
+
+
+def test_binomial_tails_are_exact_sums_rounded_once():
+    from fractions import Fraction
+
+    from scipy.stats import binom
+
+    for n in range(1, 200):
+        # below[s]: the sum of C(n, k) over k < s, by the recurrence C(n, k) = C(n, k - 1) (n - k + 1) / k
+        below, coefficient = [0], 1
+        for k in range(n + 1):
+            below.append(below[-1] + coefficient)
+            coefficient = coefficient * (n - k) // (k + 1)
+        tails = [ev._binomial_tails(s, n) for s in range(n + 1)]
+        exact = [(Fraction(below[s + 1], 2**n), 1 - Fraction(below[s], 2**n)) for s in range(n + 1)]
+        assert tails == [(float(low), float(high)) for low, high in exact], n
+        s = np.arange(n + 1)
+        low, high = np.array(tails).T
+        np.testing.assert_allclose(low, binom.cdf(s, n, 0.5), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(high, binom.sf(s - 1, n, 0.5), rtol=1e-13, atol=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 12).map(lambda k: k / 4), min_size=1, max_size=40))  # few values, many ties
+def test_average_ranks_equal_rankdata(values):
+    from scipy.stats import rankdata
+
+    arr = np.array(values)
+    ranks, counts = ev._average_ranks(arr)
+    assert np.array_equal(ranks, rankdata(arr))
+    assert counts.tolist() == [values.count(v) for v in sorted(set(values))]
+
+
 # --- aggregation ------------------------------------------------------------------
 
 
