@@ -44,7 +44,7 @@ _STATS = ("count", "mean", "median", "sd", "iqr", "mad")
 @dataclass(frozen=True, eq=False)
 class SndProfile:
     """Per weekly-bin speed statistics, one column of ``BINS_PER_WEEK`` values per
-    statistic (a count of 0 and NaN elsewhere for a bin with no speed), plus the cap speed."""
+    statistic (a count of 0 and NaN elsewhere for a bin with no speed)."""
 
     count: np.ndarray
     mean: np.ndarray
@@ -52,7 +52,6 @@ class SndProfile:
     sd: np.ndarray
     iqr: np.ndarray
     mad: np.ndarray
-    cap_kmh: float = SPEED_CAP_KMH
     tz_offset_min: int = 0
 
     def __post_init__(self):
@@ -70,7 +69,7 @@ class SndProfile:
         filled = np.flatnonzero(self.count > 0)
         rows = zip(filled.tolist(), *(getattr(self, name)[filled].tolist() for name in _STATS))
         payload = {
-            "cap_kmh": self.cap_kmh,
+            "cap_kmh": SPEED_CAP_KMH,
             "tz_offset_min": self.tz_offset_min,
             "bins": {str(i): stats for i, *stats in rows},
         }
@@ -137,7 +136,7 @@ def snd_thresholds(profile: SndProfile, c) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if (c < 0).any():
         raise ValueError("c must be nonnegative")
-    return np.where(profile.usable, np.minimum(profile.cap_kmh, profile.median - c[..., None] * profile.iqr), np.nan)
+    return np.where(profile.usable, np.minimum(SPEED_CAP_KMH, profile.median - c[..., None] * profile.iqr), np.nan)
 
 
 def snd_detect(stream: LinkSeries, profile: SndProfile, c: float) -> tuple[np.ndarray, np.ndarray]:

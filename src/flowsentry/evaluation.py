@@ -688,4 +688,6 @@ def _scaled_bound(curve: tuple[float, float, float], scale: float, rho_crit: flo
     b = max(b, 0.0)
     if b + 2.0 * c * rho_crit < 0:
         c = -b / (2.0 * rho_crit)
+        while -math.inf < b + 2.0 * c * rho_crit < 0:  # c rounded low; McMasterParams rejects an overflow
+            c = math.nextafter(c, math.inf)
     return McMasterParams(a, b, c, rho_crit, f_crit)

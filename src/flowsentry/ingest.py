@@ -337,6 +337,9 @@ def _parse_stamps(texts: Sequence[str], chars: np.ndarray | None = None) -> tupl
         fast = np.ones(n, dtype=bool)
     epoch_us = np.zeros(n, dtype=np.int64)
     if chars is not None:
+        # The fields are checked here rather than by numpy's cast of the strings to
+        # datetime64: numpy 2.4.6 raises ValueError for an invalid date (such as month
+        # 00) among 500 strings, but crashes the process (SIGSEGV) among 600 or more.
         digits = chars[:, _DIGITS] - ord("0")  # unsigned: a code point below "0" wraps above 9
         ok = (digits <= 9).all(axis=1) & ((chars[:, _SEPARATORS] | _CASE_BIT) == _SEPARATOR_CODES).all(axis=1)
         pairs = (digits[:, 0::2] * 10 + digits[:, 1::2]).astype(np.int64)  # century, year, month, ...

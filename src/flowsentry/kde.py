@@ -139,10 +139,6 @@ class DensityGrid:
         object.__setattr__(self, "values", vals)
 
     @property
-    def resolution(self) -> tuple[int, int]:
-        return self.values.shape
-
-    @property
     def cell_size(self) -> tuple[float, float]:
         n_rho, n_f = self.values.shape
         return (self.rho_max - self.rho_min) / n_rho, (self.f_max - self.f_min) / n_f

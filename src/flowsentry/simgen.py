@@ -23,6 +23,12 @@ SERIES_START_US = 1_491_177_600_000_000  # 2017-04-03T00:00:00Z, a Monday
 FLOW_JITTER = 0.02
 WEEKEND_DEMAND_FACTOR = 0.85
 INCIDENT_ONSET_RAMP_MIN = 8  # capacity degrades over the first minutes of a scene
+LINK_LENGTH_M = 1200.0
+# plan_incidents' ranges of capacity drop, duration (minutes, both ends included) and start minute of day
+INCIDENT_CAPACITY_DROP = (0.45, 0.75)
+INCIDENT_DURATION_MIN = (20, 60)
+INCIDENT_BUSY_WINDOW = (7 * 60, 20 * 60)
+INCIDENT_SEPARATION_MIN = 120  # least gap between planned incidents, minutes
 
 
 def default_demand_profile() -> tuple[float, ...]:
@@ -93,7 +99,6 @@ class ScenarioConfig:
     seed: int = 0
     weeks: int = 3
     link_id: str = "SIM1"
-    link_length_m: float = 1200.0
     free_flow_speed: float = 110.0
     capacity_flow: float = 4500.0
     critical_density: float = 35.0
@@ -172,7 +177,7 @@ def generate(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel]]:
     n = config.total_minutes
     apex = config.apex_flow
     v_f = config.free_flow_speed
-    link_km = config.link_length_m / 1000.0
+    link_km = LINK_LENGTH_M / 1000.0
 
     incident_at = np.zeros(n)
     for spec in config.incidents:
@@ -236,11 +241,7 @@ def plan_incidents(
     weeks: int,
     seed: int,
     *,
-    capacity_drop: tuple[float, float] = (0.45, 0.75),
-    duration: tuple[int, int] = (20, 60),
-    busy_window: tuple[int, int] = (7 * 60, 20 * 60),
     avoid: BottleneckSpec | None = None,
-    min_separation_min: int = 120,
     demand_profile: tuple[float, ...] | None = None,
 ) -> tuple[IncidentSpec, ...]:
     """Deterministic non-overlapping incident plan inside busy daytime hours.
@@ -259,10 +260,10 @@ def plan_incidents(
         if attempts > 50000:
             raise ValueError("could not place the requested incidents without overlap")
         day = int(rng.integers(0, weeks * 7))
-        tod = int(rng.integers(busy_window[0], busy_window[1]))
+        tod = int(rng.integers(*INCIDENT_BUSY_WINDOW))
         start = day * 1440 + tod
-        dur = int(rng.integers(duration[0], duration[1] + 1))
-        drop = float(rng.uniform(*capacity_drop))
+        dur = int(rng.integers(INCIDENT_DURATION_MIN[0], INCIDENT_DURATION_MIN[1] + 1))
+        drop = float(rng.uniform(*INCIDENT_CAPACITY_DROP))
         if start + dur >= total:
             continue
         weekend = WEEKEND_DEMAND_FACTOR if day % 7 >= 5 else 1.0
@@ -273,10 +274,8 @@ def plan_incidents(
             continue
         if avoid is not None and avoid.active(np.array([start - 60, start, start + dur, start + dur + 60])).any():
             continue
-        if any(
-            start < other.end_min + min_separation_min and other.start_min < start + dur + min_separation_min
-            for other in chosen
-        ):
+        if any(start < o.end_min + INCIDENT_SEPARATION_MIN and o.start_min < start + dur + INCIDENT_SEPARATION_MIN
+               for o in chosen):
             continue
         chosen.append(IncidentSpec(start, dur, drop))
     return tuple(sorted(chosen, key=lambda s: s.start_min))

@@ -101,25 +101,23 @@ def scatter(frame: Frame, xs, ys, *, fill: str = "steelblue", radius: float = 1.
         yield "".join(map(circle.format, px, py))
 
 
-def closed_path(frame: Frame, polygon, *, stroke: str = "crimson", css: str = "region") -> str:
-    parts = [f"M {_fmt(frame.x(polygon[0][0]))} {_fmt(frame.y(polygon[0][1]))}"]
-    for x, y in polygon[1:-1]:
-        parts.append(f"L {_fmt(frame.x(x))} {_fmt(frame.y(y))}")
-    parts.append("Z")
-    return f'<path class="{css}" d="{" ".join(parts)}" fill="none" stroke="{stroke}" stroke-width="1.5"/>\n'
+def closed_path(frame: Frame, polygon) -> str:
+    vertices = np.asarray(polygon, dtype=float)[:-1]
+    blocks = (" L ".join(map("{:.2f} {:.2f}".format, px, py)) for px, py in _pixel_blocks(frame, *vertices.T))
+    return f'<path class="region" d="M {" L ".join(blocks)} Z" fill="none" stroke="crimson" stroke-width="1.5"/>\n'
 
 
-def polyline(frame: Frame, xs, ys, *, stroke: str = "steelblue", css: str = "series"):
+def polyline(frame: Frame, xs, ys):
     """One polyline element through the points, formatted a block of points at a time."""
-    yield f'<polyline class="{css}" points="'
+    yield '<polyline class="series" points="'
     separator = ""
     for px, py in _pixel_blocks(frame, xs, ys):
         yield separator + " ".join(map("{:.2f},{:.2f}".format, px, py))
         separator = " "
-    yield f'" fill="none" stroke="{stroke}" stroke-width="1"/>\n'
+    yield '" fill="none" stroke="steelblue" stroke-width="1"/>\n'
 
 
-def bars(frame: Frame, edges, counts, *, fill: str = "steelblue", css: str = "bar") -> list[str]:
+def bars(frame: Frame, edges, counts) -> list[str]:
     out = []
     base = frame.y(0.0)
     for k, count in enumerate(counts):
@@ -127,7 +125,8 @@ def bars(frame: Frame, edges, counts, *, fill: str = "steelblue", css: str = "ba
         x_right = frame.x(edges[k + 1])
         top = frame.y(count)
         out.append(
-            f'<rect class="{css}" data-count="{int(count)}" x="{_fmt(x_left)}" y="{_fmt(top)}" '
-            f'width="{_fmt(max(x_right - x_left - 1.0, 0.5))}" height="{_fmt(max(base - top, 0.0))}" fill="{fill}"/>\n'
+            f'<rect class="bar" data-count="{int(count)}" x="{_fmt(x_left)}" y="{_fmt(top)}" '
+            f'width="{_fmt(max(x_right - x_left - 1.0, 0.5))}" height="{_fmt(max(base - top, 0.0))}" '
+            'fill="steelblue"/>\n'
         )
     return out

@@ -342,7 +342,7 @@ def snd_threshold_oracle(profile, bin_index, c):
     """min(cap, median - c * IQR) of one bin; None when the bin is unusable."""
     if profile.count[bin_index] < MIN_BIN_OBSERVATIONS:
         return None
-    return min(profile.cap_kmh, profile.median[bin_index] - c * profile.iqr[bin_index])
+    return min(SPEED_CAP_KMH, profile.median[bin_index] - c * profile.iqr[bin_index])
 
 
 def persistence_oracle(timestamps, hits, persistence=3):

@@ -362,6 +362,19 @@ def test_calibrate_writes_every_grid_point_to_the_sweep(workspace, tmp_path, det
     assert parameters == payload.get("params", {k: payload[k] for k in ("c", "severity_threshold") if k in payload})
 
 
+def test_calibrate_mcmaster_where_the_rounded_clamp_falls_short(tmp_path):
+    # a coarse grid point of this bimodal link clamps c to -b / (2 rho_crit), which rounds
+    # so that b + 2 c rho_crit is a rounding error below 0
+    sim, out = tmp_path / "sim", tmp_path / "cal"
+    assert main(["simulate", "--out", str(sim), "--seed", "13", "--weeks", "4", "--incidents", "8", "--bimodal"]) == 0
+    argv = ["calibrate", "--series", str(sim / "series.csv"), "--events", str(sim / "events.csv"),
+            "--detector", "mcmaster", "--out", str(out)]
+    assert main(argv) == 0
+    params = json.loads((out / "calibration.json").read_text())["params"]
+    assert params["b"] + 2.0 * params["c"] * params["rho_crit"] >= 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + SWEEP_SIZES["mcmaster"]
+
+
 def test_five_minute_cadence_exit_2(workspace, tmp_path, capsys):
     lines = (workspace / "sim" / "series.csv").read_text().splitlines()
     coarse = tmp_path / "coarse.csv"

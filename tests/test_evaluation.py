@@ -767,6 +767,39 @@ def test_calibrate_mcmaster_matches_per_point_loop(simulated_link, grid_blocks):
     assert ev.calibrate_mcmaster(stream, labels) == expected
 
 
+def clamp_without_nextafter(curve, scale, rho_crit, f_crit):
+    """``_scaled_bound`` with c clamped to -b / (2 rho_crit) alone, which can round a bound
+    that decreases by a rounding error, so that ``McMasterParams`` rejects it."""
+    a, b, c = (scale * term for term in curve)
+    b = max(b, 0.0)
+    if b + 2.0 * c * rho_crit < 0:
+        c = -b / (2.0 * rho_crit)
+    return ev.McMasterParams(a, b, c, rho_crit, f_crit)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    curve=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e3, 1e3), st.floats(-1e2, 1e2)),
+    scale=st.floats(0.5, 1.5),
+    rho_crit=st.floats(1e-3, 1e3),
+    f_crit=st.floats(1.0, 1e4),
+)
+@example(curve=(0.0, 78.939, -1.838), scale=1.0, rho_crit=71.382, f_crit=500.0)  # -b / (2 rho_crit) rounds low
+def test_scaled_bound_is_nondecreasing_and_moves_only_a_rounded_clamp(curve, scale, rho_crit, f_crit):
+    params = ev._scaled_bound(curve, scale, rho_crit, f_crit)  # always a valid bound
+    try:
+        before = clamp_without_nextafter(curve, scale, rho_crit, f_crit)
+    except ValueError:
+        # c is the least float at or above -b / (2 rho_crit) for which the bound holds
+        floor = -params.b / (2.0 * rho_crit)
+        assert floor < params.c
+        lower = math.nextafter(params.c, -math.inf)
+        assert lower >= floor and params.b + 2.0 * lower * rho_crit < 0
+        assert (params.a, params.b, params.f_crit) == (scale * curve[0], max(scale * curve[1], 0.0), f_crit)
+    else:
+        assert params == before
+
+
 def test_calibrate_dftb_matches_per_threshold_loop(simulated_link):
     from flowsentry.detector import annotate, calibrate_normalizer
     from flowsentry.levelset import TypicalRegion, contains_many

@@ -1,6 +1,10 @@
 import csv
 import io
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from contextlib import contextmanager
 from datetime import datetime, timedelta, timezone
@@ -597,6 +601,46 @@ def test_array_timestamps_match_parse_timestamp(fields):
 def test_read_series_parses_each_timestamp_as_the_row_parser(stamp):
     text = f"link_id,timestamp,speed_kmh,flow_vph\nL1,{stamp},1,1\n"
     assert read_outcome(text) == oracle_outcome(text)
+
+
+# Canonical-shaped stamps that name no instant. numpy's cast of 600 or more strings to
+# datetime64 crashes the process on one of them, so the test reads in a child process.
+INVALID_CANONICAL_STAMPS = ["2017-00-05T10:00:00Z", "2017-13-05T10:00:00Z", "2017-04-31T10:00:00Z",
+                            "2017-02-29T10:00:00Z", "2017-04-05T24:00:00Z", "2017-04-05T10:60:00Z",
+                            "2017-04-05T10:00:60Z", "0000-04-05T10:00:00Z"]
+READ_IN_CHILD = """
+import json, sys
+from flowsentry.ingest import ParseError, read_series
+errors = []
+for path in sys.argv[1:]:
+    try:
+        read_series(path)
+    except ParseError as exc:
+        errors.append([exc.row, str(exc)])
+    else:
+        errors.append(None)
+print(json.dumps(errors))
+"""
+
+
+def test_many_canonical_stamps_with_invalid_fields_name_the_first_bad_row(tmp_path):
+    rows = [f"L1,{format_timestamp(us(T0) + k * ingest.US_PER_MINUTE)},80.0,1200.0" for k in range(1500)]
+    paths, expected = [], []
+    for k, stamp in enumerate(INVALID_CANONICAL_STAMPS):
+        bad = list(rows)
+        first = 700 + k
+        for i, text in zip(range(first, first + 3), (stamp, *INVALID_CANONICAL_STAMPS[:2])):
+            bad[i] = f"L1,{text},80.0,1200.0"
+        paths.append(tmp_path / f"series{k}.csv")
+        paths[-1].write_text("\n".join(["link_id,timestamp,speed_kmh,flow_vph", *bad]) + "\n")
+        with pytest.raises(ValueError) as raised:
+            parse_timestamp(stamp)
+        expected.append([first + 2, f"row {first + 2}: {raised.value}"])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run([sys.executable, "-c", READ_IN_CHILD, *map(str, paths)], env=env, capture_output=True,
+                           text=True)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout) == expected
 
 
 @pytest.mark.parametrize(

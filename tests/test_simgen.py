@@ -15,6 +15,7 @@ from flowsentry.levelset import contains_many, distances_and_sides, fit_typical_
 from flowsentry.simgen import (
     FLOW_JITTER,
     INCIDENT_ONSET_RAMP_MIN,
+    LINK_LENGTH_M,
     WEEKEND_DEMAND_FACTOR,
     BottleneckSpec,
     IncidentSpec,
@@ -56,7 +57,7 @@ def generate_oracle(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel
     n = config.total_minutes
     apex = config.apex_flow
     v_f = config.free_flow_speed
-    link_km = config.link_length_m / 1000.0
+    link_km = LINK_LENGTH_M / 1000.0
 
     incident_at = np.zeros(n)
     for spec in config.incidents:
@@ -114,7 +115,7 @@ def generate_oracle(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel
         speeds[minute] = min(max(speed, 1.0), 249.0)
         flows[minute] = min(max(flow, 0.0), flow_cap, 11999.0)
     epoch_us = us(SERIES_START) + np.arange(n, dtype=np.int64) * US_PER_MINUTE
-    stream = LinkSeries(config.link_id, epoch_us, speeds, flows, config.link_length_m / 1000.0 / speeds * 3600.0)
+    stream = LinkSeries(config.link_id, epoch_us, speeds, flows, LINK_LENGTH_M / 1000.0 / speeds * 3600.0)
 
     labels = []
     categories = ("accident", "obstruction", "breakdown")

@@ -83,3 +83,23 @@ def test_streamed_document_equals_the_whole_document():
         '<polyline class="series" points="" fill="none" stroke="steelblue" stroke-width="1"/>',
     ]
     assert streamed.getvalue() == whole_document_oracle(body, "a title")
+
+
+def closed_path_oracle(frame, polygon):
+    """One Frame.x/Frame.y call and one format per vertex, as the region was first drawn."""
+    parts = [f"M {svg._fmt(frame.x(polygon[0][0]))} {svg._fmt(frame.y(polygon[0][1]))}"]
+    parts += [f"L {svg._fmt(frame.x(x))} {svg._fmt(frame.y(y))}" for x, y in polygon[1:-1]]
+    return f'<path class="region" d="{" ".join(parts + ["Z"])}" fill="none" stroke="crimson" stroke-width="1.5"/>\n'
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    vertices=st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=40),
+    bounds=st.tuples(VALUES, VALUES, VALUES, VALUES),
+)
+def test_closed_path_formats_as_per_vertex_calls(vertices, bounds):
+    frame = svg.Frame(*bounds)
+    polygon = np.array(vertices + vertices[:1], dtype=float)  # closed: the last vertex repeats the first
+    for block in (svg._POINT_BLOCK, 7):
+        with mock.patch.object(svg, "_POINT_BLOCK", block):
+            assert svg.closed_path(frame, polygon) == closed_path_oracle(frame, polygon)
