@@ -24,10 +24,10 @@ FLOW_JITTER = 0.02
 WEEKEND_DEMAND_FACTOR = 0.85
 INCIDENT_ONSET_RAMP_MIN = 8  # capacity degrades over the first minutes of a scene
 LINK_LENGTH_M = 1200.0
-# plan_incidents' ranges of capacity drop, duration (minutes, both ends included) and start minute of day
+# plan_incidents draws each incident's capacity drop, duration and start minute of day from these ranges
 INCIDENT_CAPACITY_DROP = (0.45, 0.75)
-INCIDENT_DURATION_MIN = (20, 60)
-INCIDENT_BUSY_WINDOW = (7 * 60, 20 * 60)
+INCIDENT_DURATION_MIN = (20, 60)  # both ends included
+INCIDENT_BUSY_WINDOW = (7 * 60, 20 * 60)  # upper end excluded
 INCIDENT_SEPARATION_MIN = 120  # least gap between planned incidents, minutes
 
 
