@@ -8,13 +8,17 @@ identical output bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import gc
+import hashlib
+import io
 import json
+import os
 import sys
 from dataclasses import asdict, astuple
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import IO, TYPE_CHECKING
 
 import numpy as np
 
@@ -160,12 +164,74 @@ def _load_region(path: str) -> levelset.TypicalRegion:
     return region
 
 
+# Bytes of a series file hashed at a time when its sidecar is checked.
+_BLOCK_BYTES = 1 << 17
+
+
+class _HashingReader(io.RawIOBase):
+    """A binary handle that passes every byte read from it through SHA-256."""
+
+    def __init__(self, handle: IO[bytes]):
+        self.handle = handle
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.handle.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+
 def _read_series(path: str) -> dict[str, ingest.LinkSeries]:
-    """Every link's stream in a series file, which must hold samples."""
-    streams = ingest.read_series(_require_file(path))
+    """Every link's stream in a series file, which must hold samples.
+
+    The streams of a regular file are cached in ``.<name>.flowsentry`` beside it (see
+    ``ingest.write_sidecar``), under the SHA-256 of the bytes parsed and of the reader's
+    source. A read whose file and reader hash to a sidecar's digests loads its columns;
+    any other read parses the file and replaces the sidecar, or leaves it when it cannot
+    be written."""
+    source = _require_file(path)
+    # a pipe's bytes could not be read twice
+    streams = _read_series_cached(source) if source.is_file() else ingest.read_series(source)
     if not streams:
         raise UsageError(f"no samples in {path}")
     return streams
+
+
+def _read_series_cached(source: Path) -> dict[str, ingest.LinkSeries]:
+    sidecar = source.with_name(f".{source.name}.flowsentry")
+    try:
+        with open(sidecar, "rb") as handle:
+            streams = ingest.read_sidecar(handle, _file_sha256(source))
+    except OSError:
+        streams = None
+    if streams is not None:
+        return streams
+    with open(source, "rb") as handle:
+        hashing = _HashingReader(handle)
+        streams = ingest.read_series(io.BufferedReader(hashing))
+    # written under a name of its own, then renamed over the sidecar: a concurrent reader
+    # opens the old sidecar or the new one, never a part of either
+    temp = sidecar.with_name(f".{os.getpid()}-{os.urandom(4).hex()}{sidecar.name}")
+    try:
+        with open(temp, "xb") as handle:
+            ingest.write_sidecar(streams, handle, hashing.sha256.hexdigest())
+        os.replace(temp, sidecar)
+    except OSError:
+        with contextlib.suppress(OSError):
+            temp.unlink()
+    return streams
+
+
+def _file_sha256(path: Path) -> str:
+    block = bytearray(_BLOCK_BYTES)
+    with open(path, "rb", buffering=0) as handle:
+        hashing = _HashingReader(handle)
+        while hashing.readinto(block):
+            pass
+    return hashing.sha256.hexdigest()
 
 
 def _load_series(path: str, link: str | None) -> ingest.LinkSeries:
