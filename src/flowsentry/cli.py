@@ -148,6 +148,13 @@ def _write_text(path: Path, text: str) -> None:
         handle.write(text)
 
 
+def _write_payload(path: Path, payload: dict) -> str:
+    """Write ``payload`` as indented JSON; returns the text written."""
+    text = json.dumps(payload, indent=2)
+    _write_text(path, text)
+    return text
+
+
 def _load_region(path: str) -> levelset.TypicalRegion:
     """A fitted region file; a missing key, a wrong type, bad JSON or no normaliser is a usage error."""
     from . import levelset
@@ -373,9 +380,9 @@ def cmd_calibrate(args) -> int:
     out = _out_dir(args.out)
     if profile is not None:
         _write_text(out / "snd_profile.json", profile.to_json())
-    _write_text(out / "calibration.json", json.dumps(payload, indent=2))
+    text = _write_payload(out / "calibration.json", payload)
     _write_sweep(result, args.detector, out / "sweep.csv")
-    print(json.dumps(payload, indent=2))
+    print(text)
     return EXIT_OK
 
 
@@ -389,12 +396,11 @@ _SWEEP_PARAMETERS = {
 def _write_sweep(result: evaluation.CalibrationResult, detector: str, path: Path) -> None:
     """One row per grid point scored: its parameters, then DR, FAR, MTTD and PI, with an
     empty cell where MTTD and PI are undefined. McMaster rows name their grid, coarse or fine."""
-    with ingest.open_text(path, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow([*_SWEEP_PARAMETERS[detector], "dr", "far", "mttd", "pi"])
-        for stage, parameter, s in result.sweep:
-            values = [stage, *astuple(parameter)] if detector == "mcmaster" else [parameter]
-            writer.writerow([*values, s.dr, s.far, s.mttd, s.pi])
+    rows = (
+        [*([stage, *astuple(parameter)] if detector == "mcmaster" else [parameter]), s.dr, s.far, s.mttd, s.pi]
+        for stage, parameter, s in result.sweep
+    )
+    ingest.write_table(path, [*_SWEEP_PARAMETERS[detector], "dr", "far", "mttd", "pi"], rows)
 
 
 def _no_labels(link_ids) -> evaluation.UndefinedMetricError:
@@ -454,8 +460,7 @@ def cmd_evaluate(args) -> int:
                     pairs.append((va, vb))
             payload["tests"][metric] = _paired_tests_payload(pairs)
     out = _out_dir(args.out)
-    _write_text(out / "evaluation.json", json.dumps(payload, indent=2))
-    print(json.dumps(payload, indent=2))
+    print(_write_payload(out / "evaluation.json", payload))
     return EXIT_OK
 
 
@@ -511,7 +516,7 @@ def _evaluate_fixture(out: Path) -> int:
             for metric, tests in report["tests"].items()
         },
     }
-    _write_text(out / "tests.json", json.dumps(payload, indent=2))
+    _write_payload(out / "tests.json", payload)
     for metric in ("dr", "far", "mttd"):
         tests = payload["tests"][metric]
         print(

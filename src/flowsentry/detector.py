@@ -12,14 +12,15 @@ length, an excursion ends at its last observed minute.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import LinkSeries, ParseError, TrafficSample, format_stamps, format_timestamp, open_text, parse_timestamp
+from .ingest import (
+    LinkSeries, ParseError, TrafficSample, format_stamps, format_timestamp, parse_timestamp, read_table, write_table
+)
 from .levelset import TypicalRegion, contains_many, distances_and_sides, with_normalizer
 
 # A missing run of at least this many minutes ends an excursion.
@@ -218,13 +219,11 @@ def write_excursions_csv(rows: Iterable[FlagRow], sink) -> None:
     rows = list(rows)
     starts = format_stamps([r.start_us for r in rows])
     ends = format_stamps([r.end_us for r in rows])
-    with open_text(sink, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(FLAGS_HEADER)
-        writer.writerows(
-            (r.link_id, a, b, r.duration_min, repr(r.max_severity), r.exit_side, "true" if r.flagged else "false")
-            for r, a, b in zip(rows, starts, ends)
-        )
+    cells = (
+        (r.link_id, a, b, r.duration_min, repr(r.max_severity), r.exit_side, "true" if r.flagged else "false")
+        for r, a, b in zip(rows, starts, ends)
+    )
+    write_table(sink, FLAGS_HEADER, cells)
 
 
 def write_flags_csv(rows: Iterable[FlagRow], sink) -> None:
@@ -233,26 +232,18 @@ def write_flags_csv(rows: Iterable[FlagRow], sink) -> None:
 
 
 def read_flags_csv(source) -> list[FlagRow]:
-    """The rows of an excursion or flag CSV. A malformed row, or one that breaks a ``FlagRow``
-    invariant, raises ``ParseError`` naming it (the header is row 1 and blank rows count)."""
-    with open_text(source) as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != FLAGS_HEADER:
-            raise ParseError(f"unexpected flags header {header!r}", 1)
-        rows = []
-        for row_no, cells in enumerate(reader, start=2):
-            if cells:
-                try:
-                    rows.append(_flag_row(cells))
-                except ValueError as exc:
-                    raise ParseError(str(exc), row_no) from None
-        return rows
+    """The rows of an excursion or flag CSV (see ``read_table``). A row that breaks a
+    ``FlagRow`` invariant raises ``ParseError`` naming it."""
+    flags = []
+    for row, cells in read_table(source, FLAGS_HEADER):
+        try:
+            flags.append(_flag_row(cells))
+        except ValueError as exc:
+            raise ParseError(str(exc), row) from None
+    return flags
 
 
 def _flag_row(cells: list[str]) -> FlagRow:
-    if len(cells) != len(FLAGS_HEADER):
-        raise ValueError(f"expected {len(FLAGS_HEADER)} fields, got {len(cells)}")
     link_id, start, end, minutes, peak, exit_side, flag = cells
     if flag not in ("true", "false"):
         raise ValueError(f"flagged {flag!r} is neither 'true' nor 'false'")

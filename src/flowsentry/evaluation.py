@@ -34,16 +34,15 @@ vertex descent in numpy.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .baselines import McMasterParams, mcmaster_detect_grid, snd_detect_grid
-from .ingest import US_PER_MINUTE, EventLabel, LinkSeries, _median, open_text, quantiles
+from .ingest import US_PER_MINUTE, EventLabel, LinkSeries, _median, quantiles, read_table, write_table
 
 EPS_DR = 1.01
 EPS_FAR = 0.001
@@ -426,18 +425,11 @@ def load_table1() -> list[FixtureRow]:
     """The embedded 17-link reference benchmark (per-link DR/FAR/MTTD pairs)."""
     import importlib.resources
 
-    text = importlib.resources.files("flowsentry.data").joinpath("table1.csv").read_text(encoding="utf-8")
-    reader = csv.DictReader(text.splitlines())
-    rows = []
-    for rec in reader:
-        rows.append(
-            FixtureRow(
-                rec["location"],
-                float(rec["length_km"]),
-                *(float(rec[m]) for m in FIXTURE_METRICS),
-            )
-        )
-    return rows
+    data = importlib.resources.files("flowsentry.data").joinpath("table1.csv").read_bytes()
+    return [
+        FixtureRow(location, *map(float, numbers))
+        for _, (location, *numbers) in read_table(data, ["location", "length_km", *FIXTURE_METRICS])
+    ]
 
 
 def fixture_report(rows: Sequence[FixtureRow]) -> dict:
@@ -462,13 +454,10 @@ def fixture_report(rows: Sequence[FixtureRow]) -> dict:
 def write_report_csv(rows: Sequence[FixtureRow], aggregates: dict[str, AggregateStats], sink) -> None:
     """Per-link metric table plus the four aggregate footer rows of ``aggregates``,
     ``fixture_report``'s aggregates of ``rows``."""
-    with open_text(sink, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["location", "length_km", *FIXTURE_METRICS])
-        for r in rows:
-            writer.writerow([r.location, r.length_km, *(getattr(r, m) for m in FIXTURE_METRICS)])
-        for stat in ("mean", "median", "std", "iqr"):
-            writer.writerow([stat, "", *(round(getattr(aggregates[m], stat), 3) for m in FIXTURE_METRICS)])
+    links = ([r.location, r.length_km, *(getattr(r, m) for m in FIXTURE_METRICS)] for r in rows)
+    stats = ("mean", "median", "std", "iqr")
+    footer = ([stat, "", *(round(getattr(aggregates[m], stat), 3) for m in FIXTURE_METRICS)] for stat in stats)
+    write_table(sink, ["location", "length_km", *FIXTURE_METRICS], chain(links, footer))
 
 
 # --- McMaster calibration grid -------------------------------------------------------

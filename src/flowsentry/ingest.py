@@ -1,4 +1,4 @@
-"""Canonical data model and CSV parsing for link time series and event labels.
+"""Canonical data model and CSV parsing for link time series and small tables.
 
 Every instant is an int of microseconds since the Unix epoch, from the text a
 reader parses (``parse_timestamp``) to the text a writer formats
@@ -15,6 +15,9 @@ feed one routine that applies every input check as an array operation over the
 chunk and writes its values straight into the output columns, so a read holds
 the columns and one chunk; ``parse_series`` is a row view over it. Readers
 skip a byte order mark that opens a file, and write nothing.
+
+``read_table`` and ``write_table`` are the one reader and writer of every other
+table: event labels, excursions and flags, calibration sweeps, Table 1 and its report.
 
 ``write_sidecar`` and ``read_sidecar`` hold ``read_series``' columns in the
 binary file that the command line keeps beside a series file, so that it parses
@@ -426,13 +429,12 @@ class _SeriesReader:
         self.out = [np.empty(0, dtype=dtype) for dtype in (np.int64, float, float, float)]
         self.code: np.ndarray | None = None
 
-    def bulk(self, lines: list[str], first_row: int) -> bool:
+    def bulk(self, text: str, first_row: int) -> bool:
         """Whether whole lines were split at every comma and their columns kept. They are
         not when ``csv.reader`` could split them otherwise: a quote, NUL or lone carriage
         return (a \\r\\n line end is read as \\n), a line without one field per column (a blank
         line, a wrong field count or no final newline), or a field longer than csv's field
-        size limit. Once they will be split here, ``lines`` is emptied to free its strings."""
-        text = "".join(lines)
+        size limit."""
         if text[-1:] != "\n" or '"' in text or "\0" in text:
             return False
         if "\r" in text:
@@ -449,9 +451,7 @@ class _SeriesReader:
         ends = ends.reshape(-1, self.width)
         rows = first_row + np.arange(len(ends))
         wide_stamps = (ends[:, 1] - ends[:, 0] == 21).all()  # every timestamp field is 20 bytes
-        # the split below sets the chunk's peak: free what it does not need
-        lines.clear()
-        del data, ends
+        del data, ends  # the split below sets the chunk's peak
         cells = text[:-1].replace("\n", ",").split(",")
         del text
         fields = [cells[k :: self.width] for k in range(self.width)]
@@ -575,17 +575,20 @@ def _read_columns(source) -> tuple[list[str], np.ndarray | None, list[np.ndarray
             raise ParseError(f"unexpected header {header!r}", 1)
         state = _SeriesReader(len(header))
         first_row = 2
-        # readlines splits lines as the handle does (a newline="" file also at a lone \r,
-        # never inside \r\n), so csv.reader gets the same lines from a chunk as from the handle
-        while lines := handle.readlines(_CHUNK_CHARS):
-            count = len(lines)
-            if not state.bulk(lines, first_row):
+        # a chunk is whole lines: it ends where the handle ends the line it reaches into
+        while text := handle.read(_CHUNK_CHARS):
+            if text[-1] != "\n":
+                text += handle.readline()
+            if not state.bulk(text, first_row):
+                # the chunk's lines as the handle splits them: a lone \r ends a line only in a
+                # handle that reads universal newlines, which has then seen one
+                lines = io.StringIO(text, newline="" if handle.newlines else "\n")
                 reader = csv.reader(chain(lines, handle))
                 while rows := list(islice(reader, _ROW_BLOCK)):
                     state.rows(rows, first_row)
                     first_row += len(rows)
                 break
-            first_row += count
+            first_row += text.count("\n")
     return state.finish()
 
 
@@ -743,43 +746,54 @@ def read_sidecar(source: IO[bytes], series_sha256: str) -> dict[str, LinkSeries]
     return streams
 
 
-def parse_events(source) -> list[EventLabel]:
-    """Parse an event-label CSV; unknown categories map to ``other`` with a warning."""
+def read_table(source, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """The data rows of a CSV table whose header row is ``header``, each with its number:
+    the header is row 1, and blank rows are skipped but counted. The header's cells are
+    compared stripped. An empty input, another header or a row of another field count
+    raises ``ParseError`` naming its row when the rows before it have been taken."""
     with open_text(source) as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
+        found = next(reader, None)
+        if found is None:
             raise ParseError("empty input, expected a header row", 1)
-        if [h.strip() for h in header] != EVENTS_HEADER:
-            raise ParseError(f"unexpected header {header!r}", 1)
-        labels: list[EventLabel] = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", row_no)
-            link_id = row[0].strip()
-            category = row[1].strip().lower()
-            if category not in EVENT_CATEGORIES:
-                warnings.warn(f"row {row_no}: unknown category {category!r} mapped to 'other'", stacklevel=2)
-                category = "other"
-            try:
-                start = parse_timestamp(row[2])
-                end = parse_timestamp(row[3])
-                labels.append(EventLabel(link_id, category, start, end))
-            except ValueError as exc:
-                raise ParseError(str(exc), row_no) from None
-        return labels
+        if [cell.strip() for cell in found] != header:
+            raise ParseError(f"unexpected header {found!r}", 1)
+        for row, cells in enumerate(reader, start=2):
+            if cells:
+                if len(cells) != len(header):
+                    raise ParseError(f"expected {len(header)} fields, got {len(cells)}", row)
+                yield row, cells
+
+
+def write_table(sink, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV table: the header row, then ``rows``, each line ended with \\n."""
+    with open_text(sink, "w") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def parse_events(source) -> list[EventLabel]:
+    """Parse an event-label CSV; unknown categories map to ``other`` with a warning."""
+    labels: list[EventLabel] = []
+    for row, (link_id, category, start, end) in read_table(source, EVENTS_HEADER):
+        category = category.strip().lower()
+        if category not in EVENT_CATEGORIES:
+            warnings.warn(f"row {row}: unknown category {category!r} mapped to 'other'", stacklevel=2)
+            category = "other"
+        try:
+            labels.append(EventLabel(link_id.strip(), category, parse_timestamp(start), parse_timestamp(end)))
+        except ValueError as exc:
+            raise ParseError(str(exc), row) from None
+    return labels
 
 
 def write_events(labels: Iterable[EventLabel], sink) -> None:
     labels = list(labels)
     starts = format_stamps([label.start_us for label in labels])
     ends = format_stamps([label.end_us for label in labels])
-    with open_text(sink, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(EVENTS_HEADER)
-        writer.writerows((label.link_id, label.category, a, b) for label, a, b in zip(labels, starts, ends))
+    rows = ((label.link_id, label.category, a, b) for label, a, b in zip(labels, starts, ends))
+    write_table(sink, EVENTS_HEADER, rows)
 
 
 def nonrecurrent_filter(labels: Sequence[EventLabel]) -> list[EventLabel]:

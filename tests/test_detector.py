@@ -21,7 +21,7 @@ from flowsentry.detector import (
     write_excursions_csv,
     write_flags_csv,
 )
-from flowsentry.ingest import EventLabel, LinkSeries, TrafficSample
+from flowsentry.ingest import EventLabel, LinkSeries, ParseError, TrafficSample
 from flowsentry.levelset import TypicalRegion, contains_many
 from region_helpers import exact_segment_distance, winding_number_inside
 from time_helpers import us
@@ -329,6 +329,11 @@ def test_flags_csv_round_trip():
     buf2 = io.StringIO()
     write_flags_csv(flags, buf2)
     assert read_flags_csv(io.StringIO(buf2.getvalue())) == flags
+
+
+def test_an_empty_flags_file_names_the_missing_header():
+    with pytest.raises(ParseError, match="^row 1: empty input, expected a header row$"):
+        read_flags_csv(io.StringIO(""))
 
 
 @pytest.mark.parametrize(

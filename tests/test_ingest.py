@@ -850,6 +850,20 @@ def test_read_series_splits_a_lone_carriage_return_as_its_handle(chunk, newline)
     assert isinstance(expected, str) == (newline == "\n")
 
 
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_read_series_ends_a_line_at_a_lone_carriage_return_in_a_file(tmp_path, chunk):
+    # a file's text handle reports the newlines it has seen only once it decodes them
+    lines = two_link_rows(30)
+    lines[20] += "\r" + lines.pop(21)
+    text = "\n".join(["link_id,timestamp,speed_kmh,flow_vph", *lines]) + "\r"
+    path = tmp_path / "series.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = column_bytes(oracle_series(io.StringIO(text, newline="")))
+    with mock.patch.object(ingest, "_CHUNK_CHARS", chunk):
+        for source in (path, io.BytesIO(path.read_bytes())):
+            assert column_bytes(read_series(source)) == expected
+
+
 @pytest.mark.parametrize("layout", ["runs", "interleaved"])
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_read_series_reads_two_links_in_runs_or_interleaved(chunk, layout):
