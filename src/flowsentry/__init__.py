@@ -45,7 +45,6 @@ _MODULE_OF = {
     "parse_series": "ingest",
     "read_series": "ingest",
     "select_bandwidth": "kde",
-    "track": "detector",
 }
 
 __all__ = list(_MODULE_OF)

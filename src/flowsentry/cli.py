@@ -137,7 +137,8 @@ def _out_dir(path: str) -> Path:
 
 
 def grid_resolution() -> tuple[int, int]:
-    """The resolution of the grid ``fit`` evaluates the KDE on."""
+    """The resolution of the grid ``fit`` evaluates the KDE on, ``evaluate_grid``'s default;
+    the benchmark records it with each run."""
     from .kde import GRID_RESOLUTION
 
     return GRID_RESOLUTION
@@ -296,7 +297,7 @@ def cmd_fit(args) -> int:
         raise UsageError(f"alpha {args.alpha} outside (0, 1)")
     pts = _load_series(args.series, args.link).points
     model = kde_fit(pts, select_bandwidth(pts, args.bandwidth_method))
-    grid = evaluate_grid(model, resolution=grid_resolution())
+    grid = evaluate_grid(model)
     region = levelset.fit_typical_region(pts, grid=grid, alpha=args.alpha)
     inside = levelset.contains_many(region, pts)
     region = detector.calibrate_normalizer(region, pts, inside)

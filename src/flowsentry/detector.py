@@ -18,9 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import (
-    LinkSeries, ParseError, TrafficSample, format_stamps, format_timestamp, parse_timestamp, read_table, write_table
-)
+from .ingest import LinkSeries, ParseError, format_stamps, format_timestamp, parse_timestamp, read_table, write_table
 from .levelset import TypicalRegion, contains_many, distances_and_sides, with_normalizer
 
 # A missing run of at least this many minutes ends an excursion.
@@ -149,7 +147,7 @@ def annotate(stream: LinkSeries, region: TypicalRegion) -> Excursions:
     if region.max_training_distance is None:
         raise UncalibratedRegionError("region has no max_training_distance; calibrate first")
     usable = stream.usable
-    points = np.column_stack([stream.density[usable], stream.flow[usable]])
+    points = stream.points
     position = np.flatnonzero(~contains_many(region, points))  # among the usable minutes
     distances, sides = distances_and_sides(region, points[position])
     del points
@@ -163,15 +161,6 @@ def annotate(stream: LinkSeries, region: TypicalRegion) -> Excursions:
     duration = np.diff(np.append(first, position.size))
     max_severity = np.maximum.reduceat(severity, first) if first.size else severity
     return Excursions(stream.link_id, at_us, severity, first, duration, max_severity, right[first])
-
-
-def track(
-    samples: Sequence[TrafficSample],
-    region: TypicalRegion,
-    config: DetectorConfig,
-) -> tuple[list[FlagRow], list[FlagRow]]:
-    """Excursion and flag rows of a stream; see ``annotate`` and ``track_annotated``."""
-    return track_annotated(annotate(LinkSeries.from_samples(samples), region), config)
 
 
 def track_annotated(found: Excursions, config: DetectorConfig) -> tuple[list[FlagRow], list[FlagRow]]:

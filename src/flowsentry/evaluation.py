@@ -16,8 +16,8 @@ a batch against one set of labels, each flag tagged with its set, and
 ``score_detector`` is its one-set case. A calibration sweep detects the flags
 of its whole grid in one batch (``baselines.snd_detect_grid``,
 ``baselines.mcmaster_detect_grid``, one ``detector.annotate`` for DFTB),
-scores them in one call, and ``calibrate`` takes the argmin over the scores;
-the result keeps the score of every grid point.
+scores them in one call through the one grid scorer, and ``calibrate`` takes
+the argmin over the scores; the result keeps the score of every grid point.
 
 Wilcoxon p-values follow the convention most reference implementations use:
 the exact signed-rank distribution when no zero differences were discarded
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, combinations
 from typing import Iterable, Sequence
 
@@ -571,6 +572,18 @@ def _entering_point(residual, on_curve, direction, slope) -> int:
 # --- detector-family calibration -----------------------------------------------------
 
 
+def _grid_scorer(label_us: Intervals, n_applications: int, detect_grid):
+    """Score function over a calibration grid: ``detect_grid(grid)`` gives the flags of
+    every grid point as ``(start_us, end_us, point)``, and one ``score_flag_sets`` call
+    scores them all against the label intervals ``label_us``."""
+
+    def score(grid: Sequence) -> list[DetectorScore]:
+        start_us, end_us, point = detect_grid(grid)
+        return score_flag_sets((start_us, end_us), point, len(grid), label_us, n_applications)
+
+    return score
+
+
 def dftb_score_fn(stream: LinkSeries, region, labels: Sequence[EventLabel]):
     """Score function over a grid of severity thresholds: the stream's excursions are
     found once, and every threshold's flags come from them."""
@@ -578,14 +591,12 @@ def dftb_score_fn(stream: LinkSeries, region, labels: Sequence[EventLabel]):
 
     found = annotate(stream, region)
     end_us = found.at_us[found.last]
-    label_us = intervals_us(labels)
-    n_applications = applications(stream, "dftb")
 
-    def score(thresholds: Sequence[float]) -> list[DetectorScore]:
+    def detect_grid(thresholds: Sequence[float]):
         point, flagged, onset = found.onsets(thresholds)
-        return score_flag_sets((found.at_us[onset], end_us[flagged]), point, len(thresholds), label_us, n_applications)
+        return found.at_us[onset], end_us[flagged], point
 
-    return score
+    return _grid_scorer(intervals_us(labels), applications(stream, "dftb"), detect_grid)
 
 
 def calibrate_dftb(stream: LinkSeries, region, labels: Sequence[EventLabel]) -> CalibrationResult:
@@ -595,14 +606,7 @@ def calibrate_dftb(stream: LinkSeries, region, labels: Sequence[EventLabel]) -> 
 
 def snd_score_fn(stream: LinkSeries, profile, labels: Sequence[EventLabel]):
     """Score function over a grid of SND multipliers c."""
-    label_us = intervals_us(labels)
-    n_applications = applications(stream, "snd")
-
-    def score(cs: Sequence[float]) -> list[DetectorScore]:
-        start_us, end_us, point = snd_detect_grid(stream, profile, cs)
-        return score_flag_sets((start_us, end_us), point, len(cs), label_us, n_applications)
-
-    return score
+    return _grid_scorer(intervals_us(labels), applications(stream, "snd"), partial(snd_detect_grid, stream, profile))
 
 
 def calibrate_snd(stream: LinkSeries, profile, labels: Sequence[EventLabel]) -> CalibrationResult:
@@ -610,23 +614,12 @@ def calibrate_snd(stream: LinkSeries, profile, labels: Sequence[EventLabel]) -> 
     return calibrate(SND_C_GRID, snd_score_fn(stream, profile, labels)(SND_C_GRID))
 
 
-def mcmaster_score_fn(stream: LinkSeries, labels: Sequence[EventLabel]):
-    """Score function over a grid of ``McMasterParams``."""
-    label_us = intervals_us(labels)
-    n_applications = applications(stream, "mcmaster")
-
-    def score(grid: Sequence[McMasterParams]) -> list[DetectorScore]:
-        start_us, end_us, point = mcmaster_detect_grid(stream, grid)
-        return score_flag_sets((start_us, end_us), point, len(grid), label_us, n_applications)
-
-    return score
-
-
 def calibrate_mcmaster(stream: LinkSeries, labels: Sequence[EventLabel]) -> CalibrationResult:
     """Coarse-to-fine PI minimisation over the 5 segmentation parameters; the sweep holds
     the coarse grid's points, then the fine grid's."""
-    score = mcmaster_score_fn(stream, labels)
-    grid = _mcmaster_grid(stream, intervals_us(labels))
+    label_us = intervals_us(labels)
+    score = _grid_scorer(label_us, applications(stream, "mcmaster"), partial(mcmaster_detect_grid, stream))
+    grid = _mcmaster_grid(stream, label_us)
     coarse = calibrate(grid, score(grid), "coarse")
     seed: McMasterParams = coarse.parameter
     fine = [seed]

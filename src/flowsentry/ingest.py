@@ -300,17 +300,18 @@ def open_text(target, mode: str = "r") -> Iterator[IO[str]]:
 
     A path is opened with ``mode`` and closed on exit. When reading, paths,
     bytes and binary file-like objects are decoded as ``utf-8-sig``, which
-    drops one byte order mark at the start (spreadsheets write one); any other
-    handle is used as is and left open. Writers never write the mark.
+    drops one byte order mark at the start (spreadsheets write one); bytes are
+    read through a binary handle on them, so they read as a file of the same
+    bytes does. Any other handle is used as is and left open. Writers never
+    write the mark.
     """
     encoding = "utf-8-sig" if mode == "r" else "utf-8"
     if isinstance(target, (str, Path)):
         with open(target, mode, encoding=encoding, newline="") as handle:
             yield handle
-    elif mode == "r" and isinstance(target, bytes):
-        yield io.StringIO(target.decode(encoding))
     elif mode == "r" and not isinstance(target, io.TextIOBase):
-        yield io.TextIOWrapper(target, encoding=encoding, newline="")
+        binary = io.BytesIO(target) if isinstance(target, bytes) else target
+        yield io.TextIOWrapper(binary, encoding=encoding, newline="")
     else:
         yield target
 
@@ -799,11 +800,3 @@ def write_events(labels: Iterable[EventLabel], sink) -> None:
 def nonrecurrent_filter(labels: Sequence[EventLabel]) -> list[EventLabel]:
     """Drop roadworks and weather labels, which are not non-recurrent congestion."""
     return [label for label in labels if label.category not in RECURRENT_CATEGORIES]
-
-
-def by_link(samples: Iterable[TrafficSample]) -> dict[str, list[TrafficSample]]:
-    """Group samples by link, preserving the per-link time order."""
-    grouped: dict[str, list[TrafficSample]] = {}
-    for s in samples:
-        grouped.setdefault(s.link_id, []).append(s)
-    return grouped

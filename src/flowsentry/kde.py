@@ -119,6 +119,11 @@ class DensityModel:
         return self.samples.shape[0]
 
 
+def _cell_centers(lo: float, hi: float, n: int) -> np.ndarray:
+    """The centres of ``n`` equal cells over [lo, hi]: the grid's nodes on one axis."""
+    return lo + (np.arange(n) + 0.5) * ((hi - lo) / n)
+
+
 @dataclass(frozen=True)
 class DensityGrid:
     """KDE evaluated at the centres of a regular grid over rectangular bounds."""
@@ -139,19 +144,12 @@ class DensityGrid:
         object.__setattr__(self, "values", vals)
 
     @property
-    def cell_size(self) -> tuple[float, float]:
-        n_rho, n_f = self.values.shape
-        return (self.rho_max - self.rho_min) / n_rho, (self.f_max - self.f_min) / n_f
-
-    @property
     def rho_centers(self) -> np.ndarray:
-        d_rho, _ = self.cell_size
-        return self.rho_min + (np.arange(self.values.shape[0]) + 0.5) * d_rho
+        return _cell_centers(self.rho_min, self.rho_max, self.values.shape[0])
 
     @property
     def f_centers(self) -> np.ndarray:
-        _, d_f = self.cell_size
-        return self.f_min + (np.arange(self.values.shape[1]) + 0.5) * d_f
+        return _cell_centers(self.f_min, self.f_max, self.values.shape[1])
 
     def integral(self) -> float:
         """Trapezoidal integral of the grid over its bounds."""
@@ -259,8 +257,6 @@ def fit(samples, bandwidth: BandwidthMatrix | np.ndarray) -> DensityModel:
     pts = np.asarray(samples, dtype=float)
     if pts.size == 0:
         raise InsufficientDataError("no samples")
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"samples must have shape (N, 2), got {pts.shape}")
     if not isinstance(bandwidth, BandwidthMatrix):
         bandwidth = BandwidthMatrix(bandwidth)
     return DensityModel(pts, bandwidth)
@@ -327,10 +323,8 @@ def evaluate_grid(
     if rho_min > lo[0] or rho_max < hi[0] or f_min > lo[1] or f_max < hi[1]:
         warnings.warn("grid bounds do not cover all samples; mass will be truncated", stacklevel=2)
 
-    d_rho = (rho_max - rho_min) / n_rho
-    d_f = (f_max - f_min) / n_f
-    x_centers = rho_min + (np.arange(n_rho) + 0.5) * d_rho
-    y_centers = f_min + (np.arange(n_f) + 0.5) * d_f
+    x_centers = _cell_centers(rho_min, rho_max, n_rho)
+    y_centers = _cell_centers(f_min, f_max, n_f)
 
     inv = model.bandwidth.inverse
     a, b, c = inv[0, 0], inv[0, 1], inv[1, 1]

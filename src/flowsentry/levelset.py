@@ -419,16 +419,6 @@ def distances_and_sides(region: TypicalRegion, points) -> tuple[np.ndarray, np.n
     return np.hypot(offsets[:, 0], offsets[:, 1]), np.where(left, "left", "right")
 
 
-def distances_to_boundary(region: TypicalRegion, points) -> np.ndarray:
-    """The distances of ``distances_and_sides``; ``perfbench/tracer.py`` names it."""
-    return distances_and_sides(region, points)[0]
-
-
-def exit_sides(region: TypicalRegion, points) -> np.ndarray:
-    """The sides of ``distances_and_sides``; ``perfbench/tracer.py`` names it."""
-    return distances_and_sides(region, points)[1]
-
-
 def fit_typical_region(samples, grid: DensityGrid, alpha: float = 0.05) -> TypicalRegion:
     """The region of a KDE grid of ``samples``: level search, contour, component filter,
     and the samples' interquartile ranges as axis scales."""

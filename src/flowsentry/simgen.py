@@ -242,7 +242,6 @@ def plan_incidents(
     seed: int,
     *,
     avoid: BottleneckSpec | None = None,
-    demand_profile: tuple[float, ...] | None = None,
 ) -> tuple[IncidentSpec, ...]:
     """Deterministic non-overlapping incident plan inside busy daytime hours.
 
@@ -251,7 +250,7 @@ def plan_incidents(
     congestion episode that is actually visible in the data.
     """
     rng = np.random.default_rng(seed)
-    profile = demand_profile if demand_profile is not None else default_demand_profile()
+    profile = default_demand_profile()
     total = weeks * 7 * 1440
     chosen: list[IncidentSpec] = []
     attempts = 0

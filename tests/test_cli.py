@@ -224,16 +224,16 @@ def test_duration_percentile_annotates_once(workspace, tmp_path, capsys, monkeyp
     assert len(calls) == 1
     printed = re.search(r"duration threshold from percentile [0-9.]+: ([0-9.]+) min", capsys.readouterr().out)
 
-    # replay of the two-pass flow: a full track for the durations, then one with the threshold
+    # replay of the two-pass flow: the excursions for the durations, then their flags at the threshold
     monkeypatch.setattr(detector, "annotate", annotate)
-    samples = ingest.parse_series(series)
+    stream = ingest.LinkSeries.from_samples(ingest.parse_series(series))
     region = levelset.TypicalRegion.from_json(region_path.read_text())
     probe = detector.DetectorConfig("duration_threshold", duration_threshold_min=float("inf"))
-    durations = [e.duration_min for e in detector.track(samples, region, probe)[0]]
+    durations = [e.duration_min for e in detector.track_annotated(annotate(stream, region), probe)[0]]
     minutes = detector.duration_threshold_from_percentile(durations, 80)
     assert float(printed.group(1)) == minutes
-    excursions, flags = detector.track(
-        samples, region, detector.DetectorConfig("duration_threshold", duration_threshold_min=minutes)
+    excursions, flags = detector.track_annotated(
+        annotate(stream, region), detector.DetectorConfig("duration_threshold", duration_threshold_min=minutes)
     )
     detector.write_excursions_csv(excursions, tmp_path / "excursions.csv")
     detector.write_flags_csv(flags, tmp_path / "flags.csv")

@@ -16,7 +16,6 @@ from flowsentry.detector import (
     calibrate_normalizer,
     duration_threshold_from_percentile,
     read_flags_csv,
-    track,
     track_annotated,
     write_excursions_csv,
     write_flags_csv,
@@ -122,6 +121,12 @@ def test_calibrate_normalizer_monotone_under_superset():
 
 
 # --- tracking -------------------------------------------------------------------
+
+
+def track(samples, region, config):
+    """Excursion and flag rows of a list of samples: ``track_annotated`` of ``annotate``
+    of their columns."""
+    return track_annotated(annotate(LinkSeries.from_samples(samples), region), config)
 
 
 def test_all_interior_no_excursions():

@@ -22,7 +22,6 @@ from flowsentry.ingest import (
     LinkSeries,
     ParseError,
     TrafficSample,
-    by_link,
     format_stamps,
     format_timestamp,
     nonrecurrent_filter,
@@ -406,6 +405,14 @@ def parse_series_oracle(source):
         except ValueError as exc:
             raise ParseError(str(exc), row_no) from None
     return samples
+
+
+def by_link(samples):
+    """Samples grouped by link, each link's in their order."""
+    grouped = {}
+    for s in samples:
+        grouped.setdefault(s.link_id, []).append(s)
+    return grouped
 
 
 def column_bytes(streams):
@@ -852,7 +859,8 @@ def test_read_series_splits_a_lone_carriage_return_as_its_handle(chunk, newline)
 
 @pytest.mark.parametrize("chunk", CHUNKS)
 def test_read_series_ends_a_line_at_a_lone_carriage_return_in_a_file(tmp_path, chunk):
-    # a file's text handle reports the newlines it has seen only once it decodes them
+    # a file's text handle reports the newlines it has seen only once it decodes them; bytes
+    # and a binary handle read as the file of the same bytes does
     lines = two_link_rows(30)
     lines[20] += "\r" + lines.pop(21)
     text = "\n".join(["link_id,timestamp,speed_kmh,flow_vph", *lines]) + "\r"
@@ -860,7 +868,7 @@ def test_read_series_ends_a_line_at_a_lone_carriage_return_in_a_file(tmp_path, c
     path.write_bytes(text.encode("utf-8"))
     expected = column_bytes(oracle_series(io.StringIO(text, newline="")))
     with mock.patch.object(ingest, "_CHUNK_CHARS", chunk):
-        for source in (path, io.BytesIO(path.read_bytes())):
+        for source in (path, path.read_bytes(), io.BytesIO(path.read_bytes())):
             assert column_bytes(read_series(source)) == expected
 
 

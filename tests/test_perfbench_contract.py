@@ -6,9 +6,13 @@ one of them breaks the benchmark. These tests load both scripts by path and
 exercise that surface on a simulated one-week link.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,14 +78,72 @@ def test_checker_rebuilds_the_mcmaster_grid(bench, workdir):
     assert all(isinstance(p, McMasterParams) for p in points)
 
 
+# the names the tracer lists that the library no longer has; it skips them, so their
+# metrics read 0, as they did before: no command called them
+DELETED = {"ingest.by_link", "levelset.distances_to_boundary", "levelset.exit_sides", "detector.track"}
+
+
 def test_every_traced_name_resolves(tracer):
-    missing = [
+    missing = {
         f"{short}.{name}"
         for short, names in tracer.TRACED.items()
         for name in names
         if not callable(getattr(importlib.import_module(f"flowsentry.{short}"), name, None))
+    }
+    assert missing == DELETED
+
+
+def test_every_library_name_the_runner_reads_resolves():
+    # self.<module>.<name>, <alias>.<name> after <alias> = self.<module>, and cli.<name>
+    tree = ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8"))
+    modules = {"ingest", "evaluation", "detector", "levelset"}
+    aliases = {
+        node.targets[0].id: node.value.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Attribute) and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "self" and node.value.attr in modules
+    }
+    read = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name) and owner.value.id == "self":
+            if owner.attr in modules:
+                read.add((owner.attr, node.attr))
+        elif isinstance(owner, ast.Name) and owner.id == "cli":
+            read.add(("cli", node.attr))
+        elif isinstance(owner, ast.Name) and owner.id in aliases:
+            read.add((aliases[owner.id], node.attr))
+    assert {("ingest", "parse_series"), ("evaluation", "SND_C_GRID"), ("cli", "grid_resolution")} <= read
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(read)
+        if not hasattr(importlib.import_module(f"flowsentry.{module}"), name)
     ]
     assert missing == []
+
+
+def test_the_tracer_runs_a_simulate_and_a_detect(workdir, tmp_path):
+    region = tmp_path / "model"
+    assert main(["fit", "--series", str(workdir / "link" / "series.csv"), "--out", str(region)]) == 0
+    commands = {
+        "simulate": ["simulate", "--out", str(tmp_path / "sim"), "--seed", "4", "--weeks", "1", "--incidents", "2"],
+        "detect": ["detect", "--series", str(workdir / "link" / "series.csv"), "--region", str(region / "region.json"),
+                   "--mode", "severity", "--threshold", "0.2", "--out", str(tmp_path / "det")],
+    }
+    src = str(PERFBENCH.parent / "src")
+    for name, argv in commands.items():
+        trace = tmp_path / f"{name}.json"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               "PERFBENCH_TRACE_OUT": str(trace)}
+        done = subprocess.run([sys.executable, str(PERFBENCH / "tracer.py"), *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        spans = {span[0] for span in json.loads(trace.read_text(encoding="utf-8"))["spans"]}
+        assert {"cli.main", f"cli.cmd_{name}"} <= spans
+    assert (tmp_path / "det" / "flags.csv").is_file()
 
 
 @pytest.mark.parametrize("name", ["snd_detect", "mcmaster_detect"])

@@ -159,10 +159,7 @@ def test_every_table_reads_the_same_from_any_line_end_mark_or_padding(tmp_path, 
     data = (("\ufeff" if "bom" in layout else "") + text).encode("utf-8")
     path = tmp_path / "table.csv"
     path.write_bytes(data)
-    sources = [path, io.BytesIO(data)]  # both read with newline="": a lone \r ends a line
-    if layout != "lone_cr":
-        sources.append(data)
-    for source in sources:
+    for source in (path, io.BytesIO(data), data):  # each read with newline="": a lone \r ends a line
         assert read(source) == expected
 
 
