@@ -278,9 +278,8 @@ def cmd_simulate(args) -> int:
     for option, value, least in limits:
         if value < least:
             raise UsageError(f"{option} must be at least {least}, got {value}")
-    bottleneck = simgen.BottleneckSpec() if args.bimodal else None
-    plan = simgen.plan_incidents(args.incidents, args.weeks, args.seed, avoid=bottleneck)
-    config = simgen.ScenarioConfig(seed=args.seed, weeks=args.weeks, incidents=plan, bottleneck=bottleneck)
+    plan = simgen.plan_incidents(args.incidents, args.weeks, args.seed, bimodal=args.bimodal)
+    config = simgen.ScenarioConfig(seed=args.seed, weeks=args.weeks, incidents=plan, bimodal=args.bimodal)
     stream, labels = simgen.generate(config)
     out = _out_dir(args.out)
     ingest.write_series(stream, out / "series.csv")
@@ -466,16 +465,14 @@ def cmd_evaluate(args) -> int:
 
 
 def _score_payload(score: evaluation.DetectorScore) -> dict:
-    return {"dr": score.dr, "far": score.far, "mttd": score.mttd, "pi": score.pi}
+    return {**asdict(score), "pi": score.pi}
 
 
 def _test_payload(result: evaluation.PairedTestResult) -> dict:
-    return {
-        "statistic": result.statistic,
-        "p_value": result.p_value,
-        "n_effective": result.n_effective,
-        "method": result.method,
-    }
+    """The result's fields but its test's name, which the payload holds as the key."""
+    payload = asdict(result)
+    del payload["test"]
+    return payload
 
 
 def _paired_tests_payload(pairs) -> dict:

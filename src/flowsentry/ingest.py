@@ -302,8 +302,9 @@ def open_text(target, mode: str = "r") -> Iterator[IO[str]]:
     bytes and binary file-like objects are decoded as ``utf-8-sig``, which
     drops one byte order mark at the start (spreadsheets write one); bytes are
     read through a binary handle on them, so they read as a file of the same
-    bytes does. Any other handle is used as is and left open. Writers never
-    write the mark.
+    bytes does. A binary handle is detached from its decoder on exit, and any
+    other handle is used as is: either is left open. Writers never write the
+    mark.
     """
     encoding = "utf-8-sig" if mode == "r" else "utf-8"
     if isinstance(target, (str, Path)):
@@ -311,7 +312,11 @@ def open_text(target, mode: str = "r") -> Iterator[IO[str]]:
             yield handle
     elif mode == "r" and not isinstance(target, io.TextIOBase):
         binary = io.BytesIO(target) if isinstance(target, bytes) else target
-        yield io.TextIOWrapper(binary, encoding=encoding, newline="")
+        text = io.TextIOWrapper(binary, encoding=encoding, newline="")
+        try:
+            yield text
+        finally:
+            text.detach()  # a dropped wrapper would close the handle it wraps
     else:
         yield target
 

@@ -24,6 +24,19 @@ FLOW_JITTER = 0.02
 WEEKEND_DEMAND_FACTOR = 0.85
 INCIDENT_ONSET_RAMP_MIN = 8  # capacity degrades over the first minutes of a scene
 LINK_LENGTH_M = 1200.0
+# the simulated road's triangular fundamental diagram
+FREE_FLOW_SPEED = 110.0  # km/h
+CAPACITY_FLOW = 4500.0  # veh/h; noisy flows are clamped at a multiple of it
+CRITICAL_DENSITY = 35.0  # veh/km
+JAM_DENSITY = 180.0  # veh/km
+APEX_FLOW = FREE_FLOW_SPEED * CRITICAL_DENSITY  # the diagram's peak flow, below CAPACITY_FLOW
+# a bimodal road's periodic bottleneck (see bottleneck_active), which slows traffic to
+# BOTTLENECK_SPEED_DROP km/h, jittered per occurrence, below free flow
+BOTTLENECK_PERIOD_DAYS = 3
+BOTTLENECK_SPEED_DROP = 50.0
+BOTTLENECK_START_MIN = 16 * 60
+BOTTLENECK_DURATION_MIN = 210
+BOTTLENECK_FIRST_DAY = 2
 # plan_incidents draws each incident's capacity drop, duration and start minute of day from these ranges
 INCIDENT_CAPACITY_DROP = (0.45, 0.75)
 INCIDENT_DURATION_MIN = (20, 60)  # both ends included
@@ -67,31 +80,16 @@ class IncidentSpec:
         return self.start_min + self.duration_min
 
 
-@dataclass(frozen=True)
-class BottleneckSpec:
-    period_days: int = 3
-    speed_drop: float = 50.0
-    start_minute_of_day: int = 16 * 60
-    duration_min: int = 210
-    first_day: int = 2
-
-    def __post_init__(self):
-        if self.period_days < 1:
-            raise ValueError("period must be at least one day")
-        if self.speed_drop <= 0:
-            raise ValueError("speed drop must be positive")
-
-    def active(self, minutes):
-        """Whether the bottleneck is on at each minute since the series start (an int or
-        an integer array)."""
-        day, tod = np.divmod(minutes, 1440)
-        start = self.start_minute_of_day
-        return (
-            (day >= self.first_day)
-            & ((day - self.first_day) % self.period_days == 0)
-            & (start <= tod)
-            & (tod < start + self.duration_min)
-        )
+def bottleneck_active(minutes):
+    """Whether the bottleneck is on at each minute since the series start (an int or an
+    integer array)."""
+    day, tod = np.divmod(minutes, 1440)
+    return (
+        (day >= BOTTLENECK_FIRST_DAY)
+        & ((day - BOTTLENECK_FIRST_DAY) % BOTTLENECK_PERIOD_DAYS == 0)
+        & (BOTTLENECK_START_MIN <= tod)
+        & (tod < BOTTLENECK_START_MIN + BOTTLENECK_DURATION_MIN)
+    )
 
 
 @dataclass(frozen=True)
@@ -99,53 +97,34 @@ class ScenarioConfig:
     seed: int = 0
     weeks: int = 3
     link_id: str = "SIM1"
-    free_flow_speed: float = 110.0
-    capacity_flow: float = 4500.0
-    critical_density: float = 35.0
-    jam_density: float = 180.0
     demand_profile: tuple[float, ...] = field(default_factory=default_demand_profile)
     noise_scale: float = 0.05
     incidents: tuple[IncidentSpec, ...] = ()
-    bottleneck: BottleneckSpec | None = None
+    bimodal: bool = False  # the periodic bottleneck regime
 
     def __post_init__(self):
         if self.weeks < 1:
             raise ValueError("need at least one week")
         if len(self.demand_profile) != 1440:
             raise ValueError("demand profile needs 1440 entries")
-        if self.free_flow_speed <= 0 or self.capacity_flow <= 0 or self.critical_density <= 0:
-            raise ValueError("rates must be positive")
-        if self.jam_density <= self.critical_density:
-            raise ValueError("jam density must exceed critical density")
         if self.noise_scale < 0:
             raise ValueError("noise scale must be nonnegative")
-        apex = self.free_flow_speed * self.critical_density
-        if apex > self.capacity_flow:
-            raise ValueError(
-                f"apex flow {apex:.0f} exceeds capacity_flow {self.capacity_flow:.0f}; "
-                "lower free_flow_speed or critical_density"
-            )
         ordered = sorted(self.incidents, key=lambda s: s.start_min)
         for prev, cur in zip(ordered, ordered[1:]):
             if cur.start_min < prev.end_min:
                 raise ValueError(f"incidents overlap at minute {cur.start_min}")
 
     @property
-    def apex_flow(self) -> float:
-        """Peak flow of the triangular diagram (its apex, below capacity_flow)."""
-        return self.free_flow_speed * self.critical_density
-
-    @property
     def total_minutes(self) -> int:
         return self.weeks * 7 * 1440
 
 
-def backbone_flow(config: ScenarioConfig, density):
+def backbone_flow(density):
     """Triangular fundamental diagram: flow at each density (a float or an array)."""
     density = np.asarray(density, dtype=float)
-    span = config.jam_density - config.critical_density
-    congested = np.where(density >= config.jam_density, 0.0, config.apex_flow * (config.jam_density - density) / span)
-    return np.where(density <= config.critical_density, config.free_flow_speed * density, congested)[()]
+    span = JAM_DENSITY - CRITICAL_DENSITY
+    congested = np.where(density >= JAM_DENSITY, 0.0, APEX_FLOW * (JAM_DENSITY - density) / span)
+    return np.where(density <= CRITICAL_DENSITY, FREE_FLOW_SPEED * density, congested)[()]
 
 
 def _density(excess: np.ndarray, raw: np.ndarray, rho: float) -> Iterator[float]:
@@ -175,8 +154,8 @@ def generate(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel]]:
     """
     rng = np.random.default_rng(config.seed)
     n = config.total_minutes
-    apex = config.apex_flow
-    v_f = config.free_flow_speed
+    apex = APEX_FLOW
+    v_f = FREE_FLOW_SPEED
     link_km = LINK_LENGTH_M / 1000.0
 
     incident_at = np.zeros(n)
@@ -198,18 +177,17 @@ def generate(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel]]:
     excess = (demand - apex * (1.0 - incident_at)) / 60.0 / link_km
     raw = demand / v_f  # density before smoothing, without the queue
 
-    bn = config.bottleneck
-    if bn is not None:
-        on = bn.active(np.arange(n))
-        occurrence = (np.flatnonzero(on) // 1440 - bn.first_day) // bn.period_days
-        v_slow = np.maximum(v_f - bn.speed_drop * bn_factors[occurrence], 5.0)
+    if config.bimodal:
+        on = bottleneck_active(np.arange(n))
+        occurrence = (np.flatnonzero(on) // 1440 - BOTTLENECK_FIRST_DAY) // BOTTLENECK_PERIOD_DAYS
+        v_slow = np.maximum(v_f - BOTTLENECK_SPEED_DROP * bn_factors[occurrence], 5.0)
         excess[on] = -np.inf  # the bottleneck holds no queue
         raw[on] = np.minimum(demand[on], 0.95 * apex) / v_slow
 
     rho = np.fromiter(_density(excess, raw, config.demand_profile[0] * apex / v_f), float, n)
-    flows = backbone_flow(config, rho)
+    flows = backbone_flow(rho)
     speeds = np.divide(flows, rho, out=np.full(n, v_f), where=rho > 1e-9)
-    if bn is not None:
+    if config.bimodal:
         # a distinct regime: high flow sustained at depressed speed
         speeds[on] = v_slow
         flows[on] = v_slow * rho[on]
@@ -218,7 +196,7 @@ def generate(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel]]:
         speeds *= np.fromiter(map(math.exp, (config.noise_scale * speed_noise).tolist()), float, n)
         flows *= np.fromiter(map(math.exp, (FLOW_JITTER * flow_noise).tolist()), float, n)
     speeds = np.minimum(np.maximum(speeds, 1.0), 249.0)
-    flow_cap = config.capacity_flow * (1.0 + 3.0 * config.noise_scale)
+    flow_cap = CAPACITY_FLOW * (1.0 + 3.0 * config.noise_scale)
     flows = np.minimum(np.minimum(np.maximum(flows, 0.0), flow_cap), 11999.0)
     epoch_us = SERIES_START_US + np.arange(n, dtype=np.int64) * US_PER_MINUTE
     stream = LinkSeries(config.link_id, epoch_us, speeds, flows, link_km / speeds * 3600.0)
@@ -241,7 +219,7 @@ def plan_incidents(
     weeks: int,
     seed: int,
     *,
-    avoid: BottleneckSpec | None = None,
+    bimodal: bool = False,
 ) -> tuple[IncidentSpec, ...]:
     """Deterministic non-overlapping incident plan inside busy daytime hours.
 
@@ -271,7 +249,7 @@ def plan_incidents(
             continue
         if max(window) > 0.88:  # saturated peak: congestion present without the incident
             continue
-        if avoid is not None and avoid.active(np.array([start - 60, start, start + dur, start + dur + 60])).any():
+        if bimodal and bottleneck_active(np.array([start - 60, start, start + dur, start + dur + 60])).any():
             continue
         if any(start < o.end_min + INCIDENT_SEPARATION_MIN and o.start_min < start + dur + INCIDENT_SEPARATION_MIN
                for o in chosen):

@@ -23,7 +23,7 @@ from flowsentry.baselines import (
 from flowsentry.detector import DetectorConfig, annotate, calibrate_normalizer, track_annotated
 from flowsentry.ingest import LinkSeries, TrafficSample, nonrecurrent_filter
 from flowsentry.levelset import TypicalRegion, contains_many, distances_and_sides, fit_typical_region
-from flowsentry.simgen import SERIES_START_US, BottleneckSpec, ScenarioConfig, generate, plan_incidents
+from flowsentry.simgen import SERIES_START_US, ScenarioConfig, generate, plan_incidents
 from region_helpers import density_grid, exact_segment_distance, region_overlap, winding_number_inside
 from time_helpers import instant, us
 
@@ -200,8 +200,8 @@ def test_criterion_07_stability_over_disjoint_windows():
     verdict(7, worst <= 0.15, f"pairwise symdiff/union {['%.3f' % r for r in ratios]} (all <= 0.15)")
 
 
-def _split_scenario(seed: int, incidents, bottleneck=None):
-    config = ScenarioConfig(seed=seed, weeks=6, incidents=incidents, bottleneck=bottleneck)
+def _split_scenario(seed: int, incidents, bimodal=False):
+    config = ScenarioConfig(seed=seed, weeks=6, incidents=incidents, bimodal=bimodal)
     stream, labels = generate(config)
     split = MONDAY + timedelta(days=21)
     train = window(stream, MONDAY, split)
@@ -262,9 +262,8 @@ def test_criterion_08_end_to_end_detection():
 
 
 def test_criterion_09_bimodal_false_alarms():
-    bottleneck = BottleneckSpec()
-    incidents = plan_incidents(16, 6, seed=23, avoid=bottleneck)
-    train, test, train_labels, test_labels = _split_scenario(23, incidents, bottleneck)
+    incidents = plan_incidents(16, 6, seed=23, bimodal=True)
+    train, test, train_labels, test_labels = _split_scenario(23, incidents, bimodal=True)
     region, calibration = _fit_and_calibrate(train, train_labels)
     dftb = _dftb_test_score(test, test_labels, region, calibration.parameter)
     snd = _snd_test_score(train, test, train_labels, test_labels)

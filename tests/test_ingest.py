@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -870,6 +871,27 @@ def test_read_series_ends_a_line_at_a_lone_carriage_return_in_a_file(tmp_path, c
     with mock.patch.object(ingest, "_CHUNK_CHARS", chunk):
         for source in (path, path.read_bytes(), io.BytesIO(path.read_bytes())):
             assert column_bytes(read_series(source)) == expected
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (lambda source: column_bytes(read_series(source)), make_series_csv(two_link_rows(300)).getvalue()),
+        (parse_events, "link_id,category,start,end\nL1,accident,2017-04-07T08:00:00Z,2017-04-07T09:00:00Z\n"),
+        (
+            detector.read_flags_csv,
+            ",".join(detector.FLAGS_HEADER) + "\nL1,2017-04-07T08:00:00Z,2017-04-07T08:09:00Z,10,1.5,right,true\n",
+        ),
+    ],
+    ids=["series", "events", "flags"],
+)
+def test_a_read_leaves_a_binary_handle_open_to_read_again(read, text):
+    handle = io.BytesIO(text.encode("utf-8"))
+    first = read(handle)
+    gc.collect()  # a text wrapper left on the handle would close it when collected
+    assert not handle.closed
+    handle.seek(0)
+    assert read(handle) == first
 
 
 @pytest.mark.parametrize("layout", ["runs", "interleaved"])

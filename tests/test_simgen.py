@@ -13,14 +13,24 @@ from flowsentry.baselines import weekly_bins
 from flowsentry.ingest import US_PER_MINUTE, EventLabel, LinkSeries, write_series
 from flowsentry.levelset import contains_many, distances_and_sides, fit_typical_region
 from flowsentry.simgen import (
+    APEX_FLOW,
+    BOTTLENECK_DURATION_MIN,
+    BOTTLENECK_FIRST_DAY,
+    BOTTLENECK_PERIOD_DAYS,
+    BOTTLENECK_SPEED_DROP,
+    BOTTLENECK_START_MIN,
+    CAPACITY_FLOW,
+    CRITICAL_DENSITY,
     FLOW_JITTER,
+    FREE_FLOW_SPEED,
     INCIDENT_ONSET_RAMP_MIN,
+    JAM_DENSITY,
     LINK_LENGTH_M,
     WEEKEND_DEMAND_FACTOR,
-    BottleneckSpec,
     IncidentSpec,
     ScenarioConfig,
     backbone_flow,
+    bottleneck_active,
     default_demand_profile,
     generate,
     plan_incidents,
@@ -34,29 +44,29 @@ SERIES_START = datetime(2017, 4, 3, tzinfo=timezone.utc)  # a Monday
 # --- per-minute oracle -------------------------------------------------------------
 
 
-def active_oracle(spec: BottleneckSpec, minute: int) -> bool:
+def active_oracle(minute: int) -> bool:
     day = minute // 1440
-    if day < spec.first_day or (day - spec.first_day) % spec.period_days != 0:
+    if day < BOTTLENECK_FIRST_DAY or (day - BOTTLENECK_FIRST_DAY) % BOTTLENECK_PERIOD_DAYS != 0:
         return False
     tod = minute % 1440
-    return spec.start_minute_of_day <= tod < spec.start_minute_of_day + spec.duration_min
+    return BOTTLENECK_START_MIN <= tod < BOTTLENECK_START_MIN + BOTTLENECK_DURATION_MIN
 
 
-def backbone_flow_oracle(config: ScenarioConfig, density: float) -> float:
-    if density <= config.critical_density:
-        return config.free_flow_speed * density
-    if density >= config.jam_density:
+def backbone_flow_oracle(density: float) -> float:
+    if density <= CRITICAL_DENSITY:
+        return FREE_FLOW_SPEED * density
+    if density >= JAM_DENSITY:
         return 0.0
-    span = config.jam_density - config.critical_density
-    return config.apex_flow * (config.jam_density - density) / span
+    span = JAM_DENSITY - CRITICAL_DENSITY
+    return APEX_FLOW * (JAM_DENSITY - density) / span
 
 
 def generate_oracle(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel]]:
     """The generator as one loop over the minutes, each computed in full from the last."""
     rng = np.random.default_rng(config.seed)
     n = config.total_minutes
-    apex = config.apex_flow
-    v_f = config.free_flow_speed
+    apex = APEX_FLOW
+    v_f = FREE_FLOW_SPEED
     link_km = LINK_LENGTH_M / 1000.0
 
     incident_at = np.zeros(n)
@@ -74,7 +84,7 @@ def generate_oracle(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel
     flows = np.empty(n)
     queue = 0.0  # extra vehicles per km stored on the link
     rho_prev = config.demand_profile[0] * apex / v_f
-    flow_cap = config.capacity_flow * (1.0 + 3.0 * config.noise_scale)
+    flow_cap = CAPACITY_FLOW * (1.0 + 3.0 * config.noise_scale)
     for minute in range(n):
         day = minute // 1440
         weekday = day % 7
@@ -82,13 +92,13 @@ def generate_oracle(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel
         if weekday >= 5:
             demand *= WEEKEND_DEMAND_FACTOR
 
-        bottleneck_on = config.bottleneck is not None and active_oracle(config.bottleneck, minute)
+        bottleneck_on = config.bimodal and active_oracle(minute)
         drop = float(incident_at[minute])
         capacity_now = apex * (1.0 - drop)
 
         if bottleneck_on:
-            occurrence = (day - config.bottleneck.first_day) // config.bottleneck.period_days
-            v_slow = max(v_f - config.bottleneck.speed_drop * bn_factors[occurrence], 5.0)
+            occurrence = (day - BOTTLENECK_FIRST_DAY) // BOTTLENECK_PERIOD_DAYS
+            v_slow = max(v_f - BOTTLENECK_SPEED_DROP * bn_factors[occurrence], 5.0)
             rho_raw = min(demand, 0.95 * apex) / v_slow
             queue = 0.0
         else:
@@ -106,7 +116,7 @@ def generate_oracle(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel
             speed = v_slow
             flow = speed * rho
         else:
-            flow = backbone_flow_oracle(config, rho)
+            flow = backbone_flow_oracle(rho)
             speed = flow / rho if rho > 1e-9 else v_f
 
         if config.noise_scale > 0.0:
@@ -156,7 +166,7 @@ def test_zero_noise_rides_the_backbone():
     cfg = ScenarioConfig(seed=3, weeks=2, noise_scale=0.0)
     stream, _ = generate(cfg)
     for flow, density in zip(stream.flow[::37].tolist(), stream.density[::37].tolist()):
-        assert flow == pytest.approx(backbone_flow(cfg, density), abs=1e-8)
+        assert flow == pytest.approx(backbone_flow(density), abs=1e-8)
 
 
 def test_zero_noise_region_encloses_samples():
@@ -193,12 +203,12 @@ def test_flow_cap_invariant():
     for noise in (0.0, 0.05, 0.15):
         cfg = ScenarioConfig(seed=9, weeks=1, noise_scale=noise)
         stream, _ = generate(cfg)
-        cap = cfg.capacity_flow * (1.0 + 3.0 * noise)
+        cap = CAPACITY_FLOW * (1.0 + 3.0 * noise)
         assert stream.flow.max() <= cap + 1e-9
 
 
 def test_bottleneck_creates_bimodal_weekly_bin():
-    cfg = ScenarioConfig(seed=23, weeks=6, bottleneck=BottleneckSpec())
+    cfg = ScenarioConfig(seed=23, weeks=6, bimodal=True)
     stream, _ = generate(cfg)
     by_bin: dict[int, list[float]] = {}
     for speed, b in zip(stream.speed.tolist(), weekly_bins(stream.minutes).tolist()):
@@ -230,10 +240,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(demand_profile=(1.0,) * 100)
     with pytest.raises(ValueError):
-        ScenarioConfig(jam_density=10.0)
-    with pytest.raises(ValueError):
-        ScenarioConfig(free_flow_speed=200.0, critical_density=35.0, capacity_flow=4500.0)
-    with pytest.raises(ValueError):
         IncidentSpec(0, 10, 1.5)
 
 
@@ -247,11 +253,10 @@ def test_plan_incidents_deterministic_and_separated():
 
 
 def test_plan_incidents_avoids_bottleneck():
-    bn = BottleneckSpec()
-    plan = plan_incidents(12, 6, seed=5, avoid=bn)
+    plan = plan_incidents(12, 6, seed=5, bimodal=True)
     for spec in plan:
         for m in range(spec.start_min, spec.end_min):
-            assert not bn.active(m)
+            assert not bottleneck_active(m)
 
 
 def test_samples_have_travel_time():
@@ -270,8 +275,8 @@ def test_exit_sides_on_fitted_synthetic_region():
     scale = np.array([region.scale_rho, region.scale_f])
     # a low-density high-flow surge is atypically good: the left side; queued
     # congestion (high density, depressed flow) exits right
-    surge = (12.0, 2.0 * cfg.free_flow_speed * 12.0)
-    jam = (90.0, backbone_flow(cfg, 90.0))
+    surge = (12.0, 2.0 * FREE_FLOW_SPEED * 12.0)
+    jam = (90.0, backbone_flow(90.0))
     points = np.array([surge, jam])
     assert not contains_many(region, points).any()
     assert not any(winding_number_inside(p, poly) for p in points)
@@ -311,18 +316,6 @@ def incident_plans(draw, n: int):
 
 
 @st.composite
-def bottlenecks(draw):
-    start = draw(st.integers(0, 1439))
-    return BottleneckSpec(
-        period_days=draw(st.integers(1, 4)),
-        speed_drop=draw(st.floats(1.0, 120.0)),
-        start_minute_of_day=start,
-        duration_min=draw(st.just(1440 - start) | st.integers(1, 1500 - start)),  # often to midnight
-        first_day=draw(st.integers(0, 3)),
-    )
-
-
-@st.composite
 def scenarios(draw):
     weeks = draw(st.integers(1, 2))
     return ScenarioConfig(
@@ -331,7 +324,7 @@ def scenarios(draw):
         demand_profile=draw(demand_profiles()),
         noise_scale=draw(st.just(0.0) | st.floats(0.001, 0.3)),
         incidents=draw(incident_plans(weeks * 7 * 1440)),
-        bottleneck=draw(st.none() | bottlenecks()),
+        bimodal=draw(st.booleans()),
     )
 
 
@@ -342,7 +335,7 @@ EXTREME = ScenarioConfig(
     demand_profile=EXTREME_PROFILE,
     noise_scale=0.0,
     incidents=(IncidentSpec(400, 120, 0.5), IncidentSpec(7 * 1440 - 30, 30, 0.6)),
-    bottleneck=BottleneckSpec(period_days=2, start_minute_of_day=1200, duration_min=240, first_day=1),
+    bimodal=True,
 )
 
 
@@ -350,9 +343,8 @@ def test_extreme_scenario_reaches_jam_and_an_empty_road():
     stream, _ = generate_oracle(EXTREME)
     assert EXTREME.incidents[-1].end_min == EXTREME.total_minutes
     assert np.any((stream.flow == 0.0) & (stream.speed == 1.0))  # density at or past jam
-    v_f = EXTREME.free_flow_speed
+    v_f = FREE_FLOW_SPEED
     assert np.sum((stream.speed == v_f) & (stream.flow <= v_f * 1e-9)) > 100  # density at or below 1e-9
-    assert EXTREME.bottleneck.active(1440 + 1439) and not EXTREME.bottleneck.active(2 * 1440)  # on to midnight
 
 
 @settings(max_examples=40, deadline=None)
@@ -367,24 +359,23 @@ def test_generate_matches_per_minute_oracle(config):
     assert labels == expected_labels
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        BottleneckSpec(),
-        BottleneckSpec(period_days=1, start_minute_of_day=1300, duration_min=140, first_day=0),
-        BottleneckSpec(period_days=4, start_minute_of_day=0, duration_min=1440, first_day=3),
-        BottleneckSpec(period_days=2, start_minute_of_day=1439, duration_min=500, first_day=1),
-    ],
-)
-def test_bottleneck_array_form_matches_scalar_form(spec):
+def test_bottleneck_array_form_matches_scalar_form():
     minutes = range(3 * 7 * 1440)
-    on = spec.active(np.arange(len(minutes)))
+    on = bottleneck_active(np.arange(len(minutes)))
     assert on.dtype == bool
-    assert on.tolist() == [bool(spec.active(m)) for m in minutes] == [active_oracle(spec, m) for m in minutes]
+    assert on.tolist() == [bool(bottleneck_active(m)) for m in minutes] == [active_oracle(m) for m in minutes]
+    assert on.reshape(-1, 1440).any(axis=1).sum() >= 3  # several periods
 
 
 def test_backbone_flow_is_element_wise():
-    cfg = ScenarioConfig()
-    density = np.array([0.0, 1e-12, 20.0, cfg.critical_density, 90.0, cfg.jam_density, 400.0])
-    assert backbone_flow(cfg, density).tolist() == [backbone_flow_oracle(cfg, d) for d in density.tolist()]
-    assert backbone_flow(cfg, 90.0) == backbone_flow_oracle(cfg, 90.0)
+    density = np.array([0.0, 1e-12, 20.0, CRITICAL_DENSITY, 90.0, JAM_DENSITY, 400.0])
+    assert backbone_flow(density).tolist() == [backbone_flow_oracle(d) for d in density.tolist()]
+    assert backbone_flow(90.0) == backbone_flow_oracle(90.0)
+
+
+def test_the_fixed_road_is_a_triangular_diagram_with_a_slower_bottleneck():
+    # the road generate assumes: positive rates, a congested branch, an apex within
+    # capacity, and a bottleneck that leaves traffic moving
+    assert 0.0 < CRITICAL_DENSITY < JAM_DENSITY
+    assert 0.0 < FREE_FLOW_SPEED and 0.0 < APEX_FLOW <= CAPACITY_FLOW
+    assert 0.0 < BOTTLENECK_SPEED_DROP < FREE_FLOW_SPEED and BOTTLENECK_PERIOD_DAYS >= 1
