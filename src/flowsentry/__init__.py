@@ -38,6 +38,7 @@ _MODULE_OF = {
     "evaluate_many": "kde",
     "find_level": "levelset",
     "fit": "kde",
+    "fit_region": "detector",
     "fit_typical_region": "levelset",
     "mass_above": "levelset",
     "nonrecurrent_filter": "ingest",

@@ -289,17 +289,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from . import detector, levelset
-    from .kde import evaluate_grid, fit as kde_fit, select_bandwidth
+    from . import detector
 
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"alpha {args.alpha} outside (0, 1)")
     pts = _load_series(args.series, args.link).points
-    model = kde_fit(pts, select_bandwidth(pts, args.bandwidth_method))
-    grid = evaluate_grid(model)
-    region = levelset.fit_typical_region(pts, grid=grid, alpha=args.alpha)
-    inside = levelset.contains_many(region, pts)
-    region = detector.calibrate_normalizer(region, pts, inside)
+    region, inside = detector.fit_region(pts, args.alpha, args.bandwidth_method)
     out = _out_dir(args.out)
     _write_text(out / "region.json", region.to_json())
     print(f"samples: {len(pts)}")
@@ -440,9 +435,7 @@ def cmd_evaluate(args) -> int:
         per_link = {}
         for link_id, labs in link_labels.items():
             flags = evaluation.intervals_us(r for r in rows if r.link_id == link_id and r.flagged)
-            per_link[link_id] = evaluation.score_detector(
-                flags, evaluation.intervals_us(labs), evaluation.applications(streams[link_id], "dftb")
-            )
+            per_link[link_id] = evaluation.score_link(streams[link_id], flags, labs, "dftb")
         scores[name] = per_link
     payload: dict = {"links": {}}
     for name, per_link in scores.items():

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ingest import LinkSeries, ParseError, format_stamps, format_timestamp, parse_timestamp, read_table, write_table
-from .levelset import TypicalRegion, contains_many, distances_and_sides, with_normalizer
+from .levelset import TypicalRegion, contains_many, distances_and_sides, fit_typical_region, with_normalizer
 
 # A missing run of at least this many minutes ends an excursion.
 GAP_TERMINATION_MIN = 2
@@ -96,6 +96,17 @@ def calibrate_normalizer(region: TypicalRegion, points: np.ndarray, inside: np.n
         raise ValueError("no training sample falls outside the region; cannot calibrate severity")
     worst = float(distances_and_sides(region, points[~inside])[0].max())
     return with_normalizer(region, worst)
+
+
+def fit_region(points, alpha: float = 0.05, method: str = "normal_reference") -> tuple[TypicalRegion, np.ndarray]:
+    """The region ``fit`` writes for training ``points`` (the ``method`` bandwidth's KDE on the
+    ``kde.GRID_RESOLUTION`` grid, its 1 - alpha region and its normaliser), and which points it holds."""
+    from . import kde
+
+    grid = kde.evaluate_grid(kde.fit(points, kde.select_bandwidth(points, method)))
+    region = fit_typical_region(points, grid=grid, alpha=alpha)
+    inside = contains_many(region, points)
+    return calibrate_normalizer(region, points, inside), inside
 
 
 @dataclass(frozen=True)

@@ -155,6 +155,11 @@ def score_detector(flags: Intervals, labels: Intervals, n_applications: int) -> 
     return score_flag_sets(flags, np.zeros(flags[0].size, dtype=np.intp), 1, labels, n_applications)[0]
 
 
+def score_link(stream: LinkSeries, flags: Intervals, labels: Sequence[EventLabel], detector: str) -> DetectorScore:
+    """One link's score: its flag intervals against its labels, per ``applications(stream, detector)``."""
+    return score_detector(flags, intervals_us(labels), applications(stream, detector))
+
+
 def score_flag_sets(
     flags: Intervals, owner: np.ndarray, n_sets: int, labels: Intervals, n_applications: int
 ) -> list[DetectorScore]:

@@ -96,8 +96,12 @@ def find_level(grid: DensityGrid, alpha: float) -> float:
     mass = np.cumsum(ranked * weights[order])
     target = 1.0 - alpha
     if mass[-1] < target:
+        # 1 - grid mass rounded up to two significant digits, so that the alpha named is one the grid holds
+        spare = 1.0 - float(mass[-1])
+        step = 10.0 ** (math.floor(math.log10(spare)) - 1)
         raise TruncatedGridError(
-            f"grid mass {mass[-1]:.4f} is below 1 - alpha = {target:.4f}; widen the grid bounds"
+            f"grid mass {mass[-1]:.4f} is below 1 - alpha = {target:.4f}; the smallest alpha this grid holds "
+            f"is 1 - grid mass, {math.ceil(spare / step) * step:.2g} rounded up (or widen the grid bounds)"
         )
     return float(ranked[np.searchsorted(mass, target)])
 

@@ -31,9 +31,11 @@ CRITICAL_DENSITY = 35.0  # veh/km
 JAM_DENSITY = 180.0  # veh/km
 APEX_FLOW = FREE_FLOW_SPEED * CRITICAL_DENSITY  # the diagram's peak flow, below CAPACITY_FLOW
 # a bimodal road's periodic bottleneck (see bottleneck_active), which slows traffic to
-# BOTTLENECK_SPEED_DROP km/h, jittered per occurrence, below free flow
+# BOTTLENECK_SPEED_DROP km/h below free flow, the drop scaled per occurrence by a factor
+# drawn from BOTTLENECK_DROP_JITTER
 BOTTLENECK_PERIOD_DAYS = 3
 BOTTLENECK_SPEED_DROP = 50.0
+BOTTLENECK_DROP_JITTER = (0.8, 1.2)
 BOTTLENECK_START_MIN = 16 * 60
 BOTTLENECK_DURATION_MIN = 210
 BOTTLENECK_FIRST_DAY = 2
@@ -167,7 +169,7 @@ def generate(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel]]:
 
     speed_noise = rng.normal(0.0, 1.0, size=n)
     flow_noise = rng.normal(0.0, 1.0, size=n)
-    bn_factors = rng.uniform(0.8, 1.2, size=n // 1440 + 2)  # per-occurrence severity jitter
+    bn_factors = rng.uniform(*BOTTLENECK_DROP_JITTER, size=n // 1440 + 2)  # one per occurrence
 
     days = np.tile(np.asarray(config.demand_profile) * apex, (n // 1440, 1))
     days[np.arange(n // 1440) % 7 >= 5] *= WEEKEND_DEMAND_FACTOR
@@ -180,7 +182,7 @@ def generate(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel]]:
     if config.bimodal:
         on = bottleneck_active(np.arange(n))
         occurrence = (np.flatnonzero(on) // 1440 - BOTTLENECK_FIRST_DAY) // BOTTLENECK_PERIOD_DAYS
-        v_slow = np.maximum(v_f - BOTTLENECK_SPEED_DROP * bn_factors[occurrence], 5.0)
+        v_slow = v_f - BOTTLENECK_SPEED_DROP * bn_factors[occurrence]
         excess[on] = -np.inf  # the bottleneck holds no queue
         raw[on] = np.minimum(demand[on], 0.95 * apex) / v_slow
 

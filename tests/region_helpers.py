@@ -1,6 +1,5 @@
-"""Test helpers shared by the region tests: one way to build a KDE grid, one
-raster overlap of two regions, and per-point loop oracles for the array region
-queries in ``flowsentry.levelset``.
+"""Test helpers shared by the region tests: one raster overlap of two regions, and
+per-point loop oracles for the array region queries in ``flowsentry.levelset``.
 
 The oracles call nothing from the library, so a fault in the fast path cannot
 hide in them.
@@ -10,14 +9,7 @@ import math
 
 import numpy as np
 
-from flowsentry import kde
 from flowsentry.levelset import TypicalRegion, contains_many
-
-
-def density_grid(samples, resolution=(256, 256)):
-    """The normal-reference KDE grid of ``samples`` that ``fit_typical_region`` takes."""
-    pts = np.asarray(samples, dtype=float)
-    return kde.evaluate_grid(kde.fit(pts, kde.select_bandwidth(pts)), resolution=resolution)
 
 
 def region_overlap(region_a: TypicalRegion, region_b: TypicalRegion, resolution: int = 256) -> tuple[float, float]:

@@ -20,11 +20,11 @@ from flowsentry.baselines import (
     mcmaster_detect,
     snd_detect,
 )
-from flowsentry.detector import DetectorConfig, annotate, calibrate_normalizer, track_annotated
+from flowsentry.detector import DetectorConfig, annotate, fit_region, track_annotated
 from flowsentry.ingest import LinkSeries, TrafficSample, nonrecurrent_filter
-from flowsentry.levelset import TypicalRegion, contains_many, distances_and_sides, fit_typical_region
+from flowsentry.levelset import TypicalRegion, contains_many, distances_and_sides
 from flowsentry.simgen import SERIES_START_US, ScenarioConfig, generate, plan_incidents
-from region_helpers import density_grid, exact_segment_distance, region_overlap, winding_number_inside
+from region_helpers import exact_segment_distance, region_overlap, winding_number_inside
 from time_helpers import instant, us
 
 MONDAY = instant(SERIES_START_US)
@@ -98,8 +98,8 @@ def test_criterion_03_reference_tests():
 def test_criterion_04_level_set_analytic_oracle():
     t0 = time.perf_counter()
     pts = np.random.default_rng(4).standard_normal((100_000, 2))
-    region = fit_typical_region(pts, grid=density_grid(pts, (512, 512)))
-    fraction = contains_many(region, pts).mean()
+    region, inside = fit_region(pts)
+    fraction = inside.mean()
     elapsed = time.perf_counter() - t0
     z_expected = 0.05 / (2.0 * math.pi)
     rel = abs(region.z_star - z_expected) / z_expected
@@ -190,7 +190,7 @@ def test_criterion_07_stability_over_disjoint_windows():
         lo = MONDAY + timedelta(days=21 * w)
         hi = MONDAY + timedelta(days=21 * (w + 1))
         pts = window(stream, lo, hi).points
-        regions.append(fit_typical_region(pts, grid=density_grid(pts)))
+        regions.append(fit_region(pts)[0])
     ratios = []
     for i in range(3):
         for j in range(i + 1, 3):
@@ -212,9 +212,7 @@ def _split_scenario(seed: int, incidents, bimodal=False):
 
 
 def _fit_and_calibrate(train, train_labels):
-    pts = train.points
-    region = fit_typical_region(pts, grid=density_grid(pts))
-    region = calibrate_normalizer(region, pts, contains_many(region, pts))
+    region, _ = fit_region(train.points)
     calibration = ev.calibrate_dftb(train, region, train_labels)
     return region, calibration
 
@@ -222,7 +220,7 @@ def _fit_and_calibrate(train, train_labels):
 def _dftb_test_score(test, test_labels, region, threshold):
     config = DetectorConfig("severity_threshold", severity_threshold=threshold)
     _, flags = track_annotated(annotate(test, region), config)
-    return ev.score_detector(ev.intervals_us(flags), ev.intervals_us(test_labels), ev.applications(test, "dftb"))
+    return ev.score_link(test, ev.intervals_us(flags), test_labels, "dftb")
 
 
 def _snd_test_score(train, test, train_labels, test_labels):
@@ -230,9 +228,7 @@ def _snd_test_score(train, test, train_labels, test_labels):
 
     profile = snd_fit(train)
     calibration = ev.calibrate_snd(train, profile, train_labels)
-    alarms = snd_detect(test, profile, calibration.parameter)
-    n_applications = int(np.count_nonzero(~np.isnan(test.speed)))
-    return ev.score_detector(alarms, ev.intervals_us(test_labels), n_applications)
+    return ev.score_link(test, snd_detect(test, profile, calibration.parameter), test_labels, "snd")
 
 
 def test_criterion_08_end_to_end_detection():

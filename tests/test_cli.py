@@ -115,6 +115,19 @@ def test_fit_bad_alpha_exit_2(workspace):
     assert code == 2
 
 
+def test_fit_alpha_beyond_the_grid_mass_exit_1_naming_the_smallest_alpha_it_holds(tmp_path, capsys):
+    # this link's grid holds 0.99984 of the KDE's mass, less than 1 - alpha = 0.9999
+    assert main(["simulate", "--out", str(tmp_path / "sim"), "--seed", "5", "--weeks", "1", "--incidents", "0"]) == 0
+    capsys.readouterr()
+    fit = ["fit", "--series", str(tmp_path / "sim" / "series.csv"), "--out", str(tmp_path / "fit")]
+    assert main([*fit, "--alpha", "0.0001"]) == 1
+    assert capsys.readouterr().err == (
+        "error: grid mass 0.9998 is below 1 - alpha = 0.9999; the smallest alpha this grid holds "
+        "is 1 - grid mass, 0.00016 rounded up (or widen the grid bounds)\n"
+    )
+    assert not (tmp_path / "fit").exists()
+
+
 def test_detect_deterministic(workspace, tmp_path):
     args = [
         "detect",

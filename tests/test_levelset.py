@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowsentry import kde, levelset
+from flowsentry.detector import fit_region
 from flowsentry.kde import DensityGrid
 from flowsentry.levelset import (
     EmptyContourError,
@@ -23,7 +24,7 @@ from flowsentry.levelset import (
     mass_above,
     polygon_area,
 )
-from region_helpers import density_grid, exact_segment_distance, exit_side_oracle, region_overlap, winding_number_inside
+from region_helpers import exact_segment_distance, exit_side_oracle, region_overlap, winding_number_inside
 
 
 def analytic_normal_grid(half_width=6.0, resolution=512):
@@ -101,9 +102,12 @@ def test_find_level_is_largest_grid_value_enclosing_target(grid, alpha):
 
 
 def test_find_level_truncated_grid_errors():
-    clipped = analytic_normal_grid(half_width=0.5, resolution=128)
-    with pytest.raises(TruncatedGridError, match="widen"):
+    clipped = analytic_normal_grid(half_width=0.5, resolution=128)  # grid mass 0.1445
+    with pytest.raises(TruncatedGridError, match=r"smallest alpha this grid holds is 1 - grid mass, 0\.86 rounded up"):
         find_level(clipped, 0.05)
+    find_level(clipped, 0.86)
+    with pytest.raises(TruncatedGridError):
+        find_level(clipped, 0.85)
 
 
 # --- contour extraction ---------------------------------------------------------
@@ -477,8 +481,7 @@ def test_exit_side_rules():
 def fitted_region_and_samples():
     rng = np.random.default_rng(99)
     pts = rng.standard_normal((20_000, 2)) @ np.array([[3.0, 0.0], [1.0, 40.0]]).T + np.array([30.0, 2000.0])
-    region = fit_typical_region(pts, grid=density_grid(pts))
-    return region, pts
+    return fit_region(pts)[0], pts
 
 
 def test_fitted_region_mass_check(fitted_region_and_samples):

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 from flowsentry import simgen
 from flowsentry.baselines import weekly_bins
 from flowsentry.ingest import US_PER_MINUTE, EventLabel, LinkSeries, write_series
-from flowsentry.levelset import contains_many, distances_and_sides, fit_typical_region
+from flowsentry.detector import fit_region
+from flowsentry.levelset import contains_many, distances_and_sides
 from flowsentry.simgen import (
     APEX_FLOW,
+    BOTTLENECK_DROP_JITTER,
     BOTTLENECK_DURATION_MIN,
     BOTTLENECK_FIRST_DAY,
     BOTTLENECK_PERIOD_DAYS,
@@ -35,7 +37,7 @@ from flowsentry.simgen import (
     generate,
     plan_incidents,
 )
-from region_helpers import density_grid, exit_side_oracle, winding_number_inside
+from region_helpers import exit_side_oracle, winding_number_inside
 from time_helpers import instant, us
 
 SERIES_START = datetime(2017, 4, 3, tzinfo=timezone.utc)  # a Monday
@@ -78,7 +80,7 @@ def generate_oracle(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel
 
     speed_noise = rng.normal(0.0, 1.0, size=n)
     flow_noise = rng.normal(0.0, 1.0, size=n)
-    bn_factors = rng.uniform(0.8, 1.2, size=n // 1440 + 2)  # per-occurrence severity jitter
+    bn_factors = rng.uniform(*BOTTLENECK_DROP_JITTER, size=n // 1440 + 2)  # one per occurrence
 
     speeds = np.empty(n)
     flows = np.empty(n)
@@ -98,7 +100,7 @@ def generate_oracle(config: ScenarioConfig) -> tuple[LinkSeries, list[EventLabel
 
         if bottleneck_on:
             occurrence = (day - BOTTLENECK_FIRST_DAY) // BOTTLENECK_PERIOD_DAYS
-            v_slow = max(v_f - BOTTLENECK_SPEED_DROP * bn_factors[occurrence], 5.0)
+            v_slow = v_f - BOTTLENECK_SPEED_DROP * bn_factors[occurrence]
             rho_raw = min(demand, 0.95 * apex) / v_slow
             queue = 0.0
         else:
@@ -173,7 +175,7 @@ def test_zero_noise_region_encloses_samples():
     cfg = ScenarioConfig(seed=3, weeks=3, noise_scale=0.0)
     stream, _ = generate(cfg)
     pts = stream.points
-    region = fit_typical_region(pts, grid=density_grid(pts))
+    region = fit_region(pts)[0]
     assert contains_many(region, pts).mean() >= 0.95
 
 
@@ -270,7 +272,7 @@ def test_exit_sides_on_fitted_synthetic_region():
     cfg = ScenarioConfig(seed=13, weeks=3)
     stream, _ = generate(cfg)
     pts = stream.points
-    region = fit_typical_region(pts, grid=density_grid(pts))
+    region = fit_region(pts)[0]
     (poly,) = region.polygons
     scale = np.array([region.scale_rho, region.scale_f])
     # a low-density high-flow surge is atypically good: the left side; queued
@@ -375,7 +377,10 @@ def test_backbone_flow_is_element_wise():
 
 def test_the_fixed_road_is_a_triangular_diagram_with_a_slower_bottleneck():
     # the road generate assumes: positive rates, a congested branch, an apex within
-    # capacity, and a bottleneck that leaves traffic moving
+    # capacity, and a bottleneck that leaves traffic moving at 5 km/h or more at its
+    # strongest jitter
     assert 0.0 < CRITICAL_DENSITY < JAM_DENSITY
     assert 0.0 < FREE_FLOW_SPEED and 0.0 < APEX_FLOW <= CAPACITY_FLOW
     assert 0.0 < BOTTLENECK_SPEED_DROP < FREE_FLOW_SPEED and BOTTLENECK_PERIOD_DAYS >= 1
+    lower, upper = BOTTLENECK_DROP_JITTER
+    assert 0.0 < lower <= upper and FREE_FLOW_SPEED - BOTTLENECK_SPEED_DROP * upper >= 5.0
