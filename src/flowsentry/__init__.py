@@ -31,15 +31,13 @@ _MODULE_OF = {
     "TrafficSample": "ingest",
     "TypicalRegion": "levelset",
     "annotate": "detector",
-    "calibrate_normalizer": "detector",
     "contains_many": "levelset",
     "distances_and_sides": "levelset",
     "evaluate_grid": "kde",
     "evaluate_many": "kde",
     "find_level": "levelset",
     "fit": "kde",
-    "fit_region": "detector",
-    "fit_typical_region": "levelset",
+    "fit_region": "levelset",
     "mass_above": "levelset",
     "nonrecurrent_filter": "ingest",
     "parse_events": "ingest",

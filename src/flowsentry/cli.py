@@ -157,19 +157,16 @@ def _write_payload(path: Path, payload: dict) -> str:
 
 
 def _load_region(path: str) -> levelset.TypicalRegion:
-    """A fitted region file; a missing key, a wrong type, bad JSON or no normaliser is a usage error."""
+    """A fitted region file; a missing key, a wrong type, bad JSON or a field out of range is a usage error."""
     from . import levelset
 
     with ingest.open_text(_require_file(path)) as handle:
         text = handle.read()
     try:
-        region = levelset.TypicalRegion.from_json(text)
+        return levelset.TypicalRegion.from_json(text)
     except (KeyError, TypeError, ValueError) as exc:
         problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise UsageError(f"bad region file {path}: {problem}") from None
-    if region.max_training_distance is None:
-        raise UsageError(f"bad region file {path}: max_training_distance null; fit writes it calibrated")
-    return region
 
 
 # Bytes of a series file hashed at a time when its sidecar is checked.
@@ -289,12 +286,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from . import detector
+    from . import levelset
 
     if not 0.0 < args.alpha < 1.0:
         raise UsageError(f"alpha {args.alpha} outside (0, 1)")
     pts = _load_series(args.series, args.link).points
-    region, inside = detector.fit_region(pts, args.alpha, args.bandwidth_method)
+    region, inside = levelset.fit_region(pts, args.alpha, args.bandwidth_method)
     out = _out_dir(args.out)
     _write_text(out / "region.json", region.to_json())
     print(f"samples: {len(pts)}")

@@ -1,13 +1,15 @@
 """Excursion segmentation, severity scoring, and DFTB flag emission.
 
-One stream covers one link, in strictly increasing time order. A sample is
-usable when its density proxy exists. ``annotate`` queries the region once
-for the usable minutes and returns the stream's excursions as arrays: the
-timestamps, severities and sides of the usable exterior minutes, split into
-runs. Flags of either mode are reductions over those excursions. Unusable
-minutes never start or end an excursion on their own, but once the run of
-missing minutes between two usable minutes reaches the gap-termination
-length, an excursion ends at its last observed minute.
+One stream covers one link, in strictly increasing time order, and is scored
+against a region from ``levelset.fit_region``, whose normaliser divides every
+boundary distance into a severity. A sample is usable when its density proxy
+exists. ``annotate`` queries the region once for the usable minutes and
+returns the stream's excursions as arrays: the timestamps, severities and
+sides of the usable exterior minutes, split into runs. Flags of either mode
+are reductions over those excursions. Unusable minutes never start or end an
+excursion on their own, but once the run of missing minutes between two
+usable minutes reaches the gap-termination length, an excursion ends at its
+last observed minute.
 """
 
 from __future__ import annotations
@@ -19,16 +21,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ingest import LinkSeries, ParseError, format_stamps, format_timestamp, parse_timestamp, read_table, write_table
-from .levelset import TypicalRegion, contains_many, distances_and_sides, fit_typical_region, with_normalizer
+from .levelset import TypicalRegion, contains_many, distances_and_sides
 
 # A missing run of at least this many minutes ends an excursion.
 GAP_TERMINATION_MIN = 2
 
 FLAGS_HEADER = ["link_id", "start", "end", "duration_min", "max_severity", "exit_side", "flagged"]
-
-
-class UncalibratedRegionError(ValueError):
-    """The region has no severity normaliser yet."""
 
 
 @dataclass(frozen=True)
@@ -87,28 +85,6 @@ class FlagRow:
             raise ValueError(f"end {format_timestamp(self.end_us)} precedes start {format_timestamp(self.start_us)}")
 
 
-def calibrate_normalizer(region: TypicalRegion, points: np.ndarray, inside: np.ndarray) -> TypicalRegion:
-    """Set the severity normaliser to the worst training excursion distance, where
-    ``inside`` is ``contains_many(region, points)``."""
-    if points.shape[0] == 0:
-        raise ValueError("no usable training samples")
-    if inside.all():
-        raise ValueError("no training sample falls outside the region; cannot calibrate severity")
-    worst = float(distances_and_sides(region, points[~inside])[0].max())
-    return with_normalizer(region, worst)
-
-
-def fit_region(points, alpha: float = 0.05, method: str = "normal_reference") -> tuple[TypicalRegion, np.ndarray]:
-    """The region ``fit`` writes for training ``points`` (the ``method`` bandwidth's KDE on the
-    ``kde.GRID_RESOLUTION`` grid, its 1 - alpha region and its normaliser), and which points it holds."""
-    from . import kde
-
-    grid = kde.evaluate_grid(kde.fit(points, kde.select_bandwidth(points, method)))
-    region = fit_typical_region(points, grid=grid, alpha=alpha)
-    inside = contains_many(region, points)
-    return calibrate_normalizer(region, points, inside), inside
-
-
 @dataclass(frozen=True)
 class Excursions:
     """One link's excursions as parallel arrays, in time order.
@@ -155,8 +131,6 @@ def annotate(stream: LinkSeries, region: TypicalRegion) -> Excursions:
     minutes, not the wall-clock span.
     """
     stream.require_minute_cadence()
-    if region.max_training_distance is None:
-        raise UncalibratedRegionError("region has no max_training_distance; calibrate first")
     usable = stream.usable
     points = stream.points
     position = np.flatnonzero(~contains_many(region, points))  # among the usable minutes

@@ -43,7 +43,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .baselines import McMasterParams, mcmaster_detect_grid, snd_detect_grid
-from .ingest import US_PER_MINUTE, EventLabel, LinkSeries, _median, quantiles, read_table, write_table
+from .ingest import (
+    US_PER_MINUTE, EventLabel, LinkSeries, _concat_ranges, _median, quantiles, read_table, write_table,
+)
 
 EPS_DR = 1.01
 EPS_FAR = 0.001
@@ -88,9 +90,7 @@ def covered_minutes(start_us: np.ndarray, end_us: np.ndarray) -> np.ndarray:
     """The sorted distinct epoch minutes that intervals cover: each covers every minute
     from the floor minute of its start to the floor minute of its end."""
     first, last = start_us // US_PER_MINUTE, end_us // US_PER_MINUTE
-    count = last - first + 1
-    within = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    minutes = np.sort(np.repeat(first, count) + within)
+    minutes = np.sort(_concat_ranges(first, last - first + 1))
     return minutes[np.diff(minutes, prepend=minutes[:1] - 1) != 0]
 
 

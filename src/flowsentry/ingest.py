@@ -164,6 +164,11 @@ def _lerp(a, b, t):
     return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
 
+def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[i], ..., starts[i] + lengths[i] - 1, concatenated."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
 def quantiles(values: np.ndarray, qs: Sequence[float]) -> np.ndarray:
     """``np.quantile(values, q)`` (linear method) of finite values for each q, from one
     partition. numpy's own call loads ``numpy.ma``, which costs more than the quantiles."""

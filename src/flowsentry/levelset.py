@@ -3,14 +3,16 @@
 The typical region is the superlevel set of the fitted density surface at the
 height z*, the largest grid value whose superlevel set encloses at least
 1 - alpha of the probability mass. Its boundary is extracted with marching
-squares on the evaluation grid and small components are dropped. Each region
-query has one array function, run exactly against the edges of the retained
-polygons: ``contains_many`` for membership, and ``distances_and_sides`` for
-the boundary distance and exit side. A single point is a one-row array.
-Distances are measured in axis-scaled coordinates (each axis divided by its
-training interquartile range) so severities are unitless and comparable
-across links. A region file carries ``schema_version``, which ``from_json``
-checks.
+squares on the evaluation grid and small components are dropped.
+``fit_region`` is the one fit: from training points to a region that carries
+its severity normaliser, the largest boundary distance of a training point
+outside it. Each region query has one array function, run exactly against the
+edges of the retained polygons: ``contains_many`` for membership, and
+``distances_and_sides`` for the boundary distance and exit side. A single
+point is a one-row array. Distances are measured in axis-scaled coordinates
+(each axis divided by its training interquartile range) so severities are
+unitless and comparable across links. A region file carries
+``schema_version``, which ``from_json`` checks.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ingest import quantiles
+from .ingest import _concat_ranges, quantiles
 
 if TYPE_CHECKING:
     from .kde import DensityGrid
@@ -239,8 +241,8 @@ class TypicalRegion:
     """Retained boundary polygons plus everything needed for queries.
 
     ``scale_rho`` / ``scale_f`` are the training interquartile ranges used to
-    make distances unitless. ``max_training_distance`` stays None until the
-    severity normaliser has been calibrated against training data.
+    make distances unitless. ``max_training_distance``, the severity normaliser, is
+    the largest boundary distance of a training point outside the region.
     """
 
     z_star: float
@@ -248,18 +250,16 @@ class TypicalRegion:
     polygons: tuple[np.ndarray, ...]
     scale_rho: float
     scale_f: float
-    max_training_distance: float | None = None
+    max_training_distance: float
 
     def __post_init__(self):
         if not self.polygons:
             raise ValueError("region needs at least one polygon")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha {self.alpha} outside (0, 1)")
-        positive = {"z_star": self.z_star, "scale_rho": self.scale_rho, "scale_f": self.scale_f}
-        if self.max_training_distance is not None:
-            positive["max_training_distance"] = self.max_training_distance
-        for name, value in positive.items():
-            if not 0.0 < value < math.inf:  # NaN fails too
+        for name in ("z_star", "scale_rho", "scale_f", "max_training_distance"):
+            value = getattr(self, name)
+            if value is None or not 0.0 < value < math.inf:  # NaN fails too; a region file's null is None
                 raise ValueError(f"{name} {value} must be positive and finite")
         polys = tuple(np.asarray(p, dtype=float) for p in self.polygons)
         for p in polys:
@@ -381,11 +381,6 @@ def _polygon_contains(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return inside
 
 
-def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges starts[i], ..., starts[i] + lengths[i] - 1, concatenated."""
-    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-
-
 def distances_and_sides(region: TypicalRegion, points) -> tuple[np.ndarray, np.ndarray]:
     """Exact distance to the nearest boundary point, and the side it lies on.
 
@@ -423,23 +418,27 @@ def distances_and_sides(region: TypicalRegion, points) -> tuple[np.ndarray, np.n
     return np.hypot(offsets[:, 0], offsets[:, 1]), np.where(left, "left", "right")
 
 
-def fit_typical_region(samples, grid: DensityGrid, alpha: float = 0.05) -> TypicalRegion:
-    """The region of a KDE grid of ``samples``: level search, contour, component filter,
-    and the samples' interquartile ranges as axis scales."""
-    pts = np.asarray(samples, dtype=float)
+def fit_region(points, alpha: float = 0.05, method: str = "normal_reference") -> tuple[TypicalRegion, np.ndarray]:
+    """The region ``fit`` writes for training ``points``, and which points it holds.
+
+    The ``method`` bandwidth's KDE is evaluated on the ``kde.GRID_RESOLUTION`` grid; its
+    1 - alpha level, contour and retained components make the boundary, the points'
+    interquartile ranges the axis scales, and the largest boundary distance of an
+    exterior point the severity normaliser.
+    """
+    from . import kde
+
+    pts = np.asarray(points, dtype=float)
+    grid = kde.evaluate_grid(kde.fit(pts, kde.select_bandwidth(pts, method)))
     z_star = find_level(grid, alpha)
     polygons = filter_components(extract_contour(grid, z_star), MIN_COMPONENT_AREA_FRACTION)
     iqr = np.array([q75 - q25 for q25, q75 in (quantiles(column, (0.25, 0.75)) for column in pts.T)])
     if np.any(iqr <= 0):
         raise ValueError("training data has zero interquartile range on an axis")
-    return TypicalRegion(
-        z_star=z_star,
-        alpha=alpha,
-        polygons=tuple(polygons),
-        scale_rho=float(iqr[0]),
-        scale_f=float(iqr[1]),
-    )
-
-
-def with_normalizer(region: TypicalRegion, max_training_distance: float) -> TypicalRegion:
-    return replace(region, max_training_distance=max_training_distance)
+    # the queries read only the boundary and the scales, so a unit normaliser stands in until it is known
+    region = TypicalRegion(z_star, alpha, tuple(polygons), float(iqr[0]), float(iqr[1]), max_training_distance=1.0)
+    inside = contains_many(region, pts)
+    if inside.all():
+        raise ValueError("no training sample falls outside the region; cannot calibrate severity")
+    worst = float(distances_and_sides(region, pts[~inside])[0].max())
+    return replace(region, max_training_distance=worst), inside

@@ -20,9 +20,9 @@ from flowsentry.baselines import (
     mcmaster_detect,
     snd_detect,
 )
-from flowsentry.detector import DetectorConfig, annotate, fit_region, track_annotated
+from flowsentry.detector import DetectorConfig, annotate, track_annotated
 from flowsentry.ingest import LinkSeries, TrafficSample, nonrecurrent_filter
-from flowsentry.levelset import TypicalRegion, contains_many, distances_and_sides
+from flowsentry.levelset import TypicalRegion, contains_many, distances_and_sides, fit_region
 from flowsentry.simgen import SERIES_START_US, ScenarioConfig, generate, plan_incidents
 from region_helpers import exact_segment_distance, region_overlap, winding_number_inside
 from time_helpers import instant, us
@@ -115,7 +115,9 @@ def test_criterion_05_geometry_oracles():
         radii = rng.uniform(0.5, 2.0, 20)
         poly = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
         poly = np.vstack([poly, poly[:1]])
-        region = TypicalRegion(z_star=1.0, alpha=0.05, polygons=(poly,), scale_rho=1.0, scale_f=1.0)
+        region = TypicalRegion(
+            z_star=1.0, alpha=0.05, polygons=(poly,), scale_rho=1.0, scale_f=1.0, max_training_distance=1.0
+        )
         points = rng.uniform(-2.5, 2.5, size=(100, 2))
         ours = contains_many(region, points)
         oracle = np.array([winding_number_inside(p, poly) for p in points])
@@ -125,7 +127,9 @@ def test_criterion_05_geometry_oracles():
     radii = rng.uniform(0.5, 2.0, 20)
     poly = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     poly = np.vstack([poly, poly[:1]])
-    region = TypicalRegion(z_star=1.0, alpha=0.05, polygons=(poly,), scale_rho=1.0, scale_f=1.0)
+    region = TypicalRegion(
+        z_star=1.0, alpha=0.05, polygons=(poly,), scale_rho=1.0, scale_f=1.0, max_training_distance=1.0
+    )
     points = rng.uniform(-3, 3, size=(100, 2))
     distances = distances_and_sides(region, points)[0]
     worst = max(abs(d - exact_segment_distance(p, poly)) for p, d in zip(points, distances))

@@ -861,7 +861,7 @@ BASELINE_SET = {"ingest", "baselines", "evaluation"}
 EVALUATE_SET = BASELINE_SET | {"levelset", "detector"}
 LOADED_BY = {
     "simulate": {"ingest", "simgen"},
-    "fit": {"ingest", "kde", "levelset", "detector"},
+    "fit": {"ingest", "kde", "levelset"},
     "detect": {"ingest", "levelset", "detector"},
     "calibrate snd": BASELINE_SET,
     "calibrate mcmaster": BASELINE_SET,

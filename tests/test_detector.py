@@ -11,9 +11,7 @@ from flowsentry.detector import (
     GAP_TERMINATION_MIN,
     DetectorConfig,
     FlagRow,
-    UncalibratedRegionError,
     annotate,
-    calibrate_normalizer,
     duration_threshold_from_percentile,
     read_flags_csv,
     track_annotated,
@@ -21,7 +19,7 @@ from flowsentry.detector import (
     write_flags_csv,
 )
 from flowsentry.ingest import EventLabel, LinkSeries, ParseError, TrafficSample
-from flowsentry.levelset import TypicalRegion, contains_many
+from flowsentry.levelset import TypicalRegion, contains_many, distances_and_sides, fit_region
 from region_helpers import exact_segment_distance, winding_number_inside
 from time_helpers import us
 
@@ -87,37 +85,35 @@ def test_severity_scales_linearly():
     assert severity((1.5, 0.5), r) == pytest.approx(2.0, abs=0.02)
 
 
-def test_severity_requires_calibration():
-    r = TypicalRegion(z_star=0.5, alpha=0.05, polygons=(UNIT_SQUARE,), scale_rho=1.0, scale_f=1.0)
-    with pytest.raises(UncalibratedRegionError):
-        severity(INTERIOR, r)
-
-
 # --- normalizer calibration ------------------------------------------------------
 
 
+def training_points(n=2000, seed=3):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, 2)) @ np.array([[3.0, 0.0], [1.0, 40.0]]).T + np.array([30.0, 2000.0])
+
+
 def test_calibrate_normalizer_takes_maximum():
-    r = TypicalRegion(z_star=0.5, alpha=0.05, polygons=(UNIT_SQUARE,), scale_rho=1.0, scale_f=1.0)
-    pts = np.array([[0.5, 1.2], [0.5, 1.5], [0.5, 1.1], [0.5, 0.5]])
-    calibrated = calibrate_normalizer(r, pts, contains_many(r, pts))
-    assert calibrated.max_training_distance == pytest.approx(0.5, abs=0.01)
+    pts = training_points()
+    fitted, inside = fit_region(pts)
+    np.testing.assert_array_equal(inside, contains_many(fitted, pts))
+    assert 0 < (~inside).sum() < pts.shape[0]
+    assert fitted.max_training_distance == distances_and_sides(fitted, pts[~inside])[0].max()
 
 
 def test_calibrate_normalizer_all_interior_errors():
-    r = TypicalRegion(z_star=0.5, alpha=0.05, polygons=(UNIT_SQUARE,), scale_rho=1.0, scale_f=1.0)
-    pts = np.array([[0.5, 0.5], [0.2, 0.8]])
+    # a lattice's kernel estimate spreads more than alpha of its mass beyond the outer nodes
+    lattice = np.stack(np.meshgrid(np.arange(8.0), np.arange(8.0)), axis=-1).reshape(-1, 2)
     with pytest.raises(ValueError, match="outside"):
-        calibrate_normalizer(r, pts, contains_many(r, pts))
+        fit_region(lattice * [1.0, 50.0] + [20.0, 1000.0])
 
 
 def test_calibrate_normalizer_monotone_under_superset():
-    r = TypicalRegion(z_star=0.5, alpha=0.05, polygons=(UNIT_SQUARE,), scale_rho=1.0, scale_f=1.0)
-    base = np.array([[0.5, 1.2], [0.5, 1.3]])
-    extended = np.vstack([base, [[0.5, 1.9], [2.5, 0.5]]])
-    assert (
-        calibrate_normalizer(r, extended, contains_many(r, extended)).max_training_distance
-        >= calibrate_normalizer(r, base, contains_many(r, base)).max_training_distance
-    )
+    # the normaliser is the largest distance over all the training points, so no subset of
+    # them, such as one excursion of the training stream, scores above 1, and the worst scores 1
+    stream = LinkSeries.from_samples(series(training_points(n=600, seed=8)))
+    found = annotate(stream, fit_region(stream.points)[0])
+    assert found.max_severity.size > 1 and found.max_severity.max() == 1.0
 
 
 # --- tracking -------------------------------------------------------------------

@@ -18,12 +18,12 @@ from flowsentry.detector import (
     DetectorConfig,
     annotate,
     duration_threshold_from_percentile,
-    fit_region,
     track_annotated,
     write_excursions_csv,
 )
 from flowsentry.evaluation import calibrate_dftb
 from flowsentry.ingest import LinkSeries, nonrecurrent_filter
+from flowsentry.levelset import fit_region
 from flowsentry.simgen import ScenarioConfig, generate, plan_incidents
 
 # (flow factor, speed factor): density is flow over speed

@@ -801,14 +801,20 @@ def test_scaled_bound_is_nondecreasing_and_moves_only_a_rounded_clamp(curve, sca
 
 
 def test_calibrate_dftb_matches_per_threshold_loop(simulated_link):
-    from flowsentry.detector import annotate, calibrate_normalizer
-    from flowsentry.levelset import TypicalRegion, contains_many
+    from dataclasses import replace
+
+    from flowsentry.detector import annotate
+    from flowsentry.levelset import TypicalRegion, contains_many, distances_and_sides
 
     stream, labels = simulated_link
     (r0, r1), (f0, f1) = (np.percentile(column, [10, 90]) for column in stream.points.T)
     box = np.array([[r0, f0], [r1, f0], [r1, f1], [r0, f1], [r0, f0]])
-    region = TypicalRegion(z_star=1.0, alpha=0.05, polygons=(box,), scale_rho=r1 - r0, scale_f=f1 - f0)
-    region = calibrate_normalizer(region, stream.points, contains_many(region, stream.points))
+    unit = TypicalRegion(
+        z_star=1.0, alpha=0.05, polygons=(box,), scale_rho=r1 - r0, scale_f=f1 - f0, max_training_distance=1.0
+    )
+    # the normaliser fit_region would set for the box: the largest distance of an exterior point
+    worst = distances_and_sides(unit, stream.points[~contains_many(unit, stream.points)])[0].max()
+    region = replace(unit, max_training_distance=float(worst))
     found = annotate(stream, region)
     label_us, n = ev.intervals_us(labels), ev.applications(stream, "dftb")
 

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowsentry import kde, levelset
-from flowsentry.detector import fit_region
 from flowsentry.kde import DensityGrid
 from flowsentry.levelset import (
     EmptyContourError,
@@ -20,7 +19,7 @@ from flowsentry.levelset import (
     extract_contour,
     filter_components,
     find_level,
-    fit_typical_region,
+    fit_region,
     mass_above,
     polygon_area,
 )
@@ -41,7 +40,7 @@ GRID = analytic_normal_grid()
 
 def square_region(lo=0.0, hi=1.0, **kwargs):
     poly = np.array([[lo, lo], [hi, lo], [hi, hi], [lo, hi], [lo, lo]])
-    defaults = dict(z_star=0.5, alpha=0.05, polygons=(poly,), scale_rho=1.0, scale_f=1.0)
+    defaults = dict(z_star=0.5, alpha=0.05, polygons=(poly,), scale_rho=1.0, scale_f=1.0, max_training_distance=1.0)
     defaults.update(kwargs)
     return TypicalRegion(**defaults)
 
@@ -239,7 +238,7 @@ def random_simple_polygon(rng, n_vertices=20):
 def test_membership_matches_winding_oracle():
     rng = np.random.default_rng(123)
     poly = random_simple_polygon(rng)
-    region = TypicalRegion(z_star=1.0, alpha=0.05, polygons=(poly,), scale_rho=1.0, scale_f=1.0)
+    region = region_of(poly)
     points = rng.uniform(-2.5, 2.5, size=(1000, 2))
     ours = contains_many(region, points)
     oracle = np.array([winding_number_inside(p, poly) for p in points])
@@ -278,7 +277,9 @@ def brute_force_contains_many(region, points):
 
 
 def region_of(*polygons):
-    return TypicalRegion(z_star=1.0, alpha=0.05, polygons=polygons, scale_rho=1.0, scale_f=1.0)
+    return TypicalRegion(
+        z_star=1.0, alpha=0.05, polygons=polygons, scale_rho=1.0, scale_f=1.0, max_training_distance=1.0
+    )
 
 
 @st.composite
@@ -430,7 +431,7 @@ def test_distance_zero_implies_contains():
 def test_distance_matches_projection_oracle():
     rng = np.random.default_rng(7)
     poly = random_simple_polygon(rng, n_vertices=17)
-    region = TypicalRegion(z_star=1.0, alpha=0.05, polygons=(poly,), scale_rho=1.0, scale_f=1.0)
+    region = region_of(poly)
     for p in rng.uniform(-3, 3, size=(100, 2)):
         assert abs(distance(region, p) - exact_segment_distance(p, poly)) <= 1e-12
 
@@ -444,7 +445,9 @@ def test_distances_and_sides_match_loop_oracles(repeat_vertex, scale):
         poly = random_simple_polygon(rng) * scale
         if repeat_vertex:
             poly = np.insert(poly, 5, poly[5], axis=0)  # a zero-length edge
-        region = TypicalRegion(z_star=1.0, alpha=0.05, polygons=(poly,), scale_rho=scale[0], scale_f=scale[1])
+        region = TypicalRegion(
+            z_star=1.0, alpha=0.05, polygons=(poly,), scale_rho=scale[0], scale_f=scale[1], max_training_distance=1.0
+        )
         # points just off each vertex, where a side tolerance would show
         nudges = 1e-4 * np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
         near = (poly[:-1, None, :] / scale + nudges).reshape(-1, 2)
@@ -502,12 +505,12 @@ def test_fitted_region_json_round_trip_bit_identical(fitted_region_and_samples):
 def test_region_rejects_polygon_without_extent():
     point = np.zeros((4, 2))
     with pytest.raises(ValueError, match="nonzero length"):
-        TypicalRegion(z_star=1.0, alpha=0.05, polygons=(point,), scale_rho=1.0, scale_f=1.0)
+        region_of(point)
 
 
 def test_region_config_validation():
     with pytest.raises(ValueError, match="alpha"):
-        fit_typical_region(np.zeros((4, 2)), GRID, alpha=1.5)
+        fit_region(np.random.default_rng(0).standard_normal((100, 2)), alpha=1.5)
 
 
 @pytest.mark.parametrize(
@@ -521,6 +524,7 @@ def test_region_config_validation():
         ("scale_f", -1.0),
         ("max_training_distance", math.nan),
         ("max_training_distance", 0.0),
+        ("max_training_distance", None),
     ],
 )
 def test_region_rejects_out_of_range_fields(field, value):

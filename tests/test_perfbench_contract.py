@@ -80,7 +80,15 @@ def test_checker_rebuilds_the_mcmaster_grid(bench, workdir):
 
 # the names the tracer lists that the library no longer has; it skips them, so their
 # metrics read 0, as they did before: no command called them
-DELETED = {"ingest.by_link", "levelset.distances_to_boundary", "levelset.exit_sides", "detector.track"}
+DELETED = {
+    "ingest.by_link",
+    "levelset.distances_to_boundary",
+    "levelset.exit_sides",
+    "levelset.fit_typical_region",
+    "levelset.with_normalizer",
+    "detector.track",
+    "detector.calibrate_normalizer",
+}
 
 
 def test_every_traced_name_resolves(tracer):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from flowsentry import simgen
 from flowsentry.baselines import weekly_bins
 from flowsentry.ingest import US_PER_MINUTE, EventLabel, LinkSeries, write_series
-from flowsentry.detector import fit_region
-from flowsentry.levelset import contains_many, distances_and_sides
+from flowsentry.levelset import contains_many, distances_and_sides, fit_region
 from flowsentry.simgen import (
     APEX_FLOW,
     BOTTLENECK_DROP_JITTER,
