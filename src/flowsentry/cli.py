@@ -528,12 +528,10 @@ def cmd_plot(args) -> int:
 
     points = stream.points
     boundary = np.vstack(region.polygons)
-    frame = svg.Frame(
-        min(points[:, 0].min(), boundary[:, 0].min()),
-        max(points[:, 0].max(), boundary[:, 0].max()),
-        min(points[:, 1].min(), boundary[:, 1].min()),
-        max(points[:, 1].max(), boundary[:, 1].max()),
-    )
+    # a series may have no usable minute; the initial values spare a copy of the points
+    lo = np.minimum(points.min(axis=0, initial=np.inf), boundary.min(axis=0))
+    hi = np.maximum(points.max(axis=0, initial=-np.inf), boundary.max(axis=0))
+    frame = svg.Frame(lo[0], hi[0], lo[1], hi[1])
     stride = max(1, len(points) // 15000)
 
     raised = evaluation.intervals_us(row for row in flags if row.flagged)

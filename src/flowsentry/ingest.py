@@ -30,6 +30,7 @@ import csv
 import io
 import json
 import math
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -268,14 +269,25 @@ class EventLabel:
 
 
 def parse_timestamp(text: str) -> int:
-    """Epoch microseconds of an RFC 3339 timestamp, which must carry a UTC offset and
-    fall within years 1-9999 in UTC."""
-    raw = text.strip()
-    if raw.endswith(("Z", "z")):
-        raw = raw[:-1] + "+00:00"
-    ts = datetime.fromisoformat(raw)
-    if ts.tzinfo is None:
+    """Epoch microseconds of an RFC 3339 date-time, which must carry a UTC offset and
+    fall within years 1-9999 in UTC; fraction digits past the sixth are dropped.
+
+    The shape is matched here, not by ``datetime.fromisoformat``, whose accepted forms
+    differ between Python versions; the ``datetime`` constructor checks the ranges.
+    """
+    shape = re.fullmatch(
+        r"([0-9]{4})-([0-9]{2})-([0-9]{2})[Tt ]([0-9]{2}):([0-9]{2}):([0-9]{2})(?:\.([0-9]+))?"
+        r"([Zz]|[+-](?:[01][0-9]|2[0-3]):[0-5][0-9])?",
+        text.strip(),
+    )
+    if shape is None:
+        raise ValueError(f"timestamp {text!r} is not an RFC 3339 date-time")
+    *fields, fraction, offset = shape.groups()
+    if offset is None:
         raise ValueError(f"timestamp {text!r} lacks a UTC offset")
+    minutes = 0 if offset in ("Z", "z") else int(offset[0] + "1") * (60 * int(offset[1:3]) + int(offset[4:]))
+    micro = int((fraction or "").ljust(6, "0")[:6])
+    ts = datetime(*map(int, fields), micro, tzinfo=timezone(timedelta(minutes=minutes)))
     try:
         return (ts.astimezone(timezone.utc) - _EPOCH) // _MICROSECOND
     except OverflowError:

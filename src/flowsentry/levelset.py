@@ -3,7 +3,8 @@
 The typical region is the superlevel set of the fitted density surface at the
 height z*, the largest grid value whose superlevel set encloses at least
 1 - alpha of the probability mass. Its boundary is extracted with marching
-squares on the evaluation grid and small components are dropped.
+squares on the evaluation grid, framed by zeros so that contours close along
+the grid's bounds, and small components are dropped.
 ``fit_region`` is the one fit: from training points to a region that carries
 its severity normaliser, the largest boundary distance of a training point
 outside it. Each region query has one array function, run exactly against the
@@ -60,7 +61,7 @@ class TruncatedGridError(ValueError):
 
 
 class EmptyContourError(ValueError):
-    """No grid cell crosses the requested level."""
+    """The level is outside (0, max grid value], so no contour crosses it."""
 
 
 def mass_above(grid: DensityGrid, z: float) -> float:
@@ -111,18 +112,19 @@ def find_level(grid: DensityGrid, alpha: float) -> float:
 def extract_contour(grid: DensityGrid, z_star: float) -> list[np.ndarray]:
     """Marching-squares isolines of the grid at z_star, as closed polylines.
 
-    Nodes of the marching lattice are the grid cell centres. Crossing points
-    are linearly interpolated along lattice edges; saddle cells are resolved
-    by the cell-centre value (centre >= z* joins the high regions). Each
-    polyline is closed: its first and last vertices coincide.
+    Nodes of the marching lattice are the grid cell centres, framed by one ring
+    of zero nodes on the grid's bounds. Zero is below every level, so each
+    isoline closes, along the frame where the level set meets the grid's edge.
+    Crossing points are linearly interpolated along lattice edges; saddle cells
+    are resolved by the cell-centre value (centre >= z* joins the high
+    regions). Each polyline is closed: its first and last vertices coincide.
     """
-    values = grid.values
-    if not 0.0 < z_star <= float(values.max()):
+    if not 0.0 < z_star <= float(grid.values.max()):
         raise EmptyContourError(f"level {z_star} outside (0, max grid value]")
-    xs, ys = grid.rho_centers, grid.f_centers
+    values = np.pad(grid.values, 1)
+    xs = np.concatenate([[grid.rho_min], grid.rho_centers, [grid.rho_max]])
+    ys = np.concatenate([[grid.f_min], grid.f_centers, [grid.f_max]])
     inside = values >= z_star
-    if inside.all() or not inside.any():
-        raise EmptyContourError(f"no cell crosses level {z_star}")
 
     # cells whose four corners disagree are the only contour carriers
     corner_sum = (
@@ -178,38 +180,34 @@ def extract_contour(grid: DensityGrid, z_star: float) -> list[np.ndarray]:
                 segments.append((edge_point(*ab), edge_point(*da)))
                 segments.append((edge_point(*bc), edge_point(*cd)))
 
-    if not segments:
-        raise EmptyContourError(f"no cell crosses level {z_star}")
     return _stitch_loops(segments, points)
 
 
 def _stitch_loops(segments, points) -> list[np.ndarray]:
-    """Chain segments that share lattice-edge keys into closed polylines."""
+    """Chain segments that share lattice-edge keys into closed polylines.
+
+    Every crossed lattice edge is inside the frame, so it ends exactly two
+    segments, and each walk returns to its first point.
+    """
     adjacency: dict[tuple, list[int]] = {}
     for idx, (p, q) in enumerate(segments):
         adjacency.setdefault(p, []).append(idx)
         adjacency.setdefault(q, []).append(idx)
     used = [False] * len(segments)
     loops = []
-    for start in range(len(segments)):
+    for start, (first, cursor) in enumerate(segments):
         if used[start]:
             continue
         used[start] = True
-        first, cursor = segments[start]
-        chain = [first, cursor]
-        while True:
-            candidates = [k for k in adjacency[cursor] if not used[k]]
-            if not candidates:
-                break
-            nxt = candidates[0]
-            used[nxt] = True
-            p, q = segments[nxt]
+        chain, idx = [first, cursor], start
+        while cursor != first:
+            one, other = adjacency[cursor]
+            idx = other if one == idx else one
+            used[idx] = True
+            p, q = segments[idx]
             cursor = q if p == cursor else p
             chain.append(cursor)
-        coords = np.array([points[k] for k in chain])
-        if chain[0] != chain[-1]:
-            coords = np.vstack([coords, coords[:1]])  # open chain (grid border); close it
-        loops.append(coords)
+        loops.append(np.array([points[k] for k in chain]))
     return loops
 
 

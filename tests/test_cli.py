@@ -128,6 +128,18 @@ def test_fit_alpha_beyond_the_grid_mass_exit_1_naming_the_smallest_alpha_it_hold
     assert not (tmp_path / "fit").exists()
 
 
+@pytest.mark.parametrize("alpha", ["0.0002", "0.00016"])
+def test_fit_whose_level_set_meets_the_grid_edge_holds_every_training_point_and_exits_1(tmp_path, capsys, alpha):
+    # at these alphas the level set reaches the grid's bounds, where its contour closes, so
+    # the region holds the whole training link and leaves no point to set the severity scale
+    assert main(["simulate", "--out", str(tmp_path / "sim"), "--seed", "5", "--weeks", "1", "--incidents", "0"]) == 0
+    capsys.readouterr()
+    fit = ["fit", "--series", str(tmp_path / "sim" / "series.csv"), "--out", str(tmp_path / "fit")]
+    assert main([*fit, "--alpha", alpha]) == 1
+    assert capsys.readouterr().err == "error: no training sample falls outside the region; cannot calibrate severity\n"
+    assert not (tmp_path / "fit").exists()
+
+
 def test_detect_deterministic(workspace, tmp_path):
     args = [
         "detect",
@@ -790,6 +802,20 @@ def test_plot_of_a_series_without_travel_time_draws_the_unit_frame(workspace, tm
     travel = (tmp_path / "plots" / "travel_time.svg").read_text()
     assert '<polyline class="series" points=""' in travel and 'class="flag"' not in travel
     assert re.findall(r'font-size="11">([^<]*)<', travel) == ["0", "0", "0.5", "0.5", "1", "1"]
+
+
+def test_plot_of_a_series_without_a_usable_minute_frames_the_region(workspace, tmp_path):
+    # at speed 0 no minute has a density, so the scatter plot draws the region alone
+    series = tmp_path / "standstill.csv"
+    rows = "".join(f"SIM1,2017-04-03T00:{minute:02d}:00Z,0,0,4320\n" for minute in range(30))
+    series.write_text("link_id,timestamp,speed_kmh,flow_vph,travel_time_s\n" + rows)
+    argv = ["plot", "--series", str(series), "--region", str(workspace / "fit" / "region.json"),
+            "--out", str(tmp_path / "plots")]
+    assert main(argv) == 0
+    assert sorted(path.name for path in (tmp_path / "plots").iterdir()) == [
+        "durations.svg", "scatter.svg", "travel_time.svg"]
+    scatter = (tmp_path / "plots" / "scatter.svg").read_text()
+    assert 'class="region"' in scatter and "<circle" not in scatter
 
 
 def test_plot_deterministic(workspace, tmp_path):

@@ -290,6 +290,21 @@ def test_parse_timestamp_matches_datetime_arithmetic(ts):
     assert parse_timestamp(ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")) == expected
 
 
+@pytest.mark.parametrize(
+    "text, same_as",
+    [
+        ("2017-04-03T00:00:00.5Z", "2017-04-03T00:00:00.500000Z"),
+        ("2017-04-03T00:00:00.123456789Z", "2017-04-03T00:00:00.123456Z"),  # digits past the sixth are dropped
+        ("1969-12-31T23:59:59.9999999Z", "1969-12-31T23:59:59.999999Z"),
+        ("2017-04-03 05:30:00.25+05:30", "2017-04-03T00:00:00.250000Z"),
+        ("2017-04-02t16:00:00-08:00", "2017-04-03T00:00:00Z"),
+    ],
+)
+def test_parse_timestamp_reads_each_rfc_3339_form(text, same_as):
+    expected = us(datetime.fromisoformat(same_as.replace("Z", "+00:00")))
+    assert parse_timestamp(text) == parse_timestamp(same_as) == expected
+
+
 def round_trip(write, read, rows):
     """What ``write`` makes of ``rows``, after checking that ``read`` gives them back and that
     writing those again gives the same text."""
@@ -458,9 +473,14 @@ BAD_STAMPS = [
     "2017-04-07T00:00:60Z", "2017-04-07T00:00:00", "2017-04-07", "2017-04-07T00:00:00ZZ", "",
     "x", "2017-04-07T00:00:00Ż", "２017-04-07T00:00:00Z", "2017/04/07T00:00:00Z", "2017-04-07T00:00:0aZ",
     "0001-01-01T00:00:00+01:00", "9999-12-31T23:30:00-01:00",
+    # not RFC 3339, though datetime.fromisoformat reads each of them from Python 3.11 on
+    "20170403T000000Z", "2017-W14-1T00:00:00Z", "2017-04-03X00:00:00Z", "2017-04-03T00Z", "2017-04-03T00:00Z",
+    "2017-04-03T00:00:00+01", "2017-04-03T00:00:00+01:00:30", "2017-04-03T00:00:00,5Z",
+    "2017-04-03T00:00:00,123456789Z", "2017-04-03T00:00:00.Z", "2017-04-03T00:00:00+05:60",
 ]
 GOOD_ODD_STAMPS = ["2000-02-29T23:59:59Z", "2016-02-29T12:00:00z", "1969-12-31T23:59:59Z", "9999-12-31T23:59:59Z",
-                   "2017-04-07 00:00:00Z", " 2017-04-07T00:00:00Z "]
+                   "2017-04-07 00:00:00Z", " 2017-04-07T00:00:00Z ", "2017-04-07t00:00:00.5-08:00",
+                   "2017-04-07T00:00:00.123456789Z"]
 BAD_NUMBERS = ["abc", "nan", "NaN", "inf", "-inf", "300", "12001", "-1", "-1e-300", "1,5", "--1", "0x10", "1e3"]
 ODD_NUMBERS = ["", " ", "-0.0", "0", "1e2", "1_0", " 2.5 ", "+7", "1E1", "5e-324"]
 FAULTS = ["blank_link", "stamp", "odd_stamp", "speed", "flow", "travel_time", "width", "duplicate", "backwards"]
@@ -1002,7 +1022,7 @@ HEADER = "link_id,timestamp,speed_kmh,flow_vph\n"
     "text, error",
     [
         (BOM + HEADER, "row 1: unexpected header ['\\ufefflink_id', "),  # one mark is skipped, not two
-        (HEADER + f"L1,{BOM}2017-04-03T00:00:00Z,1,2\n", "row 2: Invalid isoformat string: '\\ufeff2017-"),
+        (HEADER + f"L1,{BOM}2017-04-03T00:00:00Z,1,2\n", "row 2: timestamp '\\ufeff2017-"),
         (HEADER + f"L1,2017-04-03T00:00:00Z,{BOM}1,2\n", "row 2: speed '\\ufeff1' is not numeric"),
     ],
 )

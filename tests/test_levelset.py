@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flowsentry import kde, levelset
@@ -149,6 +149,45 @@ def test_contour_encloses_target_mass():
     area = sum(polygon_area(p) for p in loops)
     expected = math.pi * 2 * math.log(1.0 / (2 * math.pi * z))
     assert area == pytest.approx(expected, rel=0.02)
+
+
+@st.composite
+def small_grids(draw):
+    """A grid of up to 6 x 6 nodes with values 0 to 3 and a level between two of them, so
+    that no node lies on a contour; its level set often meets an edge or a corner."""
+    n_rho, n_f = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = np.array(draw(st.lists(st.integers(0, 3), min_size=n_rho * n_f, max_size=n_rho * n_f)), dtype=float)
+    z_star = draw(st.sampled_from([0.5, 1.5, 2.5]))
+    assume(values.max() >= z_star)
+    rho_min, f_min = draw(st.floats(-100, 100)), draw(st.floats(-100, 100))
+    rho_width, f_width = draw(st.floats(0.1, 100)), draw(st.floats(0.1, 100))
+    grid = DensityGrid(rho_min, rho_min + rho_width, f_min, f_min + f_width, values.reshape(n_rho, n_f))
+    return grid, z_star
+
+
+def grid_of(rows, z_star=0.5):
+    return DensityGrid(0.0, 1.0, 0.0, 1.0, np.array(rows, dtype=float)), z_star
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=small_grids())
+@example(case=grid_of([[1, 1, 1], [1, 1, 1], [1, 1, 1]]))  # the whole grid
+@example(case=grid_of([[1, 0, 0], [0, 0, 0], [0, 0, 1]]))  # two corners
+@example(case=grid_of([[0, 1, 0], [0, 1, 0], [0, 1, 0]]))  # a band from one edge to the other
+@example(case=grid_of([[1, 1, 1], [1, 0, 1], [1, 1, 1]]))  # a hole in a set that fills the frame
+@example(case=grid_of([[3, 0, 3], [0, 3, 0], [3, 0, 3]], 1.5))  # saddles
+def test_contours_close_and_hold_exactly_the_nodes_at_or_above_the_level(case):
+    grid, z_star = case
+    loops = extract_contour(grid, z_star)
+    for loop in loops:
+        np.testing.assert_array_equal(loop[0], loop[-1])
+        assert loop.shape[0] >= 5
+        assert (loop[:, 0] >= grid.rho_min).all() and (loop[:, 0] <= grid.rho_max).all()
+        assert (loop[:, 1] >= grid.f_min).all() and (loop[:, 1] <= grid.f_max).all()
+    # the loops are simple, so the parity of the loops around a node is its even-odd membership
+    nodes = [(x, y) for x in grid.rho_centers for y in grid.f_centers]
+    held = np.array([sum(winding_number_inside(node, loop) for loop in loops) % 2 for node in nodes])
+    np.testing.assert_array_equal(held.reshape(grid.values.shape), grid.values >= z_star)
 
 
 # --- component filtering --------------------------------------------------------
