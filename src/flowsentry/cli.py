@@ -321,13 +321,11 @@ def _detector_config(args, found: detector.Excursions) -> detector.DetectorConfi
     """The detector of checked options; a duration percentile is taken over this stream's excursions."""
     from . import detector
 
-    if args.mode == "severity":
-        return detector.DetectorConfig("severity_threshold", severity_threshold=args.threshold)
-    if args.threshold is not None:
-        return detector.DetectorConfig("duration_threshold", duration_threshold_min=args.threshold)
-    minutes = detector.duration_threshold_from_percentile(found.duration, args.percentile)
-    print(f"duration threshold from percentile {args.percentile}: {minutes} min")
-    return detector.DetectorConfig("duration_threshold", duration_threshold_min=minutes)
+    threshold = args.threshold
+    if threshold is None:
+        threshold = detector.duration_threshold_from_percentile(found.duration, args.percentile)
+        print(f"duration threshold from percentile {args.percentile}: {threshold} min")
+    return detector.DetectorConfig(args.mode, threshold)
 
 
 def cmd_detect(args) -> int:
@@ -340,7 +338,7 @@ def cmd_detect(args) -> int:
     excursions, flags = detector.track_annotated(found, _detector_config(args, found))
     out = _out_dir(args.out)
     detector.write_excursions_csv(excursions, out / "excursions.csv")
-    detector.write_flags_csv(flags, out / "flags.csv")
+    detector.write_excursions_csv(flags, out / "flags.csv")
     print(f"excursions: {len(excursions)}")
     print(f"flags: {len(flags)}")
     return EXIT_OK

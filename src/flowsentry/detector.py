@@ -31,25 +31,17 @@ FLAGS_HEADER = ["link_id", "start", "end", "duration_min", "max_severity", "exit
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Exactly one thresholding mode is active at a time."""
+    """One flag rule: ``mode`` is ``"severity"`` or ``"duration"``, and ``threshold`` the
+    severity or the number of minutes an excursion must reach to raise a flag."""
 
-    mode: str  # "duration_threshold" or "severity_threshold"
-    duration_threshold_min: float | None = None
-    severity_threshold: float | None = None
+    mode: str
+    threshold: float
 
     def __post_init__(self):
-        if self.mode == "duration_threshold":
-            if self.duration_threshold_min is None or self.severity_threshold is not None:
-                raise ValueError("duration_threshold mode needs duration_threshold_min only")
-            if not self.duration_threshold_min >= 0:
-                raise ValueError("duration threshold must be nonnegative")
-        elif self.mode == "severity_threshold":
-            if self.severity_threshold is None or self.duration_threshold_min is not None:
-                raise ValueError("severity_threshold mode needs severity_threshold only")
-            if not self.severity_threshold >= 0:
-                raise ValueError("severity threshold must be nonnegative")
-        else:
+        if self.mode not in ("severity", "duration"):
             raise ValueError(f"unknown detector mode {self.mode!r}")
+        if not self.threshold >= 0:
+            raise ValueError(f"{self.mode} threshold must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -156,11 +148,11 @@ def track_annotated(found: Excursions, config: DetectorConfig) -> tuple[list[Fla
     the excursion's end; in duration mode the flag is retroactive and covers
     the whole excursion when it lasted long enough.
     """
-    if config.mode == "duration_threshold":
-        chosen = np.flatnonzero(found.right & (found.duration >= config.duration_threshold_min))
+    if config.mode == "duration":
+        chosen = np.flatnonzero(found.right & (found.duration >= config.threshold))
         onset = found.first[chosen]
     else:
-        _, chosen, onset = found.onsets([config.severity_threshold])
+        _, chosen, onset = found.onsets([config.threshold])
     raised = np.zeros(found.first.size, dtype=bool)
     raised[chosen] = True
     at = found.at_us
@@ -198,11 +190,6 @@ def write_excursions_csv(rows: Iterable[FlagRow], sink) -> None:
         for r, a, b in zip(rows, starts, ends)
     )
     write_table(sink, FLAGS_HEADER, cells)
-
-
-def write_flags_csv(rows: Iterable[FlagRow], sink) -> None:
-    """The flag file ``detect`` writes: ``write_excursions_csv`` of the flag rows."""
-    write_excursions_csv(rows, sink)
 
 
 def read_flags_csv(source) -> list[FlagRow]:

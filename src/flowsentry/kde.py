@@ -332,7 +332,6 @@ def evaluate_grid(
     tiles_x, tiles_y = _tile_counts(rho_max - rho_min, f_max - f_min, n_rho, n_f, a, b, c)
     values = _grid_tiled(model, x_centers, y_centers, a, b, c, tiles_x, tiles_y)
     values *= 1.0 / (model.n * 2.0 * math.pi * math.sqrt(model.bandwidth.det))
-    np.maximum(values, 0.0, out=values)
     return DensityGrid(rho_min, rho_max, f_min, f_max, values)
 
 

@@ -222,7 +222,7 @@ def _fit_and_calibrate(train, train_labels):
 
 
 def _dftb_test_score(test, test_labels, region, threshold):
-    config = DetectorConfig("severity_threshold", severity_threshold=threshold)
+    config = DetectorConfig("severity", threshold)
     _, flags = track_annotated(annotate(test, region), config)
     return ev.score_link(test, ev.intervals_us(flags), test_labels, "dftb")
 

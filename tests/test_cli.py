@@ -253,15 +253,13 @@ def test_duration_percentile_annotates_once(workspace, tmp_path, capsys, monkeyp
     monkeypatch.setattr(detector, "annotate", annotate)
     stream = ingest.LinkSeries.from_samples(ingest.parse_series(series))
     region = levelset.TypicalRegion.from_json(region_path.read_text())
-    probe = detector.DetectorConfig("duration_threshold", duration_threshold_min=float("inf"))
+    probe = detector.DetectorConfig("duration", float("inf"))
     durations = [e.duration_min for e in detector.track_annotated(annotate(stream, region), probe)[0]]
     minutes = detector.duration_threshold_from_percentile(durations, 80)
     assert float(printed.group(1)) == minutes
-    excursions, flags = detector.track_annotated(
-        annotate(stream, region), detector.DetectorConfig("duration_threshold", duration_threshold_min=minutes)
-    )
+    excursions, flags = detector.track_annotated(annotate(stream, region), detector.DetectorConfig("duration", minutes))
     detector.write_excursions_csv(excursions, tmp_path / "excursions.csv")
-    detector.write_flags_csv(flags, tmp_path / "flags.csv")
+    detector.write_excursions_csv(flags, tmp_path / "flags.csv")
     for name in ("excursions.csv", "flags.csv"):
         assert (tmp_path / "dp" / name).read_bytes() == (tmp_path / name).read_bytes()
 

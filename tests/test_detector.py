@@ -16,7 +16,6 @@ from flowsentry.detector import (
     read_flags_csv,
     track_annotated,
     write_excursions_csv,
-    write_flags_csv,
 )
 from flowsentry.ingest import EventLabel, LinkSeries, ParseError, TrafficSample
 from flowsentry.levelset import TypicalRegion, contains_many, distances_and_sides, fit_region
@@ -57,8 +56,8 @@ def series(points, start_minute=0):
     return [sample(start_minute + k, d, f) for k, (d, f) in enumerate(points)]
 
 
-SEV_CFG = DetectorConfig("severity_threshold", severity_threshold=0.25)
-DUR_CFG = DetectorConfig("duration_threshold", duration_threshold_min=3)
+SEV_CFG = DetectorConfig("severity", 0.25)
+DUR_CFG = DetectorConfig("duration", 3)
 
 
 # --- severity -------------------------------------------------------------------
@@ -144,7 +143,7 @@ def test_exterior_run_is_one_record():
 
 def test_left_excursions_recorded_never_flagged():
     pts = [INTERIOR, LEFT, LEFT, INTERIOR, RIGHT, RIGHT, INTERIOR]
-    excursions, flags = track(series(pts), region(), DetectorConfig("severity_threshold", severity_threshold=0.0))
+    excursions, flags = track(series(pts), region(), DetectorConfig("severity", 0.0))
     assert [e.exit_side for e in excursions] == ["left", "right"]
     assert len(flags) == 1
     assert flags[0].exit_side == "right"
@@ -211,7 +210,7 @@ def test_severity_mode_onset_matches_replay_oracle():
     pts = [INTERIOR] + drift + [INTERIOR]
     r = region(normalizer=0.5)
     threshold = 0.7
-    excursions, flags = track(series(pts), r, DetectorConfig("severity_threshold", severity_threshold=threshold))
+    excursions, flags = track(series(pts), r, DetectorConfig("severity", threshold))
     assert len(flags) == 1
 
     # oracle: straight-line replay, one point at a time, with loop geometry
@@ -247,7 +246,7 @@ def test_flag_count_monotone_in_severity_threshold():
     r = region(normalizer=0.5)
     counts = []
     for thr in [0.0, 0.5, 1.0, 2.0, 4.0]:
-        _, flags = track(series(pts), r, DetectorConfig("severity_threshold", severity_threshold=thr))
+        _, flags = track(series(pts), r, DetectorConfig("severity", thr))
         counts.append(len(flags))
     assert counts == sorted(counts, reverse=True)
 
@@ -259,7 +258,7 @@ def test_flag_count_monotone_in_duration_threshold():
         pts.append(RIGHT if rng.random() < 0.4 else INTERIOR)
     counts = []
     for thr in [0, 1, 2, 4, 8]:
-        _, flags = track(series(pts), region(), DetectorConfig("duration_threshold", duration_threshold_min=thr))
+        _, flags = track(series(pts), region(), DetectorConfig("duration", thr))
         counts.append(len(flags))
     assert counts == sorted(counts, reverse=True)
 
@@ -299,22 +298,21 @@ def test_percentile_needs_ten_excursions():
 # --- config and serialization -----------------------------------------------------
 
 
-def test_config_exactly_one_mode():
-    with pytest.raises(ValueError):
-        DetectorConfig("severity_threshold", duration_threshold_min=5, severity_threshold=0.5)
-    with pytest.raises(ValueError):
-        DetectorConfig("duration_threshold")
-    with pytest.raises(ValueError):
-        DetectorConfig("sometimes")
+CONFIG_CASES = [
+    *[(mode, t, None) for mode in ("severity", "duration") for t in (0.0, np.inf)],
+    *[(mode, t, f"^{mode} threshold must be nonnegative$") for mode in ("severity", "duration") for t in (-1.0, np.nan)],
+    ("severity_threshold", 0.2, "^unknown detector mode 'severity_threshold'$"),
+    ("sometimes", 0.0, "^unknown detector mode 'sometimes'$"),
+]
 
 
-@pytest.mark.parametrize(
-    "mode, field", [("severity_threshold", "severity_threshold"), ("duration_threshold", "duration_threshold_min")]
-)
-@pytest.mark.parametrize("value", [-1.0, float("nan")])
-def test_config_rejects_a_negative_or_nan_threshold(mode, field, value):
-    with pytest.raises(ValueError, match="must be nonnegative"):
-        DetectorConfig(mode, **{field: value})
+@pytest.mark.parametrize("mode, threshold, error", [pytest.param(*c, id=f"{c[0]}-{c[1]}") for c in CONFIG_CASES])
+def test_config_takes_a_mode_and_a_nonnegative_threshold(mode, threshold, error):
+    if error is None:
+        assert DetectorConfig(mode, threshold).threshold == threshold
+    else:
+        with pytest.raises(ValueError, match=error):
+            DetectorConfig(mode, threshold)
 
 
 def test_flags_csv_round_trip():
@@ -328,7 +326,7 @@ def test_flags_csv_round_trip():
     assert rows[0].duration_min == 4
 
     buf2 = io.StringIO()
-    write_flags_csv(flags, buf2)
+    write_excursions_csv(flags, buf2)
     assert read_flags_csv(io.StringIO(buf2.getvalue())) == flags
 
 
@@ -379,9 +377,9 @@ def track_annotated_oracle(rows, config):
         nonlocal open_side, flag_ts, flag_minutes
         flag = None
         if open_side == "right":
-            if config.mode == "severity_threshold" and flag_ts is not None:
+            if config.mode == "severity" and flag_ts is not None:
                 flag = FlagRow("L1", us(flag_ts), us(end_ts), flag_minutes, max_sev, "right", True)
-            elif config.mode == "duration_threshold" and minute_count >= config.duration_threshold_min:
+            elif config.mode == "duration" and minute_count >= config.threshold:
                 flag = FlagRow("L1", us(start_ts), us(end_ts), minute_count, max_sev, "right", True)
         raised = flag is not None
         excursions.append(FlagRow("L1", us(start_ts), us(end_ts), minute_count, max_sev, open_side, raised))
@@ -412,9 +410,9 @@ def track_annotated_oracle(rows, config):
             max_sev = max(max_sev, sev)
             if (
                 open_side == "right"
-                and config.mode == "severity_threshold"
+                and config.mode == "severity"
                 and flag_ts is None
-                and sev >= config.severity_threshold
+                and sev >= config.threshold
             ):
                 flag_ts = ts
             if flag_ts is not None:
@@ -494,10 +492,7 @@ def rows_of(*states, step=60, sev=0.25):
 def test_track_annotated_matches_replay_oracle(rows, threshold, duration):
     stream, replay = scaled_stream([(timedelta(seconds=s, microseconds=m), state, sev) for s, m, state, sev in rows])
     found = annotate(stream, region())
-    for config in (
-        DetectorConfig("severity_threshold", severity_threshold=threshold),
-        DetectorConfig("duration_threshold", duration_threshold_min=duration),
-    ):
+    for config in (DetectorConfig("severity", threshold), DetectorConfig("duration", duration)):
         assert track_annotated(found, config) == track_annotated_oracle(replay, config)
 
 
@@ -524,7 +519,7 @@ def test_dftb_sweep_matches_replay_oracle(rows, label_rows):
     ]
     expected = []
     for threshold in ev.DFTB_THRESHOLD_GRID:
-        config = DetectorConfig("severity_threshold", severity_threshold=threshold)
+        config = DetectorConfig("severity", threshold)
         _, flags = track_annotated_oracle(replay, config)
         expected.append(ev.score_detector(ev.intervals_us(flags), ev.intervals_us(labels), usable))
     assert ev.dftb_score_fn(stream, region(), labels)(ev.DFTB_THRESHOLD_GRID) == expected

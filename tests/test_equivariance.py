@@ -42,10 +42,10 @@ def run_dftb(stream: LinkSeries, labels):
     calibration sweep."""
     region, _ = fit_region(stream.points)
     found = annotate(stream, region)
-    configs = [DetectorConfig("severity_threshold", severity_threshold=0.2)]
+    configs = [DetectorConfig("severity", 0.2)]
     if found.first.size >= 10:
         minutes = duration_threshold_from_percentile(found.duration, 95)
-        configs.append(DetectorConfig("duration_threshold", duration_threshold_min=minutes))
+        configs.append(DetectorConfig("duration", minutes))
     outputs = [tuple(map(csv_text, track_annotated(found, config))) for config in configs]
     return region, outputs, calibrate_dftb(stream, region, labels)
 

@@ -88,6 +88,7 @@ DELETED = {
     "levelset.with_normalizer",
     "detector.track",
     "detector.calibrate_normalizer",
+    "detector.write_flags_csv",
 }
 
 
@@ -172,7 +173,7 @@ def test_track_hook_counts_excursions_and_flags(tracer, workdir):
     region = TypicalRegion(
         z_star=1.0, alpha=0.05, polygons=(box,), scale_rho=1.0, scale_f=1.0, max_training_distance=1.0
     )
-    result = track_annotated(annotate(stream, region), DetectorConfig("severity_threshold", severity_threshold=0.2))
+    result = track_annotated(annotate(stream, region), DetectorConfig("severity", 0.2))
     excursions, flags = result
     assert excursions and flags
     recorder = tracer.Recorder()

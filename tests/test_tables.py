@@ -76,7 +76,6 @@ def test_excursions_and_flags_are_written_as_before(rows):
         ],
     )
     assert written(detector.write_excursions_csv, flags) == expected
-    assert written(detector.write_flags_csv, flags) == expected
 
 
 SCORES = st.builds(ev.DetectorScore, FINITE, FINITE, st.none() | FINITE)
